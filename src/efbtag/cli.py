@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .dataio import CorpusFormat, TagMap, load_tagmap, read_corpus
+from .dataio import CorpusFormat, TagMap, load_tagmap, read_corpus, utf8_lines
 from .discrim import SgdConfig
 from .errors import DataError, InvalidInputError, NumericalDegeneracyError
 from .evaluation import evaluate, format_kv, format_table
@@ -61,6 +61,9 @@ def _add_train_flags(sub):
         choices=[t.value for t in FeatureTemplate],
         default=FeatureTemplate.LF1.value,
     )
+
+
+def _add_sgd_flags(sub):
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--epochs", type=int, default=20)
     sub.add_argument("--lr", type=float, default=0.1)
@@ -79,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("train_path", help="training corpus file")
     _add_corpus_flags(p_train)
     _add_train_flags(p_train)
+    _add_sgd_flags(p_train)
     p_train.add_argument("--out", required=True, help="model file to write")
 
     p_tag = subs.add_parser("tag", help="label plain-text sentences")
@@ -105,13 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[t.value for t in FeatureTemplate],
         default=[FeatureTemplate.LF1.value],
     )
-    p_cmp.add_argument("--seed", type=int, default=42)
-    p_cmp.add_argument("--epochs", type=int, default=20)
-    p_cmp.add_argument("--lr", type=float, default=0.1)
-    p_cmp.add_argument("--decay", type=float, default=0.05)
-    p_cmp.add_argument("--l2", type=float, default=1e-5)
-    p_cmp.add_argument("--batch", type=int, default=32)
-    p_cmp.add_argument("--delta", type=float, default=1e-6)
+    _add_sgd_flags(p_cmp)
     return parser
 
 
@@ -158,7 +156,7 @@ def cmd_tag(args) -> int:
     dst = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
         first = True
-        for line in src:
+        for line in utf8_lines(src, "<stdin>" if src is sys.stdin else args.input):
             tokens = line.split()
             if not tokens:
                 continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import LabeledSentence, TagSet, Vocabulary
 from .errors import DataError
@@ -30,11 +30,19 @@ class TagMap:
         return self.mapping.get(tag)
 
 
+def utf8_lines(fh: Iterable[str], path: str | Path) -> Iterator[str]:
+    """The lines of a text file read as UTF-8; undecodable bytes raise DataError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_tagmap(path: str | Path) -> TagMap:
     """Read a tag map: one 'source<TAB>target' pair per line, '#' comments."""
     mapping: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(utf8_lines(fh, path), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -63,7 +71,7 @@ def _parse_raw(
     current: list[tuple[str, str]] = []
     is_docstart = False
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(utf8_lines(fh, path), start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 if current and not is_docstart:

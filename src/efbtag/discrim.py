@@ -9,6 +9,7 @@ feature id space).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -140,18 +141,28 @@ def loss_and_gradient(
     return loss, grad
 
 
-def _prepare_rows(
+def _padded_rows(
     model: LogisticModel, dataset: Sequence[Example]
-) -> tuple[Optional[np.ndarray], list[list[int]], np.ndarray]:
-    rows_list = [
-        model.active_rows(ids, prev) for ids, prev, _ in dataset
-    ]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every example's active weight rows as one (examples, width) array, plus targets.
+
+    Rows shorter than the widest are padded with index
+    `model.weights.shape[0]`, one past the last weight row; callers
+    gather from a weight table with a zero row appended there, so padding
+    adds exact zeros to every score.
+    """
+    rows_list = [model.active_rows(ids, prev) for ids, prev, _ in dataset]
     targets = np.array([t for _, _, t in dataset], dtype=np.intp)
     if np.any(targets < 0) or np.any(targets >= model.n_labels):
         raise InvalidInputError("target label out of range")
-    lens = {len(r) for r in rows_list}
-    rows_arr = np.array(rows_list, dtype=np.intp) if len(lens) == 1 else None
-    return rows_arr, rows_list, targets
+    width = max(map(len, rows_list))
+    fill = [model.weights.shape[0]]
+    rows = np.fromiter(
+        chain.from_iterable(r + fill * (width - len(r)) for r in rows_list),
+        dtype=np.intp,
+        count=len(rows_list) * width,
+    )
+    return rows.reshape(len(rows_list), width), targets
 
 
 def train(
@@ -169,8 +180,10 @@ def train(
     if len(dataset) == 0:
         raise InvalidInputError("dataset must be non-empty")
     model = zero_model(n_features, n_labels, conditions_on_prev)
-    w = model.weights
-    rows_arr, rows_list, targets = _prepare_rows(model, dataset)
+    rows, targets = _padded_rows(model, dataset)
+    pad = model.weights.shape[0]
+    w = np.zeros((pad + 1, n_labels))  # row `pad` is the zero row padding points at
+    model = LogisticModel(w[:pad], n_features, n_labels, conditions_on_prev)
     rng = np.random.default_rng(config.seed)
     n = len(dataset)
     scale = 1.0
@@ -180,37 +193,37 @@ def train(
         decay_factor = 1.0 - rate * config.l2
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            tgt = targets[batch_idx]
+            b_rows = rows[batch_idx]  # (B, width)
             b_size = len(batch_idx)
-            if rows_arr is not None:
-                rows = rows_arr[batch_idx]  # (B, A)
-                g = _softmax_rows(scale * w[rows].sum(axis=1))
-                g[np.arange(b_size), tgt] -= 1.0
-                scale *= decay_factor
-                g *= rate / (b_size * scale)
-                np.subtract.at(
-                    w,
-                    rows.reshape(-1),
-                    np.repeat(g, rows.shape[1], axis=0),
-                )
-            else:
-                grads = []
-                for b in batch_idx:
-                    g = _softmax_rows(scale * w[rows_list[b]].sum(axis=0))
-                    g[targets[b]] -= 1.0
-                    grads.append(g)
-                scale *= decay_factor
-                step = rate / (b_size * scale)
-                for b, g in zip(batch_idx, grads):
-                    np.subtract.at(w, rows_list[b], step * g)
+            g = _softmax_rows(scale * w[b_rows].sum(axis=1))
+            g[np.arange(b_size), targets[batch_idx]] -= 1.0
+            scale *= decay_factor
+            g *= rate / (b_size * scale)
+            np.subtract.at(w, b_rows.reshape(-1), np.repeat(g, b_rows.shape[1], axis=0))
+            w[pad] = 0.0  # undo the scatter into the padding row
         # fold the lazy scale back in once per epoch to limit drift
         w *= scale
         scale = 1.0
     return model
 
 
+# examples per chunk in `mean_loss`, so its peak memory does not grow with
+# the dataset
+LOSS_CHUNK = 1024
+
+
 def mean_loss(
     model: LogisticModel, dataset: Sequence[Example], l2: float = 0.0
 ) -> float:
-    loss, _ = loss_and_gradient(model, dataset, l2=l2)
+    """The loss of `loss_and_gradient`, computed without the gradient."""
+    w = model.weights
+    loss = 0.5 * l2 * float((w * w).sum())
+    if len(dataset) == 0:
+        return loss
+    w = np.vstack([w, np.zeros((1, model.n_labels))])
+    inv = 1.0 / len(dataset)
+    for start in range(0, len(dataset), LOSS_CHUNK):
+        rows, targets = _padded_rows(model, dataset[start : start + LOSS_CHUNK])
+        p = _softmax_rows(w[rows].sum(axis=1))
+        loss -= inv * float(np.log(p[np.arange(len(targets)), targets]).sum())
     return loss

@@ -1,10 +1,10 @@
 """Entropic Forward-Backward posterior decoding.
 
-The recursions run on per-position conditional label distributions
-produced by any discriminative model, divided by the stationary prior,
-and yield exactly the posterior marginals of the matched generative
-chain.  No emission table is involved, so arbitrary token features can
-drive the decoder.
+The classic scaled recursions of `hmc` run on per-position conditional
+label distributions produced by any discriminative model, divided by
+the stationary prior, and yield exactly the posterior marginals of the
+matched generative chain.  No emission table is involved, so arbitrary
+token features can drive the decoder.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import PosteriorLattice, mpm_from_lattice
-from .errors import InvalidInputError, NumericalDegeneracyError
-from .hmc import posterior_from_lattices
+from .errors import InvalidInputError
+from .hmc import posterior_from_lattices, scaled_backward, scaled_forward
 
 # floor for conditional label probabilities; softmax providers never hit
 # it, but table-backed providers may emit exact zeros
@@ -66,50 +66,21 @@ def conditional_matrix(params: EfbParams, obs: Sequence) -> np.ndarray:
 def entropic_forward(
     params: EfbParams, obs: Sequence
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Entropic forward lattice with per-step normalization.
+    """Entropic forward lattice: the scaled forward recursion on L / pi.
 
-    Unscaled value at t is alphas[t] * prod(scales[:t+1]).
+    The base case pi * (L[0] / pi) is L[0].  Unscaled value at t is
+    alphas[t] * prod(scales[:t+1]).
     """
-    lmat = conditional_matrix(params, obs)
-    ratio = lmat / params.pi[None, :]
-    t_len, n = lmat.shape
-    alphas = np.empty((t_len, n))
-    scales = np.empty(t_len)
-    row = lmat[0]
-    for t in range(t_len):
-        if t > 0:
-            row = ratio[t] * (alphas[t - 1] @ params.trans)
-        s = row.sum()
-        if s <= 0.0:
-            raise NumericalDegeneracyError(
-                f"entropic forward degenerated to zero mass at position {t}"
-            )
-        scales[t] = s
-        alphas[t] = row / s
-    return alphas, scales
+    return scaled_forward(
+        params.pi, params.trans, conditional_matrix(params, obs) / params.pi
+    )
 
 
 def entropic_backward(
     params: EfbParams, obs: Sequence
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropic backward lattice; unscaled value at t is betas[t] * prod(scales[t:])."""
-    lmat = conditional_matrix(params, obs)
-    ratio = lmat / params.pi[None, :]
-    t_len, n = lmat.shape
-    betas = np.empty((t_len, n))
-    scales = np.empty(t_len)
-    row = np.ones(n)
-    for t in range(t_len - 1, -1, -1):
-        if t < t_len - 1:
-            row = params.trans @ (ratio[t + 1] * betas[t + 1])
-        s = row.sum()
-        if s <= 0.0:
-            raise NumericalDegeneracyError(
-                f"entropic backward degenerated to zero mass at position {t}"
-            )
-        scales[t] = s
-        betas[t] = row / s
-    return betas, scales
+    return scaled_backward(params.trans, conditional_matrix(params, obs) / params.pi)
 
 
 def posterior_efb(params: EfbParams, obs: Sequence) -> PosteriorLattice:

@@ -184,11 +184,16 @@ def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray) -> PosteriorL
     return PosteriorLattice(prod / denom[:, None])
 
 
+def _posterior(params: HmcParams, emissions: np.ndarray) -> PosteriorLattice:
+    """Run the scaled forward and backward recursions over one emission matrix."""
+    alphas, _ = scaled_forward(params.pi, params.trans, emissions)
+    betas, _ = scaled_backward(params.trans, emissions)
+    return posterior_from_lattices(alphas, betas)
+
+
 def posterior_fb(params: HmcParams, obs: Sequence[int]) -> PosteriorLattice:
     """Posterior marginals by classic Forward-Backward."""
-    alphas, _ = forward(params, obs)
-    betas, _ = backward(params, obs)
-    return posterior_from_lattices(alphas, betas)
+    return _posterior(params, _emission_matrix(params, obs))
 
 
 @dataclass(frozen=True)
@@ -289,7 +294,4 @@ def posterior_naive_features(
     """Forward-Backward posterior with the independence-product emission."""
     if len(fvs) == 0:
         raise InvalidInputError("observation sequence must be non-empty")
-    emissions = naive_emission_matrix(model, fvs, params.n_labels)
-    alphas, _ = scaled_forward(params.pi, params.trans, emissions)
-    betas, _ = scaled_backward(params.trans, emissions)
-    return posterior_from_lattices(alphas, betas)
+    return _posterior(params, naive_emission_matrix(model, fvs, params.n_labels))

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TagSet
+from .core import PosteriorLattice, TagSet, mpm_from_lattice
 from .discrim import LogisticModel, predict, predict_all_prev
 from .errors import InvalidInputError
 
@@ -65,8 +65,8 @@ def memm_forward(model: MemmModel, obs: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def decode_lattice(alphas: np.ndarray) -> list[int]:
-    """Per-position argmax, ties to the lowest label id."""
-    return [int(i) for i in np.argmax(alphas, axis=1)]
+    """Maximum-posterior-mode labels of a forward lattice whose rows are distributions."""
+    return mpm_from_lattice(PosteriorLattice(alphas))
 
 
 def decode_memm(model: MemmModel, obs: Sequence[Sequence[int]]) -> list[int]:

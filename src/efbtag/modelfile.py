@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
+from typing import BinaryIO, Optional
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .tagger import DecoderKind, Tagger
 MAGIC = b"EFBTAG-MODEL\n"
 FORMAT_VERSION = 1
 _DTYPE = np.dtype("<f8")
+# keys every header written by `save_model` carries
+_HEADER_KEYS = ("arrays", "feature_index", "labels", "naive", "template", "words")
 
 
 def _index_header(index: Optional[FeatureIndex]):
@@ -98,7 +100,13 @@ def save_model(path: str | Path, tagger: Tagger) -> None:
 
 
 def load_model(path: str | Path, expect_kind: Optional[DecoderKind] = None) -> Tagger:
-    """Load a model file; optionally require a specific decoder kind."""
+    """Load a model file; optionally require a specific decoder kind.
+
+    The header must list exactly the arrays, in order and with the
+    shapes, that `save_model` writes for its kind, labels, words,
+    feature index and naive families.  Any missing key or inconsistency
+    is a DataError.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: not an efbtag model file")
@@ -106,6 +114,8 @@ def load_model(path: str | Path, expect_kind: Optional[DecoderKind] = None) -> T
             header = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt model header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: corrupt model header: not a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(
                 f"{path}: unsupported format version {header.get('format_version')!r}"
@@ -118,21 +128,57 @@ def load_model(path: str | Path, expect_kind: Optional[DecoderKind] = None) -> T
             raise InvalidInputError(
                 f"{path}: model kind is {kind.value}, expected {expect_kind.value}"
             )
-        arrays: dict[str, np.ndarray] = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * _DTYPE.itemsize)
-            if len(raw) != count * _DTYPE.itemsize:
-                raise DataError(f"{path}: truncated array {spec['name']!r}")
-            arrays[spec["name"]] = np.frombuffer(raw, dtype=_DTYPE).reshape(shape).copy()
+        missing = [key for key in _HEADER_KEYS if key not in header]
+        if missing:
+            raise DataError(f"{path}: model header lacks {', '.join(missing)}")
+        try:
+            return _tagger_from(path, fh, header, kind)
+        except (InvalidInputError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: inconsistent model header: {exc!r}") from None
 
+
+def _tagger_from(
+    path: str | Path, fh: BinaryIO, header: dict, kind: DecoderKind
+) -> Tagger:
+    """Check the header's array list against the rest of it, then read the arrays."""
     tagset = TagSet.from_labels(header["labels"])
     vocab = Vocabulary(tuple(header["words"]))
-    template = (
-        FeatureTemplate(header["template"]) if header.get("template") else None
-    )
+    template = FeatureTemplate(header["template"]) if header["template"] else None
     n = len(tagset)
+    discriminative = kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM)
+    index = (
+        _index_from_header(header["feature_index"], template) if discriminative else None
+    )
+    families = (
+        tuple(header["naive"]["families"]) if kind is DecoderKind.HMC_NAIVE else ()
+    )
+
+    shapes: dict[str, tuple[int, ...]] = {}
+    if kind is not DecoderKind.MEMM:
+        shapes["pi"] = (n,)
+        shapes["trans"] = (n, n)
+    if kind in (DecoderKind.HMC_FB, DecoderKind.HMC_NAIVE):
+        shapes["emit"] = (n, vocab.size_with_unknown)
+    for fam in families:
+        shapes[f"naive:{fam}"] = (n, len(header["naive"]["values"][fam]) + 1)
+    if discriminative:
+        shapes["l0_weights"] = (index.size + 1, n)
+    if kind is DecoderKind.MEMM:
+        shapes["l1_weights"] = (index.size + n + 1, n)
+    listed = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
+    if header["arrays"] != listed:
+        raise DataError(
+            f"{path}: header arrays do not match its kind, labels, words "
+            f"and feature index"
+        )
+
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        size = int(np.prod(shape)) * _DTYPE.itemsize
+        raw = fh.read(size)
+        if len(raw) != size:
+            raise DataError(f"{path}: truncated array {name!r}")
+        arrays[name] = np.frombuffer(raw, dtype=_DTYPE).reshape(shape).copy()
 
     params = None
     if "pi" in arrays:
@@ -144,8 +190,7 @@ def load_model(path: str | Path, expect_kind: Optional[DecoderKind] = None) -> T
         params = hmc.HmcParams(pi=arrays["pi"], trans=arrays["trans"], emit=emit)
 
     naive = None
-    if header.get("naive"):
-        families = tuple(header["naive"]["families"])
+    if families:
         value_index = {
             fam: {v: i for i, v in enumerate(header["naive"]["values"][fam])}
             for fam in families
@@ -155,12 +200,6 @@ def load_model(path: str | Path, expect_kind: Optional[DecoderKind] = None) -> T
             value_index=value_index,
             tables={fam: arrays[f"naive:{fam}"] for fam in families},
         )
-
-    index = None
-    if header.get("feature_index") is not None:
-        if template is None:
-            raise DataError(f"{path}: feature index without a template")
-        index = _index_from_header(header["feature_index"], template)
 
     def _logistic(name: str, conditions_on_prev: bool):
         if name not in arrays:

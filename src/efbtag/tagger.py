@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -104,76 +104,54 @@ def train_tagger(
     """Train the requested decoder kind on a labeled corpus."""
     if len(corpus.sentences) == 0:
         raise InvalidInputError("training corpus is empty")
+    if not isinstance(kind, DecoderKind):
+        raise InvalidInputError(f"unknown decoder kind: {kind!r}")
     tagset, vocab = corpus.tagset, corpus.vocab
     n = len(tagset)
-    index_size = 0
+    params = naive = index = l0 = l1 = None
     final_loss = float("nan")
 
-    if kind is DecoderKind.HMC_FB:
+    if kind is not DecoderKind.MEMM:
         params = hmc.estimate_params(corpus.sentences, tagset, vocab, smoothing)
-        tagger = Tagger(kind=kind, tagset=tagset, vocab=vocab, hmc_params=params)
-    elif kind is DecoderKind.HMC_NAIVE:
-        params = hmc.estimate_params(corpus.sentences, tagset, vocab, smoothing)
+    if kind is DecoderKind.HMC_NAIVE:
         naive = hmc.estimate_naive_emission(
             corpus.sentences,
             tagset,
             lambda tok, pos: extract(tok, pos, template),
             smoothing,
         )
-        tagger = Tagger(
-            kind=kind,
-            tagset=tagset,
-            vocab=vocab,
-            template=template,
-            hmc_params=params,
-            naive=naive,
-        )
-    else:
+    if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
         index = build_index(corpus.sentences, template)
-        index_size = index.size
         pipeline = FeaturePipeline(index)
         l0_data = _l0_dataset(corpus, pipeline)
         l0 = discrim.train(l0_data, index.size, n, sgd, conditions_on_prev=False)
         final_loss = discrim.mean_loss(l0, l0_data, l2=sgd.l2)
-        if kind is DecoderKind.HMC_EFB:
-            params = hmc.estimate_params(corpus.sentences, tagset, vocab, smoothing)
-            tagger = Tagger(
-                kind=kind,
-                tagset=tagset,
-                vocab=vocab,
-                template=template,
-                hmc_params=params,
-                feature_index=index,
-                l0=l0,
+    if kind is DecoderKind.MEMM:
+        l1_data = _l1_dataset(corpus, pipeline)
+        if not l1_data:
+            raise InvalidInputError(
+                "MEMM training needs at least one sentence of length >= 2"
             )
-        elif kind is DecoderKind.MEMM:
-            l1_data = _l1_dataset(corpus, pipeline)
-            if not l1_data:
-                raise InvalidInputError(
-                    "MEMM training needs at least one sentence of length >= 2"
-                )
-            l1 = discrim.train(l1_data, index.size, n, sgd, conditions_on_prev=True)
-            final_loss = 0.5 * (
-                final_loss + discrim.mean_loss(l1, l1_data, l2=sgd.l2)
-            )
-            tagger = Tagger(
-                kind=kind,
-                tagset=tagset,
-                vocab=vocab,
-                template=template,
-                feature_index=index,
-                l0=l0,
-                l1=l1,
-            )
-        else:
-            raise InvalidInputError(f"unknown decoder kind: {kind!r}")
+        l1 = discrim.train(l1_data, index.size, n, sgd, conditions_on_prev=True)
+        final_loss = 0.5 * (final_loss + discrim.mean_loss(l1, l1_data, l2=sgd.l2))
 
+    tagger = Tagger(
+        kind=kind,
+        tagset=tagset,
+        vocab=vocab,
+        template=None if kind is DecoderKind.HMC_FB else template,
+        hmc_params=params,
+        naive=naive,
+        feature_index=index,
+        l0=l0,
+        l1=l1,
+    )
     summary = TrainSummary(
         n_sentences=len(corpus.sentences),
         n_tokens=corpus.n_tokens,
         n_labels=n,
         vocab_size=len(vocab),
-        feature_index_size=index_size,
+        feature_index_size=index.size if index is not None else 0,
         final_loss=final_loss,
     )
     return tagger, summary
@@ -191,35 +169,13 @@ def train_compare_pair(
     hyperparameters and seed, and the first-position conditional shared
     between both decoders.
     """
-    if len(corpus.sentences) == 0:
-        raise InvalidInputError("training corpus is empty")
-    tagset, vocab = corpus.tagset, corpus.vocab
-    n = len(tagset)
-    index = build_index(corpus.sentences, template)
-    pipeline = FeaturePipeline(index)
-    l0 = discrim.train(
-        _l0_dataset(corpus, pipeline), index.size, n, sgd, conditions_on_prev=False
-    )
-    l1 = discrim.train(
-        _l1_dataset(corpus, pipeline), index.size, n, sgd, conditions_on_prev=True
-    )
-    params = hmc.estimate_params(corpus.sentences, tagset, vocab, smoothing)
-    efb_tagger = Tagger(
+    memm_tagger, _ = train_tagger(corpus, DecoderKind.MEMM, template, sgd, smoothing)
+    efb_tagger = replace(
+        memm_tagger,
         kind=DecoderKind.HMC_EFB,
-        tagset=tagset,
-        vocab=vocab,
-        template=template,
-        hmc_params=params,
-        feature_index=index,
-        l0=l0,
-    )
-    memm_tagger = Tagger(
-        kind=DecoderKind.MEMM,
-        tagset=tagset,
-        vocab=vocab,
-        template=template,
-        feature_index=index,
-        l0=l0,
-        l1=l1,
+        hmc_params=hmc.estimate_params(
+            corpus.sentences, corpus.tagset, corpus.vocab, smoothing
+        ),
+        l1=None,
     )
     return efb_tagger, memm_tagger

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from efbtag.cli import main
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.evaluation import EvalReport, evaluate
 from efbtag.features import FeatureTemplate
-from efbtag.modelfile import load_model, save_model
+from efbtag.errors import DataError
+from efbtag.modelfile import MAGIC, load_model, save_model
 from efbtag.tagger import DecoderKind, train_tagger
 from efbtag.discrim import SgdConfig
 
@@ -189,3 +192,57 @@ class TestCommands:
                    str(train_path), "--format", "conll2000"])
         assert rc == 2
         capsys.readouterr()
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to a saved model's JSON header in place."""
+    data = path.read_bytes()
+    end = data.index(b"\n", len(MAGIC))
+    header = json.loads(data[len(MAGIC) : end])
+    edit(header)
+    path.write_bytes(data[: len(MAGIC)] + json.dumps(header).encode() + data[end:])
+
+
+def assert_one_line_data_error(rc, capsys, path):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"efbtag: {path}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+class TestMalformedInputs:
+    def test_non_utf8_corpus_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"the DT O\ncat NN O\n\xff\xfe NN O\n")
+        rc = main(["train", str(bad), "--format", "conll2000",
+                   "--decoder", "hmc-fb", "--out", str(tmp_path / "m.bin")])
+        assert_one_line_data_error(rc, capsys, bad)
+
+    def test_non_utf8_tag_input_is_a_data_error(self, toy_files, tmp_path, capsys):
+        train_path, _ = toy_files
+        model = tmp_path / "m.bin"
+        assert main(["train", str(train_path), "--format", "conll2000",
+                     "--decoder", "hmc-fb", "--out", str(model)]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "input.txt"
+        bad.write_bytes(b"the cat runs\nthe \xe9t\xe9 runs\n")
+        rc = main(["tag", str(model), str(bad), "--out", str(tmp_path / "out.txt")])
+        assert_one_line_data_error(rc, capsys, bad)
+
+    @pytest.mark.parametrize("kind", list(DecoderKind))
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda h: h.pop("labels"), lambda h: h["labels"].append("EXTRA")],
+        ids=["labels-deleted", "label-appended"],
+    )
+    def test_header_inconsistent_with_arrays(self, toy_files, tmp_path, capsys, kind, edit):
+        train_path, test_path = toy_files
+        corpus = read_corpus(train_path, CorpusFormat.CONLL2000)
+        tagger, _ = train_tagger(corpus, kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
+        path = tmp_path / "m.bin"
+        save_model(path, tagger)
+        rewrite_header(path, edit)
+        with pytest.raises(DataError):
+            load_model(path)
+        rc = main(["evaluate", str(path), str(test_path), "--format", "conll2000"])
+        assert_one_line_data_error(rc, capsys, path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from efbtag.discrim import (
+    LOSS_CHUNK,
     LogisticModel,
     SgdConfig,
     loss_and_gradient,
@@ -179,3 +180,73 @@ class TestTrain:
         model = train(dataset, 1, 2, config, conditions_on_prev=True)
         assert int(np.argmax(predict(model, [0], prev_label=0))) == 0
         assert int(np.argmax(predict(model, [0], prev_label=1))) == 1
+
+
+def reference_train(dataset, n_features, n_labels, config, conditions_on_prev=False):
+    """Per-example SGD: the loop `train` must reproduce byte for byte."""
+    model = zero_model(n_features, n_labels, conditions_on_prev)
+    w = model.weights
+    rows = [model.active_rows(ids, prev) for ids, prev, _ in dataset]
+    rng = np.random.default_rng(config.seed)
+    scale = 1.0
+    for epoch in range(config.epochs):
+        rate = config.learning_rate / (1.0 + config.decay * epoch)
+        order = rng.permutation(len(dataset))
+        for start in range(0, len(dataset), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grads = []
+            for b in batch:
+                scores = scale * w[rows[b]].sum(axis=0)
+                g = np.exp(scores - scores.max())
+                g = g / g.sum()
+                g[dataset[b][2]] -= 1.0
+                grads.append(g)
+            scale *= 1.0 - rate * config.l2
+            step = rate / (len(batch) * scale)
+            for b, g in zip(batch, grads):
+                for r in rows[b]:
+                    w[r] -= step * g
+        w *= scale
+        scale = 1.0
+    return model
+
+
+def sparse_dataset(rng, n, n_features, n_labels, widths, conditions_on_prev=False):
+    return [
+        (
+            list(rng.choice(n_features, size=int(rng.choice(widths)), replace=False)),
+            int(rng.integers(0, n_labels)) if conditions_on_prev else None,
+            int(rng.integers(0, n_labels)),
+        )
+        for _ in range(n)
+    ]
+
+
+# (name, widths, conditions_on_prev): fixed-width, ragged, previous-label rows
+LAYOUTS = [("fixed", [3], False), ("ragged", [1, 2, 4, 6], False), ("prev", [1, 3], True)]
+
+
+class TestSinglePaths:
+    @pytest.mark.parametrize("name,widths,cond", LAYOUTS)
+    def test_train_byte_equal_to_per_example_loop(self, name, widths, cond):
+        rng = np.random.default_rng(61)
+        dataset = sparse_dataset(rng, 150, 12, 4, widths, cond)
+        config = SgdConfig(learning_rate=0.3, decay=0.1, epochs=4, l2=1e-3, batch_size=7)
+        fast = train(dataset, 12, 4, config, conditions_on_prev=cond)
+        ref = reference_train(dataset, 12, 4, config, conditions_on_prev=cond)
+        assert fast.weights.tobytes() == ref.weights.tobytes()
+
+    @pytest.mark.parametrize("name,widths,cond", LAYOUTS)
+    def test_mean_loss_equals_reference_loss(self, name, widths, cond):
+        rng = np.random.default_rng(67)
+        dataset = sparse_dataset(rng, 120, 10, 5, widths, cond)
+        model = random_model(rng, 10, 5, conditions_on_prev=cond)
+        ref, _ = loss_and_gradient(model, dataset, l2=0.03)
+        assert mean_loss(model, dataset, l2=0.03) == pytest.approx(ref, rel=1e-12)
+
+    def test_mean_loss_over_several_chunks(self):
+        rng = np.random.default_rng(71)
+        dataset = sparse_dataset(rng, LOSS_CHUNK + 905, 30, 6, [1, 2, 5])
+        model = random_model(rng, 30, 6)
+        ref, _ = loss_and_gradient(model, dataset, l2=1e-2)
+        assert mean_loss(model, dataset, l2=1e-2) == pytest.approx(ref, rel=1e-12)

@@ -4,13 +4,21 @@ import pytest
 from conftest import exact_conditional_table, random_stationary_hmc
 from efbtag.efb import (
     EfbParams,
+    conditional_matrix,
     decode_efb,
     entropic_backward,
     entropic_forward,
     posterior_efb,
 )
 from efbtag.errors import InvalidInputError
-from efbtag.hmc import backward, forward, posterior_fb, unscale
+from efbtag.hmc import (
+    backward,
+    forward,
+    posterior_fb,
+    scaled_backward,
+    scaled_forward,
+    unscale,
+)
 from efbtag.oracle import posterior_bruteforce
 
 
@@ -195,3 +203,14 @@ class TestEquivalenceProperties:
         ltable = np.array([[1.0, 0.0], [0.0, 1.0]])
         lattice = posterior_efb(efb_params_for(worked_params, ltable), [0, 0])
         assert np.all(np.isfinite(lattice.values))
+
+
+def test_entropic_recursions_are_scaled_fb_on_l_over_pi(worked_params):
+    ep = efb_params_for(worked_params)
+    obs = [0, 1, 1, 0]
+    ratio = conditional_matrix(ep, obs) / ep.pi
+    for got, want in (
+        (entropic_forward(ep, obs), scaled_forward(ep.pi, ep.trans, ratio)),
+        (entropic_backward(ep, obs), scaled_backward(ep.trans, ratio)),
+    ):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

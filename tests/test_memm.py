@@ -122,3 +122,8 @@ class TestMemmModel:
         rng = np.random.default_rng(55)
         with pytest.raises(InvalidInputError):
             memm_forward(self._model(rng), [])
+
+
+def test_decode_lattice_rejects_rows_that_are_not_distributions():
+    with pytest.raises(InvalidInputError):
+        decode_lattice(np.array([[0.6, 0.4], [0.5, 0.2]]))
