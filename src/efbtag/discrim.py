@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from .errors import InvalidInputError
 
 # one training example: (active feature ids, previous label or None, target)
 Example = tuple[Sequence[int], Optional[int], int]
+# one input's feature ids, or a batch of them: a (T, F) array or a list of
+# id sequences, which may differ in length
+Ids = Union[Sequence[int], Sequence[Sequence[int]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -100,26 +103,83 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _is_batch(feature_ids) -> bool:
+    """True for a batch of inputs' id sequences, False for one input's ids."""
+    if isinstance(feature_ids, np.ndarray):
+        return feature_ids.ndim == 2
+    return len(feature_ids) > 0 and not isinstance(feature_ids[0], (int, np.integer))
+
+
+def _batch_scores(model: LogisticModel, feature_ids) -> np.ndarray:
+    """(T, N) summed weight rows of a batch of per-position id sequences.
+
+    Each row is summed in its ids' order.  Ragged batches gather id 0
+    into the missing slots and zero it, which adds exact zeros.
+    """
+    try:
+        ids = np.asarray(feature_ids, dtype=np.intp)
+        present = None
+    except ValueError:  # ragged
+        width = max(map(len, feature_ids))
+        ids = np.zeros((len(feature_ids), width), dtype=np.intp)
+        present = np.arange(width) < np.array([len(r) for r in feature_ids])[:, None]
+        ids[present] = np.fromiter(chain.from_iterable(feature_ids), dtype=np.intp)
+    if ids.ndim != 2:
+        raise InvalidInputError("a batch of feature ids must be two-dimensional")
+    bad = (ids < 0) | (ids >= model.n_features)
+    if present is not None:
+        bad &= present
+    if bad.any():
+        raise InvalidInputError(f"feature id {int(ids[bad][0])} out of range")
+    rows = model.weights[ids]  # (T, F, N)
+    if present is not None:
+        rows[~present] = 0.0
+    return rows.sum(axis=1)
+
+
 def predict(
     model: LogisticModel,
-    feature_ids: Sequence[int],
-    prev_label: Optional[int] = None,
+    feature_ids: Ids,
+    prev_label: Optional[int] | Sequence[int] = None,
 ) -> np.ndarray:
-    """Softmax distribution over the N labels for one input."""
-    rows = model.active_rows(feature_ids, prev_label)
-    return _softmax_rows(model.weights[rows].sum(axis=0))
+    """Softmax distribution over the N labels for one input.
+
+    Given a batch of T inputs (a (T, F) id array or a list of id
+    sequences), returns the (T, N) matrix whose row t is the prediction
+    for input t, from one gather-sum-softmax; `prev_label` is then one
+    label for every row or one per row.
+    """
+    batch = _is_batch(feature_ids)
+    scores = _batch_scores(model, feature_ids if batch else [feature_ids])
+    if model.conditions_on_prev:
+        if prev_label is None:
+            raise InvalidInputError("model conditions on the previous label")
+        prev = np.broadcast_to(np.asarray(prev_label, dtype=np.intp), scores.shape[:1])
+        out = (prev < 0) | (prev >= model.n_labels)
+        if out.any():
+            raise InvalidInputError(f"previous label {int(prev[out][0])} out of range")
+        scores += model.weights[model.n_features + prev]
+    elif prev_label is not None:
+        raise InvalidInputError("model does not condition on the previous label")
+    scores += model.weights[model.bias_row]
+    probs = _softmax_rows(scores)
+    return probs if batch else probs[0]
 
 
-def predict_all_prev(model: LogisticModel, feature_ids: Sequence[int]) -> np.ndarray:
-    """N x N table whose column j is the prediction given previous label j."""
+def predict_all_prev(model: LogisticModel, feature_ids: Ids) -> np.ndarray:
+    """N x N table whose column j is the prediction given previous label j.
+
+    Given a batch of T inputs, returns the (T, N, N) stack of those tables.
+    """
     if not model.conditions_on_prev:
         raise InvalidInputError("model does not condition on the previous label")
-    base = (
-        model.weights[list(feature_ids)].sum(axis=0) + model.weights[model.bias_row]
-    )
+    batch = _is_batch(feature_ids)
+    base = _batch_scores(model, feature_ids if batch else [feature_ids])
+    base += model.weights[model.bias_row]
     block = model.weights[model.n_features : model.n_features + model.n_labels]
-    scores = base[None, :] + block  # row j: scores given prev=j
-    return _softmax_rows(scores).T
+    scores = base[:, None, :] + block  # [t, j]: scores at t given prev=j
+    tables = _softmax_rows(scores).transpose(0, 2, 1)
+    return tables if batch else tables[0]
 
 
 def loss_and_gradient(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,20 +53,21 @@ def evaluate(tagger: Tagger, test: Corpus, train_vocab: Vocabulary) -> EvalRepor
     if len(test.sentences) == 0:
         raise InvalidInputError("test corpus is empty")
     n = len(tagger.tagset)
+    predicted: list[int] = []
+    for sent in test.sentences:
+        predicted.extend(tagger.decode(sent.tokens))
+    gold = np.fromiter(chain.from_iterable(s.labels for s in test.sentences), np.intp)
+    pred = np.array(predicted, dtype=np.intp)
+    unknown = np.fromiter(
+        chain.from_iterable(split_known_unknown(test.sentences, train_vocab)), bool
+    )
     confusion = np.zeros((n, n), dtype=np.int64)
-    kw_errors = kw_tokens = uw_errors = uw_tokens = 0
-    unknown_flags = split_known_unknown(test.sentences, train_vocab)
-    for sent, flags in zip(test.sentences, unknown_flags):
-        predicted = tagger.decode(sent.tokens)
-        for gold, pred, unk in zip(sent.labels, predicted, flags):
-            confusion[gold, pred] += 1
-            wrong = gold != pred
-            if unk:
-                uw_tokens += 1
-                uw_errors += wrong
-            else:
-                kw_tokens += 1
-                kw_errors += wrong
+    np.add.at(confusion, (gold, pred), 1)
+    wrong = gold != pred
+    uw_tokens = int(unknown.sum())
+    uw_errors = int((wrong & unknown).sum())
+    kw_tokens = unknown.size - uw_tokens
+    kw_errors = int(wrong.sum()) - uw_errors
     return EvalReport(
         kw_errors=kw_errors,
         kw_tokens=kw_tokens,

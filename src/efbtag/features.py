@@ -7,7 +7,7 @@ extended with longer affixes, digit and hyphen indicators (LF2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -92,6 +92,11 @@ class FeatureIndex:
     families: tuple[str, ...]
     ids: dict[tuple[str, str], int]
     unknown_ids: dict[str, int]
+    # vectorized rows of indexed words, keyed by (token, position == 0),
+    # the only inputs of `extract`; filled by `FeaturePipeline`
+    memo: dict[tuple[str, bool], tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
@@ -148,7 +153,16 @@ class FeaturePipeline:
         return self.index.template
 
     def sentence_features(self, tokens: Sequence[str]) -> list[tuple[int, ...]]:
-        return [
-            vectorize(extract(tok, pos, self.index.template), self.index)
-            for pos, tok in enumerate(tokens)
-        ]
+        """Each token's feature ids; rows of indexed words come from the memo."""
+        index = self.index
+        memo = index.memo
+        rows = []
+        for pos, tok in enumerate(tokens):
+            key = (tok, pos == 0)
+            row = memo.get(key)
+            if row is None:
+                row = vectorize(extract(tok, pos, index.template), index)
+                if ("word", tok) in index.ids:
+                    memo[key] = row
+            rows.append(row)
+        return rows

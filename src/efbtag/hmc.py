@@ -8,7 +8,7 @@ feature-independence emission baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -215,11 +215,15 @@ class NaiveFeatureEmission:
             if np.any(np.abs(table.sum(axis=1) - 1.0) > PROB_TOL):
                 raise InvalidInputError(f"family {fam!r} rows must sum to 1")
 
-    def column_of(self, family: str, value: str) -> int:
+    def columns_of(self, family: str, values: Iterable[str]) -> list[int]:
         if family not in self.tables:
             raise InvalidInputError(f"feature family {family!r} not trained")
         idx = self.value_index[family]
-        return idx.get(value, len(idx))  # trailing unknown column
+        unknown = len(idx)  # trailing unknown column
+        return [idx.get(value, unknown) for value in values]
+
+    def column_of(self, family: str, value: str) -> int:
+        return self.columns_of(family, (value,))[0]
 
 
 def estimate_naive_emission(
@@ -279,12 +283,22 @@ def emission_naive_features(
 def naive_emission_matrix(
     model: NaiveFeatureEmission, fvs: Sequence[dict[str, str]], n_labels: int
 ) -> np.ndarray:
-    """T x N emission matrix for a sentence's feature vectors."""
-    out = np.ones((len(fvs), n_labels))
+    """T x N emission matrix for a sentence's feature vectors.
+
+    Positions whose feature vectors list the same families in the same
+    order multiply one gathered column block per family, in that order,
+    which is the per-position product exactly.
+    """
+    groups: dict[tuple[str, ...], list[int]] = {}
     for t, fv in enumerate(fvs):
-        for fam, value in fv.items():
-            col = model.column_of(fam, value)
-            out[t] *= model.tables[fam][:, col]
+        groups.setdefault(tuple(fv), []).append(t)
+    out = np.ones((len(fvs), n_labels))
+    for families, positions in groups.items():
+        block = out[positions]
+        for fam in families:
+            cols = model.columns_of(fam, (fvs[t][fam] for t in positions))
+            block *= model.tables[fam][:, cols].T
+        out[positions] = block
     return out
 
 

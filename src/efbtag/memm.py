@@ -60,7 +60,7 @@ def memm_forward(model: MemmModel, obs: Sequence[Sequence[int]]) -> np.ndarray:
     if len(obs) == 0:
         raise InvalidInputError("observation sequence must be non-empty")
     first = predict(model.l0, obs[0])
-    steps = [predict_all_prev(model.l1, fv) for fv in obs[1:]]
+    steps = predict_all_prev(model.l1, obs[1:]) if len(obs) > 1 else []
     return forward_lattice(first, steps)
 
 

@@ -56,31 +56,36 @@ class Tagger:
             return mpm_from_lattice(lattice)
         feats = self.pipeline.sentence_features(tokens)
         if self.kind is DecoderKind.HMC_EFB:
+            # the sentence's conditional in one batch; the provider reads its rows
+            lmat = discrim.predict(self.l0, feats)
             params = efb.EfbParams(
                 pi=self.hmc_params.pi,
                 trans=self.hmc_params.trans,
-                l_provider=lambda ids, t: discrim.predict(self.l0, ids),
+                l_provider=lambda ids, t: lmat[t],
             )
             return efb.decode_efb(params, feats)
         model = memm.MemmModel(l0=self.l0, l1=self.l1, tagset=self.tagset)
         return memm.decode_memm(model, feats)
 
 
-def _l0_dataset(corpus: Corpus, pipeline: FeaturePipeline) -> list[discrim.Example]:
+def _l0_dataset(
+    corpus: Corpus, feats: Sequence[list[tuple[int, ...]]]
+) -> list[discrim.Example]:
     data: list[discrim.Example] = []
-    for sent in corpus.sentences:
-        for ids, label in zip(pipeline.sentence_features(sent.tokens), sent.labels):
+    for sent, sent_feats in zip(corpus.sentences, feats):
+        for ids, label in zip(sent_feats, sent.labels):
             data.append((ids, None, label))
     return data
 
 
-def _l1_dataset(corpus: Corpus, pipeline: FeaturePipeline) -> list[discrim.Example]:
+def _l1_dataset(
+    corpus: Corpus, feats: Sequence[list[tuple[int, ...]]]
+) -> list[discrim.Example]:
     # teacher forcing: gold previous label, positions t >= 2 only
     data: list[discrim.Example] = []
-    for sent in corpus.sentences:
-        feats = pipeline.sentence_features(sent.tokens)
+    for sent, sent_feats in zip(corpus.sentences, feats):
         for t in range(1, len(sent)):
-            data.append((feats[t], sent.labels[t - 1], sent.labels[t]))
+            data.append((sent_feats[t], sent.labels[t - 1], sent.labels[t]))
     return data
 
 
@@ -123,11 +128,12 @@ def train_tagger(
     if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
         index = build_index(corpus.sentences, template)
         pipeline = FeaturePipeline(index)
-        l0_data = _l0_dataset(corpus, pipeline)
+        feats = [pipeline.sentence_features(sent.tokens) for sent in corpus.sentences]
+        l0_data = _l0_dataset(corpus, feats)
         l0 = discrim.train(l0_data, index.size, n, sgd, conditions_on_prev=False)
         final_loss = discrim.mean_loss(l0, l0_data, l2=sgd.l2)
     if kind is DecoderKind.MEMM:
-        l1_data = _l1_dataset(corpus, pipeline)
+        l1_data = _l1_dataset(corpus, feats)
         if not l1_data:
             raise InvalidInputError(
                 "MEMM training needs at least one sentence of length >= 2"

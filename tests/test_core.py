@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from efbtag.core import (
     LabeledSentence,
@@ -88,6 +88,10 @@ class TestMpm:
     )
     def test_argmax_invariant_under_row_scaling(self, rows, c):
         raw = np.array(rows)
+        # at near-ties scaling can round the two largest entries together;
+        # the property holds only where the maximum wins by a margin
+        top2 = np.sort(raw, axis=1)[:, -2:]
+        assume(np.all(top2[:, 1] - top2[:, 0] > 1e-9 * top2[:, 1]))
         base = raw / raw.sum(axis=1, keepdims=True)
         scaled = (raw * c) / (raw * c).sum(axis=1, keepdims=True)
         assert mpm_from_lattice(PosteriorLattice(base)) == mpm_from_lattice(
