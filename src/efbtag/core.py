@@ -127,7 +127,7 @@ class PosteriorLattice:
         if np.any(v < -ROW_SUM_TOL) or np.any(v > 1.0 + ROW_SUM_TOL):
             raise InvalidInputError("lattice entries must lie in [0, 1]")
         sums = v.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
+        if not (np.abs(sums - 1.0) <= ROW_SUM_TOL).all():  # NaN fails it too
             t = int(np.argmax(np.abs(sums - 1.0)))
             raise InvalidInputError(
                 f"lattice row {t} sums to {sums[t]!r}, expected 1"

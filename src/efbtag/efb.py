@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import PosteriorLattice, mpm_from_lattice
 from .errors import InvalidInputError
-from .hmc import posterior_from_lattices, scaled_backward, scaled_forward
+from .hmc import check_chain, posterior_from_lattices, scaled_backward, scaled_forward
 
 # floor for conditional label probabilities; softmax providers never hit
 # it, but table-backed providers may emit exact zeros
@@ -35,18 +35,7 @@ class EfbParams:
     l_provider: LProvider
 
     def __post_init__(self):
-        if self.pi.ndim != 1:
-            raise InvalidInputError("pi must be a vector")
-        zero = np.nonzero(self.pi <= 0.0)[0]
-        if zero.size:
-            raise InvalidInputError(
-                f"pi must be strictly positive, state {int(zero[0])} is not"
-            )
-        n = self.pi.shape[0]
-        if self.trans.shape != (n, n):
-            raise InvalidInputError("transition table shape mismatch")
-        if np.any(np.abs(self.trans.sum(axis=1) - 1.0) > 1e-12):
-            raise InvalidInputError("transition rows must sum to 1")
+        check_chain(self.pi, self.trans)
 
     @property
     def n_labels(self) -> int:

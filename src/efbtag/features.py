@@ -119,11 +119,16 @@ def build_index(
     family, and the index is then frozen.
     """
     ids: dict[tuple[str, str], int] = {}
+    # (token, position == 0) are the only inputs of `extract`: a repeat adds no pair
+    extracted: set[tuple[str, bool]] = set()
     saw_any = False
     for sent in corpus:
         saw_any = True
         tokens = sent.tokens if isinstance(sent, LabeledSentence) else sent
         for pos, token in enumerate(tokens):
+            if (token, pos == 0) in extracted:
+                continue
+            extracted.add((token, pos == 0))
             for fam, value in extract(token, pos, template).items():
                 key = (fam, value)
                 if key not in ids:

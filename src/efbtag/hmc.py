@@ -8,7 +8,7 @@ feature-independence emission baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -19,29 +19,37 @@ PROB_TOL = 1e-12
 DEFAULT_SMOOTHING = 1e-6
 
 
+def check_chain(pi: np.ndarray, trans: np.ndarray) -> None:
+    """Require a strictly positive prior and row-stochastic transitions; NaN fails."""
+    if pi.ndim != 1:
+        raise InvalidInputError("pi must be a vector")
+    if trans.shape != (pi.shape[0], pi.shape[0]):
+        raise InvalidInputError("transition table shape mismatch")
+    if not (abs(pi.sum() - 1.0) <= PROB_TOL and pi.min() > 0.0):
+        raise InvalidInputError("pi must be a strictly positive distribution")
+    if not (np.abs(trans.sum(axis=1) - 1.0) <= PROB_TOL).all():
+        raise InvalidInputError("transition rows must sum to 1")
+
+
 @dataclass(frozen=True)
 class HmcParams:
-    """Stationary prior pi, transition table, and emission table.
+    """A chain (pi, A), plus a word emission table for hmc-fb only.
 
     `emit` has one column per trained word plus a trailing unknown-word
-    column; every row of every table is a probability distribution.
+    column, or is None for a bare (pi, A) chain; every row is a distribution.
     """
 
     pi: np.ndarray     # (N,)
     trans: np.ndarray  # (N, N), trans[i, j] = P(next=j | cur=i)
-    emit: np.ndarray   # (N, M+1), last column is the unknown-word slot
+    emit: Optional[np.ndarray] = None  # (N, M+1), last column is the unknown-word slot
 
     def __post_init__(self):
-        n = self.pi.shape[0]
-        if self.trans.shape != (n, n):
-            raise InvalidInputError("transition table shape mismatch")
-        if self.emit.ndim != 2 or self.emit.shape[0] != n:
+        check_chain(self.pi, self.trans)
+        if self.emit is None:
+            return
+        if self.emit.ndim != 2 or self.emit.shape[0] != self.n_labels:
             raise InvalidInputError("emission table shape mismatch")
-        if abs(self.pi.sum() - 1.0) > PROB_TOL or np.any(self.pi <= 0):
-            raise InvalidInputError("pi must be a strictly positive distribution")
-        if np.any(np.abs(self.trans.sum(axis=1) - 1.0) > PROB_TOL):
-            raise InvalidInputError("transition rows must sum to 1")
-        if np.any(np.abs(self.emit.sum(axis=1) - 1.0) > PROB_TOL):
+        if not (np.abs(self.emit.sum(axis=1) - 1.0) <= PROB_TOL).all():
             raise InvalidInputError("emission rows must sum to 1")
 
     @property
@@ -111,7 +119,7 @@ def scaled_forward(
         if t > 0:
             row = emissions[t] * (alphas[t - 1] @ trans)
         s = row.sum()
-        if s <= 0.0:
+        if not s > 0.0:
             raise NumericalDegeneracyError(
                 f"forward pass degenerated to zero mass at position {t}"
             )
@@ -135,7 +143,7 @@ def scaled_backward(
         if t < t_len - 1:
             row = trans @ (emissions[t + 1] * betas[t + 1])
         s = row.sum()
-        if s <= 0.0:
+        if not s > 0.0:
             raise NumericalDegeneracyError(
                 f"backward pass degenerated to zero mass at position {t}"
             )
@@ -154,6 +162,8 @@ def unscale(rows: np.ndarray, scales: np.ndarray, backward: bool = False) -> np.
 
 
 def _emission_matrix(params: HmcParams, obs: Sequence[int]) -> np.ndarray:
+    if params.emit is None:
+        raise InvalidInputError("a bare (pi, A) chain has no word emission table")
     if len(obs) == 0:
         raise InvalidInputError("observation sequence must be non-empty")
     obs_arr = np.asarray(obs, dtype=np.intp)
@@ -176,7 +186,7 @@ def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray) -> PosteriorL
     """Combine scaled forward/backward rows; per-row scales cancel in the ratio."""
     prod = alphas * betas
     denom = prod.sum(axis=1)
-    bad = np.nonzero(denom <= 0.0)[0]
+    bad = np.nonzero(~(denom > 0.0))[0]
     if bad.size:
         raise NumericalDegeneracyError(
             f"posterior denominator underflowed at position {int(bad[0])}"
@@ -212,7 +222,7 @@ class NaiveFeatureEmission:
     def __post_init__(self):
         for fam in self.families:
             table = self.tables[fam]
-            if np.any(np.abs(table.sum(axis=1) - 1.0) > PROB_TOL):
+            if not (np.abs(table.sum(axis=1) - 1.0) <= PROB_TOL).all():
                 raise InvalidInputError(f"family {fam!r} rows must sum to 1")
 
     def columns_of(self, family: str, values: Iterable[str]) -> list[int]:

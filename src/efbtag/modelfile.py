@@ -4,6 +4,12 @@ Layout: a magic line, one line of JSON metadata (sorted keys, compact
 separators), then the raw bytes of every array listed in the metadata,
 concatenated in order as little-endian float64.  Writing the same model
 twice therefore produces byte-identical files.
+
+A kind stores only the arrays it decodes with: `pi` and `trans` for the
+chain decoders, `emit` for hmc-fb alone, `naive:<family>` tables for
+hmc-naive-features, and `l0_weights` (plus `l1_weights` for memm) for
+the discriminative kinds.  Loading rejects any other array list and any
+non-finite value.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ def _tagger_arrays(tagger: Tagger) -> dict[str, np.ndarray]:
     if tagger.hmc_params is not None:
         arrays["pi"] = tagger.hmc_params.pi
         arrays["trans"] = tagger.hmc_params.trans
-        if tagger.kind in (DecoderKind.HMC_FB, DecoderKind.HMC_NAIVE):
+        if tagger.hmc_params.emit is not None:
             arrays["emit"] = tagger.hmc_params.emit
     if tagger.naive is not None:
         for fam in tagger.naive.families:
@@ -152,12 +158,14 @@ def _tagger_from(
     families = (
         tuple(header["naive"]["families"]) if kind is DecoderKind.HMC_NAIVE else ()
     )
+    if families and families != TEMPLATE_FAMILIES[template]:
+        raise DataError(f"{path}: naive families differ from template {template.value}")
 
     shapes: dict[str, tuple[int, ...]] = {}
     if kind is not DecoderKind.MEMM:
         shapes["pi"] = (n,)
         shapes["trans"] = (n, n)
-    if kind in (DecoderKind.HMC_FB, DecoderKind.HMC_NAIVE):
+    if kind is DecoderKind.HMC_FB:
         shapes["emit"] = (n, vocab.size_with_unknown)
     for fam in families:
         shapes[f"naive:{fam}"] = (n, len(header["naive"]["values"][fam]) + 1)
@@ -179,15 +187,12 @@ def _tagger_from(
         if len(raw) != size:
             raise DataError(f"{path}: truncated array {name!r}")
         arrays[name] = np.frombuffer(raw, dtype=_DTYPE).reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(f"{path}: array {name!r} holds a non-finite value")
 
     params = None
     if "pi" in arrays:
-        emit = arrays.get("emit")
-        if emit is None:
-            # EFB models carry no emission table; a uniform stand-in keeps
-            # the parameter container's invariants satisfied
-            emit = np.full((n, vocab.size_with_unknown), 1.0 / vocab.size_with_unknown)
-        params = hmc.HmcParams(pi=arrays["pi"], trans=arrays["trans"], emit=emit)
+        params = hmc.HmcParams(arrays["pi"], arrays["trans"], arrays.get("emit"))
 
     naive = None
     if families:

@@ -118,6 +118,8 @@ def train_tagger(
 
     if kind is not DecoderKind.MEMM:
         params = hmc.estimate_params(corpus.sentences, tagset, vocab, smoothing)
+    if kind in (DecoderKind.HMC_EFB, DecoderKind.HMC_NAIVE):
+        params = replace(params, emit=None)  # a bare chain: emissions are scored apart
     if kind is DecoderKind.HMC_NAIVE:
         naive = hmc.estimate_naive_emission(
             corpus.sentences,
@@ -176,12 +178,11 @@ def train_compare_pair(
     between both decoders.
     """
     memm_tagger, _ = train_tagger(corpus, DecoderKind.MEMM, template, sgd, smoothing)
+    chain = hmc.estimate_params(corpus.sentences, corpus.tagset, corpus.vocab, smoothing)
     efb_tagger = replace(
         memm_tagger,
         kind=DecoderKind.HMC_EFB,
-        hmc_params=hmc.estimate_params(
-            corpus.sentences, corpus.tagset, corpus.vocab, smoothing
-        ),
+        hmc_params=replace(chain, emit=None),
         l1=None,
     )
     return efb_tagger, memm_tagger

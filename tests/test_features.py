@@ -155,3 +155,41 @@ class TestPipeline:
         )
         assert feats[0][first_pos_slot] == index.ids[("first-position", "true")]
         assert feats[1][first_pos_slot] == index.ids[("first-position", "false")]
+
+
+def build_index_every_occurrence(sentences, template):
+    """The index built by extracting every token occurrence, in corpus order."""
+    ids = {}
+    for tokens in sentences:
+        for pos, token in enumerate(tokens):
+            for pair in extract(token, pos, template).items():
+                ids.setdefault(pair, len(ids))
+    return ids
+
+
+class TestBuildIndexSkipsRepeats:
+    @pytest.mark.parametrize("template", list(FeatureTemplate))
+    def test_same_ids_in_the_same_order(self, template):
+        # repeats at position 0 and later, a word first seen mid-sentence
+        # and then sentence-initial, and one seen only in either place
+        sentences = [
+            ("The",),
+            ("The", "The"),
+            ("The", "cat", "sat", "on", "the", "mat"),
+            ("the", "cat", "sat"),
+            ("The", "mat-2", "The", "cat"),
+            ("cat", "sat", "on", "The", "mat"),
+            ("sat",),
+        ]
+        index = build_index(sentences, template)
+        assert list(index.ids.items()) == list(
+            build_index_every_occurrence(sentences, template).items()
+        )
+
+    @given(st.lists(st.lists(st.sampled_from(["a", "B", "ab", "b-1", "Ab"]),
+                             min_size=1, max_size=6), min_size=1, max_size=6))
+    def test_same_ids_on_random_corpora(self, sentences):
+        index = build_index(sentences, FeatureTemplate.LF2)
+        assert list(index.ids.items()) == list(
+            build_index_every_occurrence(sentences, FeatureTemplate.LF2).items()
+        )
