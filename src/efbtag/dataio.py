@@ -91,6 +91,9 @@ def _parse_raw(
                 # multiword ranges and empty nodes carry no single UPOS
                 if "-" in cols[0] or "." in cols[0]:
                     continue
+                for name, col in (("FORM", cols[1]), ("UPOS", cols[3])):
+                    if not col:
+                        raise DataError(f"{path}:{lineno}: empty {name} column")
                 current.append((cols[1], cols[3]))
             else:
                 cols = line.split()
@@ -105,6 +108,8 @@ def _parse_raw(
                 current.append((cols[0], cols[1]))
     if current and not is_docstart:
         sentences.append(current)
+    if not sentences:
+        raise DataError(f"{path}: no sentences")
     return sentences
 
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalDegeneracyError
 
 # one training example: (active feature ids, previous label or None, target)
 Example = tuple[Sequence[int], Optional[int], int]
@@ -35,6 +35,8 @@ class SgdConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not np.isfinite([self.learning_rate, self.decay, self.l2]).all():
+            raise InvalidInputError("learning rate, decay and l2 must be finite")
         if self.learning_rate <= 0:
             raise InvalidInputError("learning rate must be > 0")
         if self.epochs < 1:
@@ -43,6 +45,10 @@ class SgdConfig:
             raise InvalidInputError("batch size must be >= 1")
         if self.l2 < 0:
             raise InvalidInputError("l2 strength must be >= 0")
+        if self.decay < 0:
+            raise InvalidInputError("learning-rate decay must be >= 0")
+        if self.learning_rate * self.l2 >= 1:
+            raise InvalidInputError("learning rate * l2 must be < 1")
 
 
 @dataclass(frozen=True)
@@ -103,38 +109,68 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _is_batch(feature_ids) -> bool:
-    """True for a batch of inputs' id sequences, False for one input's ids."""
+def _as_batch(feature_ids) -> tuple[Ids, bool]:
+    """A batch of inputs' id sequences as is, or one input's ids as a batch of one."""
     if isinstance(feature_ids, np.ndarray):
-        return feature_ids.ndim == 2
-    return len(feature_ids) > 0 and not isinstance(feature_ids[0], (int, np.integer))
+        batch = feature_ids.ndim == 2
+    else:
+        batch = len(feature_ids) > 0 and not isinstance(feature_ids[0], (int, np.integer))
+    return (feature_ids if batch else [feature_ids]), batch
 
 
-def _batch_scores(model: LogisticModel, feature_ids) -> np.ndarray:
-    """(T, N) summed weight rows of a batch of per-position id sequences.
+def _weight_rows(
+    model: LogisticModel, feature_ids, prev_label=None, targets=None, all_prev=False
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(T, W) weight-row indices of a batch of T inputs, in `active_rows` order.
 
-    Each row is summed in its ids' order.  Ragged batches gather id 0
-    into the missing slots and zero it, which adds exact zeros.
+    Row t holds input t's feature ids, its previous-label row (one label for
+    all or one per input; none when `all_prev`) and the bias row.  A ragged
+    batch points its missing slots at row 0 and also returns the (T, W) mask
+    of real slots.  Ids, previous labels and `targets` are checked as arrays.
     """
     try:
         ids = np.asarray(feature_ids, dtype=np.intp)
-        present = None
+        real, mask = ids, None
     except ValueError:  # ragged
-        width = max(map(len, feature_ids))
-        ids = np.zeros((len(feature_ids), width), dtype=np.intp)
-        present = np.arange(width) < np.array([len(r) for r in feature_ids])[:, None]
-        ids[present] = np.fromiter(chain.from_iterable(feature_ids), dtype=np.intp)
+        lengths = np.fromiter(map(len, feature_ids), dtype=np.intp)
+        mask = np.arange(lengths.max()) < lengths[:, None]
+        real = np.fromiter(chain.from_iterable(feature_ids), dtype=np.intp)
+        ids = np.zeros(mask.shape, dtype=np.intp)
+        ids[mask] = real
     if ids.ndim != 2:
         raise InvalidInputError("a batch of feature ids must be two-dimensional")
-    bad = (ids < 0) | (ids >= model.n_features)
-    if present is not None:
-        bad &= present
+    bad = (real < 0) | (real >= model.n_features)
     if bad.any():
-        raise InvalidInputError(f"feature id {int(ids[bad][0])} out of range")
-    rows = model.weights[ids]  # (T, F, N)
-    if present is not None:
-        rows[~present] = 0.0
-    return rows.sum(axis=1)
+        raise InvalidInputError(f"feature id {int(real[bad][0])} out of range")
+    if targets is not None and np.any((targets < 0) | (targets >= model.n_labels)):
+        raise InvalidInputError("target label out of range")
+    has_prev = model.conditions_on_prev and not all_prev
+    if has_prev:
+        try:
+            prev = np.asarray(prev_label, dtype=np.intp)
+        except TypeError:  # None, or None among the labels
+            raise InvalidInputError("model conditions on the previous label") from None
+        out = (prev < 0) | (prev >= model.n_labels)
+        if out.any():
+            raise InvalidInputError(f"previous label {int(prev[out][0])} out of range")
+    elif prev_label is not None and any(p is not None for p in np.ravel(prev_label)):
+        raise InvalidInputError("model does not condition on the previous label")
+    rows = np.empty((len(ids), ids.shape[1] + 1 + has_prev), dtype=np.intp)
+    rows[:, : ids.shape[1]] = ids
+    if has_prev:
+        rows[:, -2] = model.n_features + prev
+    rows[:, -1] = model.bias_row
+    if mask is not None:
+        mask = np.hstack([mask, np.ones((len(ids), 1 + has_prev), dtype=bool)])
+    return rows, mask
+
+
+def _row_sums(weights: np.ndarray, rows: np.ndarray, mask: Optional[np.ndarray]):
+    """Each input's gathered weight rows summed in slot order, masked slots zeroed."""
+    gathered = weights[rows]
+    if mask is not None:
+        gathered[~mask] = 0.0
+    return gathered.sum(axis=1)
 
 
 def predict(
@@ -149,20 +185,9 @@ def predict(
     for input t, from one gather-sum-softmax; `prev_label` is then one
     label for every row or one per row.
     """
-    batch = _is_batch(feature_ids)
-    scores = _batch_scores(model, feature_ids if batch else [feature_ids])
-    if model.conditions_on_prev:
-        if prev_label is None:
-            raise InvalidInputError("model conditions on the previous label")
-        prev = np.broadcast_to(np.asarray(prev_label, dtype=np.intp), scores.shape[:1])
-        out = (prev < 0) | (prev >= model.n_labels)
-        if out.any():
-            raise InvalidInputError(f"previous label {int(prev[out][0])} out of range")
-        scores += model.weights[model.n_features + prev]
-    elif prev_label is not None:
-        raise InvalidInputError("model does not condition on the previous label")
-    scores += model.weights[model.bias_row]
-    probs = _softmax_rows(scores)
+    ids, batch = _as_batch(feature_ids)
+    rows, mask = _weight_rows(model, ids, prev_label)
+    probs = _softmax_rows(_row_sums(model.weights, rows, mask))
     return probs if batch else probs[0]
 
 
@@ -173,9 +198,9 @@ def predict_all_prev(model: LogisticModel, feature_ids: Ids) -> np.ndarray:
     """
     if not model.conditions_on_prev:
         raise InvalidInputError("model does not condition on the previous label")
-    batch = _is_batch(feature_ids)
-    base = _batch_scores(model, feature_ids if batch else [feature_ids])
-    base += model.weights[model.bias_row]
+    ids, batch = _as_batch(feature_ids)
+    rows, mask = _weight_rows(model, ids, all_prev=True)
+    base = _row_sums(model.weights, rows, mask)
     block = model.weights[model.n_features : model.n_features + model.n_labels]
     scores = base[:, None, :] + block  # [t, j]: scores at t given prev=j
     tables = _softmax_rows(scores).transpose(0, 2, 1)
@@ -201,30 +226,7 @@ def loss_and_gradient(
     return loss, grad
 
 
-def _padded_rows(
-    model: LogisticModel, dataset: Sequence[Example]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every example's active weight rows as one (examples, width) array, plus targets.
-
-    Rows shorter than the widest are padded with index
-    `model.weights.shape[0]`, one past the last weight row; callers
-    gather from a weight table with a zero row appended there, so padding
-    adds exact zeros to every score.
-    """
-    rows_list = [model.active_rows(ids, prev) for ids, prev, _ in dataset]
-    targets = np.array([t for _, _, t in dataset], dtype=np.intp)
-    if np.any(targets < 0) or np.any(targets >= model.n_labels):
-        raise InvalidInputError("target label out of range")
-    width = max(map(len, rows_list))
-    fill = [model.weights.shape[0]]
-    rows = np.fromiter(
-        chain.from_iterable(r + fill * (width - len(r)) for r in rows_list),
-        dtype=np.intp,
-        count=len(rows_list) * width,
-    )
-    return rows.reshape(len(rows_list), width), targets
-
-
+@np.errstate(over="ignore", invalid="ignore")  # divergence is checked per epoch
 def train(
     dataset: Sequence[Example],
     n_features: int,
@@ -235,15 +237,16 @@ def train(
     """Mini-batch SGD on L2-regularized cross-entropy, deterministic per seed.
 
     L2 decay is applied as a lazily tracked global scale so each batch
-    only touches the weight rows active in it.
+    only touches the weight rows active in it.  Weights that are not all
+    finite after an epoch raise NumericalDegeneracyError.
     """
     if len(dataset) == 0:
         raise InvalidInputError("dataset must be non-empty")
     model = zero_model(n_features, n_labels, conditions_on_prev)
-    rows, targets = _padded_rows(model, dataset)
-    pad = model.weights.shape[0]
-    w = np.zeros((pad + 1, n_labels))  # row `pad` is the zero row padding points at
-    model = LogisticModel(w[:pad], n_features, n_labels, conditions_on_prev)
+    ids, prevs, targets = zip(*dataset)
+    targets = np.array(targets, dtype=np.intp)
+    rows, mask = _weight_rows(model, ids, prevs, targets)
+    w = model.weights
     rng = np.random.default_rng(config.seed)
     n = len(dataset)
     scale = 1.0
@@ -254,16 +257,22 @@ def train(
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             b_rows = rows[batch_idx]  # (B, width)
+            b_mask = None if mask is None else mask[batch_idx]
             b_size = len(batch_idx)
-            g = _softmax_rows(scale * w[b_rows].sum(axis=1))
+            g = _softmax_rows(scale * _row_sums(w, b_rows, b_mask))
             g[np.arange(b_size), targets[batch_idx]] -= 1.0
             scale *= decay_factor
-            g *= rate / (b_size * scale)
-            np.subtract.at(w, b_rows.reshape(-1), np.repeat(g, b_rows.shape[1], axis=0))
-            w[pad] = 0.0  # undo the scatter into the padding row
+            g = np.repeat(g * (rate / (b_size * scale)), b_rows.shape[1], axis=0)
+            if b_mask is not None:  # masked slots subtract +0.0 from row 0: no change
+                g[~b_mask.ravel()] = 0.0
+            np.subtract.at(w, b_rows.ravel(), g)
         # fold the lazy scale back in once per epoch to limit drift
         w *= scale
         scale = 1.0
+        if not np.isfinite(w).all():
+            raise NumericalDegeneracyError(
+                f"training diverged: weights not finite after epoch {epoch + 1}"
+            )
     return model
 
 
@@ -280,10 +289,13 @@ def mean_loss(
     loss = 0.5 * l2 * float((w * w).sum())
     if len(dataset) == 0:
         return loss
-    w = np.vstack([w, np.zeros((1, model.n_labels))])
+    ids, prevs, targets = zip(*dataset)
+    targets = np.array(targets, dtype=np.intp)
+    rows, mask = _weight_rows(model, ids, prevs, targets)
     inv = 1.0 / len(dataset)
     for start in range(0, len(dataset), LOSS_CHUNK):
-        rows, targets = _padded_rows(model, dataset[start : start + LOSS_CHUNK])
-        p = _softmax_rows(w[rows].sum(axis=1))
-        loss -= inv * float(np.log(p[np.arange(len(targets)), targets]).sum())
+        chunk = slice(start, start + LOSS_CHUNK)
+        scores = _row_sums(w, rows[chunk], None if mask is None else mask[chunk])
+        p = _softmax_rows(scores)
+        loss -= inv * float(np.log(p[np.arange(len(p)), targets[chunk]]).sum())
     return loss

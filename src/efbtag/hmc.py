@@ -253,7 +253,7 @@ def estimate_naive_emission(
 
     n = len(tagset)
     value_index: dict[str, dict[str, int]] = {}
-    raw_counts: dict[str, list[tuple[int, str]]] = {}
+    hits: dict[str, list[int]] = {}  # label, column, label, column, ... per family
     families: tuple[str, ...] = ()
     for sent in corpus:
         for pos, (token, label) in enumerate(zip(sent.tokens, sent.labels)):
@@ -261,17 +261,14 @@ def estimate_naive_emission(
             if not families:
                 families = tuple(fv)
             for fam, value in fv.items():
-                value_index.setdefault(fam, {}).setdefault(
-                    value, len(value_index.get(fam, {}))
-                )
-                raw_counts.setdefault(fam, []).append((label, value))
+                idx = value_index.setdefault(fam, {})
+                col = idx.setdefault(value, len(idx))
+                hits.setdefault(fam, []).extend((label, col))
 
     tables: dict[str, np.ndarray] = {}
     for fam in families:
-        idx = value_index[fam]
-        counts = np.zeros((n, len(idx) + 1))
-        for label, value in raw_counts[fam]:
-            counts[label, idx[value]] += 1
+        counts = np.zeros((n, len(value_index[fam]) + 1))
+        np.add.at(counts, tuple(np.array(hits[fam]).reshape(-1, 2).T), 1.0)
         counts += smoothing
         tables[fam] = counts / counts.sum(axis=1, keepdims=True)
     return NaiveFeatureEmission(

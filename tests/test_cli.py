@@ -246,3 +246,51 @@ class TestMalformedInputs:
             load_model(path)
         rc = main(["evaluate", str(path), str(test_path), "--format", "conll2000"])
         assert_one_line_data_error(rc, capsys, path)
+
+
+class TestSgdSettings:
+    """Bad SGD settings are usage errors; training that diverges is exit 3."""
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--decay", "-1", "--epochs", "3"], "decay must be >= 0"),
+            (["--l2", "1e9"], "learning rate * l2 must be < 1"),
+            (["--lr", "1e308"], "learning rate * l2 must be < 1"),
+            (["--lr", "nan"], "must be finite"),
+            (["--decay", "inf"], "must be finite"),
+        ],
+        ids=["negative-decay", "huge-l2", "huge-lr", "nan-lr", "infinite-decay"],
+    )
+    def test_rejected_before_training(self, toy_files, tmp_path, capsys, flags, message):
+        train_path, _ = toy_files
+        out = tmp_path / "m.bin"
+        rc = main(["train", str(train_path), "--format", "conll2000",
+                   "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("efbtag: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("decoder", ["hmc-efb", "memm"])
+    def test_diverged_training_exits_3(self, toy_files, tmp_path, capsys, decoder):
+        train_path, _ = toy_files
+        out = tmp_path / "m.bin"
+        rc = main(["train", str(train_path), "--format", "conll2000",
+                   "--decoder", decoder, "--out", str(out),
+                   "--lr", "1e308", "--l2", "0"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.strip().splitlines() == [
+            "efbtag: training diverged: weights not finite after epoch 1"
+        ]
+        assert not out.exists()
+
+    def test_diverged_compare_exits_3(self, toy_files, capsys):
+        train_path, test_path = toy_files
+        rc = main(["compare", str(train_path), str(test_path), "--format",
+                   "conll2000", "--lr", "1e308", "--l2", "0"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "training diverged" in err

@@ -1,5 +1,6 @@
 import pytest
 
+from efbtag.cli import main
 from efbtag.core import TagSet, Vocabulary
 from efbtag.dataio import (
     CorpusFormat,
@@ -143,3 +144,39 @@ class TestSplitKnownUnknown:
             1 for s in test.sentences for w in s.tokens if w not in train_words
         )
         assert n_unknown == expected
+
+
+class TestEmptyInputs:
+    @pytest.mark.parametrize("column,name", [(1, "FORM"), (3, "UPOS")])
+    def test_empty_conllu_column_reports_line(self, tmp_path, capsys, column, name):
+        lines = CONLLU.splitlines()
+        cols = lines[4].split("\t")  # token "is" on line 5
+        cols[column] = ""
+        lines[4] = "\t".join(cols)
+        path = write(tmp_path, "c.conllu", "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"c.conllu:5: empty {name} column"):
+            read_corpus(path, CorpusFormat.CONLLU)
+        rc = main(["train", str(path), "--format", "conllu",
+                   "--out", str(tmp_path / "m.bin")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"efbtag: {path}:5: empty {name} column\n"
+
+    @pytest.mark.parametrize(
+        "fmt,text",
+        [
+            (CorpusFormat.CONLL2000, ""),
+            (CorpusFormat.CONLL2000, "\n\n"),
+            (CorpusFormat.CONLL2003, "-DOCSTART- -X- O O\n\n"),
+            (CorpusFormat.CONLLU, "# sent_id = 1\n1-2\tisn't" + "\t_" * 8 + "\n"),
+        ],
+        ids=["empty", "blank-lines", "docstart-only", "comment-and-range-only"],
+    )
+    def test_file_without_sentences(self, tmp_path, capsys, fmt, text):
+        path = write(tmp_path, "c.txt", text)
+        with pytest.raises(DataError, match="c.txt: no sentences"):
+            read_corpus(path, fmt)
+        rc = main(["train", str(path), "--format", fmt.value,
+                   "--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"efbtag: {path}: no sentences\n"

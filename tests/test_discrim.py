@@ -250,3 +250,34 @@ class TestSinglePaths:
         model = random_model(rng, 30, 6)
         ref, _ = loss_and_gradient(model, dataset, l2=1e-2)
         assert mean_loss(model, dataset, l2=1e-2) == pytest.approx(ref, rel=1e-12)
+
+
+# (name, conditions_on_prev, dataset): the last example of each breaks a
+# precondition and the others are valid; fixed-width and ragged id lists
+# both occur
+BAD_EXAMPLES = [
+    ("id-too-large", False, [([0, 1], None, 0), ([4], None, 1)]),
+    ("negative-id", False, [([0, 2], None, 0), ([1, -1], None, 1)]),
+    ("prev-on-plain-model", False, [([0], None, 0), ([1], 2, 1)]),
+    ("none-prev-on-conditioned", True, [([1], None, 1)]),
+    ("mixed-prev-on-conditioned", True, [([0], 1, 0), ([1, 2], None, 1)]),
+    ("prev-too-large", True, [([0], 1, 0), ([1], 3, 1)]),
+    ("negative-prev", True, [([0], 0, 0), ([1], -1, 1)]),
+    ("target-too-large", False, [([0], None, 0), ([1, 3], None, 3)]),
+    ("negative-target", True, [([0], 0, 1), ([1], 0, -1)]),
+]
+
+
+@pytest.mark.parametrize("entry", ["train", "mean_loss"])
+@pytest.mark.parametrize(
+    "cond,dataset", [b[1:] for b in BAD_EXAMPLES], ids=[b[0] for b in BAD_EXAMPLES]
+)
+def test_bad_example_rejected(entry, cond, dataset):
+    with pytest.raises(InvalidInputError):
+        if entry == "train":
+            train(dataset, 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
+        else:
+            mean_loss(zero_model(4, 3, cond), dataset)
+    if len(dataset) > 1:  # the valid examples alone are accepted
+        train(dataset[:-1], 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
+        mean_loss(zero_model(4, 3, cond), dataset[:-1])
