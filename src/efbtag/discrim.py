@@ -207,13 +207,18 @@ def predict_all_prev(model: LogisticModel, feature_ids: Ids) -> np.ndarray:
     return tables if batch else tables[0]
 
 
+def _l2_term(w: np.ndarray, l2: float) -> float:
+    """(l2/2)*||w||^2, and exactly 0 when l2 is 0 even for overflowing weights."""
+    return 0.5 * l2 * float((w * w).sum()) if l2 else 0.0
+
+
 def loss_and_gradient(
     model: LogisticModel, batch: Sequence[Example], l2: float = 0.0
 ) -> tuple[float, np.ndarray]:
     """Average negative log-likelihood plus (l2/2)*||w||^2, and its gradient."""
     w = model.weights
     grad = l2 * w
-    loss = 0.5 * l2 * float((w * w).sum())
+    loss = _l2_term(w, l2)
     if batch:
         inv = 1.0 / len(batch)
         for feature_ids, prev_label, target in batch:
@@ -281,12 +286,13 @@ def train(
 LOSS_CHUNK = 1024
 
 
+@np.errstate(all="ignore")  # a non-finite loss is the caller's to reject
 def mean_loss(
     model: LogisticModel, dataset: Sequence[Example], l2: float = 0.0
 ) -> float:
     """The loss of `loss_and_gradient`, computed without the gradient."""
     w = model.weights
-    loss = 0.5 * l2 * float((w * w).sum())
+    loss = _l2_term(w, l2)
     if len(dataset) == 0:
         return loss
     ids, prevs, targets = zip(*dataset)

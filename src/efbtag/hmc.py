@@ -2,18 +2,22 @@
 
 Parameter estimation by frequency counting with additive smoothing,
 scaled Forward-Backward recursions, posterior marginals, and the
-feature-independence emission baseline.
+feature-independence emission baseline, which counts and gathers its
+per-family tables over the same `FeatureIndex` ids as the other
+featured decoders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import LabeledSentence, PosteriorLattice, TagSet, Vocabulary
 from .errors import InvalidInputError, NumericalDegeneracyError
+from .features import FeatureIndex, FeatureTemplate
 
 PROB_TOL = 1e-12
 DEFAULT_SMOOTHING = 1e-6
@@ -212,68 +216,76 @@ class NaiveFeatureEmission:
 
     The emission probability of a feature vector is the product of
     per-family conditionals; unseen values route to each family's
-    trailing unknown slot.
+    trailing unknown slot.  `stacked` holds the tables side by side in
+    family order: its columns are the ids that `naive_emission_matrix`
+    gathers.
     """
 
     families: tuple[str, ...]
     value_index: dict[str, dict[str, int]]  # family -> value -> column
     tables: dict[str, np.ndarray]           # family -> (N, V_f + 1)
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)  # (N, sum(V_f + 1))
 
     def __post_init__(self):
         for fam in self.families:
-            table = self.tables[fam]
-            if not (np.abs(table.sum(axis=1) - 1.0) <= PROB_TOL).all():
+            if not (np.abs(self.tables[fam].sum(axis=1) - 1.0) <= PROB_TOL).all():
                 raise InvalidInputError(f"family {fam!r} rows must sum to 1")
+        stacked = np.hstack([self.tables[fam] for fam in self.families])
+        object.__setattr__(self, "stacked", stacked)
 
-    def columns_of(self, family: str, values: Iterable[str]) -> list[int]:
+    def column_of(self, family: str, value: str) -> int:
         if family not in self.tables:
             raise InvalidInputError(f"feature family {family!r} not trained")
         idx = self.value_index[family]
-        unknown = len(idx)  # trailing unknown column
-        return [idx.get(value, unknown) for value in values]
+        return idx.get(value, len(idx))  # the trailing unknown column
 
-    def column_of(self, family: str, value: str) -> int:
-        return self.columns_of(family, (value,))[0]
+
+def naive_feature_index(
+    model: NaiveFeatureEmission, template: FeatureTemplate
+) -> FeatureIndex:
+    """The index whose ids are the columns of `model.stacked`."""
+    ids: dict[tuple[str, str], int] = {}
+    unknown_ids: dict[str, int] = {}
+    start = 0
+    for fam in model.families:
+        ids.update(((fam, v), start + col) for v, col in model.value_index[fam].items())
+        start += model.tables[fam].shape[1]
+        unknown_ids[fam] = start - 1
+    return FeatureIndex(template, model.families, ids, unknown_ids)
 
 
 def estimate_naive_emission(
-    corpus: Sequence[LabeledSentence],
-    tagset: TagSet,
-    feature_fn,
+    index: FeatureIndex,
+    feats: Sequence[Sequence[Sequence[int]]],
+    labels: Sequence[Sequence[int]],
+    n_labels: int,
     smoothing: float = DEFAULT_SMOOTHING,
 ) -> NaiveFeatureEmission:
-    """Count per-family conditionals from string-valued feature vectors.
+    """Count per-family conditionals from each sentence's id rows and labels.
 
-    `feature_fn(token, position)` must return a mapping family -> value.
+    A family's table has one column per `index` id of that family, in id
+    order, then one for its unknown id.
     """
-    if len(corpus) == 0:
+    if len(feats) == 0:
         raise InvalidInputError("corpus must be non-empty")
     if smoothing <= 0:
         raise InvalidInputError("smoothing must be > 0")
-
-    n = len(tagset)
-    value_index: dict[str, dict[str, int]] = {}
-    hits: dict[str, list[int]] = {}  # label, column, label, column, ... per family
-    families: tuple[str, ...] = ()
-    for sent in corpus:
-        for pos, (token, label) in enumerate(zip(sent.tokens, sent.labels)):
-            fv = feature_fn(token, pos)
-            if not families:
-                families = tuple(fv)
-            for fam, value in fv.items():
-                idx = value_index.setdefault(fam, {})
-                col = idx.setdefault(value, len(idx))
-                hits.setdefault(fam, []).extend((label, col))
-
+    ids = np.array([row for sent in feats for row in sent], dtype=np.intp)
+    y = np.fromiter(chain.from_iterable(labels), dtype=np.intp)
+    counts = np.zeros((n_labels, index.size))
+    np.add.at(counts, (np.repeat(y, ids.shape[1]), ids.ravel()), 1.0)
+    value_index: dict[str, dict[str, int]] = {fam: {} for fam in index.families}
+    columns: dict[str, list[int]] = {fam: [] for fam in index.families}
+    for (fam, value), fid in index.ids.items():  # in id order
+        value_index[fam][value] = len(columns[fam])
+        columns[fam].append(fid)
     tables: dict[str, np.ndarray] = {}
-    for fam in families:
-        counts = np.zeros((n, len(value_index[fam]) + 1))
-        np.add.at(counts, tuple(np.array(hits[fam]).reshape(-1, 2).T), 1.0)
-        counts += smoothing
-        tables[fam] = counts / counts.sum(axis=1, keepdims=True)
-    return NaiveFeatureEmission(
-        families=families, value_index=value_index, tables=tables
-    )
+    for fam in index.families:
+        # copied to C order: row sums of the Fortran-ordered gather differ in the last bit
+        table = np.ascontiguousarray(counts[:, columns[fam] + [index.unknown_ids[fam]]])
+        table += smoothing
+        tables[fam] = table / table.sum(axis=1, keepdims=True)
+    return NaiveFeatureEmission(index.families, value_index, tables)
 
 
 def emission_naive_features(
@@ -288,31 +300,21 @@ def emission_naive_features(
 
 
 def naive_emission_matrix(
-    model: NaiveFeatureEmission, fvs: Sequence[dict[str, str]], n_labels: int
+    model: NaiveFeatureEmission, ids: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """T x N emission matrix for a sentence's feature vectors.
-
-    Positions whose feature vectors list the same families in the same
-    order multiply one gathered column block per family, in that order,
-    which is the per-position product exactly.
-    """
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for t, fv in enumerate(fvs):
-        groups.setdefault(tuple(fv), []).append(t)
-    out = np.ones((len(fvs), n_labels))
-    for families, positions in groups.items():
-        block = out[positions]
-        for fam in families:
-            cols = model.columns_of(fam, (fvs[t][fam] for t in positions))
-            block *= model.tables[fam][:, cols].T
-        out[positions] = block
-    return out
+    """T x N product, in family order, of the `stacked` columns of (T, F) ids."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 2 or ids.shape[1] != len(model.families):
+        raise InvalidInputError("naive emission ids must be a (T, families) array")
+    if np.any((ids < 0) | (ids >= model.stacked.shape[1])):
+        raise InvalidInputError("feature id outside the naive emission tables")
+    return np.prod(model.stacked.T[ids], axis=1)
 
 
 def posterior_naive_features(
-    params: HmcParams, model: NaiveFeatureEmission, fvs: Sequence[dict[str, str]]
+    params: HmcParams, model: NaiveFeatureEmission, ids: Sequence[Sequence[int]]
 ) -> PosteriorLattice:
     """Forward-Backward posterior with the independence-product emission."""
-    if len(fvs) == 0:
+    if len(ids) == 0:
         raise InvalidInputError("observation sequence must be non-empty")
-    return _posterior(params, naive_emission_matrix(model, fvs, params.n_labels))
+    return _posterior(params, naive_emission_matrix(model, ids))

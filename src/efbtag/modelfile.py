@@ -75,7 +75,7 @@ def save_model(path: str | Path, tagger: Tagger) -> None:
         "template": tagger.template.value if tagger.template else None,
         "labels": list(tagger.tagset.labels),
         "words": list(tagger.vocab.words),
-        "feature_index": _index_header(tagger.feature_index),
+        "feature_index": _index_header(None if tagger.naive else tagger.feature_index),
         "naive": (
             {
                 "families": list(tagger.naive.families),
@@ -200,11 +200,15 @@ def _tagger_from(
             fam: {v: i for i, v in enumerate(header["naive"]["values"][fam])}
             for fam in families
         }
+        for fam in families:
+            if len(value_index[fam]) != len(header["naive"]["values"][fam]):
+                raise DataError(f"{path}: naive family {fam!r} repeats a value")
         naive = hmc.NaiveFeatureEmission(
             families=families,
             value_index=value_index,
             tables={fam: arrays[f"naive:{fam}"] for fam in families},
         )
+        index = hmc.naive_feature_index(naive, template)
 
     def _logistic(name: str, conditions_on_prev: bool):
         if name not in arrays:

@@ -11,8 +11,8 @@ import numpy as np
 from . import discrim, efb, hmc, memm
 from .core import TagSet, Vocabulary, mpm_from_lattice
 from .dataio import Corpus
-from .errors import InvalidInputError
-from .features import FeatureIndex, FeaturePipeline, FeatureTemplate, build_index, extract
+from .errors import InvalidInputError, NumericalDegeneracyError
+from .features import FeatureIndex, FeaturePipeline, FeatureTemplate, build_index
 
 
 class DecoderKind(Enum):
@@ -48,13 +48,10 @@ class Tagger:
         if self.kind is DecoderKind.HMC_FB:
             obs = [self.vocab.id_of(tok) for tok in tokens]
             return mpm_from_lattice(hmc.posterior_fb(self.hmc_params, obs))
-        if self.kind is DecoderKind.HMC_NAIVE:
-            fvs = [
-                extract(tok, pos, self.template) for pos, tok in enumerate(tokens)
-            ]
-            lattice = hmc.posterior_naive_features(self.hmc_params, self.naive, fvs)
-            return mpm_from_lattice(lattice)
         feats = self.pipeline.sentence_features(tokens)
+        if self.kind is DecoderKind.HMC_NAIVE:
+            lattice = hmc.posterior_naive_features(self.hmc_params, self.naive, feats)
+            return mpm_from_lattice(lattice)
         if self.kind is DecoderKind.HMC_EFB:
             # the sentence's conditional in one batch; the provider reads its rows
             lmat = discrim.predict(self.l0, feats)
@@ -120,17 +117,15 @@ def train_tagger(
         params = hmc.estimate_params(corpus.sentences, tagset, vocab, smoothing)
     if kind in (DecoderKind.HMC_EFB, DecoderKind.HMC_NAIVE):
         params = replace(params, emit=None)  # a bare chain: emissions are scored apart
-    if kind is DecoderKind.HMC_NAIVE:
-        naive = hmc.estimate_naive_emission(
-            corpus.sentences,
-            tagset,
-            lambda tok, pos: extract(tok, pos, template),
-            smoothing,
-        )
-    if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
+    if kind is not DecoderKind.HMC_FB:
         index = build_index(corpus.sentences, template)
         pipeline = FeaturePipeline(index)
         feats = [pipeline.sentence_features(sent.tokens) for sent in corpus.sentences]
+    if kind is DecoderKind.HMC_NAIVE:
+        labels = [sent.labels for sent in corpus.sentences]
+        naive = hmc.estimate_naive_emission(index, feats, labels, n, smoothing)
+        index = hmc.naive_feature_index(naive, template)
+    if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
         l0_data = _l0_dataset(corpus, feats)
         l0 = discrim.train(l0_data, index.size, n, sgd, conditions_on_prev=False)
         final_loss = discrim.mean_loss(l0, l0_data, l2=sgd.l2)
@@ -142,6 +137,8 @@ def train_tagger(
             )
         l1 = discrim.train(l1_data, index.size, n, sgd, conditions_on_prev=True)
         final_loss = 0.5 * (final_loss + discrim.mean_loss(l1, l1_data, l2=sgd.l2))
+    if l0 is not None and not np.isfinite(final_loss):
+        raise NumericalDegeneracyError(f"training diverged: final loss is {final_loss}")
 
     tagger = Tagger(
         kind=kind,

@@ -89,7 +89,7 @@ class TestBareChain:
             families=("word",), value_index={"word": {"x": 0}}, tables={"word": EMIT}
         )
         bare = hmc.posterior_naive_features(
-            hmc.HmcParams(pi=PI, trans=TRANS), naive, [{"word": "x"}] * 2
+            hmc.HmcParams(pi=PI, trans=TRANS), naive, [[0], [0]]
         )
         full = hmc.posterior_fb(hmc.HmcParams(pi=PI, trans=TRANS, emit=EMIT), [0, 0])
         np.testing.assert_array_equal(bare.values, full.values)

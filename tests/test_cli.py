@@ -287,6 +287,33 @@ class TestSgdSettings:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("decoder", ["hmc-efb", "memm"])
+    def test_overflowing_weights_without_l2_give_a_finite_loss(
+        self, toy_files, tmp_path, capsys, decoder
+    ):
+        train_path, _ = toy_files
+        rc = main(["train", str(train_path), "--format", "conll2000",
+                   "--decoder", decoder, "--out", str(tmp_path / "m.bin"),
+                   "--lr", "1e200", "--l2", "0", "--epochs", "3"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        loss = float(out.split("final_loss=")[1].split()[0])
+        assert np.isfinite(loss)
+
+    @pytest.mark.parametrize("decoder", ["hmc-efb", "memm"])
+    def test_infinite_final_loss_exits_3(self, toy_files, tmp_path, capsys, decoder):
+        train_path, _ = toy_files
+        out = tmp_path / "m.bin"
+        rc = main(["train", str(train_path), "--format", "conll2000",
+                   "--decoder", decoder, "--out", str(out),
+                   "--lr", "1e200", "--l2", "1e-300", "--epochs", "3"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.strip().splitlines() == [
+            "efbtag: training diverged: final loss is inf"
+        ]
+        assert not out.exists()
+
     def test_diverged_compare_exits_3(self, toy_files, capsys):
         train_path, test_path = toy_files
         rc = main(["compare", str(train_path), str(test_path), "--format",

@@ -110,6 +110,13 @@ class TestLossAndGradient:
                     denom = max(abs(fd), abs(grad[r, c]), 1e-8)
                     assert abs(fd - grad[r, c]) / denom <= 1e-5
 
+    def test_zero_l2_ignores_overflowing_weights(self):
+        # (w * w) overflows to inf here, and 0 * inf would be nan
+        model = LogisticModel(np.full((4, 3), 1e200), 3, 3, False)
+        data = [([0], None, 1), ([1, 2], None, 0)]
+        assert loss_and_gradient(model, data, l2=0.0)[0] == pytest.approx(math.log(3))
+        assert mean_loss(model, data, l2=0.0) == pytest.approx(math.log(3))
+
     def test_zero_data_limit_is_regularizer_gradient(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, 3, 2)

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_stationary_hmc
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.errors import InvalidInputError
+from efbtag.features import FeatureIndex, FeatureTemplate, vectorize
 from efbtag.hmc import (
     HmcParams,
     backward,
@@ -11,6 +12,8 @@ from efbtag.hmc import (
     estimate_naive_emission,
     estimate_params,
     forward,
+    naive_emission_matrix,
+    naive_feature_index,
     posterior_fb,
     unscale,
 )
@@ -200,6 +203,27 @@ class TestPosteriorFb:
         assert np.allclose(lattice.values.sum(axis=1), 1.0, atol=1e-9)
 
 
+def naive_from_strings(corpus, tagset, feature_fn, smoothing=TINY):
+    """Index `feature_fn`'s string vectors in corpus order, then count their ids.
+
+    Returns the model and the index of the stacked columns, so tests can
+    state feature vectors as strings.
+    """
+    fvs = [[feature_fn(tok, pos) for pos, tok in enumerate(s.tokens)] for s in corpus]
+    families = tuple(fvs[0][0])
+    ids = {}
+    for fv in (fv for sent in fvs for fv in sent):
+        for pair in fv.items():
+            ids.setdefault(pair, len(ids))
+    unknown = {fam: len(ids) + k for k, fam in enumerate(families)}
+    index = FeatureIndex(FeatureTemplate.NF, families, ids, unknown)
+    feats = [[vectorize(fv, index) for fv in sent] for sent in fvs]
+    model = estimate_naive_emission(
+        index, feats, [s.labels for s in corpus], len(tagset), smoothing
+    )
+    return model, naive_feature_index(model, FeatureTemplate.NF)
+
+
 class TestNaiveFeatureEmission:
     @staticmethod
     def _simple_features(token, pos):
@@ -211,22 +235,18 @@ class TestNaiveFeatureEmission:
             LabeledSentence(("x", "y"), (0, 1)),
             LabeledSentence(("x", "x"), (0, 0)),
         ]
-        return estimate_naive_emission(
-            corpus, tagset, self._simple_features, smoothing=TINY
-        )
+        return naive_from_strings(corpus, tagset, self._simple_features)
 
     def test_single_family_matches_plain_conditional(self):
         tagset = TagSet.from_labels(["A", "B"])
         corpus = [LabeledSentence(("x", "y"), (0, 1))]
-        model = estimate_naive_emission(
-            corpus, tagset, lambda tok, pos: {"word": tok}, smoothing=TINY
-        )
+        model, _ = naive_from_strings(corpus, tagset, lambda tok, pos: {"word": tok})
         assert emission_naive_features(model, {"word": "x"}, 0) == pytest.approx(
             1.0, abs=1e-9
         )
 
     def test_product_rule(self):
-        model = self._toy_model()
+        model, index = self._toy_model()
         fv = {"word": "x", "first-position": "true"}
         expected = (
             model.tables["word"][0, model.column_of("word", "x")]
@@ -235,29 +255,41 @@ class TestNaiveFeatureEmission:
             ]
         )
         assert emission_naive_features(model, fv, 0) == pytest.approx(expected)
+        matrix = naive_emission_matrix(model, [vectorize(fv, index)])
+        assert matrix[0, 0] == expected
 
     def test_unknown_value_routes_to_unknown_slot(self):
-        model = self._toy_model()
+        model, index = self._toy_model()
         p = emission_naive_features(model, {"word": "zzz"}, 0)
         assert p == pytest.approx(model.tables["word"][0, -1], rel=1e-12)
+        row = vectorize({"word": "zzz", "first-position": "false"}, index)
+        assert row[0] == index.unknown_ids["word"]
+        first = model.tables["first-position"]
+        np.testing.assert_array_equal(
+            naive_emission_matrix(model, [row])[0],
+            model.tables["word"][:, -1] * first[:, model.column_of("first-position", "false")],
+        )
 
     def test_untrained_family_rejected(self):
-        model = self._toy_model()
+        model, index = self._toy_model()
         with pytest.raises(InvalidInputError):
             emission_naive_features(model, {"suffix-2": "zz"}, 0)
+        with pytest.raises(InvalidInputError):
+            naive_emission_matrix(model, [[0, index.size]])  # past the last column
+        with pytest.raises(InvalidInputError):
+            naive_emission_matrix(model, [[0, 1, 2]])  # a third family
 
     def test_correlated_features_underestimated_vs_joint(self):
         # two perfectly correlated copies of the word; the product rule
         # squares the conditional, the exact joint count does not
         tagset = TagSet.from_labels(["A"])
         corpus = [LabeledSentence(("x", "y"), (0, 0))]
-        model = estimate_naive_emission(
-            corpus,
-            tagset,
-            lambda tok, pos: {"f1": tok, "f2": tok},
-            smoothing=TINY,
+        model, index = naive_from_strings(
+            corpus, tagset, lambda tok, pos: {"f1": tok, "f2": tok}
         )
         product = emission_naive_features(model, {"f1": "x", "f2": "x"}, 0)
         joint_exact = 0.5  # one of two observed (f1, f2) joint outcomes
         assert product == pytest.approx(0.25, abs=1e-6)
         assert product < joint_exact
+        row = vectorize({"f1": "x", "f2": "x"}, index)
+        assert naive_emission_matrix(model, [row])[0, 0] == product

@@ -160,3 +160,14 @@ def test_template_swapped_for_another_valid_one(workdir, models, kind, template)
     header, body = split(models[kind])
     header["template"] = template
     assert check_damaged(workdir, join(header, body))[0] == EXIT_DATA
+
+
+def test_naive_family_with_a_repeated_value(workdir, models):
+    """Same array shapes, but one family's value list names a value twice."""
+    header, body = split(models[DecoderKind.HMC_NAIVE])
+    values = header["naive"]["values"]
+    fam = next(f for f in header["naive"]["families"] if len(values[f]) > 1)
+    values[fam][0] = values[fam][1]
+    rc, err = check_damaged(workdir, join(header, body))
+    assert rc == EXIT_DATA
+    assert "repeats a value" in err

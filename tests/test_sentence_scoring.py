@@ -1,9 +1,11 @@
 """Sentence-level scoring equals the per-position calls it replaces, exactly."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from efbtag import efb, hmc
+from efbtag import efb, features, hmc
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.dataio import Corpus, split_known_unknown
 from efbtag.discrim import SgdConfig, predict, predict_all_prev, zero_model
@@ -17,7 +19,7 @@ from efbtag.features import (
     vectorize,
 )
 from efbtag.memm import MemmModel, forward_lattice, memm_forward
-from efbtag.modelfile import save_model
+from efbtag.modelfile import load_model, save_model
 from efbtag.tagger import DecoderKind, train_tagger
 
 N_LABELS = 5
@@ -167,38 +169,64 @@ def per_token_naive(model, fvs, n_labels):
     return out
 
 
+def string_counted_naive(corpus, template, smoothing):
+    """Per-family tables counted from each occurrence's string feature vector."""
+    value_index, hits = {}, {}
+    for sent in corpus.sentences:
+        for pos, (token, label) in enumerate(zip(sent.tokens, sent.labels)):
+            for fam, value in extract(token, pos, template).items():
+                idx = value_index.setdefault(fam, {})
+                col = idx.setdefault(value, len(idx))
+                hits.setdefault(fam, []).extend((label, col))
+    tables = {}
+    for fam, idx in value_index.items():
+        counts = np.zeros((N_LABELS, len(idx) + 1))
+        np.add.at(counts, tuple(np.array(hits[fam]).reshape(-1, 2).T), 1.0)
+        counts += smoothing
+        tables[fam] = counts / counts.sum(axis=1, keepdims=True)
+    return value_index, tables
+
+
 class TestNaiveEmissionMatrix:
-    def _model(self, template=FeatureTemplate.LF2):
+    def _tagger(self, template=FeatureTemplate.LF2):
         corpus = random_corpus(np.random.default_rng(10))
-        return hmc.estimate_naive_emission(
-            corpus.sentences,
-            corpus.tagset,
-            lambda tok, pos: extract(tok, pos, template),
-            smoothing=1e-3,
-        )
+        tagger, _ = train_tagger(corpus, DecoderKind.HMC_NAIVE, template, smoothing=1e-3)
+        return tagger
 
     @pytest.mark.parametrize("template", list(FeatureTemplate))
     def test_equals_per_token_product(self, template):
-        model = self._model(template)
+        tagger = self._tagger(template)
         tokens = ["walked", "Runs", "zebra", "x", "ab-12", "cat", "walking"]
         fvs = [extract(tok, pos, template) for pos, tok in enumerate(tokens)]
-        got = hmc.naive_emission_matrix(model, fvs, N_LABELS)
-        assert np.array_equal(got, per_token_naive(model, fvs, N_LABELS))
+        ids = tagger.pipeline.sentence_features(tokens)
+        got = hmc.naive_emission_matrix(tagger.naive, ids)
+        assert np.array_equal(got, per_token_naive(tagger.naive, fvs, N_LABELS))
 
-    def test_differing_families_give_the_per_token_matrix(self):
-        model = self._model()
-        full = extract("walked", 1, FeatureTemplate.LF2)
-        reordered = dict(reversed(list(full.items())))
-        subset = {"suffix-2": "ly", "word": "cat"}
-        fvs = [full, reordered, subset, {}, full]
-        got = hmc.naive_emission_matrix(model, fvs, N_LABELS)
-        assert np.array_equal(got, per_token_naive(model, fvs, N_LABELS))
+    @pytest.mark.parametrize("template", list(FeatureTemplate))
+    def test_id_counts_equal_string_counts(self, template):
+        corpus = random_corpus(np.random.default_rng(10))
+        index = build_index(corpus.sentences, template)
+        pipeline = FeaturePipeline(index)
+        model = hmc.estimate_naive_emission(
+            index,
+            [pipeline.sentence_features(sent.tokens) for sent in corpus.sentences],
+            [sent.labels for sent in corpus.sentences],
+            N_LABELS,
+            smoothing=1e-3,
+        )
+        value_index, tables = string_counted_naive(corpus, template, 1e-3)
+        assert model.families == tuple(value_index)
+        for fam in model.families:
+            assert list(model.value_index[fam].items()) == list(value_index[fam].items())
+            assert model.tables[fam].tobytes() == tables[fam].tobytes()
 
     def test_untrained_family_rejected(self):
-        model = self._model(FeatureTemplate.LF1)
-        fvs = [extract("cat", 0, FeatureTemplate.LF1), {"suffix-5": "walks"}]
-        with pytest.raises(InvalidInputError):
-            hmc.naive_emission_matrix(model, fvs, N_LABELS)
+        tagger = self._tagger(FeatureTemplate.LF1)
+        row = tagger.pipeline.sentence_features(["cat"])[0]
+        width = tagger.naive.stacked.shape[1]
+        for bad in ([row + (0,)], [row[:-1] + (width,)], [row[:-1] + (-1,)], row):
+            with pytest.raises(InvalidInputError):
+                hmc.naive_emission_matrix(tagger.naive, bad)
 
 
 class TestFeatureMemo:
@@ -246,6 +274,54 @@ class TestFeatureMemo:
         ).read_bytes()
         fresh = build_index(corpus.sentences, FeatureTemplate.LF2)
         assert tagger.feature_index == fresh
+
+
+class TestNaiveDecodingUsesTheMemo:
+    @staticmethod
+    def _count_extracts(monkeypatch):
+        keys = []
+        original = features.extract
+
+        def counting(token, position, template):
+            keys.append((token, position == 0))
+            return original(token, position, template)
+
+        # every efbtag module that binds the name, wherever decoding calls it from
+        for name, module in list(sys.modules.items()):
+            if name.startswith("efbtag") and hasattr(module, "extract"):
+                monkeypatch.setattr(module, "extract", counting)
+        return keys
+
+    def test_trained_tagger_extracts_each_key_once(self, monkeypatch):
+        corpus = random_corpus(np.random.default_rng(19))
+        tagger, _ = train_tagger(corpus, DecoderKind.HMC_NAIVE, FeatureTemplate.LF2)
+        keys = self._count_extracts(monkeypatch)
+        for _ in range(2):
+            for sent in corpus.sentences:
+                tagger.decode(sent.tokens)
+        assert keys and len(keys) == len(set(keys))
+
+    def test_loaded_tagger_extracts_each_key_once(self, monkeypatch, tmp_path):
+        corpus = random_corpus(np.random.default_rng(20))
+        tagger, _ = train_tagger(corpus, DecoderKind.HMC_NAIVE, FeatureTemplate.LF1)
+        save_model(tmp_path / "m.bin", tagger)
+        loaded = load_model(tmp_path / "m.bin")
+        assert loaded.feature_index == tagger.feature_index
+        expected = [tagger.decode(sent.tokens) for sent in corpus.sentences]
+        keys = self._count_extracts(monkeypatch)
+        for _ in range(2):
+            assert [loaded.decode(sent.tokens) for sent in corpus.sentences] == expected
+        assert keys and len(keys) == len(set(keys))
+
+
+def test_naive_word_table_is_the_hmc_fb_emission_table():
+    corpus = random_corpus(np.random.default_rng(21))
+    fb, _ = train_tagger(corpus, DecoderKind.HMC_FB)
+    naive, _ = train_tagger(corpus, DecoderKind.HMC_NAIVE, FeatureTemplate.NF)
+    assert naive.naive.tables["word"].tobytes() == fb.hmc_params.emit.tobytes()
+    test = random_corpus(np.random.default_rng(22), 25, STEMS + ("zebra", "Quux"))
+    for sent in test.sentences:
+        assert naive.decode(sent.tokens) == fb.decode(sent.tokens)
 
 
 def test_efb_decode_equals_per_position_provider():
