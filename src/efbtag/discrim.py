@@ -242,8 +242,10 @@ def train(
     """Mini-batch SGD on L2-regularized cross-entropy, deterministic per seed.
 
     L2 decay is applied as a lazily tracked global scale so each batch
-    only touches the weight rows active in it.  Weights that are not all
-    finite after an epoch raise NumericalDegeneracyError.
+    only touches the weight rows active in it.  A batch's updates reach
+    each weight in example order, so the model is bitwise the one a
+    per-example loop would write.  Weights that are not all finite after
+    an epoch raise NumericalDegeneracyError.
     """
     if len(dataset) == 0:
         raise InvalidInputError("dataset must be non-empty")
@@ -252,6 +254,8 @@ def train(
     targets = np.array(targets, dtype=np.intp)
     rows, mask = _weight_rows(model, ids, prevs, targets)
     w = model.weights
+    flat_w = w.reshape(-1)  # a view: `zero_model` makes a C-ordered table
+    cols = np.arange(n_labels)
     rng = np.random.default_rng(config.seed)
     n = len(dataset)
     scale = 1.0
@@ -267,10 +271,14 @@ def train(
             g = _softmax_rows(scale * _row_sums(w, b_rows, b_mask))
             g[np.arange(b_size), targets[batch_idx]] -= 1.0
             scale *= decay_factor
-            g = np.repeat(g * (rate / (b_size * scale)), b_rows.shape[1], axis=0)
-            if b_mask is not None:  # masked slots subtract +0.0 from row 0: no change
-                g[~b_mask.ravel()] = 0.0
-            np.subtract.at(w, b_rows.ravel(), g)
+            g *= rate / (b_size * scale)
+            # flat ids in (example, slot, label) order: each weight takes its
+            # updates in example order, through numpy's fast 1-D `ufunc.at`
+            flat_ids = b_rows[:, :, None] * n_labels + cols
+            g = np.broadcast_to(g[:, None, :], flat_ids.shape)
+            if b_mask is not None:
+                flat_ids, g = flat_ids[b_mask], g[b_mask]
+            np.subtract.at(flat_w, flat_ids.ravel(), g.ravel())
         # fold the lazy scale back in once per epoch to limit drift
         w *= scale
         scale = 1.0

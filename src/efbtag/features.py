@@ -93,7 +93,8 @@ class FeatureIndex:
     ids: dict[tuple[str, str], int]
     unknown_ids: dict[str, int]
     # vectorized rows of indexed words, keyed by (token, position == 0),
-    # the only inputs of `extract`; filled by `FeaturePipeline`
+    # the only inputs of `extract`; `build_index` fills it with every
+    # training key's row and `FeaturePipeline` with the indexed words it meets
     memo: dict[tuple[str, bool], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -116,30 +117,30 @@ def build_index(
 
     Accepts labeled sentences or bare token sequences; only tokens are
     used.  Unknown ids are appended after all observed pairs, one per
-    family, and the index is then frozen.
+    family, and the index is then frozen.  Each corpus key's id row is
+    left in the index's memo, so the corpus is extracted once.
     """
     ids: dict[tuple[str, str], int] = {}
     # (token, position == 0) are the only inputs of `extract`: a repeat adds no pair
-    extracted: set[tuple[str, bool]] = set()
+    memo: dict[tuple[str, bool], tuple[int, ...]] = {}
     saw_any = False
     for sent in corpus:
         saw_any = True
         tokens = sent.tokens if isinstance(sent, LabeledSentence) else sent
         for pos, token in enumerate(tokens):
-            if (token, pos == 0) in extracted:
-                continue
-            extracted.add((token, pos == 0))
-            for fam, value in extract(token, pos, template).items():
-                key = (fam, value)
-                if key not in ids:
-                    ids[key] = len(ids)
+            key = (token, pos == 0)
+            if key not in memo:
+                fv = extract(token, pos, template)
+                memo[key] = tuple(ids.setdefault(pair, len(ids)) for pair in fv.items())
     if not saw_any:
         raise InvalidInputError("corpus must be non-empty")
     families = TEMPLATE_FAMILIES[template]
     unknown_ids = {fam: len(ids) + k for k, fam in enumerate(families)}
-    return FeatureIndex(
+    index = FeatureIndex(
         template=template, families=families, ids=ids, unknown_ids=unknown_ids
     )
+    index.memo.update(memo)
+    return index
 
 
 def vectorize(fv: dict[str, str], index: FeatureIndex) -> tuple[int, ...]:

@@ -61,6 +61,31 @@ class HmcParams:
         return self.pi.shape[0]
 
 
+def _check_labels(labels: np.ndarray, n_labels: int) -> None:
+    bad = (labels < 0) | (labels >= n_labels)
+    if bad.any():
+        raise InvalidInputError(f"label id {int(labels[bad][0])} outside tag set")
+
+
+def _check_smoothing(smoothing: float) -> None:
+    if not np.isfinite(smoothing):
+        raise InvalidInputError(f"smoothing must be finite, got {smoothing}")
+    if smoothing <= 0:
+        raise InvalidInputError("smoothing must be > 0")
+
+
+@np.errstate(over="ignore")  # an overflowing total is rejected below
+def _smoothed_rows(counts: np.ndarray, smoothing: float) -> np.ndarray:
+    """`counts + smoothing` with each row (or the one vector) scaled to sum 1."""
+    table = counts + smoothing
+    totals = table.sum(axis=-1, keepdims=True)
+    if not np.isfinite(totals).all():
+        raise InvalidInputError(
+            f"smoothing {smoothing:g} is too large: a count total overflows"
+        )
+    return table / totals
+
+
 def estimate_params(
     corpus: Sequence[LabeledSentence],
     tagset: TagSet,
@@ -77,33 +102,24 @@ def estimate_params(
     """
     if len(corpus) == 0:
         raise InvalidInputError("corpus must be non-empty")
-    if smoothing <= 0:
-        raise InvalidInputError("smoothing must be > 0")
+    _check_smoothing(smoothing)
 
     n = len(tagset)
-    m = len(vocab)
-    pi_counts = np.zeros(n)
-    trans_counts = np.zeros((n, n))
-    emit_counts = np.zeros((n, m + 1))
+    m1 = len(vocab) + 1
+    labels = np.fromiter(chain.from_iterable(s.labels for s in corpus), dtype=np.intp)
+    _check_labels(labels, n)
+    words = np.fromiter(
+        (vocab.id_of(tok) for s in corpus for tok in s.tokens), dtype=np.intp
+    )
+    # position t has a successor in its sentence unless it ends one
+    has_next = np.ones(len(labels), dtype=bool)
+    has_next[np.cumsum([len(s.labels) for s in corpus]) - 1] = False
+    pairs = labels[:-1][has_next[:-1]] * n + labels[1:][has_next[:-1]]
 
-    for sent in corpus:
-        prev = None
-        for token, label in zip(sent.tokens, sent.labels):
-            if not 0 <= label < n:
-                raise InvalidInputError(f"label id {label} outside tag set")
-            pi_counts[label] += 1
-            emit_counts[label, vocab.id_of(token)] += 1
-            if prev is not None:
-                trans_counts[prev, label] += 1
-            prev = label
-
-    pi = pi_counts + smoothing
-    pi /= pi.sum()
-    trans = trans_counts + smoothing
-    trans /= trans.sum(axis=1, keepdims=True)
-    emit = emit_counts + smoothing
-    emit /= emit.sum(axis=1, keepdims=True)
-    return HmcParams(pi=pi, trans=trans, emit=emit)
+    pi = _smoothed_rows(np.bincount(labels, minlength=n), smoothing)
+    trans = _smoothed_rows(np.bincount(pairs, minlength=n * n).reshape(n, n), smoothing)
+    emit_counts = np.bincount(labels * m1 + words, minlength=n * m1).reshape(n, m1)
+    return HmcParams(pi=pi, trans=trans, emit=_smoothed_rows(emit_counts, smoothing))
 
 
 def scaled_forward(
@@ -268,12 +284,15 @@ def estimate_naive_emission(
     """
     if len(feats) == 0:
         raise InvalidInputError("corpus must be non-empty")
-    if smoothing <= 0:
-        raise InvalidInputError("smoothing must be > 0")
+    _check_smoothing(smoothing)
     ids = np.array([row for sent in feats for row in sent], dtype=np.intp)
     y = np.fromiter(chain.from_iterable(labels), dtype=np.intp)
-    counts = np.zeros((n_labels, index.size))
-    np.add.at(counts, (np.repeat(y, ids.shape[1]), ids.ravel()), 1.0)
+    _check_labels(y, n_labels)
+    bad = (ids < 0) | (ids >= index.size)
+    if bad.any():
+        raise InvalidInputError(f"feature id {int(ids[bad][0])} outside the index")
+    flat = np.repeat(y, ids.shape[1]) * index.size + ids.ravel()
+    counts = np.bincount(flat, minlength=n_labels * index.size).reshape(n_labels, -1)
     value_index: dict[str, dict[str, int]] = {fam: {} for fam in index.families}
     columns: dict[str, list[int]] = {fam: [] for fam in index.families}
     for (fam, value), fid in index.ids.items():  # in id order
@@ -283,8 +302,7 @@ def estimate_naive_emission(
     for fam in index.families:
         # copied to C order: row sums of the Fortran-ordered gather differ in the last bit
         table = np.ascontiguousarray(counts[:, columns[fam] + [index.unknown_ids[fam]]])
-        table += smoothing
-        tables[fam] = table / table.sum(axis=1, keepdims=True)
+        tables[fam] = _smoothed_rows(table, smoothing)
     return NaiveFeatureEmission(index.families, value_index, tables)
 
 

@@ -174,8 +174,9 @@ def train_compare_pair(
     hyperparameters and seed, and the first-position conditional shared
     between both decoders.
     """
-    memm_tagger, _ = train_tagger(corpus, DecoderKind.MEMM, template, sgd, smoothing)
+    # counted first, so an unusable smoothing fails before any SGD runs
     chain = hmc.estimate_params(corpus.sentences, corpus.tagset, corpus.vocab, smoothing)
+    memm_tagger, _ = train_tagger(corpus, DecoderKind.MEMM, template, sgd, smoothing)
     efb_tagger = replace(
         memm_tagger,
         kind=DecoderKind.HMC_EFB,

@@ -321,3 +321,33 @@ class TestSgdSettings:
         err = capsys.readouterr().err
         assert rc == 3
         assert "training diverged" in err
+
+
+DELTAS = [("nan", "smoothing must be finite"), ("inf", "smoothing must be finite"),
+          ("1e308", "is too large")]
+
+
+class TestUnusableDelta:
+    @pytest.mark.parametrize("delta,message", DELTAS, ids=["nan", "inf", "huge"])
+    @pytest.mark.parametrize("decoder", ["hmc-fb", "hmc-naive-features", "hmc-efb"])
+    def test_train_names_the_setting(self, toy_files, tmp_path, capsys, decoder,
+                                     delta, message):
+        train_path, _ = toy_files
+        out = tmp_path / "m.bin"
+        rc = main(["train", str(train_path), "--format", "conll2000",
+                   "--decoder", decoder, "--out", str(out), "--delta", delta])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("efbtag: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta,message", DELTAS, ids=["nan", "inf", "huge"])
+    def test_compare_names_the_setting(self, toy_files, capsys, delta, message):
+        train_path, test_path = toy_files
+        rc = main(["compare", str(train_path), str(test_path), "--format",
+                   "conll2000", "--delta", delta])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("efbtag: ") and message in err

@@ -193,3 +193,16 @@ class TestBuildIndexSkipsRepeats:
         assert list(index.ids.items()) == list(
             build_index_every_occurrence(sentences, FeatureTemplate.LF2).items()
         )
+
+
+class TestBuildIndexFillsTheMemo:
+    @given(st.lists(st.lists(st.sampled_from(["a", "B", "ab", "b-1", "Ab", "7"]),
+                             min_size=1, max_size=6), min_size=1, max_size=6),
+           st.sampled_from(list(FeatureTemplate)))
+    def test_memo_rows_are_the_vectorized_extractions(self, sentences, template):
+        index = build_index(sentences, template)
+        keys = {(tok, pos == 0) for sent in sentences for pos, tok in enumerate(sent)}
+        assert set(index.memo) == keys
+        for token, first in keys:
+            fv = extract(token, 0 if first else 1, template)
+            assert index.memo[(token, first)] == vectorize(fv, index)

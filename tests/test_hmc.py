@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import random_stationary_hmc
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
@@ -97,6 +98,71 @@ class TestEstimateParams:
             assert np.all(params.pi > 0)
             assert params.trans.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-12)
             assert params.emit.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-12)
+
+
+def per_token_estimate(corpus, tagset, vocab, smoothing):
+    """A per-token counting loop: the reference `estimate_params` must equal."""
+    n = len(tagset)
+    pi_counts = np.zeros(n)
+    trans_counts = np.zeros((n, n))
+    emit_counts = np.zeros((n, len(vocab) + 1))
+    for sent in corpus:
+        prev = None
+        for token, label in zip(sent.tokens, sent.labels):
+            pi_counts[label] += 1
+            emit_counts[label, vocab.id_of(token)] += 1
+            if prev is not None:
+                trans_counts[prev, label] += 1
+            prev = label
+    pi = pi_counts + smoothing
+    pi /= pi.sum()
+    trans = trans_counts + smoothing
+    trans /= trans.sum(axis=1, keepdims=True)
+    emit = emit_counts + smoothing
+    emit /= emit.sum(axis=1, keepdims=True)
+    return pi, trans, emit
+
+
+# sentences of (word, label) pairs; "z" is never in the vocabulary
+sentences_st = st.lists(
+    st.lists(st.tuples(st.sampled_from("uvwz"), st.integers(0, 2)), min_size=1, max_size=6),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestEstimateParamsCounts:
+    @given(sentences_st, st.floats(1e-12, 10.0))
+    @example([[("u", 0)], [("v", 1), ("w", 2)], [("z", 1)]], 1e-6)
+    @example([[("u", 2)]], 0.5)
+    def test_bit_equal_to_the_per_token_loop(self, sentences, smoothing):
+        tagset = TagSet.from_labels(["A", "B", "C"])
+        vocab = Vocabulary.from_words(["u", "v", "w"])
+        corpus = [LabeledSentence(*zip(*sent)) for sent in sentences]
+        params = estimate_params(corpus, tagset, vocab, smoothing)
+        ref = per_token_estimate(corpus, tagset, vocab, smoothing)
+        for got, want in zip((params.pi, params.trans, params.emit), ref):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_tag_set_rejected(self, label):
+        tagset = TagSet.from_labels(["A", "B", "C"])
+        vocab = Vocabulary.from_words(["u"])
+        corpus = [LabeledSentence(("u",), (0,)), LabeledSentence(("u", "u"), (1, label))]
+        with pytest.raises(InvalidInputError, match=f"label id {label} outside tag set"):
+            estimate_params(corpus, tagset, vocab)
+
+    @pytest.mark.parametrize(
+        "smoothing,message",
+        [(float("nan"), "must be finite"), (float("inf"), "must be finite"),
+         (1e308, "too large")],
+    )
+    def test_unusable_smoothing_rejected(self, smoothing, message):
+        tagset = TagSet.from_labels(["A", "B"])
+        vocab = Vocabulary.from_words(["u"])
+        corpus = [LabeledSentence(("u", "u"), (0, 1))]
+        with pytest.raises(InvalidInputError, match=message):
+            estimate_params(corpus, tagset, vocab, smoothing)
 
 
 class TestForwardBackward:
@@ -293,3 +359,28 @@ class TestNaiveFeatureEmission:
         assert product < joint_exact
         row = vectorize({"f1": "x", "f2": "x"}, index)
         assert naive_emission_matrix(model, [row])[0, 0] == product
+
+
+class TestNaiveEstimateRejects:
+    INDEX = FeatureIndex(
+        FeatureTemplate.NF, ("word",), {("word", "x"): 0, ("word", "y"): 1}, {"word": 2}
+    )
+
+    @pytest.mark.parametrize("labels", [(-1, 1), (2, 1)])
+    def test_label_outside_tag_set(self, labels):
+        with pytest.raises(InvalidInputError, match="outside tag set"):
+            estimate_naive_emission(self.INDEX, [[(0,), (1,)]], [labels], 2)
+
+    @pytest.mark.parametrize("row", [(-1,), (3,)])
+    def test_feature_id_outside_the_index(self, row):
+        with pytest.raises(InvalidInputError, match="outside the index"):
+            estimate_naive_emission(self.INDEX, [[(0,), row]], [(0, 1)], 2)
+
+    @pytest.mark.parametrize(
+        "smoothing,message",
+        [(float("nan"), "must be finite"), (float("inf"), "must be finite"),
+         (1e308, "too large")],
+    )
+    def test_unusable_smoothing(self, smoothing, message):
+        with pytest.raises(InvalidInputError, match=message):
+            estimate_naive_emission(self.INDEX, [[(0,), (1,)]], [(0, 1)], 2, smoothing)

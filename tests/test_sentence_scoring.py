@@ -314,6 +314,17 @@ class TestNaiveDecodingUsesTheMemo:
         assert keys and len(keys) == len(set(keys))
 
 
+@pytest.mark.parametrize(
+    "kind", [DecoderKind.HMC_EFB, DecoderKind.MEMM, DecoderKind.HMC_NAIVE]
+)
+def test_training_extracts_each_key_once(monkeypatch, kind):
+    corpus = random_corpus(np.random.default_rng(23))
+    keys = TestNaiveDecodingUsesTheMemo._count_extracts(monkeypatch)
+    train_tagger(corpus, kind, FeatureTemplate.LF2, SGD)
+    distinct = {(tok, pos == 0) for s in corpus.sentences for pos, tok in enumerate(s.tokens)}
+    assert len(keys) == len(set(keys)) and set(keys) == distinct
+
+
 def test_naive_word_table_is_the_hmc_fb_emission_table():
     corpus = random_corpus(np.random.default_rng(21))
     fb, _ = train_tagger(corpus, DecoderKind.HMC_FB)
