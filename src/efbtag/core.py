@@ -94,6 +94,11 @@ class Vocabulary:
         """Return the word's id, or the unknown id for unseen words."""
         return self._index.get(word, self.unknown_id)
 
+    def ids_of(self, words: Iterable[str]) -> list[int]:
+        """`id_of` of each word, with one dict lookup per word."""
+        get, unknown = self._index.get, self.unknown_id
+        return [get(w, unknown) for w in words]
+
 
 @dataclass(frozen=True)
 class LabeledSentence:
@@ -124,9 +129,12 @@ class PosteriorLattice:
         v = self.values
         if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
             raise InvalidInputError("lattice must be a non-empty T x N table")
-        if np.any(v < -ROW_SUM_TOL) or np.any(v > 1.0 + ROW_SUM_TOL):
+        # fmin/fmax skip NaN, which the row-sum check below rejects
+        if np.fmin.reduce(v, axis=None) < -ROW_SUM_TOL or (
+            np.fmax.reduce(v, axis=None) > 1.0 + ROW_SUM_TOL
+        ):
             raise InvalidInputError("lattice entries must lie in [0, 1]")
-        sums = v.sum(axis=1)
+        sums = np.add.reduce(v, axis=1)
         if not (np.abs(sums - 1.0) <= ROW_SUM_TOL).all():  # NaN fails it too
             t = int(np.argmax(np.abs(sums - 1.0)))
             raise InvalidInputError(
@@ -148,7 +156,7 @@ def mpm_from_lattice(lattice: PosteriorLattice) -> list[int]:
     Ties are broken toward the lowest label id so decoding is
     deterministic across runs and platforms.
     """
-    return [int(i) for i in np.argmax(lattice.values, axis=1)]
+    return lattice.values.argmax(axis=1).tolist()
 
 
 def as_lattice(values: Sequence[Sequence[float]] | np.ndarray) -> PosteriorLattice:

@@ -49,6 +49,8 @@ class SgdConfig:
             raise InvalidInputError("learning-rate decay must be >= 0")
         if self.learning_rate * self.l2 >= 1:
             raise InvalidInputError("learning rate * l2 must be < 1")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -167,10 +169,14 @@ def _weight_rows(
 
 def _row_sums(weights: np.ndarray, rows: np.ndarray, mask: Optional[np.ndarray]):
     """Each input's gathered weight rows summed in slot order, masked slots zeroed."""
-    gathered = weights[rows]
+    # Gathered slot-major, (W, T, N): the reduction over axis 0 adds whole
+    # (T, N) slabs one slot after another, so each input's sum is taken in
+    # slot order exactly as summing its own (W, N) rows does, while every
+    # addition runs over a contiguous slab instead of T short rows.
+    gathered = weights[rows.T]
     if mask is not None:
-        gathered[~mask] = 0.0
-    return gathered.sum(axis=1)
+        gathered[~mask.T] = 0.0
+    return np.add.reduce(gathered, axis=0)
 
 
 def predict(

@@ -145,7 +145,11 @@ def build_index(
 
 def vectorize(fv: dict[str, str], index: FeatureIndex) -> tuple[int, ...]:
     """Map a string-valued feature vector to dense ids, one per family."""
-    return tuple(index.id_of(fam, value) for fam, value in fv.items())
+    ids, unknown_ids = index.ids, index.unknown_ids
+    try:  # an unseen value takes its family's unknown id
+        return tuple([ids.get(pair, unknown_ids[pair[0]]) for pair in fv.items()])
+    except KeyError as err:
+        raise InvalidInputError(f"feature family {err.args[0]!r} not in index") from None
 
 
 @dataclass(frozen=True)

@@ -129,22 +129,28 @@ def scaled_forward(
 
     Each row is normalized to sum 1; `scales` holds the normalizers, so
     the unscaled value is alpha[t] * prod(scales[:t+1]) and the product
-    of all scales is the total observation probability.
+    of all scales is the total observation probability.  Rows are
+    written in place into the returned lattice, with the operations of
+    the textbook step `emissions[t] * (alphas[t - 1] @ trans)` in that
+    order, so the lattice is bitwise the one that step gives.
     """
     t_len, n = emissions.shape
     alphas = np.empty((t_len, n))
     scales = np.empty(t_len)
-    row = pi * emissions[0]
-    for t in range(t_len):
-        if t > 0:
-            row = emissions[t] * (alphas[t - 1] @ trans)
-        s = row.sum()
+    np.multiply(pi, emissions[0], out=alphas[0])
+    prev = None
+    for t, (row, emit) in enumerate(zip(alphas, emissions)):
+        if prev is not None:
+            np.dot(prev, trans, out=row)
+            np.multiply(emit, row, out=row)
+        s = np.add.reduce(row)
         if not s > 0.0:
             raise NumericalDegeneracyError(
                 f"forward pass degenerated to zero mass at position {t}"
             )
         scales[t] = s
-        alphas[t] = row / s
+        np.divide(row, s, out=row)
+        prev = row
     return alphas, scales
 
 
@@ -153,22 +159,29 @@ def scaled_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward recursion with the same row-normalization scheme.
 
-    Unscaled value: beta[t] * prod(scales[t:]).
+    Unscaled value: beta[t] * prod(scales[t:]).  Like `scaled_forward`
+    it writes rows in place, with the operations of the textbook step
+    `trans @ (emissions[t + 1] * betas[t + 1])`; the product goes
+    through one scratch vector.
     """
     t_len, n = emissions.shape
     betas = np.empty((t_len, n))
     scales = np.empty(t_len)
-    row = np.ones(n)
+    buf = np.empty(n)
     for t in range(t_len - 1, -1, -1):
+        row = betas[t]
         if t < t_len - 1:
-            row = trans @ (emissions[t + 1] * betas[t + 1])
-        s = row.sum()
+            np.multiply(emissions[t + 1], betas[t + 1], out=buf)
+            np.dot(trans, buf, out=row)
+        else:
+            row.fill(1.0)
+        s = np.add.reduce(row)
         if not s > 0.0:
             raise NumericalDegeneracyError(
                 f"backward pass degenerated to zero mass at position {t}"
             )
         scales[t] = s
-        betas[t] = row / s
+        np.divide(row, s, out=row)
     return betas, scales
 
 
@@ -187,9 +200,9 @@ def _emission_matrix(params: HmcParams, obs: Sequence[int]) -> np.ndarray:
     if len(obs) == 0:
         raise InvalidInputError("observation sequence must be non-empty")
     obs_arr = np.asarray(obs, dtype=np.intp)
-    if np.any(obs_arr < 0) or np.any(obs_arr >= params.emit.shape[1]):
+    if obs_arr.min() < 0 or obs_arr.max() >= params.emit.shape[1]:
         raise InvalidInputError("word id outside emission table")
-    return params.emit[:, obs_arr].T  # (T, N)
+    return params.emit.T[obs_arr]  # (T, N), C-ordered: the recursions read rows
 
 
 def forward(params: HmcParams, obs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -205,13 +218,13 @@ def backward(params: HmcParams, obs: Sequence[int]) -> tuple[np.ndarray, np.ndar
 def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray) -> PosteriorLattice:
     """Combine scaled forward/backward rows; per-row scales cancel in the ratio."""
     prod = alphas * betas
-    denom = prod.sum(axis=1)
-    bad = np.nonzero(~(denom > 0.0))[0]
-    if bad.size:
+    denom = np.add.reduce(prod, axis=1)
+    if not (denom > 0.0).all():
+        bad = np.nonzero(~(denom > 0.0))[0]
         raise NumericalDegeneracyError(
             f"posterior denominator underflowed at position {int(bad[0])}"
         )
-    return PosteriorLattice(prod / denom[:, None])
+    return PosteriorLattice(np.divide(prod, denom[:, None], out=prod))
 
 
 def _posterior(params: HmcParams, emissions: np.ndarray) -> PosteriorLattice:
@@ -285,6 +298,8 @@ def estimate_naive_emission(
     if len(feats) == 0:
         raise InvalidInputError("corpus must be non-empty")
     _check_smoothing(smoothing)
+    if len(labels) != len(feats) or any(len(f) != len(y) for f, y in zip(feats, labels)):
+        raise InvalidInputError("labels must hold one label per feature id row")
     ids = np.array([row for sent in feats for row in sent], dtype=np.intp)
     y = np.fromiter(chain.from_iterable(labels), dtype=np.intp)
     _check_labels(y, n_labels)
@@ -324,7 +339,7 @@ def naive_emission_matrix(
     ids = np.asarray(ids, dtype=np.intp)
     if ids.ndim != 2 or ids.shape[1] != len(model.families):
         raise InvalidInputError("naive emission ids must be a (T, families) array")
-    if np.any((ids < 0) | (ids >= model.stacked.shape[1])):
+    if ids.size and (ids.min() < 0 or ids.max() >= model.stacked.shape[1]):
         raise InvalidInputError("feature id outside the naive emission tables")
     return np.prod(model.stacked.T[ids], axis=1)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,27 +43,32 @@ class Tagger:
             raise InvalidInputError(f"{self.kind.value} model carries no feature index")
         return FeaturePipeline(self.feature_index)
 
+    @cached_property
+    def _efb_params(self) -> efb.EfbParams:
+        """hmc-efb's chain, checked once per tagger; observations are conditional rows."""
+        return efb.EfbParams(
+            pi=self.hmc_params.pi, trans=self.hmc_params.trans, l_provider=_own_row
+        )
+
     def decode(self, tokens: Sequence[str]) -> list[int]:
         if len(tokens) == 0:
             raise InvalidInputError("cannot decode an empty sentence")
         if self.kind is DecoderKind.HMC_FB:
-            obs = [self.vocab.id_of(tok) for tok in tokens]
+            obs = self.vocab.ids_of(tokens)
             return mpm_from_lattice(hmc.posterior_fb(self.hmc_params, obs))
         feats = self.pipeline.sentence_features(tokens)
         if self.kind is DecoderKind.HMC_NAIVE:
             lattice = hmc.posterior_naive_features(self.hmc_params, self.naive, feats)
             return mpm_from_lattice(lattice)
         if self.kind is DecoderKind.HMC_EFB:
-            # the sentence's conditional in one batch; the provider reads its rows
-            lmat = discrim.predict(self.l0, feats)
-            params = efb.EfbParams(
-                pi=self.hmc_params.pi,
-                trans=self.hmc_params.trans,
-                l_provider=lambda ids, t: lmat[t],
-            )
-            return efb.decode_efb(params, feats)
+            # the sentence's conditional in one batch, handed over row by row
+            return efb.decode_efb(self._efb_params, discrim.predict(self.l0, feats))
         model = memm.MemmModel(l0=self.l0, l1=self.l1, tagset=self.tagset)
         return memm.decode_memm(model, feats)
+
+
+def _own_row(row: np.ndarray, t: int) -> np.ndarray:
+    return row
 
 
 def _l0_dataset(

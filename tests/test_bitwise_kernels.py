@@ -1,0 +1,261 @@
+"""The decode kernels give bitwise the results of their textbook forms.
+
+Each reference below is the plain form of a kernel that the package
+now runs with in-place or reordered numpy calls: a fresh-row scaled
+recursion, a row-major weight-row sum, and the elementwise range check
+of a posterior lattice.  Every comparison is on the bytes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from efbtag import discrim, efb
+from efbtag.core import (
+    ROW_SUM_TOL,
+    LabeledSentence,
+    PosteriorLattice,
+    TagSet,
+    Vocabulary,
+    mpm_from_lattice,
+)
+from efbtag.dataio import Corpus
+from efbtag.discrim import LogisticModel, SgdConfig, mean_loss, predict, predict_all_prev
+from efbtag.errors import InvalidInputError, NumericalDegeneracyError
+from efbtag.features import FeatureTemplate
+from efbtag.hmc import scaled_backward, scaled_forward
+from efbtag.tagger import DecoderKind, train_tagger
+
+
+def reference_forward(pi, trans, emissions):
+    t_len, n = emissions.shape
+    alphas = np.empty((t_len, n))
+    scales = np.empty(t_len)
+    row = pi * emissions[0]
+    for t in range(t_len):
+        if t > 0:
+            row = emissions[t] * (alphas[t - 1] @ trans)
+        s = row.sum()
+        if not s > 0.0:
+            raise NumericalDegeneracyError(
+                f"forward pass degenerated to zero mass at position {t}"
+            )
+        scales[t] = s
+        alphas[t] = row / s
+    return alphas, scales
+
+
+def reference_backward(trans, emissions):
+    t_len, n = emissions.shape
+    betas = np.empty((t_len, n))
+    scales = np.empty(t_len)
+    row = np.ones(n)
+    for t in range(t_len - 1, -1, -1):
+        if t < t_len - 1:
+            row = trans @ (emissions[t + 1] * betas[t + 1])
+        s = row.sum()
+        if not s > 0.0:
+            raise NumericalDegeneracyError(
+                f"backward pass degenerated to zero mass at position {t}"
+            )
+        scales[t] = s
+        betas[t] = row / s
+    return betas, scales
+
+
+def reference_row_sums(weights, rows, mask):
+    gathered = weights[rows]
+    if mask is not None:
+        gathered[~mask] = 0.0
+    return gathered.sum(axis=1)
+
+
+def outcome(fn, *args):
+    """The result arrays' bytes, or the degeneracy message."""
+    try:
+        return tuple(a.tobytes() for a in fn(*args))
+    except NumericalDegeneracyError as err:
+        return str(err)
+
+
+def random_chain(rng, n, t_len, low, zero_row, fortran):
+    """A chain and a T x N emission matrix with entries from 10**low up to 1."""
+    trans = rng.dirichlet(np.ones(n), size=n)
+    pi = rng.dirichlet(np.ones(n))
+    emissions = 10.0 ** rng.uniform(low, 0.0, (t_len, n))
+    if zero_row:
+        emissions[rng.integers(t_len)] = 0.0
+    if fortran:
+        emissions = np.asfortranarray(emissions)
+    return pi, trans, emissions
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 45),
+    t_len=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.sampled_from([-300.0, -100.0, -10.0, -1.0]),
+    zero_row=st.booleans(),
+    fortran=st.booleans(),
+)
+def test_recursions_bit_equal_to_fresh_row_steps(n, t_len, seed, low, zero_row, fortran):
+    rng = np.random.default_rng(seed)
+    pi, trans, emissions = random_chain(rng, n, t_len, low, zero_row, fortran)
+    assert outcome(scaled_forward, pi, trans, emissions) == outcome(
+        reference_forward, pi, trans, emissions
+    )
+    assert outcome(scaled_backward, trans, emissions) == outcome(
+        reference_backward, trans, emissions
+    )
+
+
+def test_recursions_bit_equal_on_a_long_sentence():
+    rng = np.random.default_rng(5000)
+    pi, trans, emissions = random_chain(rng, 17, 5000, -300.0, False, False)
+    forward = outcome(scaled_forward, pi, trans, emissions)
+    assert isinstance(forward, tuple)
+    assert forward == outcome(reference_forward, pi, trans, emissions)
+    assert outcome(scaled_backward, trans, emissions) == outcome(
+        reference_backward, trans, emissions
+    )
+
+
+def test_backward_of_an_empty_matrix_is_empty():
+    trans = np.array([[0.5, 0.5], [0.2, 0.8]])
+    emissions = np.empty((0, 2))
+    assert outcome(scaled_backward, trans, emissions) == outcome(
+        reference_backward, trans, emissions
+    )
+
+
+@pytest.mark.parametrize("position", [0, 1, 6, 7])
+def test_degeneracy_names_the_same_position(position):
+    rng = np.random.default_rng(position)
+    pi, trans, emissions = random_chain(rng, 4, 8, -1.0, False, False)
+    emissions[position] = 0.0
+    forward = outcome(scaled_forward, pi, trans, emissions)
+    assert forward == outcome(reference_forward, pi, trans, emissions)
+    assert forward == f"forward pass degenerated to zero mass at position {position}"
+    backward = outcome(scaled_backward, trans, emissions)
+    assert backward == outcome(reference_backward, trans, emissions)
+    if position > 0:  # the backward pass never reads the first row
+        assert backward == (
+            f"backward pass degenerated to zero mass at position {position - 1}"
+        )
+
+
+def weight_model(rng, n_features, n_labels, conditions_on_prev):
+    d = n_features + (n_labels if conditions_on_prev else 0) + 1
+    weights = rng.standard_normal((d, n_labels)) * 10.0 ** rng.integers(-6, 4, (d, 1))
+    return LogisticModel(weights, n_features, n_labels, conditions_on_prev)
+
+
+def batches(rng, n_features):
+    fixed = rng.integers(0, n_features, (23, 13))
+    ragged = [tuple(rng.integers(0, n_features, int(k)).tolist())
+              for k in rng.integers(1, 16, 23)]
+    return {"fixed": fixed, "ragged": ragged}
+
+
+@pytest.mark.parametrize("batch", ["fixed", "ragged"])
+@pytest.mark.parametrize("n_labels", [1, 2, 17])
+def test_predict_bit_equal_to_row_major_sums(monkeypatch, batch, n_labels):
+    rng = np.random.default_rng(n_labels)
+    ids = batches(rng, 300)[batch]
+    plain = weight_model(rng, 300, n_labels, False)
+    prev = weight_model(rng, 300, n_labels, True)
+    prev_labels = rng.integers(0, n_labels, len(ids))
+    got = [predict(plain, ids), predict(prev, ids, prev_labels), predict_all_prev(prev, ids)]
+    monkeypatch.setattr(discrim, "_row_sums", reference_row_sums)
+    expected = [predict(plain, ids), predict(prev, ids, prev_labels),
+                predict_all_prev(prev, ids)]
+    for g, e in zip(got, expected):
+        assert g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("conditions_on_prev", [False, True])
+def test_training_and_loss_bit_equal_to_row_major_sums(monkeypatch, conditions_on_prev):
+    rng = np.random.default_rng(11)
+    n_features, n_labels = 60, 5
+    data = [
+        (tuple(rng.integers(0, n_features, int(k)).tolist()),
+         int(rng.integers(n_labels)) if conditions_on_prev else None,
+         int(rng.integers(n_labels)))
+        for k in rng.integers(1, 9, 200)
+    ]
+    config = SgdConfig(epochs=3, batch_size=16, seed=3)
+
+    def run():
+        model = discrim.train(data, n_features, n_labels, config, conditions_on_prev)
+        return model.weights.tobytes(), mean_loss(model, data, l2=config.l2)
+
+    got = run()
+    monkeypatch.setattr(discrim, "_row_sums", reference_row_sums)
+    assert got == run()
+
+
+def reference_lattice_check(v):
+    """The elementwise range check and the row-sum check, as messages."""
+    if np.any(v < -ROW_SUM_TOL) or np.any(v > 1.0 + ROW_SUM_TOL):
+        return "lattice entries must lie in [0, 1]"
+    sums = v.sum(axis=1)
+    if not (np.abs(sums - 1.0) <= ROW_SUM_TOL).all():
+        t = int(np.argmax(np.abs(sums - 1.0)))
+        return f"lattice row {t} sums to {sums[t]!r}, expected 1"
+    return None
+
+
+ODD_ENTRIES = [np.nan, np.inf, -np.inf, -1e-8, 1 + 1e-8, -1e-10, 1 + 1e-10, 0.0]
+
+
+@pytest.mark.parametrize("first", ODD_ENTRIES)
+@pytest.mark.parametrize("second", [None] + ODD_ENTRIES)
+def test_lattice_accepts_and_rejects_as_the_elementwise_check(first, second):
+    values = np.full((3, 4), 0.25)
+    values[1, 2] = first
+    if second is not None:
+        values[2, 0] = second
+    expected = reference_lattice_check(values)
+    if expected is None:
+        PosteriorLattice(values)
+    else:
+        with pytest.raises(InvalidInputError) as err:
+            PosteriorLattice(values)
+        assert str(err.value) == expected
+
+
+def test_mpm_returns_python_ints_with_lowest_id_ties():
+    lattice = PosteriorLattice(np.array([[0.5, 0.5, 0.0], [0.1, 0.2, 0.7]]))
+    labels = mpm_from_lattice(lattice)
+    assert labels == [0, 2]
+    assert all(type(label) is int for label in labels)
+
+
+def toy_corpus() -> Corpus:
+    tagset = TagSet.from_labels(["DT", "NN", "VB"])
+    sentences = tuple(
+        LabeledSentence(tuple(words.split()), tuple(tagset.id_of(t) for t in tags.split()))
+        for words, tags in [("the cat runs", "DT NN VB"), ("a dog sleeps", "DT NN VB"),
+                            ("dog runs", "NN VB")]
+    )
+    vocab = Vocabulary.from_words(w for s in sentences for w in s.tokens)
+    return Corpus(sentences=sentences, tagset=tagset, vocab=vocab)
+
+
+def test_efb_tagger_checks_its_chain_once_over_many_sentences(monkeypatch):
+    tagger, _ = train_tagger(
+        toy_corpus(), DecoderKind.HMC_EFB, FeatureTemplate.LF1, SgdConfig(epochs=2)
+    )
+    calls = []
+    check = efb.check_chain
+
+    def counted(pi, trans):
+        calls.append(1)
+        check(pi, trans)
+
+    monkeypatch.setattr(efb, "check_chain", counted)
+    first = tagger.decode(["the", "cat", "runs"])
+    second = tagger.decode(["a", "dog"])
+    assert len(calls) == 1
+    assert len(first) == 3 and len(second) == 2

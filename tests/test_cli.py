@@ -351,3 +351,26 @@ class TestUnusableDelta:
         assert rc == 1 and out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("efbtag: ") and message in err
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "decoder", ["hmc-fb", "hmc-naive-features", "hmc-efb", "memm"]
+    )
+    def test_train_rejects_it(self, toy_files, tmp_path, capsys, decoder):
+        train_path, _ = toy_files
+        out = tmp_path / "m.bin"
+        rc = main(["train", str(train_path), "--format", "conll2000",
+                   "--decoder", decoder, "--out", str(out), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.strip().splitlines() == ["efbtag: seed must be >= 0"]
+        assert not out.exists()
+
+    def test_compare_rejects_it(self, toy_files, capsys):
+        train_path, test_path = toy_files
+        rc = main(["compare", str(train_path), str(test_path), "--format",
+                   "conll2000", "--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.strip().splitlines() == ["efbtag: seed must be >= 0"]

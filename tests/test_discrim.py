@@ -288,3 +288,9 @@ def test_bad_example_rejected(entry, cond, dataset):
     if len(dataset) > 1:  # the valid examples alone are accepted
         train(dataset[:-1], 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
         mean_loss(zero_model(4, 3, cond), dataset[:-1])
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+        SgdConfig(seed=-1)
+    assert SgdConfig(seed=0).seed == 0

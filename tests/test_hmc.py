@@ -384,3 +384,14 @@ class TestNaiveEstimateRejects:
     def test_unusable_smoothing(self, smoothing, message):
         with pytest.raises(InvalidInputError, match=message):
             estimate_naive_emission(self.INDEX, [[(0,), (1,)]], [(0, 1)], 2, smoothing)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[(0, 1, 1)], [(0,)], [(0, 1), (1,)]],
+    ids=["three-for-two", "one-for-two", "extra-sentence"],
+)
+def test_naive_estimate_rejects_a_label_count_unlike_the_id_rows(labels):
+    index = TestNaiveEstimateRejects.INDEX
+    with pytest.raises(InvalidInputError, match="one label per feature id row"):
+        estimate_naive_emission(index, [[(0,), (1,)]], labels, 2)
