@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .core import LabeledSentence
@@ -83,9 +84,9 @@ def extract(token: str, position: int, template: FeatureTemplate) -> dict[str, s
 class FeatureIndex:
     """Frozen map from (family, value) to dense ids, with per-family unknown ids.
 
-    Ids are assigned in corpus order at build time and never change
-    afterwards; values unseen at train time route to their family's
-    unknown id, so vectorization is total.
+    `index_from_pairs` assigns the ids and they never change afterwards;
+    values unseen at train time route to their family's unknown id, so
+    vectorization is total.
     """
 
     template: FeatureTemplate
@@ -116,9 +117,9 @@ def build_index(
     """Index every (family, value) pair observed in the corpus.
 
     Accepts labeled sentences or bare token sequences; only tokens are
-    used.  Unknown ids are appended after all observed pairs, one per
-    family, and the index is then frozen.  Each corpus key's id row is
-    left in the index's memo, so the corpus is extracted once.
+    used.  `index_from_pairs` lays the pairs out in corpus order.  Each
+    corpus key's id row is left in the index's memo, so the corpus is
+    extracted once.
     """
     ids: dict[tuple[str, str], int] = {}
     # (token, position == 0) are the only inputs of `extract`: a repeat adds no pair
@@ -134,13 +135,32 @@ def build_index(
                 memo[key] = tuple(ids.setdefault(pair, len(ids)) for pair in fv.items())
     if not saw_any:
         raise InvalidInputError("corpus must be non-empty")
-    families = TEMPLATE_FAMILIES[template]
-    unknown_ids = {fam: len(ids) + k for k, fam in enumerate(families)}
-    index = FeatureIndex(
-        template=template, families=families, ids=ids, unknown_ids=unknown_ids
-    )
+    index = index_from_pairs(template, TEMPLATE_FAMILIES[template], ids)
     index.memo.update(memo)
     return index
+
+
+def index_from_pairs(
+    template: FeatureTemplate, families: tuple[str, ...], pairs: Iterable[tuple[str, str]]
+) -> FeatureIndex:
+    """Freeze `pairs` into an index in the one id layout.
+
+    Pairs take ids 0, 1, ... in order, then each of `families` in turn one
+    unknown id.  Rejects a repeated pair, a stray family, a non-string value.
+    """
+    pairs = list(pairs)
+    ids = dict(zip(pairs, range(len(pairs))))
+    if len(ids) != len(pairs):  # a repeat keeps its last id
+        pair = next(p for i, p in enumerate(pairs) if ids[p] != i)
+        raise InvalidInputError(f"feature pair {pair!r} repeats")
+    if not set(map(itemgetter(0), pairs)) <= set(families):
+        fam = next(fam for fam, _ in pairs if fam not in families)
+        raise InvalidInputError(f"feature family {fam!r} not in index")
+    if not set(map(type, map(itemgetter(1), pairs))) <= {str}:
+        value = next(value for _, value in pairs if type(value) is not str)
+        raise InvalidInputError(f"feature value {value!r} is not a string")
+    unknown_ids = {fam: len(ids) + k for k, fam in enumerate(families)}
+    return FeatureIndex(template, families, ids, unknown_ids)
 
 
 def vectorize(fv: dict[str, str], index: FeatureIndex) -> tuple[int, ...]:

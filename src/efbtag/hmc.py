@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import LabeledSentence, PosteriorLattice, TagSet, Vocabulary
 from .errors import InvalidInputError, NumericalDegeneracyError
-from .features import FeatureIndex, FeatureTemplate
+from .features import FeatureIndex, FeatureTemplate, index_from_pairs
 
 PROB_TOL = 1e-12
 DEFAULT_SMOOTHING = 1e-6
@@ -245,9 +245,10 @@ class NaiveFeatureEmission:
 
     The emission probability of a feature vector is the product of
     per-family conditionals; unseen values route to each family's
-    trailing unknown slot.  `stacked` holds the tables side by side in
-    family order: its columns are the ids that `naive_emission_matrix`
-    gathers.
+    trailing unknown slot.  `stacked` holds every family's value columns
+    in family order, then every family's unknown column: the layout of
+    `index_from_pairs`, so its columns are the ids of `naive_feature_index`
+    that `naive_emission_matrix` gathers.
     """
 
     families: tuple[str, ...]
@@ -259,7 +260,8 @@ class NaiveFeatureEmission:
         for fam in self.families:
             if not (np.abs(self.tables[fam].sum(axis=1) - 1.0) <= PROB_TOL).all():
                 raise InvalidInputError(f"family {fam!r} rows must sum to 1")
-        stacked = np.hstack([self.tables[fam] for fam in self.families])
+        tables = [self.tables[fam] for fam in self.families]
+        stacked = np.hstack([t[:, :-1] for t in tables] + [t[:, -1:] for t in tables])
         object.__setattr__(self, "stacked", stacked)
 
     def column_of(self, family: str, value: str) -> int:
@@ -272,15 +274,10 @@ class NaiveFeatureEmission:
 def naive_feature_index(
     model: NaiveFeatureEmission, template: FeatureTemplate
 ) -> FeatureIndex:
-    """The index whose ids are the columns of `model.stacked`."""
-    ids: dict[tuple[str, str], int] = {}
-    unknown_ids: dict[str, int] = {}
-    start = 0
-    for fam in model.families:
-        ids.update(((fam, v), start + col) for v, col in model.value_index[fam].items())
-        start += model.tables[fam].shape[1]
-        unknown_ids[fam] = start - 1
-    return FeatureIndex(template, model.families, ids, unknown_ids)
+    """The index of `model.stacked`'s columns: pairs family by family, in column order."""
+    cols = model.value_index
+    pairs = [(f, v) for f in model.families for v in sorted(cols[f], key=cols[f].get)]
+    return index_from_pairs(template, model.families, pairs)
 
 
 def estimate_naive_emission(

@@ -10,11 +10,19 @@ chain decoders, `emit` for hmc-fb alone, `naive:<family>` tables for
 hmc-naive-features, and `l0_weights` (plus `l1_weights` for memm) for
 the discriminative kinds.  Loading rejects any other array list and any
 non-finite value.
+
+The featured kinds store their index as `feature_index.entries`, its
+(family, value) pairs in id order (a naive model's family by family), and
+`features.index_from_pairs` rebuilds it.  Keys a kind does not use are
+null: `template` and `feature_index` for hmc-fb, and `naive` (where older
+naive files kept their values) for every kind.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Optional
 
@@ -23,7 +31,7 @@ import numpy as np
 from . import discrim, hmc
 from .core import TagSet, Vocabulary
 from .errors import DataError, InvalidInputError
-from .features import TEMPLATE_FAMILIES, FeatureIndex, FeatureTemplate
+from .features import TEMPLATE_FAMILIES, FeatureIndex, FeatureTemplate, index_from_pairs
 from .tagger import DecoderKind, Tagger
 
 MAGIC = b"EFBTAG-MODEL\n"
@@ -38,16 +46,6 @@ def _index_header(index: Optional[FeatureIndex]):
         return None
     entries = sorted(index.ids, key=index.ids.__getitem__)
     return {"entries": [[fam, val] for fam, val in entries]}
-
-
-def _index_from_header(header, template: FeatureTemplate) -> FeatureIndex:
-    entries = header["entries"]
-    ids = {(fam, val): i for i, (fam, val) in enumerate(entries)}
-    families = TEMPLATE_FAMILIES[template]
-    unknown_ids = {fam: len(ids) + k for k, fam in enumerate(families)}
-    return FeatureIndex(
-        template=template, families=families, ids=ids, unknown_ids=unknown_ids
-    )
 
 
 def _tagger_arrays(tagger: Tagger) -> dict[str, np.ndarray]:
@@ -75,21 +73,8 @@ def save_model(path: str | Path, tagger: Tagger) -> None:
         "template": tagger.template.value if tagger.template else None,
         "labels": list(tagger.tagset.labels),
         "words": list(tagger.vocab.words),
-        "feature_index": _index_header(None if tagger.naive else tagger.feature_index),
-        "naive": (
-            {
-                "families": list(tagger.naive.families),
-                "values": {
-                    fam: sorted(
-                        tagger.naive.value_index[fam],
-                        key=tagger.naive.value_index[fam].__getitem__,
-                    )
-                    for fam in tagger.naive.families
-                },
-            }
-            if tagger.naive
-            else None
-        ),
+        "feature_index": _index_header(tagger.feature_index),
+        "naive": None,
         "arrays": [
             {"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()
         ],
@@ -109,9 +94,8 @@ def load_model(path: str | Path, expect_kind: Optional[DecoderKind] = None) -> T
     """Load a model file; optionally require a specific decoder kind.
 
     The header must list exactly the arrays, in order and with the
-    shapes, that `save_model` writes for its kind, labels, words,
-    feature index and naive families.  Any missing key or inconsistency
-    is a DataError.
+    shapes, that `save_model` writes for its kind, labels, words and
+    feature index.  Any missing key or inconsistency is a DataError.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
@@ -147,19 +131,24 @@ def _tagger_from(
     path: str | Path, fh: BinaryIO, header: dict, kind: DecoderKind
 ) -> Tagger:
     """Check the header's array list against the rest of it, then read the arrays."""
+    fb_only = ("template", "feature_index") if kind is DecoderKind.HMC_FB else ()
+    for key in ("naive",) + fb_only:
+        if header[key] is not None:
+            raise DataError(f"{path}: header key {key!r} must be null for {kind.value}")
     tagset = TagSet.from_labels(header["labels"])
     vocab = Vocabulary(tuple(header["words"]))
-    template = FeatureTemplate(header["template"]) if header["template"] else None
     n = len(tagset)
-    discriminative = kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM)
-    index = (
-        _index_from_header(header["feature_index"], template) if discriminative else None
-    )
-    families = (
-        tuple(header["naive"]["families"]) if kind is DecoderKind.HMC_NAIVE else ()
-    )
-    if families and families != TEMPLATE_FAMILIES[template]:
-        raise DataError(f"{path}: naive families differ from template {template.value}")
+    template = index = None
+    if kind is not DecoderKind.HMC_FB:
+        template = FeatureTemplate(header["template"])
+        pairs = [(fam, value) for fam, value in header["feature_index"]["entries"]]
+        index = index_from_pairs(template, TEMPLATE_FAMILIES[template], pairs)
+    value_index: dict[str, dict[str, int]] = {}
+    if kind is DecoderKind.HMC_NAIVE:  # each family's values, in column order
+        groups = [(fam, [v for _, v in run]) for fam, run in groupby(pairs, itemgetter(0))]
+        if tuple(fam for fam, _ in groups) != index.families:
+            raise DataError(f"{path}: naive feature index pairs are not family by family")
+        value_index = {fam: dict(zip(vals, range(len(vals)))) for fam, vals in groups}
 
     shapes: dict[str, tuple[int, ...]] = {}
     if kind is not DecoderKind.MEMM:
@@ -167,9 +156,9 @@ def _tagger_from(
         shapes["trans"] = (n, n)
     if kind is DecoderKind.HMC_FB:
         shapes["emit"] = (n, vocab.size_with_unknown)
-    for fam in families:
-        shapes[f"naive:{fam}"] = (n, len(header["naive"]["values"][fam]) + 1)
-    if discriminative:
+    for fam, values in value_index.items():
+        shapes[f"naive:{fam}"] = (n, len(values) + 1)
+    if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
         shapes["l0_weights"] = (index.size + 1, n)
     if kind is DecoderKind.MEMM:
         shapes["l1_weights"] = (index.size + n + 1, n)
@@ -195,20 +184,12 @@ def _tagger_from(
         params = hmc.HmcParams(arrays["pi"], arrays["trans"], arrays.get("emit"))
 
     naive = None
-    if families:
-        value_index = {
-            fam: {v: i for i, v in enumerate(header["naive"]["values"][fam])}
-            for fam in families
-        }
-        for fam in families:
-            if len(value_index[fam]) != len(header["naive"]["values"][fam]):
-                raise DataError(f"{path}: naive family {fam!r} repeats a value")
+    if value_index:
         naive = hmc.NaiveFeatureEmission(
-            families=families,
+            families=index.families,
             value_index=value_index,
-            tables={fam: arrays[f"naive:{fam}"] for fam in families},
+            tables={fam: arrays[f"naive:{fam}"] for fam in index.families},
         )
-        index = hmc.naive_feature_index(naive, template)
 
     def _logistic(name: str, conditions_on_prev: bool):
         if name not in arrays:

@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from efbtag.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from efbtag.dataio import CorpusFormat, read_corpus
@@ -163,11 +163,85 @@ def test_template_swapped_for_another_valid_one(workdir, models, kind, template)
 
 
 def test_naive_family_with_a_repeated_value(workdir, models):
-    """Same array shapes, but one family's value list names a value twice."""
+    """Same array shapes, but the index names one family's first value twice."""
     header, body = split(models[DecoderKind.HMC_NAIVE])
-    values = header["naive"]["values"]
-    fam = next(f for f in header["naive"]["families"] if len(values[f]) > 1)
-    values[fam][0] = values[fam][1]
+    entries = header["feature_index"]["entries"]
+    assert entries[0][0] == entries[1][0]  # two values of the first family
+    entries[1] = entries[0]
     rc, err = check_damaged(workdir, join(header, body))
     assert rc == EXIT_DATA
-    assert "repeats a value" in err
+    assert f"{tuple(entries[0])!r} repeats" in err
+
+
+FEATURED = [k for k in KINDS if k is not DecoderKind.HMC_FB]
+
+
+@pytest.mark.parametrize("kind", FEATURED, ids=lambda k: k.value)
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        (lambda first: ["bogus-family", first[1]], "'bogus-family' not in index"),
+        (lambda first: [first[0], 7], "value 7 is not a string"),
+        (lambda first: first, "repeats"),
+    ],
+    ids=["family-outside-template", "value-not-a-string", "repeated-pair"],
+)
+def test_bad_feature_index_entry(workdir, models, kind, last, message):
+    """The last index entry remade from the first; the array shapes still match."""
+    header, body = split(models[kind])
+    entries = header["feature_index"]["entries"]
+    entries[-1] = last(entries[0])
+    rc, err = check_damaged(workdir, join(header, body))
+    assert rc == EXIT_DATA
+    assert message in err
+
+
+def test_naive_pairs_not_family_by_family(workdir, models):
+    """The first word pair moved behind the last family: shapes unchanged."""
+    header, body = split(models[DecoderKind.HMC_NAIVE])
+    entries = header["feature_index"]["entries"]
+    entries.append(entries.pop(0))
+    rc, err = check_damaged(workdir, join(header, body))
+    assert rc == EXIT_DATA
+    assert "not family by family" in err
+
+
+def test_naive_file_in_the_layout_before_the_shared_index(workdir, models):
+    """Values under `naive`, a null `feature_index`, the same arrays."""
+    header, body = split(models[DecoderKind.HMC_NAIVE])
+    entries = header["feature_index"]["entries"]
+    families = list(dict.fromkeys(fam for fam, _ in entries))
+    header["feature_index"] = None
+    header["naive"] = {
+        "families": families,
+        "values": {fam: [v for f, v in entries if f == fam] for fam in families},
+    }
+    rc, err = check_damaged(workdir, join(header, body))
+    assert rc == EXIT_DATA
+    assert "'naive' must be null for hmc-naive-features" in err
+
+
+JSON_VALUES = st.recursive(
+    st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, "naive") for kind in KINDS]
+    + [(DecoderKind.HMC_FB, "template"), (DecoderKind.HMC_FB, "feature_index")],
+    ids=lambda v: getattr(v, "value", v),
+)
+@FUZZ
+@given(value=JSON_VALUES)
+@example(value="lf2")
+def test_unused_header_key_set(workdir, models, kind, key, value):
+    """A key the kind does not use must be null, whatever else it holds."""
+    header, body = split(models[kind])
+    header[key] = value
+    rc, err = check_damaged(workdir, join(header, body))
+    assert rc == EXIT_DATA
+    assert f"{key!r} must be null for {kind.value}" in err
+

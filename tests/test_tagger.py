@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from efbtag.dataio import Corpus
 from efbtag.discrim import SgdConfig, predict
 from efbtag.errors import InvalidInputError
 from efbtag.features import FeatureTemplate
+from efbtag.modelfile import MAGIC, save_model
 from efbtag.tagger import DecoderKind, Tagger, train_compare_pair, train_tagger
 
 
@@ -86,3 +89,23 @@ def test_pipelineless_kind_has_no_pipeline():
     tagger, _ = train_tagger(corpus, DecoderKind.HMC_FB)
     with pytest.raises(InvalidInputError):
         tagger.pipeline
+
+
+# sha256 of the JSON header line each kind writes for the toy corpus; the
+# header holds no float bytes, so the digests do not depend on the machine
+HEADER_SHA256 = {
+    DecoderKind.HMC_FB: "7af763cdfc91520c193182c48199e6c42f47d2bce5bd12f72cb13ab1d3d185d6",
+    DecoderKind.HMC_EFB: "bda269699bcc9218b104c3040476984872265f9dd202a48a9e2ded3139372d39",
+    DecoderKind.MEMM: "a2fd5d0a6aaacd960889ff60cbc25753b8e110e227c7a583c6a49c2b3875e306",
+    DecoderKind.HMC_NAIVE: "dde5b62b8abdf3c8e80da02109f0670e2d4fac7e717492178dcd91931c54b498",
+}
+
+
+@pytest.mark.parametrize("kind", list(DecoderKind), ids=lambda k: k.value)
+def test_model_file_header_is_pinned(tmp_path, kind):
+    tagger, _ = train_tagger(toy_corpus(), kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
+    path = tmp_path / "m.bin"
+    save_model(path, tagger)
+    data = path.read_bytes()
+    header = data[len(MAGIC) : data.index(b"\n", len(MAGIC))]
+    assert hashlib.sha256(header).hexdigest() == HEADER_SHA256[kind]
