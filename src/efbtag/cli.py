@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .dataio import CorpusFormat, TagMap, load_tagmap, read_corpus, utf8_lines
+from .dataio import CorpusFormat, load_tagmap, read_corpus, utf8_lines
 from .discrim import SgdConfig
 from .errors import DataError, InvalidInputError, NumericalDegeneracyError
 from .evaluation import evaluate, format_kv, format_table
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_tagmap(arg: Optional[str]) -> Optional[TagMap]:
+def _load_tagmap(arg: Optional[str]) -> Optional[dict[str, str]]:
     return load_tagmap(_resolve(arg)) if arg else None
 
 

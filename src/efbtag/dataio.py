@@ -22,14 +22,6 @@ class CorpusFormat(Enum):
     CONLLU = "conllu"
 
 
-@dataclass(frozen=True)
-class TagMap:
-    mapping: dict[str, str]
-
-    def apply(self, tag: str) -> Optional[str]:
-        return self.mapping.get(tag)
-
-
 def utf8_lines(fh: Iterable[str], path: str | Path) -> Iterator[str]:
     """The lines of a text file read as UTF-8; undecodable bytes raise DataError."""
     try:
@@ -38,7 +30,7 @@ def utf8_lines(fh: Iterable[str], path: str | Path) -> Iterator[str]:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_tagmap(path: str | Path) -> TagMap:
+def load_tagmap(path: str | Path) -> dict[str, str]:
     """Read a tag map: one 'source<TAB>target' pair per line, '#' comments."""
     mapping: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -50,7 +42,7 @@ def load_tagmap(path: str | Path) -> TagMap:
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise DataError(f"{path}:{lineno}: malformed tag map line: {line!r}")
             mapping[parts[0]] = parts[1]
-    return TagMap(mapping)
+    return mapping
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,7 @@ def _parse_raw(
 def read_corpus(
     path: str | Path,
     fmt: CorpusFormat,
-    tagmap: Optional[TagMap] = None,
+    tagmap: Optional[dict[str, str]] = None,
     tagset: Optional[TagSet] = None,
 ) -> Corpus:
     """Read a corpus file into labeled sentences plus tag and word indices.
@@ -128,11 +120,11 @@ def read_corpus(
     raw = _parse_raw(path, fmt)
     if tagmap is not None:
         unmapped = sorted(
-            {tag for sent in raw for _, tag in sent if tagmap.apply(tag) is None}
+            {tag for sent in raw for _, tag in sent if tag not in tagmap}
         )
         if unmapped:
             raise DataError(f"{path}: tags missing from tag map: {', '.join(unmapped)}")
-        raw = [[(tok, tagmap.apply(tag)) for tok, tag in sent] for sent in raw]
+        raw = [[(tok, tagmap[tag]) for tok, tag in sent] for sent in raw]
 
     if tagset is None:
         seen: dict[str, None] = {}

@@ -178,10 +178,6 @@ class FeaturePipeline:
 
     index: FeatureIndex
 
-    @property
-    def template(self) -> FeatureTemplate:
-        return self.index.template
-
     def sentence_features(self, tokens: Sequence[str]) -> list[tuple[int, ...]]:
         """Each token's feature ids; rows of indexed words come from the memo."""
         index = self.index

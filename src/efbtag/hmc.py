@@ -67,7 +67,7 @@ def _check_labels(labels: np.ndarray, n_labels: int) -> None:
         raise InvalidInputError(f"label id {int(labels[bad][0])} outside tag set")
 
 
-def _check_smoothing(smoothing: float) -> None:
+def check_smoothing(smoothing: float) -> None:
     if not np.isfinite(smoothing):
         raise InvalidInputError(f"smoothing must be finite, got {smoothing}")
     if smoothing <= 0:
@@ -102,15 +102,14 @@ def estimate_params(
     """
     if len(corpus) == 0:
         raise InvalidInputError("corpus must be non-empty")
-    _check_smoothing(smoothing)
+    check_smoothing(smoothing)
 
     n = len(tagset)
     m1 = len(vocab) + 1
     labels = np.fromiter(chain.from_iterable(s.labels for s in corpus), dtype=np.intp)
     _check_labels(labels, n)
-    words = np.fromiter(
-        (vocab.id_of(tok) for s in corpus for tok in s.tokens), dtype=np.intp
-    )
+    tokens = chain.from_iterable(s.tokens for s in corpus)
+    words = np.array(vocab.ids_of(tokens), dtype=np.intp)
     # position t has a successor in its sentence unless it ends one
     has_next = np.ones(len(labels), dtype=bool)
     has_next[np.cumsum([len(s.labels) for s in corpus]) - 1] = False
@@ -271,6 +270,14 @@ class NaiveFeatureEmission:
         return idx.get(value, len(idx))  # the trailing unknown column
 
 
+def naive_value_columns(index: FeatureIndex) -> dict[str, dict[str, int]]:
+    """Each family's values numbered in id order: a naive table's value columns."""
+    columns: dict[str, dict[str, int]] = {fam: {} for fam in index.families}
+    for fam, value in index.ids:  # in id order
+        columns[fam][value] = len(columns[fam])
+    return columns
+
+
 def naive_feature_index(
     model: NaiveFeatureEmission, template: FeatureTemplate
 ) -> FeatureIndex:
@@ -294,7 +301,7 @@ def estimate_naive_emission(
     """
     if len(feats) == 0:
         raise InvalidInputError("corpus must be non-empty")
-    _check_smoothing(smoothing)
+    check_smoothing(smoothing)
     if len(labels) != len(feats) or any(len(f) != len(y) for f, y in zip(feats, labels)):
         raise InvalidInputError("labels must hold one label per feature id row")
     ids = np.array([row for sent in feats for row in sent], dtype=np.intp)
@@ -305,15 +312,12 @@ def estimate_naive_emission(
         raise InvalidInputError(f"feature id {int(ids[bad][0])} outside the index")
     flat = np.repeat(y, ids.shape[1]) * index.size + ids.ravel()
     counts = np.bincount(flat, minlength=n_labels * index.size).reshape(n_labels, -1)
-    value_index: dict[str, dict[str, int]] = {fam: {} for fam in index.families}
-    columns: dict[str, list[int]] = {fam: [] for fam in index.families}
-    for (fam, value), fid in index.ids.items():  # in id order
-        value_index[fam][value] = len(columns[fam])
-        columns[fam].append(fid)
+    value_index = naive_value_columns(index)
     tables: dict[str, np.ndarray] = {}
     for fam in index.families:
+        fids = [index.ids[fam, value] for value in value_index[fam]]
         # copied to C order: row sums of the Fortran-ordered gather differ in the last bit
-        table = np.ascontiguousarray(counts[:, columns[fam] + [index.unknown_ids[fam]]])
+        table = np.ascontiguousarray(counts[:, fids + [index.unknown_ids[fam]]])
         tables[fam] = _smoothed_rows(table, smoothing)
     return NaiveFeatureEmission(index.families, value_index, tables)
 

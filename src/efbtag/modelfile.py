@@ -21,8 +21,7 @@ naive files kept their values) for every kind.
 from __future__ import annotations
 
 import json
-from itertools import groupby
-from operator import itemgetter
+from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Optional
 
@@ -90,12 +89,13 @@ def save_model(path: str | Path, tagger: Tagger) -> None:
             fh.write(np.ascontiguousarray(arr, dtype=_DTYPE).tobytes())
 
 
-def load_model(path: str | Path, expect_kind: Optional[DecoderKind] = None) -> Tagger:
-    """Load a model file; optionally require a specific decoder kind.
+def load_model(path: str | Path) -> Tagger:
+    """Load a model file.
 
     The header must list exactly the arrays, in order and with the
     shapes, that `save_model` writes for its kind, labels, words and
-    feature index.  Any missing key or inconsistency is a DataError.
+    feature index, and the file must end with the last of them.  Any
+    missing key, mistyped value or inconsistency is a DataError.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
@@ -106,25 +106,36 @@ def load_model(path: str | Path, expect_kind: Optional[DecoderKind] = None) -> T
             raise DataError(f"{path}: corrupt model header: {exc}") from exc
         if not isinstance(header, dict):
             raise DataError(f"{path}: corrupt model header: not a JSON object")
-        if header.get("format_version") != FORMAT_VERSION:
-            raise DataError(
-                f"{path}: unsupported format version {header.get('format_version')!r}"
-            )
+        version = header.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:  # JSON true == 1
+            raise DataError(f"{path}: unsupported format_version {version!r}")
         try:
             kind = DecoderKind(header["kind"])
         except (KeyError, ValueError):
             raise DataError(f"{path}: unknown decoder kind in header") from None
-        if expect_kind is not None and kind is not expect_kind:
-            raise InvalidInputError(
-                f"{path}: model kind is {kind.value}, expected {expect_kind.value}"
-            )
         missing = [key for key in _HEADER_KEYS if key not in header]
         if missing:
             raise DataError(f"{path}: model header lacks {', '.join(missing)}")
         try:
             return _tagger_from(path, fh, header, kind)
         except (InvalidInputError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: inconsistent model header: {exc!r}") from None
+            raise DataError(f"{path}: inconsistent model header: {exc}") from None
+
+
+def _strings(path: str | Path, header: dict, key: str) -> tuple[str, ...]:
+    value = header[key]
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise DataError(f"{path}: header key {key!r} must be a list of strings")
+    return tuple(value)
+
+
+@contextmanager
+def _header_key(path: str | Path, key: str):
+    """A value of header `key` that the body cannot use is a DataError naming it."""
+    try:
+        yield
+    except (InvalidInputError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad header key {key!r}: {exc}") from None
 
 
 def _tagger_from(
@@ -135,20 +146,22 @@ def _tagger_from(
     for key in ("naive",) + fb_only:
         if header[key] is not None:
             raise DataError(f"{path}: header key {key!r} must be null for {kind.value}")
-    tagset = TagSet.from_labels(header["labels"])
-    vocab = Vocabulary(tuple(header["words"]))
+    tagset = TagSet(_strings(path, header, "labels"))
+    vocab = Vocabulary(_strings(path, header, "words"))
     n = len(tagset)
-    template = index = None
+    index = None
     if kind is not DecoderKind.HMC_FB:
-        template = FeatureTemplate(header["template"])
-        pairs = [(fam, value) for fam, value in header["feature_index"]["entries"]]
-        index = index_from_pairs(template, TEMPLATE_FAMILIES[template], pairs)
+        with _header_key(path, "template"):
+            template = FeatureTemplate(header["template"])
+        with _header_key(path, "feature_index"):
+            pairs = [(fam, value) for fam, value in header["feature_index"]["entries"]]
+            index = index_from_pairs(template, TEMPLATE_FAMILIES[template], pairs)
     value_index: dict[str, dict[str, int]] = {}
-    if kind is DecoderKind.HMC_NAIVE:  # each family's values, in column order
-        groups = [(fam, [v for _, v in run]) for fam, run in groupby(pairs, itemgetter(0))]
-        if tuple(fam for fam, _ in groups) != index.families:
+    if kind is DecoderKind.HMC_NAIVE:
+        value_index = hmc.naive_value_columns(index)
+        grouped = [fam for fam in index.families for _ in value_index[fam]]
+        if [fam for fam, _ in index.ids] != grouped:
             raise DataError(f"{path}: naive feature index pairs are not family by family")
-        value_index = {fam: dict(zip(vals, range(len(vals)))) for fam, vals in groups}
 
     shapes: dict[str, tuple[int, ...]] = {}
     if kind is not DecoderKind.MEMM:
@@ -178,6 +191,8 @@ def _tagger_from(
         arrays[name] = np.frombuffer(raw, dtype=_DTYPE).reshape(shape).copy()
         if not np.isfinite(arrays[name]).all():
             raise DataError(f"{path}: array {name!r} holds a non-finite value")
+    if fh.read(1):
+        raise DataError(f"{path}: bytes after the last array")
 
     params = None
     if "pi" in arrays:
@@ -205,7 +220,6 @@ def _tagger_from(
         kind=kind,
         tagset=tagset,
         vocab=vocab,
-        template=template,
         hmc_params=params,
         naive=naive,
         feature_index=index,

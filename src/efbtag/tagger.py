@@ -30,12 +30,16 @@ class Tagger:
     kind: DecoderKind
     tagset: TagSet
     vocab: Vocabulary
-    template: Optional[FeatureTemplate] = None
     hmc_params: Optional[hmc.HmcParams] = None
     naive: Optional[hmc.NaiveFeatureEmission] = None
     feature_index: Optional[FeatureIndex] = None
     l0: Optional[discrim.LogisticModel] = None
     l1: Optional[discrim.LogisticModel] = None
+
+    @property
+    def template(self) -> Optional[FeatureTemplate]:
+        """The feature index's template; None for hmc-fb, which reads words alone."""
+        return None if self.feature_index is None else self.feature_index.template
 
     @property
     def pipeline(self) -> FeaturePipeline:
@@ -114,6 +118,7 @@ def train_tagger(
         raise InvalidInputError("training corpus is empty")
     if not isinstance(kind, DecoderKind):
         raise InvalidInputError(f"unknown decoder kind: {kind!r}")
+    hmc.check_smoothing(smoothing)  # here, for memm too, which counts nothing
     tagset, vocab = corpus.tagset, corpus.vocab
     n = len(tagset)
     params = naive = index = l0 = l1 = None
@@ -150,7 +155,6 @@ def train_tagger(
         kind=kind,
         tagset=tagset,
         vocab=vocab,
-        template=None if kind is DecoderKind.HMC_FB else template,
         hmc_params=params,
         naive=naive,
         feature_index=index,

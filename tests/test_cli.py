@@ -78,17 +78,6 @@ class TestModelRoundTrip:
         for sent in corpus.sentences[:10]:
             assert tagger.decode(sent.tokens) == reloaded.decode(sent.tokens)
 
-    def test_kind_mismatch_fails_cleanly(self, toy_files, tmp_path):
-        train_path, _ = toy_files
-        corpus = read_corpus(train_path, CorpusFormat.CONLL2000)
-        tagger, _ = train_tagger(corpus, DecoderKind.HMC_FB)
-        path = tmp_path / "m.bin"
-        save_model(path, tagger)
-        from efbtag.errors import InvalidInputError
-
-        with pytest.raises(InvalidInputError):
-            load_model(path, expect_kind=DecoderKind.MEMM)
-
 
 class TestEvalReport:
     def test_forced_arithmetic(self):
@@ -336,6 +325,24 @@ class TestUnusableDelta:
         out = tmp_path / "m.bin"
         rc = main(["train", str(train_path), "--format", "conll2000",
                    "--decoder", decoder, "--out", str(out), "--delta", delta])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("efbtag: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "delta,message",
+        [("-1", "smoothing must be > 0"), ("0", "smoothing must be > 0"),
+         ("nan", "smoothing must be finite"), ("inf", "smoothing must be finite")],
+        ids=["negative", "zero", "nan", "inf"],
+    )
+    def test_memm_train_checks_it_too(self, toy_files, tmp_path, capsys, delta, message):
+        """memm counts nothing with the setting, and still rejects what the others do."""
+        train_path, _ = toy_files
+        out = tmp_path / "m.bin"
+        rc = main(["train", str(train_path), "--format", "conll2000",
+                   "--decoder", "memm", "--out", str(out), "--delta", delta])
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.strip().splitlines()) == 1

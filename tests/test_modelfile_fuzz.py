@@ -245,3 +245,57 @@ def test_unused_header_key_set(workdir, models, kind, key, value):
     assert rc == EXIT_DATA
     assert f"{key!r} must be null for {kind.value}" in err
 
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("labels", lambda h: h.update(labels=list(range(len(h["labels"]))))),
+        ("labels", lambda h: h["labels"].__setitem__(-1, 6)),
+        ("labels", lambda h: h.update(labels="".join(h["labels"]))),
+        ("words", lambda h: h.update(words=list(range(len(h["words"]))))),
+        ("words", lambda h: h["words"].__setitem__(0, None)),
+        ("format_version", lambda h: h.update(format_version=True)),
+        ("format_version", lambda h: h.update(format_version=1.0)),
+    ],
+    ids=["int-labels", "one-int-label", "labels-string", "int-words", "null-word",
+         "version-true", "version-float"],
+)
+def test_mistyped_header_value(workdir, models, kind, key, edit):
+    """Values equal to what the loader wants in Python, but of the wrong JSON type."""
+    header, body = split(models[kind])
+    edit(header)
+    rc, err = check_damaged(workdir, join(header, body))
+    assert rc == EXIT_DATA
+    assert key in err
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize(
+    "extra", [b"\0", bytes(16), struct.pack("<d", 0.5)], ids=["byte", "16-zeros", "float"]
+)
+def test_bytes_after_the_last_array(workdir, models, kind, extra):
+    rc, err = check_damaged(workdir, models[kind] + extra)
+    assert rc == EXIT_DATA
+    assert "bytes after the last array" in err
+
+
+@pytest.mark.parametrize("kind", FEATURED, ids=lambda k: k.value)
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("feature_index", lambda h: h.update(feature_index=None)),
+        ("template", lambda h: h.update(template=None)),
+        ("feature_index", lambda h: h["feature_index"].update(entries=5)),
+    ],
+    ids=["null-index", "null-template", "entries-not-a-list"],
+)
+def test_damaged_index_key_is_named(workdir, models, kind, key, edit):
+    """The line names the key and gives the reason, not a Python repr."""
+    header, body = split(models[kind])
+    edit(header)
+    rc, err = check_damaged(workdir, join(header, body))
+    assert rc == EXIT_DATA
+    assert f"bad header key {key!r}: " in err
+    assert "Error(" not in err
