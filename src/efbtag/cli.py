@@ -5,11 +5,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Optional
 
-from . import __version__
-from .dataio import CorpusFormat, load_tagmap, read_corpus, utf8_lines
+from . import __version__, hmc
+from .dataio import Corpus, CorpusFormat, load_tagmap, read_corpus, utf8_lines
 from .discrim import SgdConfig
 from .errors import DataError, InvalidInputError, NumericalDegeneracyError
 from .evaluation import evaluate, format_kv, format_table
@@ -63,14 +64,19 @@ def _add_train_flags(sub):
     )
 
 
+# each SGD flag's `SgdConfig` field, whose default also gives the flag's type
+SGD_FLAGS = {"--seed": "seed", "--epochs": "epochs", "--lr": "learning_rate",
+             "--decay": "decay", "--l2": "l2", "--batch": "batch_size"}
+
+
 def _add_sgd_flags(sub):
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--epochs", type=int, default=20)
-    sub.add_argument("--lr", type=float, default=0.1)
-    sub.add_argument("--decay", type=float, default=0.05)
-    sub.add_argument("--l2", type=float, default=1e-5)
-    sub.add_argument("--batch", type=int, default=32)
-    sub.add_argument("--delta", type=float, default=1e-6, help="count smoothing")
+    defaults = SgdConfig()
+    for flag, name in SGD_FLAGS.items():
+        default = getattr(defaults, name)
+        sub.add_argument(flag, type=type(default), default=default)
+    sub.add_argument(
+        "--delta", type=float, default=hmc.DEFAULT_SMOOTHING, help="count smoothing"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,27 +119,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_tagmap(arg: Optional[str]) -> Optional[dict[str, str]]:
-    return load_tagmap(_resolve(arg)) if arg else None
+def _read_corpus(args, path: str, tagset=None) -> Corpus:
+    """A corpus file read with the command's --format and --tagmap."""
+    tagmap = load_tagmap(_resolve(args.tagmap)) if args.tagmap else None
+    return read_corpus(_resolve(path), CorpusFormat(args.format), tagmap, tagset)
 
 
 def _sgd_config(args) -> SgdConfig:
-    return SgdConfig(
-        learning_rate=args.lr,
-        decay=args.decay,
-        epochs=args.epochs,
-        l2=args.l2,
-        batch_size=args.batch,
-        seed=args.seed,
-    )
+    return SgdConfig(**{name: getattr(args, flag[2:]) for flag, name in SGD_FLAGS.items()})
 
 
 def cmd_train(args) -> int:
-    corpus = read_corpus(
-        _resolve(args.train_path), CorpusFormat(args.format), _load_tagmap(args.tagmap)
-    )
     tagger, summary = train_tagger(
-        corpus,
+        _read_corpus(args, args.train_path),
         DecoderKind(args.decoder),
         FeatureTemplate(args.features),
         _sgd_config(args),
@@ -152,9 +150,13 @@ def cmd_train(args) -> int:
 
 def cmd_tag(args) -> int:
     tagger = load_model(_resolve(args.model_path))
-    src = sys.stdin if args.input == "-" else open(_resolve(args.input), encoding="utf-8")
-    dst = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
-    try:
+    with ExitStack() as files:  # closes what was opened if a later open fails
+        src = sys.stdin
+        if args.input != "-":
+            src = files.enter_context(open(_resolve(args.input), encoding="utf-8"))
+        dst = sys.stdout
+        if args.out != "-":
+            dst = files.enter_context(open(args.out, "w", encoding="utf-8"))
         first = True
         for line in utf8_lines(src, "<stdin>" if src is sys.stdin else args.input):
             tokens = line.split()
@@ -166,22 +168,12 @@ def cmd_tag(args) -> int:
             for tok, lab in zip(tokens, labels):
                 dst.write(f"{tok}\t{tagger.tagset.label_of(lab)}\n")
             first = False
-    finally:
-        if src is not sys.stdin:
-            src.close()
-        if dst is not sys.stdout:
-            dst.close()
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     tagger = load_model(_resolve(args.model_path))
-    test = read_corpus(
-        _resolve(args.test_path),
-        CorpusFormat(args.format),
-        _load_tagmap(args.tagmap),
-        tagset=tagger.tagset,
-    )
+    test = _read_corpus(args, args.test_path, tagger.tagset)
     report = evaluate(tagger, test, tagger.vocab)
     print(format_table(report))
     print()
@@ -197,12 +189,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    fmt = CorpusFormat(args.format)
-    tagmap = _load_tagmap(args.tagmap)
-    train_corpus = read_corpus(_resolve(args.train_path), fmt, tagmap)
-    test = read_corpus(
-        _resolve(args.test_path), fmt, tagmap, tagset=train_corpus.tagset
-    )
+    train_corpus = _read_corpus(args, args.train_path)
+    test = _read_corpus(args, args.test_path, train_corpus.tagset)
     sgd = _sgd_config(args)
     for template_name in args.features:
         template = FeatureTemplate(template_name)
@@ -240,15 +228,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, DataError, OSError, NumericalDegeneracyError) as exc:
         print(f"efbtag: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, OSError) as exc:
-        print(f"efbtag: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalDegeneracyError as exc:
-        print(f"efbtag: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        if isinstance(exc, InvalidInputError):
+            return EXIT_USAGE
+        return EXIT_NUMERIC if isinstance(exc, NumericalDegeneracyError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -31,8 +31,11 @@ def utf8_lines(fh: Iterable[str], path: str | Path) -> Iterator[str]:
 
 
 def load_tagmap(path: str | Path) -> dict[str, str]:
-    """Read a tag map: one 'source<TAB>target' pair per line, '#' comments."""
-    mapping: dict[str, str] = {}
+    """Read a tag map: one 'source<TAB>target' pair per line, '#' comments.
+
+    A source may repeat only with the same target.
+    """
+    first: dict[str, tuple[str, int]] = {}  # source -> (target, line) where first mapped
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(utf8_lines(fh, path), start=1):
             line = line.strip()
@@ -41,8 +44,10 @@ def load_tagmap(path: str | Path) -> dict[str, str]:
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise DataError(f"{path}:{lineno}: malformed tag map line: {line!r}")
-            mapping[parts[0]] = parts[1]
-    return mapping
+            target, at = first.setdefault(parts[0], (parts[1], lineno))
+            if target != parts[1]:
+                raise DataError(f"{path}:{lineno}: {line!r} conflicts with line {at}")
+    return {source: target for source, (target, _) in first.items()}
 
 
 @dataclass(frozen=True)

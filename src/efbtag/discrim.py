@@ -24,6 +24,22 @@ Ids = Union[Sequence[int], Sequence[Sequence[int]], np.ndarray]
 
 
 @dataclass(frozen=True)
+class ExampleColumns:
+    """M examples as columns: (M, F) ids, (M,) previous labels or None, (M,) targets."""
+
+    ids: np.ndarray
+    prev_labels: Optional[np.ndarray]
+    targets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+
+# a training set: columns, or a list of examples whose id lists may be ragged
+Dataset = Union[ExampleColumns, Sequence[Example]]
+
+
+@dataclass(frozen=True)
 class SgdConfig:
     """Hyperparameters for mini-batch SGD with 1/(1 + decay*epoch) rate decay."""
 
@@ -117,7 +133,7 @@ def _as_batch(feature_ids) -> tuple[Ids, bool]:
         batch = feature_ids.ndim == 2
     else:
         batch = len(feature_ids) > 0 and not isinstance(feature_ids[0], (int, np.integer))
-    return (feature_ids if batch else [feature_ids]), batch
+    return (feature_ids if batch else np.asarray(feature_ids)[np.newaxis]), batch
 
 
 def _weight_rows(
@@ -165,6 +181,17 @@ def _weight_rows(
     if mask is not None:
         mask = np.hstack([mask, np.ones((len(ids), 1 + has_prev), dtype=bool)])
     return rows, mask
+
+
+def _example_rows(model: LogisticModel, dataset: Dataset):
+    """`_weight_rows` of a non-empty dataset in either form, and its intp targets."""
+    cols = dataset if isinstance(dataset, ExampleColumns) else ExampleColumns(*zip(*dataset))
+    targets = np.asarray(cols.targets, dtype=np.intp)
+    prevs = cols.prev_labels
+    if len(cols.ids) != len(targets) or (prevs is not None and len(prevs) != len(targets)):
+        raise InvalidInputError("a dataset needs one id row and label per example")
+    rows, mask = _weight_rows(model, cols.ids, prevs, targets)
+    return rows, mask, targets
 
 
 def _row_sums(weights: np.ndarray, rows: np.ndarray, mask: Optional[np.ndarray]):
@@ -239,7 +266,7 @@ def loss_and_gradient(
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is checked per epoch
 def train(
-    dataset: Sequence[Example],
+    dataset: Dataset,
     n_features: int,
     n_labels: int,
     config: SgdConfig,
@@ -247,18 +274,18 @@ def train(
 ) -> LogisticModel:
     """Mini-batch SGD on L2-regularized cross-entropy, deterministic per seed.
 
-    L2 decay is applied as a lazily tracked global scale so each batch
-    only touches the weight rows active in it.  A batch's updates reach
-    each weight in example order, so the model is bitwise the one a
-    per-example loop would write.  Weights that are not all finite after
-    an epoch raise NumericalDegeneracyError.
+    `dataset` is an `ExampleColumns` or a list of `Example` tuples; both
+    forms of the same examples give the same model.  L2 decay is applied
+    as a lazily tracked global scale so each batch only touches the weight
+    rows active in it.  A batch's updates reach each weight in example
+    order, so the model is bitwise the one a per-example loop would write.
+    Weights that are not all finite after an epoch raise
+    NumericalDegeneracyError.
     """
     if len(dataset) == 0:
         raise InvalidInputError("dataset must be non-empty")
     model = zero_model(n_features, n_labels, conditions_on_prev)
-    ids, prevs, targets = zip(*dataset)
-    targets = np.array(targets, dtype=np.intp)
-    rows, mask = _weight_rows(model, ids, prevs, targets)
+    rows, mask, targets = _example_rows(model, dataset)
     w = model.weights
     flat_w = w.reshape(-1)  # a view: `zero_model` makes a C-ordered table
     cols = np.arange(n_labels)
@@ -301,17 +328,13 @@ LOSS_CHUNK = 1024
 
 
 @np.errstate(all="ignore")  # a non-finite loss is the caller's to reject
-def mean_loss(
-    model: LogisticModel, dataset: Sequence[Example], l2: float = 0.0
-) -> float:
-    """The loss of `loss_and_gradient`, computed without the gradient."""
+def mean_loss(model: LogisticModel, dataset: Dataset, l2: float = 0.0) -> float:
+    """The loss of `loss_and_gradient` over a dataset in either form of `train`."""
     w = model.weights
     loss = _l2_term(w, l2)
     if len(dataset) == 0:
         return loss
-    ids, prevs, targets = zip(*dataset)
-    targets = np.array(targets, dtype=np.intp)
-    rows, mask = _weight_rows(model, ids, prevs, targets)
+    rows, mask, targets = _example_rows(model, dataset)
     inv = 1.0 / len(dataset)
     for start in range(0, len(dataset), LOSS_CHUNK):
         chunk = slice(start, start + LOSS_CHUNK)

@@ -53,11 +53,9 @@ def evaluate(tagger: Tagger, test: Corpus, train_vocab: Vocabulary) -> EvalRepor
     if len(test.sentences) == 0:
         raise InvalidInputError("test corpus is empty")
     n = len(tagger.tagset)
-    predicted: list[int] = []
-    for sent in test.sentences:
-        predicted.extend(tagger.decode(sent.tokens))
+    decoded = (tagger.decode(s.tokens) for s in test.sentences)
+    pred = np.fromiter(chain.from_iterable(decoded), np.intp)
     gold = np.fromiter(chain.from_iterable(s.labels for s in test.sentences), np.intp)
-    pred = np.array(predicted, dtype=np.intp)
     unknown = np.fromiter(
         chain.from_iterable(split_known_unknown(test.sentences, train_vocab)), bool
     )

@@ -12,6 +12,8 @@ from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core import LabeledSentence
 from .errors import InvalidInputError
 
@@ -178,8 +180,8 @@ class FeaturePipeline:
 
     index: FeatureIndex
 
-    def sentence_features(self, tokens: Sequence[str]) -> list[tuple[int, ...]]:
-        """Each token's feature ids; rows of indexed words come from the memo."""
+    def sentence_features(self, tokens: Sequence[str]) -> np.ndarray:
+        """(T, F) intp ids of the tokens; rows of indexed words come from the memo."""
         index = self.index
         memo = index.memo
         rows = []
@@ -191,4 +193,4 @@ class FeaturePipeline:
                 if ("word", tok) in index.ids:
                     memo[key] = row
             rows.append(row)
-        return rows
+        return np.array(rows, dtype=np.intp).reshape(len(rows), len(index.families))

@@ -289,7 +289,7 @@ def naive_feature_index(
 
 def estimate_naive_emission(
     index: FeatureIndex,
-    feats: Sequence[Sequence[Sequence[int]]],
+    feats: Sequence[np.ndarray | Sequence[Sequence[int]]],
     labels: Sequence[Sequence[int]],
     n_labels: int,
     smoothing: float = DEFAULT_SMOOTHING,
@@ -304,7 +304,7 @@ def estimate_naive_emission(
     check_smoothing(smoothing)
     if len(labels) != len(feats) or any(len(f) != len(y) for f, y in zip(feats, labels)):
         raise InvalidInputError("labels must hold one label per feature id row")
-    ids = np.array([row for sent in feats for row in sent], dtype=np.intp)
+    ids = np.concatenate(feats, dtype=np.intp)
     y = np.fromiter(chain.from_iterable(labels), dtype=np.intp)
     _check_labels(y, n_labels)
     bad = (ids < 0) | (ids >= index.size)

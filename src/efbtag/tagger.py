@@ -75,27 +75,6 @@ def _own_row(row: np.ndarray, t: int) -> np.ndarray:
     return row
 
 
-def _l0_dataset(
-    corpus: Corpus, feats: Sequence[list[tuple[int, ...]]]
-) -> list[discrim.Example]:
-    data: list[discrim.Example] = []
-    for sent, sent_feats in zip(corpus.sentences, feats):
-        for ids, label in zip(sent_feats, sent.labels):
-            data.append((ids, None, label))
-    return data
-
-
-def _l1_dataset(
-    corpus: Corpus, feats: Sequence[list[tuple[int, ...]]]
-) -> list[discrim.Example]:
-    # teacher forcing: gold previous label, positions t >= 2 only
-    data: list[discrim.Example] = []
-    for sent, sent_feats in zip(corpus.sentences, feats):
-        for t in range(1, len(sent)):
-            data.append((sent_feats[t], sent.labels[t - 1], sent.labels[t]))
-    return data
-
-
 @dataclass(frozen=True)
 class TrainSummary:
     n_sentences: int
@@ -131,18 +110,27 @@ def train_tagger(
     if kind is not DecoderKind.HMC_FB:
         index = build_index(corpus.sentences, template)
         pipeline = FeaturePipeline(index)
-        feats = [pipeline.sentence_features(sent.tokens) for sent in corpus.sentences]
+        # every token in corpus order: one (ΣT, F) id array, filled sentence by
+        # sentence, so no sentence's array outlives its copy
+        lengths = [len(sent) for sent in corpus.sentences]
+        ids = np.empty((sum(lengths), len(index.families)), dtype=np.intp)
+        feats = np.split(ids, np.cumsum(lengths)[:-1])  # each sentence's rows, a view
+        for sent, rows in zip(corpus.sentences, feats):
+            rows[:] = pipeline.sentence_features(sent.tokens)
     if kind is DecoderKind.HMC_NAIVE:
         labels = [sent.labels for sent in corpus.sentences]
         naive = hmc.estimate_naive_emission(index, feats, labels, n, smoothing)
         index = hmc.naive_feature_index(naive, template)
     if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
-        l0_data = _l0_dataset(corpus, feats)
+        labels = np.concatenate([sent.labels for sent in corpus.sentences], dtype=np.intp)
+        l0_data = discrim.ExampleColumns(ids, None, labels)
         l0 = discrim.train(l0_data, index.size, n, sgd, conditions_on_prev=False)
         final_loss = discrim.mean_loss(l0, l0_data, l2=sgd.l2)
     if kind is DecoderKind.MEMM:
-        l1_data = _l1_dataset(corpus, feats)
-        if not l1_data:
+        # teacher forcing: every token but a sentence's first, with its gold predecessor
+        rest = np.delete(np.arange(len(ids)), np.cumsum(lengths) - lengths)
+        l1_data = discrim.ExampleColumns(ids[rest], labels[rest - 1], labels[rest])
+        if len(l1_data) == 0:
             raise InvalidInputError(
                 "MEMM training needs at least one sentence of length >= 2"
             )

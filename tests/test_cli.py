@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from efbtag.cli import main
+from efbtag.cli import _sgd_config, build_parser, main
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.evaluation import EvalReport, evaluate
 from efbtag.features import FeatureTemplate
@@ -11,6 +11,7 @@ from efbtag.errors import DataError
 from efbtag.modelfile import MAGIC, load_model, save_model
 from efbtag.tagger import DecoderKind, train_tagger
 from efbtag.discrim import SgdConfig
+from efbtag.hmc import DEFAULT_SMOOTHING
 
 
 def synthetic_conll2000(rng, n_sentences=40):
@@ -218,6 +219,33 @@ class TestMalformedInputs:
         rc = main(["tag", str(model), str(bad), "--out", str(tmp_path / "out.txt")])
         assert_one_line_data_error(rc, capsys, bad)
 
+    def test_unwritable_tag_output_closes_the_input(self, toy_files, tmp_path, capsys):
+        # an unclosed input would raise ResourceWarning, an error under pytest's filters
+        train_path, _ = toy_files
+        model = tmp_path / "m.bin"
+        assert main(["train", str(train_path), "--format", "conll2000",
+                     "--decoder", "hmc-fb", "--out", str(model)]) == 0
+        capsys.readouterr()
+        sent_file = tmp_path / "in.txt"
+        sent_file.write_text("the cat runs\n", encoding="utf-8")
+        out = tmp_path / "missing" / "out.txt"
+        rc = main(["tag", str(model), str(sent_file), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("efbtag: ") and "out.txt" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_conflicting_tag_map_is_a_data_error(self, toy_files, tmp_path, capsys):
+        train_path, _ = toy_files
+        tagmap = tmp_path / "map.tsv"
+        tagmap.write_text("NN\tNOUN\nNN\tVERB\n", encoding="utf-8")
+        rc = main(["train", str(train_path), "--format", "conll2000",
+                   "--tagmap", str(tagmap), "--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"efbtag: {tagmap}:2: 'NN\\tVERB' conflicts with line 1\n"
+        )
+
     @pytest.mark.parametrize("kind", list(DecoderKind))
     @pytest.mark.parametrize(
         "edit",
@@ -239,6 +267,38 @@ class TestMalformedInputs:
 
 class TestSgdSettings:
     """Bad SGD settings are usage errors; training that diverges is exit 3."""
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_defaults_are_the_library_defaults(self, command):
+        paths = ["a.txt"] if command == "train" else ["a.txt", "b.txt"]
+        extra = ["--out", "m.bin"] if command == "train" else []
+        base = [command, *paths, "--format", "conllu", *extra]
+        args = build_parser().parse_args(base)
+        assert _sgd_config(args) == SgdConfig()
+        assert args.delta == DEFAULT_SMOOTHING
+        assert build_parser().parse_args(base + ["--delta", "0.01"]).delta == 0.01
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize(
+        "flag,value,field,parsed",
+        [
+            ("--seed", "7", "seed", 7),
+            ("--epochs", "3", "epochs", 3),
+            ("--lr", "0.25", "learning_rate", 0.25),
+            ("--decay", "0.5", "decay", 0.5),
+            ("--l2", "0.001", "l2", 0.001),
+            ("--batch", "5", "batch_size", 5),
+        ],
+    )
+    def test_each_flag_sets_its_field(self, command, flag, value, field, parsed):
+        paths = ["a.txt"] if command == "train" else ["a.txt", "b.txt"]
+        extra = ["--out", "m.bin"] if command == "train" else []
+        args = build_parser().parse_args(
+            [command, *paths, "--format", "conllu", *extra, flag, value]
+        )
+        config = _sgd_config(args)
+        assert type(getattr(config, field)) is type(parsed)
+        assert config == SgdConfig(**{field: parsed})
 
     @pytest.mark.parametrize(
         "flags,message",

@@ -112,6 +112,15 @@ class TestTagMap:
         with pytest.raises(DataError, match=":1"):
             load_tagmap(write(tmp_path, "map.tsv", "justonetoken\n"))
 
+    def test_conflicting_lines_name_both(self, tmp_path):
+        path = write(tmp_path, "map.tsv", "NN\tNOUN\n# note\nDT\tDET\nNN\tVERB\n")
+        with pytest.raises(DataError, match=r"map\.tsv:4: 'NN\\tVERB' conflicts with line 1$"):
+            load_tagmap(path)
+
+    def test_repeated_identical_line_accepted(self, tmp_path):
+        path = write(tmp_path, "map.tsv", "NN\tNOUN\nDT\tDET\nNN\tNOUN\n")
+        assert load_tagmap(path) == {"NN": "NOUN", "DT": "DET"}
+
 
 class TestSplitKnownUnknown:
     def test_basic_flags(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from efbtag.discrim import (
     LOSS_CHUNK,
+    ExampleColumns,
     LogisticModel,
     SgdConfig,
     loss_and_gradient,
@@ -229,8 +230,29 @@ def sparse_dataset(rng, n, n_features, n_labels, widths, conditions_on_prev=Fals
     ]
 
 
+def as_columns(dataset):
+    """`dataset` as `ExampleColumns`, or None where its ids are ragged or its
+    previous labels mix None with labels."""
+    ids, prevs, targets = zip(*dataset)
+    if len(set(map(len, ids))) != 1 or len({p is None for p in prevs}) != 1:
+        return None
+    prevs = None if prevs[0] is None else np.array(prevs, dtype=np.intp)
+    return ExampleColumns(np.array(ids, dtype=np.intp), prevs, np.array(targets))
+
+
+def both_forms(dataset):
+    """`dataset` as given, then as columns where it can be."""
+    columns = as_columns(dataset)
+    return [dataset] if columns is None else [dataset, columns]
+
+
 # (name, widths, conditions_on_prev): fixed-width, ragged, previous-label rows
-LAYOUTS = [("fixed", [3], False), ("ragged", [1, 2, 4, 6], False), ("prev", [1, 3], True)]
+LAYOUTS = [
+    ("fixed", [3], False),
+    ("ragged", [1, 2, 4, 6], False),
+    ("prev", [1, 3], True),
+    ("fixed-prev", [2], True),
+]
 
 
 class TestSinglePaths:
@@ -242,6 +264,12 @@ class TestSinglePaths:
         fast = train(dataset, 12, 4, config, conditions_on_prev=cond)
         ref = reference_train(dataset, 12, 4, config, conditions_on_prev=cond)
         assert fast.weights.tobytes() == ref.weights.tobytes()
+        columns = as_columns(dataset)
+        assert (columns is None) == (name in ("ragged", "prev"))
+        if columns is not None:
+            assert len(columns) == len(dataset)
+            cols = train(columns, 12, 4, config, conditions_on_prev=cond)
+            assert cols.weights.tobytes() == ref.weights.tobytes()
 
     @pytest.mark.parametrize("name,widths,cond", LAYOUTS)
     def test_mean_loss_equals_reference_loss(self, name, widths, cond):
@@ -250,6 +278,9 @@ class TestSinglePaths:
         model = random_model(rng, 10, 5, conditions_on_prev=cond)
         ref, _ = loss_and_gradient(model, dataset, l2=0.03)
         assert mean_loss(model, dataset, l2=0.03) == pytest.approx(ref, rel=1e-12)
+        columns = as_columns(dataset)
+        if columns is not None:
+            assert mean_loss(model, columns, l2=0.03) == mean_loss(model, dataset, l2=0.03)
 
     def test_mean_loss_over_several_chunks(self):
         rng = np.random.default_rng(71)
@@ -280,17 +311,31 @@ BAD_EXAMPLES = [
     "cond,dataset", [b[1:] for b in BAD_EXAMPLES], ids=[b[0] for b in BAD_EXAMPLES]
 )
 def test_bad_example_rejected(entry, cond, dataset):
-    with pytest.raises(InvalidInputError):
-        if entry == "train":
-            train(dataset, 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
-        else:
-            mean_loss(zero_model(4, 3, cond), dataset)
+    for data in both_forms(dataset):
+        with pytest.raises(InvalidInputError):
+            if entry == "train":
+                train(data, 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
+            else:
+                mean_loss(zero_model(4, 3, cond), data)
     if len(dataset) > 1:  # the valid examples alone are accepted
-        train(dataset[:-1], 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
-        mean_loss(zero_model(4, 3, cond), dataset[:-1])
+        for data in both_forms(dataset[:-1]):
+            train(data, 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
+            mean_loss(zero_model(4, 3, cond), data)
 
 
 def test_negative_seed_rejected():
     with pytest.raises(InvalidInputError, match="seed must be >= 0"):
         SgdConfig(seed=-1)
     assert SgdConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("entry", ["train", "mean_loss"])
+def test_columns_of_unequal_length_rejected(entry):
+    ids = np.array([[0], [1]])
+    for bad in (ExampleColumns(ids, None, np.array([0])),
+                ExampleColumns(ids, np.array([0]), np.array([0, 1]))):
+        with pytest.raises(InvalidInputError, match="one id row and label per example"):
+            if entry == "train":
+                train(bad, 4, 3, SgdConfig(epochs=1), conditions_on_prev=True)
+            else:
+                mean_loss(zero_model(4, 3, True), bad)

@@ -222,7 +222,7 @@ class TestNaiveEmissionMatrix:
 
     def test_untrained_family_rejected(self):
         tagger = self._tagger(FeatureTemplate.LF1)
-        row = tagger.pipeline.sentence_features(["cat"])[0]
+        row = tuple(tagger.pipeline.sentence_features(["cat"])[0].tolist())
         width = tagger.naive.stacked.shape[1]
         for bad in ([row + (0,)], [row[:-1] + (width,)], [row[:-1] + (-1,)], row):
             with pytest.raises(InvalidInputError):
@@ -235,14 +235,16 @@ class TestFeatureMemo:
         index = build_index(corpus.sentences, FeatureTemplate.LF2)
         pipeline = FeaturePipeline(index)
         tokens = ["walked", "Runs", "never-seen", "walked", "cat", "Runs"]
-        cold = [vectorize(extract(tok, pos, index.template), index)
+        cold = [list(vectorize(extract(tok, pos, index.template), index))
                 for pos, tok in enumerate(tokens)]
-        assert pipeline.sentence_features(tokens) == cold
+        first = pipeline.sentence_features(tokens)
+        assert first.dtype == np.intp
+        assert first.tolist() == cold
         assert index.memo
-        assert pipeline.sentence_features(tokens) == cold
+        assert pipeline.sentence_features(tokens).tolist() == cold
         # a known word moved to the first position gets its own row
-        assert pipeline.sentence_features(tokens[::-1]) == [
-            vectorize(extract(tok, pos, index.template), index)
+        assert pipeline.sentence_features(tokens[::-1]).tolist() == [
+            list(vectorize(extract(tok, pos, index.template), index))
             for pos, tok in enumerate(tokens[::-1])
         ]
 

@@ -5,9 +5,10 @@ import pytest
 
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.dataio import Corpus
+from efbtag import discrim
 from efbtag.discrim import SgdConfig, predict
 from efbtag.errors import InvalidInputError
-from efbtag.features import FeatureTemplate
+from efbtag.features import FeaturePipeline, FeatureTemplate, build_index
 from efbtag.modelfile import MAGIC, save_model
 from efbtag.tagger import DecoderKind, Tagger, train_compare_pair, train_tagger
 
@@ -109,3 +110,63 @@ def test_model_file_header_is_pinned(tmp_path, kind):
     data = path.read_bytes()
     header = data[len(MAGIC) : data.index(b"\n", len(MAGIC))]
     assert hashlib.sha256(header).hexdigest() == HEADER_SHA256[kind]
+
+
+def per_token_datasets(corpus, template):
+    """The l0 and l1 `Example` lists that training once built token by token."""
+    pipeline = FeaturePipeline(build_index(corpus.sentences, template))
+    feats = [
+        [tuple(row) for row in pipeline.sentence_features(sent.tokens).tolist()]
+        for sent in corpus.sentences
+    ]
+    l0_data, l1_data = [], []
+    for sent, sent_feats in zip(corpus.sentences, feats):
+        for ids, label in zip(sent_feats, sent.labels):
+            l0_data.append((ids, None, label))
+    # teacher forcing: gold previous label, positions t >= 2 only
+    for sent, sent_feats in zip(corpus.sentences, feats):
+        for t in range(1, len(sent)):
+            l1_data.append((sent_feats[t], sent.labels[t - 1], sent.labels[t]))
+    return pipeline.index.size, l0_data, l1_data
+
+
+def corpus_of(sentences) -> Corpus:
+    tagset = TagSet.from_labels(["DT", "NN", "VB"])
+    sentences = tuple(
+        LabeledSentence(tuple(words.split()), tuple(tagset.id_of(t) for t in tags.split()))
+        for words, tags in sentences
+    )
+    vocab = Vocabulary.from_words(w for s in sentences for w in s.tokens)
+    return Corpus(sentences=sentences, tagset=tagset, vocab=vocab)
+
+
+# length-1 sentences first, in the middle and last: no l1 example starts there
+SHORT_ENDS = [("dog", "NN"), ("the cat runs", "DT NN VB"), ("sleeps", "VB"),
+              ("a dog sleeps", "DT NN VB"), ("cat runs", "NN VB"), ("the", "DT")]
+
+
+@pytest.mark.parametrize("template", [FeatureTemplate.LF1, FeatureTemplate.LF2])
+def test_training_columns_equal_the_per_token_examples(template):
+    corpus = corpus_of(SHORT_ENDS)
+    sgd = SgdConfig(learning_rate=0.3, epochs=3, batch_size=3, l2=1e-3)
+    size, l0_data, l1_data = per_token_datasets(corpus, template)
+    l0 = discrim.train(l0_data, size, 3, sgd)
+    l1 = discrim.train(l1_data, size, 3, sgd, conditions_on_prev=True)
+    efb_tagger, efb_summary = train_tagger(corpus, DecoderKind.HMC_EFB, template, sgd)
+    memm_tagger, memm_summary = train_tagger(corpus, DecoderKind.MEMM, template, sgd)
+    assert efb_tagger.l0.weights.tobytes() == l0.weights.tobytes()
+    assert memm_tagger.l0.weights.tobytes() == l0.weights.tobytes()
+    assert memm_tagger.l1.weights.tobytes() == l1.weights.tobytes()
+    l0_loss = discrim.mean_loss(l0, l0_data, l2=sgd.l2)
+    assert efb_summary.final_loss == l0_loss
+    assert memm_summary.final_loss == 0.5 * (
+        l0_loss + discrim.mean_loss(l1, l1_data, l2=sgd.l2)
+    )
+
+
+def test_memm_needs_a_sentence_of_two_tokens():
+    corpus = corpus_of([("dog", "NN"), ("sleeps", "VB"), ("the", "DT")])
+    with pytest.raises(
+        InvalidInputError, match="MEMM training needs at least one sentence of length >= 2"
+    ):
+        train_tagger(corpus, DecoderKind.MEMM, FeatureTemplate.LF1, SgdConfig(epochs=1))
