@@ -161,3 +161,11 @@ def mpm_from_lattice(lattice: PosteriorLattice) -> list[int]:
 
 def as_lattice(values: Sequence[Sequence[float]] | np.ndarray) -> PosteriorLattice:
     return PosteriorLattice(np.asarray(values, dtype=np.float64))
+
+
+def id_array(values, what: str) -> np.ndarray:
+    """`values` as an intp array; non-integer values raise instead of being truncated."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise InvalidInputError(f"{what} must be integers, not {arr.dtype}")
+    return arr.astype(np.intp, copy=False)

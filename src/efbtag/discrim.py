@@ -14,6 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .core import id_array
 from .errors import InvalidInputError, NumericalDegeneracyError
 
 # one training example: (active feature ids, previous label or None, target)
@@ -144,15 +145,16 @@ def _weight_rows(
     Row t holds input t's feature ids, its previous-label row (one label for
     all or one per input; none when `all_prev`) and the bias row.  A ragged
     batch points its missing slots at row 0 and also returns the (T, W) mask
-    of real slots.  Ids, previous labels and `targets` are checked as arrays.
+    of real slots.  Ids, previous labels and `targets` are checked as arrays;
+    ids that are not integers raise instead of being truncated.
     """
     try:
-        ids = np.asarray(feature_ids, dtype=np.intp)
+        ids = id_array(feature_ids, "feature ids")
         real, mask = ids, None
     except ValueError:  # ragged
         lengths = np.fromiter(map(len, feature_ids), dtype=np.intp)
         mask = np.arange(lengths.max()) < lengths[:, None]
-        real = np.fromiter(chain.from_iterable(feature_ids), dtype=np.intp)
+        real = id_array(list(chain.from_iterable(feature_ids)), "feature ids")
         ids = np.zeros(mask.shape, dtype=np.intp)
         ids[mask] = real
     if ids.ndim != 2:

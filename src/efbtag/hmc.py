@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LabeledSentence, PosteriorLattice, TagSet, Vocabulary
+from .core import LabeledSentence, PosteriorLattice, TagSet, Vocabulary, id_array
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .features import FeatureIndex, FeatureTemplate, index_from_pairs
 
@@ -133,24 +133,29 @@ def scaled_forward(
     the textbook step `emissions[t] * (alphas[t - 1] @ trans)` in that
     order, so the lattice is bitwise the one that step gives.
     """
-    t_len, n = emissions.shape
-    alphas = np.empty((t_len, n))
-    scales = np.empty(t_len)
-    np.multiply(pi, emissions[0], out=alphas[0])
+    # a step is four numpy calls on N-vectors, so name lookups, keyword
+    # parsing and `np.dot`'s dispatch would be a visible share of it: the
+    # calls are bound once, take their output positionally, and the product
+    # is the array method, which runs the same BLAS call as `np.dot`
+    multiply, divide, add = np.multiply, np.divide, np.add.reduce
+    alphas = np.empty(emissions.shape)
+    scales = []
     prev = None
-    for t, (row, emit) in enumerate(zip(alphas, emissions)):
-        if prev is not None:
-            np.dot(prev, trans, out=row)
-            np.multiply(emit, row, out=row)
-        s = np.add.reduce(row)
+    for row, emit in zip(alphas, emissions):
+        if prev is None:
+            multiply(pi, emit, row)
+        else:
+            prev.dot(trans, row)
+            multiply(emit, row, row)
+        s = add(row)
         if not s > 0.0:
             raise NumericalDegeneracyError(
-                f"forward pass degenerated to zero mass at position {t}"
+                f"forward pass degenerated to zero mass at position {len(scales)}"
             )
-        scales[t] = s
-        np.divide(row, s, out=row)
+        scales.append(s)
+        divide(row, s, row)
         prev = row
-    return alphas, scales
+    return alphas, np.array(scales)
 
 
 def scaled_backward(
@@ -163,25 +168,27 @@ def scaled_backward(
     `trans @ (emissions[t + 1] * betas[t + 1])`; the product goes
     through one scratch vector.
     """
-    t_len, n = emissions.shape
-    betas = np.empty((t_len, n))
-    scales = np.empty(t_len)
-    buf = np.empty(n)
-    for t in range(t_len - 1, -1, -1):
-        row = betas[t]
-        if t < t_len - 1:
-            np.multiply(emissions[t + 1], betas[t + 1], out=buf)
-            np.dot(trans, buf, out=row)
-        else:
+    matvec, multiply, divide, add = trans.dot, np.multiply, np.divide, np.add.reduce
+    betas = np.empty(emissions.shape)
+    scales = []  # last position first
+    buf = np.empty(emissions.shape[1])
+    nxt = nxt_emit = None
+    for row, emit in zip(betas[::-1], emissions[::-1]):
+        if nxt is None:
             row.fill(1.0)
-        s = np.add.reduce(row)
+        else:
+            multiply(nxt_emit, nxt, buf)
+            matvec(buf, row)
+        s = add(row)
         if not s > 0.0:
+            t = len(betas) - 1 - len(scales)
             raise NumericalDegeneracyError(
                 f"backward pass degenerated to zero mass at position {t}"
             )
-        scales[t] = s
-        np.divide(row, s, out=row)
-    return betas, scales
+        scales.append(s)
+        divide(row, s, row)
+        nxt, nxt_emit = row, emit
+    return betas, np.array(scales[::-1])
 
 
 def unscale(rows: np.ndarray, scales: np.ndarray, backward: bool = False) -> np.ndarray:
@@ -198,7 +205,7 @@ def _emission_matrix(params: HmcParams, obs: Sequence[int]) -> np.ndarray:
         raise InvalidInputError("a bare (pi, A) chain has no word emission table")
     if len(obs) == 0:
         raise InvalidInputError("observation sequence must be non-empty")
-    obs_arr = np.asarray(obs, dtype=np.intp)
+    obs_arr = id_array(obs, "word ids")
     if obs_arr.min() < 0 or obs_arr.max() >= params.emit.shape[1]:
         raise InvalidInputError("word id outside emission table")
     return params.emit.T[obs_arr]  # (T, N), C-ordered: the recursions read rows
@@ -304,7 +311,7 @@ def estimate_naive_emission(
     check_smoothing(smoothing)
     if len(labels) != len(feats) or any(len(f) != len(y) for f, y in zip(feats, labels)):
         raise InvalidInputError("labels must hold one label per feature id row")
-    ids = np.concatenate(feats, dtype=np.intp)
+    ids = id_array(np.concatenate(feats), "feature ids")
     y = np.fromiter(chain.from_iterable(labels), dtype=np.intp)
     _check_labels(y, n_labels)
     bad = (ids < 0) | (ids >= index.size)
@@ -337,7 +344,7 @@ def naive_emission_matrix(
     model: NaiveFeatureEmission, ids: Sequence[Sequence[int]]
 ) -> np.ndarray:
     """T x N product, in family order, of the `stacked` columns of (T, F) ids."""
-    ids = np.asarray(ids, dtype=np.intp)
+    ids = id_array(ids, "feature ids")
     if ids.ndim != 2 or ids.shape[1] != len(model.families):
         raise InvalidInputError("naive emission ids must be a (T, families) array")
     if ids.size and (ids.min() < 0 or ids.max() >= model.stacked.shape[1]):

@@ -49,10 +49,8 @@ class Tagger:
 
     @cached_property
     def _efb_params(self) -> efb.EfbParams:
-        """hmc-efb's chain, checked once per tagger; observations are conditional rows."""
-        return efb.EfbParams(
-            pi=self.hmc_params.pi, trans=self.hmc_params.trans, l_provider=_own_row
-        )
+        """hmc-efb's chain, checked once per tagger; observations are (T, N) matrices."""
+        return efb.EfbParams(pi=self.hmc_params.pi, trans=self.hmc_params.trans)
 
     def decode(self, tokens: Sequence[str]) -> list[int]:
         if len(tokens) == 0:
@@ -65,14 +63,10 @@ class Tagger:
             lattice = hmc.posterior_naive_features(self.hmc_params, self.naive, feats)
             return mpm_from_lattice(lattice)
         if self.kind is DecoderKind.HMC_EFB:
-            # the sentence's conditional in one batch, handed over row by row
+            # the sentence's (T, N) conditional from one batch is the observation
             return efb.decode_efb(self._efb_params, discrim.predict(self.l0, feats))
         model = memm.MemmModel(l0=self.l0, l1=self.l1, tagset=self.tagset)
         return memm.decode_memm(model, feats)
-
-
-def _own_row(row: np.ndarray, t: int) -> np.ndarray:
-    return row
 
 
 @dataclass(frozen=True)

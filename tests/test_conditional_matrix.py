@@ -1,0 +1,227 @@
+"""hmc-efb's conditional matrix as the observation, and integer-only id inputs.
+
+An `EfbParams` built without a provider takes a sentence's (T, N)
+conditional matrix as its observations.  It must give the provider
+form's floored matrix, recursions and posteriors byte for byte, and
+reject what is not a (T, N) matrix; the provider form must reject rows
+that are not length-N vectors.  Id inputs that are not integers are
+rejected instead of being truncated.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from efbtag import discrim, efb, hmc
+from efbtag.core import mpm_from_lattice
+from efbtag.discrim import ExampleColumns, SgdConfig, predict, predict_all_prev, zero_model
+from efbtag.errors import InvalidInputError, NumericalDegeneracyError
+from efbtag.features import FeatureIndex, FeatureTemplate
+from efbtag.tagger import DecoderKind, train_tagger
+from test_bitwise_kernels import outcome, reference_backward, reference_forward
+from test_sentence_scoring import SGD, STEMS, random_corpus
+
+
+def both_forms(pi, trans, lmat):
+    """(params, obs) of the matrix form, then of a provider reading row t of `lmat`."""
+    matrix = efb.EfbParams(pi=pi, trans=trans)
+    provider = efb.EfbParams(pi=pi, trans=trans, l_provider=lambda y, t: lmat[y])
+    return [(matrix, lmat), (provider, range(len(lmat)))]
+
+
+def results(params, obs):
+    """The bytes of every public result of the entropic recursions, or the error."""
+    lattice = outcome(lambda p, o: (efb.posterior_efb(p, o).values,), params, obs)
+    return (
+        efb.conditional_matrix(params, obs).tobytes(),
+        outcome(efb.entropic_forward, params, obs),
+        outcome(efb.entropic_backward, params, obs),
+        lattice,
+    )
+
+
+def random_conditionals(rng, n, t_len, low, zeros):
+    """A chain and a T x N matrix with entries from 10**low up to 1.
+
+    `zeros` is "none", "entries" (about a tenth of the entries set to 0) or
+    "row" (one whole row of 0): exact zeros that the L_FLOOR clamp meets.
+    """
+    trans = rng.dirichlet(np.ones(n), size=n)
+    pi = rng.dirichlet(np.ones(n))
+    lmat = 10.0 ** rng.uniform(low, 0.0, (t_len, n))
+    if zeros == "entries":
+        lmat[rng.random((t_len, n)) < 0.1] = 0.0
+    elif zeros == "row":
+        lmat[rng.integers(t_len)] = 0.0
+    return pi, trans, lmat
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    t_len=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.sampled_from([-300.0, -100.0, -10.0, -1.0]),
+    zeros=st.sampled_from(["none", "entries", "row"]),
+    fortran=st.booleans(),
+)
+def test_matrix_form_bit_equal_to_provider_form(n, t_len, seed, low, zeros, fortran):
+    rng = np.random.default_rng(seed)
+    pi, trans, lmat = random_conditionals(rng, n, t_len, low, zeros)
+    if fortran:
+        lmat = np.asfortranarray(lmat)
+    (matrix, obs), (provider, positions) = both_forms(pi, trans, lmat)
+    assert results(matrix, obs) == results(provider, positions)
+
+
+@pytest.mark.parametrize("t_len", [1, 5000])
+def test_matrix_form_bit_equal_on_one_and_on_many_positions(t_len):
+    rng = np.random.default_rng(t_len)
+    n = 17
+    pi = rng.dirichlet(np.ones(n))
+    trans = rng.dirichlet(np.ones(n), size=n)
+    lmat = rng.dirichlet(np.full(n, 0.2), size=t_len)  # softmax-like rows
+    (matrix, obs), (provider, positions) = both_forms(pi, trans, lmat)
+    got = results(matrix, obs)
+    assert all(isinstance(r, tuple) for r in got[1:])  # no degeneracy
+    assert got == results(provider, positions)
+    assert efb.decode_efb(matrix, obs) == efb.decode_efb(provider, positions)
+
+
+def test_exact_zeros_are_floored_alike(worked_params):
+    lmat = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.3, 0.7]])
+    (matrix, obs), (provider, positions) = both_forms(
+        worked_params.pi, worked_params.trans, lmat
+    )
+    floored = efb.conditional_matrix(matrix, obs)
+    assert (floored[lmat == 0.0] == efb.L_FLOOR).all()
+    assert np.isfinite(efb.posterior_efb(matrix, obs).values).all()
+    assert results(matrix, obs) == results(provider, positions)
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [lambda m: m.astype(np.float32), lambda m: m.tolist()],
+    ids=["float32", "nested-list"],
+)
+def test_matrix_form_converts_like_the_provider_stores(worked_params, convert):
+    rng = np.random.default_rng(8)
+    lmat = convert(rng.dirichlet(np.ones(2), size=6))
+    (matrix, obs), (provider, positions) = both_forms(
+        worked_params.pi, worked_params.trans, lmat
+    )
+    assert results(matrix, obs) == results(provider, positions)
+
+
+def parent_posterior(tagger, lmat):
+    """The earlier hmc-efb path: each row copied into a matrix, floored, then
+    the fresh-row textbook recursions."""
+    rows = np.empty(lmat.shape)
+    for t, row in enumerate(lmat):
+        rows[t] = row
+    pi, trans = tagger.hmc_params.pi, tagger.hmc_params.trans
+    ratio = np.maximum(rows, efb.L_FLOOR) / pi
+    alphas, _ = reference_forward(pi, trans, ratio)
+    betas, _ = reference_backward(trans, ratio)
+    return hmc.posterior_from_lattices(alphas, betas)
+
+
+@pytest.mark.parametrize("template", [FeatureTemplate.LF1, FeatureTemplate.LF2])
+def test_efb_tagger_decodes_as_the_row_copying_path(monkeypatch, template):
+    corpus = random_corpus(np.random.default_rng(31))
+    tagger, _ = train_tagger(corpus, DecoderKind.HMC_EFB, template, SGD)
+    lattices = []
+    posterior = efb.posterior_efb
+
+    def kept(params, obs):
+        lattices.append(posterior(params, obs))
+        return lattices[-1]
+
+    monkeypatch.setattr(efb, "posterior_efb", kept)
+    test = random_corpus(np.random.default_rng(32), 25, STEMS + ("zebra", "Quux"))
+    for sent in test.sentences:
+        labels = tagger.decode(sent.tokens)
+        lmat = predict(tagger.l0, tagger.pipeline.sentence_features(sent.tokens))
+        want = parent_posterior(tagger, lmat)
+        assert lattices.pop().values.tobytes() == want.values.tobytes()
+        assert labels == mpm_from_lattice(want)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [0.5, np.array([0.7]), np.array([0.2, 0.3, 0.5]), np.full((2, 1), 0.5), [[0.5, 0.5]]],
+    ids=["scalar", "one-entry", "three-entries", "column", "nested"],
+)
+def test_provider_row_of_another_shape_rejected(worked_params, row):
+    params = efb.EfbParams(
+        pi=worked_params.pi, trans=worked_params.trans, l_provider=lambda y, t: row
+    )
+    for entry in (efb.conditional_matrix, efb.posterior_efb, efb.decode_efb):
+        with pytest.raises(InvalidInputError, match=r"conditional row 0 has shape"):
+            entry(params, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "obs",
+    [0.5, [], np.full(2, 0.5), np.empty((0, 2)), np.full((3, 3), 0.2),
+     np.full((3, 1), 0.5), np.full((2, 2, 1), 0.5), [[0.5, 0.5], [0.5]], [["a", "b"]]],
+    ids=["scalar", "empty-list", "vector", "no-rows", "three-columns", "one-column",
+         "three-dims", "ragged", "strings"],
+)
+def test_matrix_form_rejects_what_is_not_a_t_by_n_matrix(worked_params, obs):
+    params = efb.EfbParams(pi=worked_params.pi, trans=worked_params.trans)
+    for entry in (efb.conditional_matrix, efb.entropic_forward, efb.entropic_backward,
+                  efb.posterior_efb, efb.decode_efb):
+        with pytest.raises(InvalidInputError, match="conditional matrix"):
+            entry(params, obs)
+
+
+def test_nan_in_the_matrix_form_is_a_degeneracy(worked_params):
+    params = efb.EfbParams(pi=worked_params.pi, trans=worked_params.trans)
+    with pytest.raises(NumericalDegeneracyError):
+        efb.posterior_efb(params, np.array([[0.5, 0.5], [np.nan, np.nan]]))
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [np.array([[0.7, 1.9]]), [0.7, 1], [(0, 1), (0.5,)], [(0, 1), (2, 1.0)],
+     np.array(["0", "1"])],
+    ids=["float-batch", "float-input", "ragged-batch", "float-among-ints", "strings"],
+)
+def test_non_integer_feature_ids_rejected(ids):
+    plain = zero_model(3, 2)
+    with pytest.raises(InvalidInputError, match="feature ids must be integers"):
+        predict(plain, ids)
+    with pytest.raises(InvalidInputError, match="feature ids must be integers"):
+        predict_all_prev(zero_model(3, 2, conditions_on_prev=True), ids)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
+def test_integer_ids_of_any_width_accepted(dtype):
+    rng = np.random.default_rng(2)
+    model = discrim.LogisticModel(rng.standard_normal((6, 3)), 5, 3, False)
+    ids = rng.integers(0, 5, (4, 2))
+    assert predict(model, ids.astype(dtype)).tobytes() == predict(model, ids).tobytes()
+
+
+@pytest.mark.parametrize("entry", ["train", "mean_loss"])
+def test_non_integer_id_columns_rejected(entry):
+    data = ExampleColumns(np.array([[0.0], [1.5]]), None, np.array([0, 1]))
+    with pytest.raises(InvalidInputError, match="feature ids must be integers"):
+        if entry == "train":
+            discrim.train(data, 4, 3, SgdConfig(epochs=1))
+        else:
+            discrim.mean_loss(zero_model(4, 3), data)
+
+
+def test_naive_estimate_rejects_non_integer_ids():
+    index = FeatureIndex(
+        FeatureTemplate.NF, ("word",), {("word", "x"): 0, ("word", "y"): 1}, {"word": 2}
+    )
+    with pytest.raises(InvalidInputError, match="feature ids must be integers"):
+        hmc.estimate_naive_emission(index, [[(0.7,), (1,)]], [(0, 1)], 2)
+
+
+def test_fb_rejects_non_integer_word_ids(worked_params):
+    with pytest.raises(InvalidInputError, match="word ids must be integers"):
+        hmc.posterior_fb(worked_params, [0.5, 1])

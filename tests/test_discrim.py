@@ -296,6 +296,7 @@ class TestSinglePaths:
 BAD_EXAMPLES = [
     ("id-too-large", False, [([0, 1], None, 0), ([4], None, 1)]),
     ("negative-id", False, [([0, 2], None, 0), ([1, -1], None, 1)]),
+    ("fractional-id", False, [([0, 2], None, 0), ([1.5], None, 1)]),
     ("prev-on-plain-model", False, [([0], None, 0), ([1], 2, 1)]),
     ("none-prev-on-conditioned", True, [([1], None, 1)]),
     ("mixed-prev-on-conditioned", True, [([0], 1, 0), ([1, 2], None, 1)]),

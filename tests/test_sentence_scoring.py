@@ -224,7 +224,8 @@ class TestNaiveEmissionMatrix:
         tagger = self._tagger(FeatureTemplate.LF1)
         row = tuple(tagger.pipeline.sentence_features(["cat"])[0].tolist())
         width = tagger.naive.stacked.shape[1]
-        for bad in ([row + (0,)], [row[:-1] + (width,)], [row[:-1] + (-1,)], row):
+        for bad in ([row + (0,)], [row[:-1] + (width,)], [row[:-1] + (-1,)], row,
+                    [row[:-1] + (0.5,)]):
             with pytest.raises(InvalidInputError):
                 hmc.naive_emission_matrix(tagger.naive, bad)
 
