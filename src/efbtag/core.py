@@ -164,8 +164,11 @@ def as_lattice(values: Sequence[Sequence[float]] | np.ndarray) -> PosteriorLatti
 
 
 def id_array(values, what: str) -> np.ndarray:
-    """`values` as an intp array; non-integer values raise instead of being truncated."""
-    arr = np.asarray(values)
+    """`values` as an intp array; ragged or non-integer values raise instead of being cut."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy refuses to stack rows of unequal length
+        raise InvalidInputError(f"{what} are ragged: rows must have one length") from None
     if arr.size and arr.dtype.kind not in "iu":
         raise InvalidInputError(f"{what} must be integers, not {arr.dtype}")
     return arr.astype(np.intp, copy=False)

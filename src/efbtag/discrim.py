@@ -9,19 +9,16 @@ feature id space).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .core import id_array
 from .errors import InvalidInputError, NumericalDegeneracyError
 
 # one training example: (active feature ids, previous label or None, target)
 Example = tuple[Sequence[int], Optional[int], int]
-# one input's feature ids, or a batch of them: a (T, F) array or a list of
-# id sequences, which may differ in length
-Ids = Union[Sequence[int], Sequence[Sequence[int]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -36,7 +33,7 @@ class ExampleColumns:
         return len(self.targets)
 
 
-# a training set: columns, or a list of examples whose id lists may be ragged
+# a training set: columns, or a list of examples whose id lists have one length
 Dataset = Union[ExampleColumns, Sequence[Example]]
 
 
@@ -128,48 +125,33 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _as_batch(feature_ids) -> tuple[Ids, bool]:
-    """A batch of inputs' id sequences as is, or one input's ids as a batch of one."""
-    if isinstance(feature_ids, np.ndarray):
-        batch = feature_ids.ndim == 2
-    else:
-        batch = len(feature_ids) > 0 and not isinstance(feature_ids[0], (int, np.integer))
-    return (feature_ids if batch else np.asarray(feature_ids)[np.newaxis]), batch
+def _as_batch(feature_ids) -> tuple[np.ndarray, bool]:
+    """A (T, F) batch of inputs' ids as intp, or one input's ids as a batch of one."""
+    ids = id_array(feature_ids, "feature ids")
+    batch = ids.ndim == 2
+    return (ids if batch else ids[np.newaxis]), batch
 
 
 def _weight_rows(
-    model: LogisticModel, feature_ids, prev_label=None, targets=None, all_prev=False
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(T, W) weight-row indices of a batch of T inputs, in `active_rows` order.
+    model: LogisticModel, ids: np.ndarray, prev_label=None, all_prev=False
+) -> np.ndarray:
+    """(T, W) weight-row indices of a (T, F) id batch, in `active_rows` order.
 
     Row t holds input t's feature ids, its previous-label row (one label for
-    all or one per input; none when `all_prev`) and the bias row.  A ragged
-    batch points its missing slots at row 0 and also returns the (T, W) mask
-    of real slots.  Ids, previous labels and `targets` are checked as arrays;
-    ids that are not integers raise instead of being truncated.
+    all or one per input; none when `all_prev`) and the bias row.  Ids and
+    previous labels are checked as arrays; values that are not integers
+    raise instead of being truncated.
     """
-    try:
-        ids = id_array(feature_ids, "feature ids")
-        real, mask = ids, None
-    except ValueError:  # ragged
-        lengths = np.fromiter(map(len, feature_ids), dtype=np.intp)
-        mask = np.arange(lengths.max()) < lengths[:, None]
-        real = id_array(list(chain.from_iterable(feature_ids)), "feature ids")
-        ids = np.zeros(mask.shape, dtype=np.intp)
-        ids[mask] = real
     if ids.ndim != 2:
         raise InvalidInputError("a batch of feature ids must be two-dimensional")
-    bad = (real < 0) | (real >= model.n_features)
+    bad = (ids < 0) | (ids >= model.n_features)
     if bad.any():
-        raise InvalidInputError(f"feature id {int(real[bad][0])} out of range")
-    if targets is not None and np.any((targets < 0) | (targets >= model.n_labels)):
-        raise InvalidInputError("target label out of range")
+        raise InvalidInputError(f"feature id {int(ids[bad][0])} out of range")
     has_prev = model.conditions_on_prev and not all_prev
     if has_prev:
-        try:
-            prev = np.asarray(prev_label, dtype=np.intp)
-        except TypeError:  # None, or None among the labels
-            raise InvalidInputError("model conditions on the previous label") from None
+        if prev_label is None or None in np.ravel(prev_label):
+            raise InvalidInputError("model conditions on the previous label")
+        prev = id_array(prev_label, "previous labels")
         out = (prev < 0) | (prev >= model.n_labels)
         if out.any():
             raise InvalidInputError(f"previous label {int(prev[out][0])} out of range")
@@ -180,53 +162,49 @@ def _weight_rows(
     if has_prev:
         rows[:, -2] = model.n_features + prev
     rows[:, -1] = model.bias_row
-    if mask is not None:
-        mask = np.hstack([mask, np.ones((len(ids), 1 + has_prev), dtype=bool)])
-    return rows, mask
+    return rows
 
 
 def _example_rows(model: LogisticModel, dataset: Dataset):
     """`_weight_rows` of a non-empty dataset in either form, and its intp targets."""
     cols = dataset if isinstance(dataset, ExampleColumns) else ExampleColumns(*zip(*dataset))
-    targets = np.asarray(cols.targets, dtype=np.intp)
+    targets = id_array(cols.targets, "labels")
     prevs = cols.prev_labels
     if len(cols.ids) != len(targets) or (prevs is not None and len(prevs) != len(targets)):
         raise InvalidInputError("a dataset needs one id row and label per example")
-    rows, mask = _weight_rows(model, cols.ids, prevs, targets)
-    return rows, mask, targets
+    if np.any((targets < 0) | (targets >= model.n_labels)):
+        raise InvalidInputError("target label out of range")
+    return _weight_rows(model, id_array(cols.ids, "feature ids"), prevs), targets
 
 
-def _row_sums(weights: np.ndarray, rows: np.ndarray, mask: Optional[np.ndarray]):
-    """Each input's gathered weight rows summed in slot order, masked slots zeroed."""
+def _row_sums(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each input's gathered weight rows summed in slot order."""
     # Gathered slot-major, (W, T, N): the reduction over axis 0 adds whole
     # (T, N) slabs one slot after another, so each input's sum is taken in
     # slot order exactly as summing its own (W, N) rows does, while every
     # addition runs over a contiguous slab instead of T short rows.
-    gathered = weights[rows.T]
-    if mask is not None:
-        gathered[~mask.T] = 0.0
-    return np.add.reduce(gathered, axis=0)
+    return np.add.reduce(weights[rows.T], axis=0)
 
 
 def predict(
     model: LogisticModel,
-    feature_ids: Ids,
+    feature_ids: ArrayLike,
     prev_label: Optional[int] | Sequence[int] = None,
 ) -> np.ndarray:
     """Softmax distribution over the N labels for one input.
 
-    Given a batch of T inputs (a (T, F) id array or a list of id
-    sequences), returns the (T, N) matrix whose row t is the prediction
-    for input t, from one gather-sum-softmax; `prev_label` is then one
-    label for every row or one per row.
+    Given a batch of T inputs (a (T, F) id array, or T id sequences of one
+    length), returns the (T, N) matrix whose row t is the prediction for
+    input t, from one gather-sum-softmax; `prev_label` is then one label
+    for every row or one per row.
     """
     ids, batch = _as_batch(feature_ids)
-    rows, mask = _weight_rows(model, ids, prev_label)
-    probs = _softmax_rows(_row_sums(model.weights, rows, mask))
+    rows = _weight_rows(model, ids, prev_label)
+    probs = _softmax_rows(_row_sums(model.weights, rows))
     return probs if batch else probs[0]
 
 
-def predict_all_prev(model: LogisticModel, feature_ids: Ids) -> np.ndarray:
+def predict_all_prev(model: LogisticModel, feature_ids: ArrayLike) -> np.ndarray:
     """N x N table whose column j is the prediction given previous label j.
 
     Given a batch of T inputs, returns the (T, N, N) stack of those tables.
@@ -234,8 +212,8 @@ def predict_all_prev(model: LogisticModel, feature_ids: Ids) -> np.ndarray:
     if not model.conditions_on_prev:
         raise InvalidInputError("model does not condition on the previous label")
     ids, batch = _as_batch(feature_ids)
-    rows, mask = _weight_rows(model, ids, all_prev=True)
-    base = _row_sums(model.weights, rows, mask)
+    rows = _weight_rows(model, ids, all_prev=True)
+    base = _row_sums(model.weights, rows)
     block = model.weights[model.n_features : model.n_features + model.n_labels]
     scores = base[:, None, :] + block  # [t, j]: scores at t given prev=j
     tables = _softmax_rows(scores).transpose(0, 2, 1)
@@ -287,7 +265,7 @@ def train(
     if len(dataset) == 0:
         raise InvalidInputError("dataset must be non-empty")
     model = zero_model(n_features, n_labels, conditions_on_prev)
-    rows, mask, targets = _example_rows(model, dataset)
+    rows, targets = _example_rows(model, dataset)
     w = model.weights
     flat_w = w.reshape(-1)  # a view: `zero_model` makes a C-ordered table
     cols = np.arange(n_labels)
@@ -301,9 +279,8 @@ def train(
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             b_rows = rows[batch_idx]  # (B, width)
-            b_mask = None if mask is None else mask[batch_idx]
             b_size = len(batch_idx)
-            g = _softmax_rows(scale * _row_sums(w, b_rows, b_mask))
+            g = _softmax_rows(scale * _row_sums(w, b_rows))
             g[np.arange(b_size), targets[batch_idx]] -= 1.0
             scale *= decay_factor
             g *= rate / (b_size * scale)
@@ -311,8 +288,6 @@ def train(
             # updates in example order, through numpy's fast 1-D `ufunc.at`
             flat_ids = b_rows[:, :, None] * n_labels + cols
             g = np.broadcast_to(g[:, None, :], flat_ids.shape)
-            if b_mask is not None:
-                flat_ids, g = flat_ids[b_mask], g[b_mask]
             np.subtract.at(flat_w, flat_ids.ravel(), g.ravel())
         # fold the lazy scale back in once per epoch to limit drift
         w *= scale
@@ -336,11 +311,11 @@ def mean_loss(model: LogisticModel, dataset: Dataset, l2: float = 0.0) -> float:
     loss = _l2_term(w, l2)
     if len(dataset) == 0:
         return loss
-    rows, mask, targets = _example_rows(model, dataset)
+    rows, targets = _example_rows(model, dataset)
     inv = 1.0 / len(dataset)
     for start in range(0, len(dataset), LOSS_CHUNK):
         chunk = slice(start, start + LOSS_CHUNK)
-        scores = _row_sums(w, rows[chunk], None if mask is None else mask[chunk])
+        scores = _row_sums(w, rows[chunk])
         p = _softmax_rows(scores)
         loss -= inv * float(np.log(p[np.arange(len(p)), targets[chunk]]).sum())
     return loss

@@ -106,7 +106,7 @@ def estimate_params(
 
     n = len(tagset)
     m1 = len(vocab) + 1
-    labels = np.fromiter(chain.from_iterable(s.labels for s in corpus), dtype=np.intp)
+    labels = id_array(list(chain.from_iterable(s.labels for s in corpus)), "labels")
     _check_labels(labels, n)
     tokens = chain.from_iterable(s.tokens for s in corpus)
     words = np.array(vocab.ids_of(tokens), dtype=np.intp)
@@ -311,8 +311,13 @@ def estimate_naive_emission(
     check_smoothing(smoothing)
     if len(labels) != len(feats) or any(len(f) != len(y) for f, y in zip(feats, labels)):
         raise InvalidInputError("labels must hold one label per feature id row")
-    ids = id_array(np.concatenate(feats), "feature ids")
-    y = np.fromiter(chain.from_iterable(labels), dtype=np.intp)
+    try:
+        ids = id_array(np.concatenate(feats), "feature ids")
+    except ValueError:  # sentences whose id rows differ in width
+        raise InvalidInputError("feature ids are ragged: sentences differ in width") from None
+    if ids.ndim != 2 or ids.shape[1] != len(index.families):
+        raise InvalidInputError("each sentence's feature ids must be a (T, families) array")
+    y = id_array(list(chain.from_iterable(labels)), "labels")
     _check_labels(y, n_labels)
     bad = (ids < 0) | (ids >= index.size)
     if bad.any():

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PosteriorLattice, TagSet, mpm_from_lattice
+from .core import PosteriorLattice, TagSet, id_array, mpm_from_lattice
 from .discrim import LogisticModel, predict, predict_all_prev
 from .errors import InvalidInputError
 
@@ -56,7 +56,8 @@ def forward_lattice(
 
 
 def memm_forward(model: MemmModel, obs: Sequence[Sequence[int]]) -> np.ndarray:
-    """T x N forward lattice for one sentence's per-position feature ids."""
+    """T x N forward lattice for one sentence's (T, F) feature ids."""
+    obs = id_array(obs, "feature ids")
     if len(obs) == 0:
         raise InvalidInputError("observation sequence must be non-empty")
     first = predict(model.l0, obs[0])

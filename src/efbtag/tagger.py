@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import discrim, efb, hmc, memm
-from .core import TagSet, Vocabulary, mpm_from_lattice
+from .core import TagSet, Vocabulary, id_array, mpm_from_lattice
 from .dataio import Corpus
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .features import FeatureIndex, FeaturePipeline, FeatureTemplate, build_index
@@ -116,7 +116,7 @@ def train_tagger(
         naive = hmc.estimate_naive_emission(index, feats, labels, n, smoothing)
         index = hmc.naive_feature_index(naive, template)
     if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
-        labels = np.concatenate([sent.labels for sent in corpus.sentences], dtype=np.intp)
+        labels = id_array(np.concatenate([s.labels for s in corpus.sentences]), "labels")
         l0_data = discrim.ExampleColumns(ids, None, labels)
         l0 = discrim.train(l0_data, index.size, n, sgd, conditions_on_prev=False)
         final_loss = discrim.mean_loss(l0, l0_data, l2=sgd.l2)

@@ -5,8 +5,10 @@ conditional matrix as its observations.  It must give the provider
 form's floored matrix, recursions and posteriors byte for byte, and
 reject what is not a (T, N) matrix; the provider form must reject rows
 that are not length-N vectors.  Id inputs that are not integers are
-rejected instead of being truncated.
+rejected instead of being truncated, and so are labels that are not.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,9 +186,8 @@ def test_nan_in_the_matrix_form_is_a_degeneracy(worked_params):
 
 @pytest.mark.parametrize(
     "ids",
-    [np.array([[0.7, 1.9]]), [0.7, 1], [(0, 1), (0.5,)], [(0, 1), (2, 1.0)],
-     np.array(["0", "1"])],
-    ids=["float-batch", "float-input", "ragged-batch", "float-among-ints", "strings"],
+    [np.array([[0.7, 1.9]]), [0.7, 1], [(0, 1), (2, 1.0)], np.array(["0", "1"])],
+    ids=["float-batch", "float-input", "float-among-ints", "strings"],
 )
 def test_non_integer_feature_ids_rejected(ids):
     plain = zero_model(3, 2)
@@ -204,22 +205,51 @@ def test_integer_ids_of_any_width_accepted(dtype):
     assert predict(model, ids.astype(dtype)).tobytes() == predict(model, ids).tobytes()
 
 
+# (name, columns, what): one column of otherwise valid examples is not integer
+BAD_COLUMNS = [
+    ("ids", (np.array([[0.0], [1.5]]), None, np.array([0, 1])), "feature ids"),
+    ("targets", (np.array([[0], [1]]), None, np.array([0, 0.9])), "labels"),
+    ("prev-labels", (np.array([[0], [1]]), np.array([1.7, 0]), np.array([0, 1])),
+     "previous labels"),
+]
+
+
 @pytest.mark.parametrize("entry", ["train", "mean_loss"])
-def test_non_integer_id_columns_rejected(entry):
-    data = ExampleColumns(np.array([[0.0], [1.5]]), None, np.array([0, 1]))
-    with pytest.raises(InvalidInputError, match="feature ids must be integers"):
+@pytest.mark.parametrize(
+    "columns,what", [b[1:] for b in BAD_COLUMNS], ids=[b[0] for b in BAD_COLUMNS]
+)
+def test_non_integer_columns_rejected(entry, columns, what):
+    data = ExampleColumns(*columns)
+    cond = data.prev_labels is not None
+    with pytest.raises(InvalidInputError, match=f"^{what} must be integers"):
         if entry == "train":
-            discrim.train(data, 4, 3, SgdConfig(epochs=1))
+            discrim.train(data, 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
         else:
-            discrim.mean_loss(zero_model(4, 3), data)
+            discrim.mean_loss(zero_model(4, 3, cond), data)
 
 
-def test_naive_estimate_rejects_non_integer_ids():
+@pytest.mark.parametrize(
+    "feats,labels,what",
+    [([[(0.7,), (1,)]], [(0, 1)], "feature ids"), ([[(0,), (1,)]], [(0, 1.0)], "labels")],
+    ids=["ids", "labels"],
+)
+def test_naive_estimate_rejects_non_integer_values(feats, labels, what):
     index = FeatureIndex(
         FeatureTemplate.NF, ("word",), {("word", "x"): 0, ("word", "y"): 1}, {"word": 2}
     )
-    with pytest.raises(InvalidInputError, match="feature ids must be integers"):
-        hmc.estimate_naive_emission(index, [[(0.7,), (1,)]], [(0, 1)], 2)
+    with pytest.raises(InvalidInputError, match=f"^{what} must be integers"):
+        hmc.estimate_naive_emission(index, feats, labels, 2)
+
+
+@pytest.mark.parametrize("kind", list(DecoderKind))
+def test_training_rejects_a_non_integer_corpus_label(kind):
+    # the hmc kinds meet it in `estimate_params`, memm in `train_tagger` itself
+    corpus = random_corpus(np.random.default_rng(34), 6)
+    sent = corpus.sentences[-1]
+    bad = replace(sent, labels=sent.labels[:-1] + (1.0,))
+    corpus = replace(corpus, sentences=corpus.sentences[:-1] + (bad,))
+    with pytest.raises(InvalidInputError, match="^labels must be integers, not float64"):
+        train_tagger(corpus, kind, FeatureTemplate.LF1, SGD)
 
 
 def test_fb_rejects_non_integer_word_ids(worked_params):

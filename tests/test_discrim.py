@@ -114,7 +114,7 @@ class TestLossAndGradient:
     def test_zero_l2_ignores_overflowing_weights(self):
         # (w * w) overflows to inf here, and 0 * inf would be nan
         model = LogisticModel(np.full((4, 3), 1e200), 3, 3, False)
-        data = [([0], None, 1), ([1, 2], None, 0)]
+        data = [([0, 1], None, 1), ([1, 2], None, 0)]
         assert loss_and_gradient(model, data, l2=0.0)[0] == pytest.approx(math.log(3))
         assert mean_loss(model, data, l2=0.0) == pytest.approx(math.log(3))
 
@@ -172,7 +172,7 @@ class TestTrain:
 
     def test_duplicated_dataset_same_trajectory_under_full_batch(self):
         # full-batch mean gradients are identical for the doubled set
-        dataset = [([0], None, 0), ([1], None, 1), ([0, 1], None, 0)]
+        dataset = [([0, 0], None, 0), ([1, 1], None, 1), ([0, 1], None, 0)]
         doubled = dataset * 2
         cfg = lambda n: SgdConfig(
             learning_rate=0.3, decay=0.1, epochs=25, l2=1e-3, batch_size=n
@@ -231,13 +231,13 @@ def sparse_dataset(rng, n, n_features, n_labels, widths, conditions_on_prev=Fals
 
 
 def as_columns(dataset):
-    """`dataset` as `ExampleColumns`, or None where its ids are ragged or its
+    """`dataset` as `ExampleColumns` of the values as given, or None where its
     previous labels mix None with labels."""
     ids, prevs, targets = zip(*dataset)
-    if len(set(map(len, ids))) != 1 or len({p is None for p in prevs}) != 1:
+    if len({p is None for p in prevs}) != 1:
         return None
-    prevs = None if prevs[0] is None else np.array(prevs, dtype=np.intp)
-    return ExampleColumns(np.array(ids, dtype=np.intp), prevs, np.array(targets))
+    prevs = None if prevs[0] is None else np.array(prevs)
+    return ExampleColumns(np.array(ids), prevs, np.array(targets))
 
 
 def both_forms(dataset):
@@ -246,11 +246,9 @@ def both_forms(dataset):
     return [dataset] if columns is None else [dataset, columns]
 
 
-# (name, widths, conditions_on_prev): fixed-width, ragged, previous-label rows
+# (name, widths, conditions_on_prev): plain and previous-label rows
 LAYOUTS = [
     ("fixed", [3], False),
-    ("ragged", [1, 2, 4, 6], False),
-    ("prev", [1, 3], True),
     ("fixed-prev", [2], True),
 ]
 
@@ -265,11 +263,9 @@ class TestSinglePaths:
         ref = reference_train(dataset, 12, 4, config, conditions_on_prev=cond)
         assert fast.weights.tobytes() == ref.weights.tobytes()
         columns = as_columns(dataset)
-        assert (columns is None) == (name in ("ragged", "prev"))
-        if columns is not None:
-            assert len(columns) == len(dataset)
-            cols = train(columns, 12, 4, config, conditions_on_prev=cond)
-            assert cols.weights.tobytes() == ref.weights.tobytes()
+        assert len(columns) == len(dataset)
+        cols = train(columns, 12, 4, config, conditions_on_prev=cond)
+        assert cols.weights.tobytes() == ref.weights.tobytes()
 
     @pytest.mark.parametrize("name,widths,cond", LAYOUTS)
     def test_mean_loss_equals_reference_loss(self, name, widths, cond):
@@ -279,31 +275,32 @@ class TestSinglePaths:
         ref, _ = loss_and_gradient(model, dataset, l2=0.03)
         assert mean_loss(model, dataset, l2=0.03) == pytest.approx(ref, rel=1e-12)
         columns = as_columns(dataset)
-        if columns is not None:
-            assert mean_loss(model, columns, l2=0.03) == mean_loss(model, dataset, l2=0.03)
+        assert mean_loss(model, columns, l2=0.03) == mean_loss(model, dataset, l2=0.03)
 
     def test_mean_loss_over_several_chunks(self):
         rng = np.random.default_rng(71)
-        dataset = sparse_dataset(rng, LOSS_CHUNK + 905, 30, 6, [1, 2, 5])
+        dataset = sparse_dataset(rng, LOSS_CHUNK + 905, 30, 6, [5])
         model = random_model(rng, 30, 6)
         ref, _ = loss_and_gradient(model, dataset, l2=1e-2)
         assert mean_loss(model, dataset, l2=1e-2) == pytest.approx(ref, rel=1e-12)
 
 
 # (name, conditions_on_prev, dataset): the last example of each breaks a
-# precondition and the others are valid; fixed-width and ragged id lists
-# both occur
+# precondition and the others are valid
 BAD_EXAMPLES = [
-    ("id-too-large", False, [([0, 1], None, 0), ([4], None, 1)]),
+    ("id-too-large", False, [([0, 1], None, 0), ([4, 0], None, 1)]),
     ("negative-id", False, [([0, 2], None, 0), ([1, -1], None, 1)]),
-    ("fractional-id", False, [([0, 2], None, 0), ([1.5], None, 1)]),
+    ("fractional-id", False, [([0, 2], None, 0), ([1, 1.5], None, 1)]),
     ("prev-on-plain-model", False, [([0], None, 0), ([1], 2, 1)]),
     ("none-prev-on-conditioned", True, [([1], None, 1)]),
-    ("mixed-prev-on-conditioned", True, [([0], 1, 0), ([1, 2], None, 1)]),
+    ("mixed-prev-on-conditioned", True, [([0], 1, 0), ([1], None, 1)]),
     ("prev-too-large", True, [([0], 1, 0), ([1], 3, 1)]),
     ("negative-prev", True, [([0], 0, 0), ([1], -1, 1)]),
-    ("target-too-large", False, [([0], None, 0), ([1, 3], None, 3)]),
+    ("fractional-prev", True, [([0], 1, 0), ([1], 1.7, 1)]),
+    ("target-too-large", False, [([0, 1], None, 0), ([1, 3], None, 3)]),
     ("negative-target", True, [([0], 0, 1), ([1], 0, -1)]),
+    ("fractional-target", False, [([0], None, 0), ([1], None, 1.5)]),
+    ("float-target", True, [([0], 0, 1), ([1], 0, 1.0)]),
 ]
 
 

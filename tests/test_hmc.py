@@ -377,6 +377,13 @@ class TestNaiveEstimateRejects:
             estimate_naive_emission(self.INDEX, [[(0,), row]], [(0, 1)], 2)
 
     @pytest.mark.parametrize(
+        "feats", [[[0, 1]], [[(0, 1), (1, 0)]]], ids=["flat-ids", "two-ids-for-one-family"]
+    )
+    def test_ids_not_one_per_family(self, feats):
+        with pytest.raises(InvalidInputError, match=r"\(T, families\) array"):
+            estimate_naive_emission(self.INDEX, feats, [(0, 1)], 2)
+
+    @pytest.mark.parametrize(
         "smoothing,message",
         [(float("nan"), "must be finite"), (float("inf"), "must be finite"),
          (1e308, "too large")],

@@ -97,7 +97,7 @@ class TestMemmModel:
     def test_forward_matches_explicit_tables(self):
         rng = np.random.default_rng(49)
         model = self._model(rng)
-        obs = [[0, 2], [1], [3, 0]]
+        obs = [[0, 2], [1, 3], [3, 0]]
         fast = memm_forward(model, obs)
         first = predict(model.l0, obs[0])
         steps = [predict_all_prev(model.l1, fv) for fv in obs[1:]]

@@ -8,7 +8,7 @@ import pytest
 from efbtag import efb, features, hmc
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.dataio import Corpus, split_known_unknown
-from efbtag.discrim import SgdConfig, predict, predict_all_prev, zero_model
+from efbtag.discrim import SgdConfig, mean_loss, predict, predict_all_prev, train, zero_model
 from efbtag.errors import InvalidInputError
 from efbtag.evaluation import evaluate
 from efbtag.features import (
@@ -74,21 +74,10 @@ class TestBatchedPredict:
         ids = rng.integers(0, 12, size=(5, 3))
         assert np.array_equal(predict(model, ids, 2), predict(model, ids, [2] * 5))
 
-    def test_ragged_rows_equal_per_row_calls(self):
-        rng = np.random.default_rng(5)
-        model = random_model(rng, 20)
-        ids = [[3, 7], [1], [], [19, 0, 4, 4]]
-        batch = predict(model, ids)
-        assert np.array_equal(batch, np.stack([predict(model, r) for r in ids]))
-
-    @pytest.mark.parametrize("ragged", [False, True])
-    def test_all_prev_rows_equal_per_row_calls(self, ragged):
+    def test_all_prev_rows_equal_per_row_calls(self):
         rng = np.random.default_rng(6)
         model = random_model(rng, 25, conditions_on_prev=True)
-        if ragged:
-            ids = [[1, 2, 3], [24], [0, 0], [7, 8, 9, 10]]
-        else:
-            ids = rng.integers(0, 25, size=(9, 4))
+        ids = rng.integers(0, 25, size=(9, 4))
         batch = predict_all_prev(model, ids)
         per_row = np.stack([predict_all_prev(model, r) for r in ids])
         assert batch.shape == (len(ids), N_LABELS, N_LABELS)
@@ -99,12 +88,12 @@ class TestBatchedPredict:
             assert np.allclose(batch[:, :, j], given_j, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("bad", [-1, 30])
-    @pytest.mark.parametrize("ragged", [False, True])
-    def test_out_of_range_id_rejected(self, bad, ragged):
+    @pytest.mark.parametrize("slot", ["last", "first"])
+    def test_out_of_range_id_rejected(self, bad, slot):
         rng = np.random.default_rng(7)
         plain = random_model(rng, 30)
         cond = random_model(rng, 30, conditions_on_prev=True)
-        ids = [[1, 2], [3, bad]] if not ragged else [[1, 2, 5], [bad]]
+        ids = [[1, 2], [3, bad]] if slot == "last" else [[1, 2, 5], [bad, 0, 29]]
         with pytest.raises(InvalidInputError):
             predict(plain, ids)
         with pytest.raises(InvalidInputError):
@@ -127,8 +116,48 @@ class TestBatchedPredict:
             predict(cond, ids, [0, N_LABELS])
         with pytest.raises(InvalidInputError):
             predict(cond, ids, -1)
+        with pytest.raises(InvalidInputError, match="previous labels must be integers"):
+            predict(cond, ids, [1.7, 0])
         with pytest.raises(InvalidInputError):
             predict_all_prev(plain, ids)
+
+
+# the first row is shorter than the others, so a check that reads only
+# the rows after the first lets it through
+RAGGED = [[0], [1, 2], [3, 4]]
+
+
+def naive_tagger():
+    corpus = random_corpus(np.random.default_rng(12), 5)
+    return train_tagger(corpus, DecoderKind.HMC_NAIVE, smoothing=1e-3)[0]
+
+
+def ragged_calls():
+    """Each entry point that takes a batch of ids, called on a ragged one."""
+    rng = np.random.default_rng(5)
+    plain, cond = random_model(rng, 20), random_model(rng, 20, conditions_on_prev=True)
+    tagset = TagSet.from_labels([f"T{i}" for i in range(N_LABELS)])
+    examples = [(row, None, 0) for row in RAGGED]
+    widths = [np.zeros((1, 2), dtype=np.intp), np.zeros((1, 3), dtype=np.intp)]
+    return {
+        "predict": lambda: predict(plain, RAGGED),
+        "predict_all_prev": lambda: predict_all_prev(cond, RAGGED),
+        "train": lambda: train(examples, 20, N_LABELS, SGD),
+        "mean_loss": lambda: mean_loss(plain, examples),
+        "memm_forward": lambda: memm_forward(MemmModel(plain, cond, tagset), RAGGED),
+        "naive_emission_matrix": lambda: hmc.naive_emission_matrix(
+            naive_tagger().naive, RAGGED
+        ),
+        "estimate_naive_emission": lambda: hmc.estimate_naive_emission(
+            naive_tagger().feature_index, widths, [(0,), (1,)], N_LABELS
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", list(ragged_calls()))
+def test_ragged_batch_rejected(entry):
+    with pytest.raises(InvalidInputError, match="feature ids are ragged"):
+        ragged_calls()[entry]()
 
 
 class TestMemmForward:
@@ -149,8 +178,8 @@ class TestMemmForward:
         "obs",
         [
             [[3]],
-            [[0, 2], [1], [3, 0]],
-            [[4], [], [1, 2, 3, 14], [5, 5]],
+            [[0, 2], [1, 1], [3, 0]],
+            [[4, 4, 0, 0], [13, 13, 13, 13], [1, 2, 3, 14], [5, 5, 0, 9]],
             [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]],
             np.arange(24).reshape(8, 3) % 15,
         ],
