@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from contextlib import ExitStack
@@ -153,7 +154,7 @@ def cmd_tag(args) -> int:
     with ExitStack() as files:  # closes what was opened if a later open fails
         src = sys.stdin
         if args.input != "-":
-            src = files.enter_context(open(_resolve(args.input), encoding="utf-8"))
+            src = files.enter_context(open(_resolve(args.input), encoding="utf-8-sig"))
         dst = sys.stdout
         if args.out != "-":
             dst = files.enter_context(open(args.out, "w", encoding="utf-8"))
@@ -226,6 +227,12 @@ _COMMANDS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # the standard streams carry UTF-8 text like every file efbtag reads or
+    # writes, whatever encoding the locale or PYTHONIOENCODING names; input
+    # may start with a byte-order mark
+    for stream, encoding in ((sys.stdin, "utf-8-sig"), (sys.stdout, "utf-8")):
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(encoding=encoding)
     try:
         return _COMMANDS[args.command](args)
     except (InvalidInputError, DataError, OSError, NumericalDegeneracyError) as exc:

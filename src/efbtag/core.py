@@ -49,6 +49,13 @@ class TagSet:
     def label_of(self, i: int) -> str:
         return self.labels[i]
 
+    def ids_of(self, labels: Iterable[str]) -> list[int]:
+        """`id_of` of each label, with one dict lookup per label."""
+        try:
+            return list(map(self._index.__getitem__, labels))
+        except KeyError as err:
+            raise InvalidInputError(f"unknown label: {err.args[0]!r}") from None
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -70,10 +77,7 @@ class Vocabulary:
 
     @classmethod
     def from_words(cls, words: Iterable[str]) -> "Vocabulary":
-        seen: dict[str, None] = {}
-        for w in words:
-            seen.setdefault(w)
-        return cls(tuple(seen))
+        return cls(tuple(dict.fromkeys(words)))
 
     def __len__(self) -> int:
         return len(self.words)

@@ -7,6 +7,7 @@ tagset.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -22,12 +23,25 @@ class CorpusFormat(Enum):
     CONLLU = "conllu"
 
 
-def utf8_lines(fh: Iterable[str], path: str | Path) -> Iterator[str]:
-    """The lines of a text file read as UTF-8; undecodable bytes raise DataError."""
+@contextmanager
+def _utf8_errors(path: str | Path) -> Iterator[None]:
+    """Turn undecodable bytes read within the block into one DataError."""
     try:
-        yield from fh
+        yield
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def utf8_lines(fh: Iterable[str], path: str | Path) -> Iterator[str]:
+    """The lines of a text file read as UTF-8; undecodable bytes raise DataError."""
+    with _utf8_errors(path):
+        yield from fh
+
+
+def _read_text(path: str | Path) -> str:
+    """A text file's contents, UTF-8 with an optional byte-order mark."""
+    with open(path, encoding="utf-8-sig") as fh, _utf8_errors(path):
+        return fh.read()
 
 
 def load_tagmap(path: str | Path) -> dict[str, str]:
@@ -36,17 +50,16 @@ def load_tagmap(path: str | Path) -> dict[str, str]:
     A source may repeat only with the same target.
     """
     first: dict[str, tuple[str, int]] = {}  # source -> (target, line) where first mapped
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(utf8_lines(fh, path), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataError(f"{path}:{lineno}: malformed tag map line: {line!r}")
-            target, at = first.setdefault(parts[0], (parts[1], lineno))
-            if target != parts[1]:
-                raise DataError(f"{path}:{lineno}: {line!r} conflicts with line {at}")
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataError(f"{path}:{lineno}: malformed tag map line: {line!r}")
+        target, at = first.setdefault(parts[0], (parts[1], lineno))
+        if target != parts[1]:
+            raise DataError(f"{path}:{lineno}: {line!r} conflicts with line {at}")
     return {source: target for source, (target, _) in first.items()}
 
 
@@ -61,53 +74,48 @@ class Corpus:
         return sum(len(s) for s in self.sentences)
 
 
-def _parse_raw(
-    path: str | Path, fmt: CorpusFormat
-) -> list[list[tuple[str, str]]]:
-    sentences: list[list[tuple[str, str]]] = []
-    current: list[tuple[str, str]] = []
-    is_docstart = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(utf8_lines(fh, path), start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                if current and not is_docstart:
-                    sentences.append(current)
-                current = []
-                is_docstart = False
+def _parse(path: str | Path, fmt: CorpusFormat) -> tuple[list[str], list[str], list[int]]:
+    """Every sentence's tokens and tags, flat, and the offset just past each sentence.
+
+    A blank line ends a sentence; so does a CoNLL-2003 `-DOCSTART-` line,
+    which adds no token.
+    """
+    conllu = fmt is CorpusFormat.CONLLU
+    docstart = fmt is CorpusFormat.CONLL2003
+    want = 3 if fmt is CorpusFormat.CONLL2000 else 4
+    tokens: list[str] = []
+    tags: list[str] = []
+    ends: list[int] = []  # the offset at every sentence boundary, empty sentences too
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line or line.isspace():
+            ends.append(len(tokens))
+            continue
+        if conllu:
+            if line[0] == "#":
                 continue
-            if fmt is CorpusFormat.CONLLU:
-                if line.startswith("#"):
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 10:
-                    raise DataError(
-                        f"{path}:{lineno}: expected 10 tab-separated columns, "
-                        f"got {len(cols)}"
-                    )
-                # multiword ranges and empty nodes carry no single UPOS
-                if "-" in cols[0] or "." in cols[0]:
-                    continue
-                for name, col in (("FORM", cols[1]), ("UPOS", cols[3])):
-                    if not col:
-                        raise DataError(f"{path}:{lineno}: empty {name} column")
-                current.append((cols[1], cols[3]))
-            else:
-                cols = line.split()
-                want = 3 if fmt is CorpusFormat.CONLL2000 else 4
-                if len(cols) != want:
-                    raise DataError(
-                        f"{path}:{lineno}: expected {want} columns, got {len(cols)}"
-                    )
-                if fmt is CorpusFormat.CONLL2003 and cols[0] == "-DOCSTART-":
-                    is_docstart = True
-                    continue
-                current.append((cols[0], cols[1]))
-    if current and not is_docstart:
-        sentences.append(current)
-    if not sentences:
-        raise DataError(f"{path}: no sentences")
-    return sentences
+            cols = line.split("\t")
+            if len(cols) != 10:
+                raise DataError(
+                    f"{path}:{lineno}: expected 10 tab-separated columns, got {len(cols)}"
+                )
+            # multiword ranges and empty nodes carry no single UPOS
+            if "-" in cols[0] or "." in cols[0]:
+                continue
+            form, tag = cols[1], cols[3]
+            if not (form and tag):
+                raise DataError(f"{path}:{lineno}: empty {'UPOS' if form else 'FORM'} column")
+        else:
+            cols = line.split()
+            if len(cols) != want:
+                raise DataError(f"{path}:{lineno}: expected {want} columns, got {len(cols)}")
+            form, tag = cols[0], cols[1]
+            if docstart and form == "-DOCSTART-":
+                ends.append(len(tokens))
+                continue
+        tokens.append(form)
+        tags.append(tag)
+    ends.append(len(tokens))
+    return tokens, tags, [end for end in dict.fromkeys(ends) if end]
 
 
 def read_corpus(
@@ -122,37 +130,26 @@ def read_corpus(
     labels), tags outside it are an error; otherwise the tag set is
     built from the file in order of first appearance.
     """
-    raw = _parse_raw(path, fmt)
+    tokens, tags, ends = _parse(path, fmt)
+    if not ends:
+        raise DataError(f"{path}: no sentences")
     if tagmap is not None:
-        unmapped = sorted(
-            {tag for sent in raw for _, tag in sent if tag not in tagmap}
-        )
+        unmapped = sorted(set(tags).difference(tagmap))
         if unmapped:
             raise DataError(f"{path}: tags missing from tag map: {', '.join(unmapped)}")
-        raw = [[(tok, tagmap[tag]) for tok, tag in sent] for sent in raw]
-
+        tags = list(map(tagmap.__getitem__, tags))
     if tagset is None:
-        seen: dict[str, None] = {}
-        for sent in raw:
-            for _, tag in sent:
-                seen.setdefault(tag)
-        tagset = TagSet.from_labels(seen)
+        tagset = TagSet.from_labels(dict.fromkeys(tags))
     else:
-        missing = sorted(
-            {tag for sent in raw for _, tag in sent if tag not in tagset}
-        )
+        missing = sorted(set(tags).difference(tagset.labels))
         if missing:
             raise DataError(f"{path}: tags outside the tag set: {', '.join(missing)}")
-
-    vocab = Vocabulary.from_words(tok for sent in raw for tok, _ in sent)
+    labels = tagset.ids_of(tags)
     sentences = tuple(
-        LabeledSentence(
-            tokens=tuple(tok for tok, _ in sent),
-            labels=tuple(tagset.id_of(tag) for _, tag in sent),
-        )
-        for sent in raw
+        LabeledSentence(tokens=tuple(tokens[a:b]), labels=tuple(labels[a:b]))
+        for a, b in zip([0] + ends, ends)
     )
-    return Corpus(sentences=sentences, tagset=tagset, vocab=vocab)
+    return Corpus(sentences=sentences, tagset=tagset, vocab=Vocabulary.from_words(tokens))
 
 
 def split_known_unknown(

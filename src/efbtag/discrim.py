@@ -287,7 +287,7 @@ def train(
             # flat ids in (example, slot, label) order: each weight takes its
             # updates in example order, through numpy's fast 1-D `ufunc.at`
             flat_ids = b_rows[:, :, None] * n_labels + cols
-            g = np.broadcast_to(g[:, None, :], flat_ids.shape)
+            g = np.repeat(g, b_rows.shape[1], axis=0)  # row b * width + slot is g[b]
             np.subtract.at(flat_w, flat_ids.ravel(), g.ravel())
         # fold the lazy scale back in once per epoch to limit drift
         w *= scale

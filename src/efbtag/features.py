@@ -7,12 +7,14 @@ extended with longer affixes, digit and hyphen indicators (LF2).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .core import LabeledSentence
 from .errors import InvalidInputError
@@ -82,6 +84,52 @@ def extract(token: str, position: int, template: FeatureTemplate) -> dict[str, s
     return fv
 
 
+class FeatureMemo(Mapping):
+    """Vectorized rows of indexed words in one growing (K, F) intp table.
+
+    A key is (token, position == 0), the only inputs of `extract`; it maps
+    to a row number of `table`.  As a mapping, a key's value is its row as
+    a tuple of ids.
+    """
+
+    def __init__(self, width: int):
+        # row numbers by token, for keys not first and first in their sentence
+        self.rows: tuple[dict[str, int], dict[str, int]] = ({}, {})
+        self.n_rows = 0
+        # rows from n_rows on are spare capacity; there is always at least one row
+        self.table = np.empty((1, width), dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.rows[0]) + len(self.rows[1])
+
+    def __iter__(self) -> Iterator[tuple[str, bool]]:
+        for first, rows in enumerate(self.rows):
+            for token in rows:
+                yield token, bool(first)
+
+    def __getitem__(self, key: tuple[str, bool]) -> tuple[int, ...]:
+        token, first = key
+        return tuple(self.table[self.rows[bool(first)][token]].tolist())
+
+    def clear(self) -> None:
+        for rows in self.rows:
+            rows.clear()
+        self.n_rows = 0
+
+    def extend(self, keys: Sequence[tuple[str, bool]], rows: ArrayLike) -> None:
+        """Store each new key's row; the table doubles when it runs out of rows."""
+        start = self.n_rows
+        self.n_rows += len(keys)
+        if self.n_rows > len(self.table):
+            grown = np.empty((max(self.n_rows, 2 * len(self.table)), self.table.shape[1]),
+                             dtype=np.intp)
+            grown[:start] = self.table[:start]
+            self.table = grown
+        self.table[start : self.n_rows] = rows
+        for num, (token, first) in enumerate(keys, start):
+            self.rows[first][token] = num
+
+
 @dataclass(frozen=True)
 class FeatureIndex:
     """Frozen map from (family, value) to dense ids, with per-family unknown ids.
@@ -95,12 +143,12 @@ class FeatureIndex:
     families: tuple[str, ...]
     ids: dict[tuple[str, str], int]
     unknown_ids: dict[str, int]
-    # vectorized rows of indexed words, keyed by (token, position == 0),
-    # the only inputs of `extract`; `build_index` fills it with every
-    # training key's row and `FeaturePipeline` with the indexed words it meets
-    memo: dict[tuple[str, bool], tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # rows of indexed words: `build_index` fills it with every training key's
+    # row and `FeaturePipeline` with the indexed words it meets
+    memo: FeatureMemo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "memo", FeatureMemo(len(self.families)))
 
     @property
     def size(self) -> int:
@@ -125,20 +173,22 @@ def build_index(
     """
     ids: dict[tuple[str, str], int] = {}
     # (token, position == 0) are the only inputs of `extract`: a repeat adds no pair
-    memo: dict[tuple[str, bool], tuple[int, ...]] = {}
+    keys: dict[tuple[str, bool], None] = {}
+    flat: list[int] = []  # the keys' id rows, one after another
     saw_any = False
     for sent in corpus:
         saw_any = True
         tokens = sent.tokens if isinstance(sent, LabeledSentence) else sent
         for pos, token in enumerate(tokens):
             key = (token, pos == 0)
-            if key not in memo:
+            if key not in keys:
+                keys[key] = None
                 fv = extract(token, pos, template)
-                memo[key] = tuple(ids.setdefault(pair, len(ids)) for pair in fv.items())
+                flat.extend([ids.setdefault(pair, len(ids)) for pair in fv.items()])
     if not saw_any:
         raise InvalidInputError("corpus must be non-empty")
     index = index_from_pairs(template, TEMPLATE_FAMILIES[template], ids)
-    index.memo.update(memo)
+    index.memo.extend(list(keys), np.reshape(flat, (len(keys), len(index.families))))
     return index
 
 
@@ -180,17 +230,47 @@ class FeaturePipeline:
 
     index: FeatureIndex
 
-    def sentence_features(self, tokens: Sequence[str]) -> np.ndarray:
-        """(T, F) intp ids of the tokens; rows of indexed words come from the memo."""
+    def sentence_features(
+        self, tokens: Sequence[str] | Sequence[Sequence[str]]
+    ) -> np.ndarray:
+        """(T, F) intp ids of one sentence's tokens.
+
+        Given a batch of token sequences, returns their (ΣT, F) ids stacked
+        in order, from one gather.  Rows of indexed words come from the
+        index's memo table, which keeps each indexed word's row it lacked.
+        """
         index = self.index
         memo = index.memo
-        rows = []
-        for pos, tok in enumerate(tokens):
-            key = (tok, pos == 0)
-            row = memo.get(key)
-            if row is None:
-                row = vectorize(extract(tok, pos, index.template), index)
-                if ("word", tok) in index.ids:
-                    memo[key] = row
-            rows.append(row)
-        return np.array(rows, dtype=np.intp).reshape(len(rows), len(index.families))
+        later, first = memo.rows
+        nums: list = []  # each token's row number; None until a miss is resolved
+        # indexed words the memo lacks take the next row numbers, in order met
+        new: dict[tuple[str, bool], int] = {}
+        new_rows: list[tuple[int, ...]] = []
+        outside: dict[int, tuple[int, ...]] = {}  # rows of words outside the index
+        for sent in tokens if len(tokens) and not isinstance(tokens[0], str) else [tokens]:
+            if not len(sent):
+                continue
+            start = len(nums)
+            nums.append(first.get(sent[0]))
+            nums.extend(map(later.get, sent[1:]))
+            if None not in nums[start:]:
+                continue
+            for at, tok in enumerate(sent, start):
+                if nums[at] is not None:
+                    continue
+                key = (tok, at == start)
+                num = new.get(key)
+                if num is None:
+                    row = vectorize(extract(tok, at - start, index.template), index)
+                    if ("word", tok) in index.ids:
+                        num = new[key] = memo.n_rows + len(new_rows)
+                        new_rows.append(row)
+                    else:  # row 0, which always exists, stands in until patched below
+                        num, outside[at] = 0, row
+                nums[at] = num
+        if new:
+            memo.extend(list(new), new_rows)
+        ids = memo.table.take(nums, axis=0)
+        for at, row in outside.items():
+            ids[at] = row
+        return ids

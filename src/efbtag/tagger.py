@@ -103,25 +103,20 @@ def train_tagger(
         params = replace(params, emit=None)  # a bare chain: emissions are scored apart
     if kind is not DecoderKind.HMC_FB:
         index = build_index(corpus.sentences, template)
-        pipeline = FeaturePipeline(index)
-        # every token in corpus order: one (ΣT, F) id array, filled sentence by
-        # sentence, so no sentence's array outlives its copy
-        lengths = [len(sent) for sent in corpus.sentences]
-        ids = np.empty((sum(lengths), len(index.families)), dtype=np.intp)
-        feats = np.split(ids, np.cumsum(lengths)[:-1])  # each sentence's rows, a view
-        for sent, rows in zip(corpus.sentences, feats):
-            rows[:] = pipeline.sentence_features(sent.tokens)
+        # every token in corpus order: one (ΣT, F) id array and its labels
+        ids = FeaturePipeline(index).sentence_features([s.tokens for s in corpus.sentences])
+        labels = id_array(np.concatenate([s.labels for s in corpus.sentences]), "labels")
     if kind is DecoderKind.HMC_NAIVE:
-        labels = [sent.labels for sent in corpus.sentences]
-        naive = hmc.estimate_naive_emission(index, feats, labels, n, smoothing)
+        # the corpus counted as one sequence: counts ignore sentence bounds
+        naive = hmc.estimate_naive_emission(index, [ids], [labels], n, smoothing)
         index = hmc.naive_feature_index(naive, template)
     if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
-        labels = id_array(np.concatenate([s.labels for s in corpus.sentences]), "labels")
         l0_data = discrim.ExampleColumns(ids, None, labels)
         l0 = discrim.train(l0_data, index.size, n, sgd, conditions_on_prev=False)
         final_loss = discrim.mean_loss(l0, l0_data, l2=sgd.l2)
     if kind is DecoderKind.MEMM:
         # teacher forcing: every token but a sentence's first, with its gold predecessor
+        lengths = [len(sent) for sent in corpus.sentences]
         rest = np.delete(np.arange(len(ids)), np.cumsum(lengths) - lengths)
         l1_data = discrim.ExampleColumns(ids[rest], labels[rest - 1], labels[rest])
         if len(l1_data) == 0:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import efbtag
 from efbtag.cli import _sgd_config, build_parser, main
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.evaluation import EvalReport, evaluate
@@ -143,6 +148,30 @@ class TestCommands:
         out_file = tmp_path / "out.txt"
         assert main(["tag", str(model), str(empty), "--out", str(out_file)]) == 0
         assert out_file.read_text(encoding="utf-8") == ""
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["", "bom"])
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_tag_streams_are_utf8_whatever_the_locale(
+        self, tmp_path, capsys, from_stdin, bom
+    ):
+        train = tmp_path / "train.txt"
+        train.write_text("the DT O\ncafé NN O\n\n", encoding="utf-8")
+        model = tmp_path / "m.bin"
+        assert main(["train", str(train), "--format", "conll2000",
+                     "--decoder", "hmc-fb", "--out", str(model)]) == 0
+        sentence = bom + "the café\n".encode("utf-8")
+        (tmp_path / "in.txt").write_bytes(sentence)
+        src = Path(efbtag.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONIOENCODING="ascii")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        argv = [sys.executable, "-m", "efbtag.cli", "tag", str(model)]
+        proc = subprocess.run(
+            argv + ([] if from_stdin else [str(tmp_path / "in.txt")]),
+            input=sentence if from_stdin else b"", capture_output=True, env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode("utf-8") == "the\tDT\ncafé\tNN\n"
 
     def test_train_deterministic_byte_identical(self, toy_files, tmp_path, capsys):
         train_path, _ = toy_files

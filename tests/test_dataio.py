@@ -91,6 +91,47 @@ class TestReadCorpus:
             read_corpus(path, CorpusFormat.CONLL2000, tagset=TagSet.from_labels(["DT"]))
 
 
+DOCSTART = "-DOCSTART- -X- -X- O\n"
+EU = "EU NNP B-NP B-ORG\nrejects VBZ B-VP O\n"
+PETER = "Peter NNP B-NP B-PER\n"
+
+
+class TestDocstartEndsASentence:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            DOCSTART + EU + "\n" + PETER,  # no blank line after it
+            EU + DOCSTART + "\n" + PETER,  # after tokens of its block
+            EU + DOCSTART + PETER,  # between two sentences of one block
+        ],
+        ids=["before-tokens", "after-tokens", "between-tokens"],
+    )
+    def test_no_token_is_lost(self, tmp_path, text):
+        corpus = read_corpus(write(tmp_path, "c.txt", text), CorpusFormat.CONLL2003)
+        assert [s.tokens for s in corpus.sentences] == [("EU", "rejects"), ("Peter",)]
+        assert corpus.tagset.labels == ("NNP", "VBZ")
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "fmt,text",
+        [(CorpusFormat.CONLL2000, CONLL2000), (CorpusFormat.CONLL2003, CONLL2003),
+         (CorpusFormat.CONLLU, CONLLU)],
+        ids=["conll2000", "conll2003", "conllu"],
+    )
+    def test_corpus_reads_as_without_it(self, tmp_path, fmt, text):
+        plain = read_corpus(write(tmp_path, "plain.txt", text), fmt)
+        assert read_corpus(write(tmp_path, "bom.txt", "\ufeff" + text), fmt) == plain
+
+    def test_first_word_has_no_mark(self, tmp_path):
+        path = write(tmp_path, "c.txt", "\ufeffThe DT B-NP\ncat NN I-NP\n")
+        assert read_corpus(path, CorpusFormat.CONLL2000).vocab.words == ("The", "cat")
+
+    def test_tag_map_source_has_no_mark(self, tmp_path):
+        path = write(tmp_path, "map.tsv", "\ufeffNNP\tNOUN\nDT\tDET\n")
+        assert load_tagmap(path) == {"NNP": "NOUN", "DT": "DET"}
+
+
 class TestTagMap:
     def test_applied_to_pos_column(self, tmp_path):
         tagmap = load_tagmap(

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from efbtag import efb, features, hmc
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
@@ -308,6 +309,84 @@ class TestFeatureMemo:
         assert tagger.feature_index == fresh
 
 
+def stacked_per_sentence(pipeline, sentences):
+    return np.concatenate([pipeline.sentence_features(sent) for sent in sentences])
+
+
+def extracted_rows(index, sentences):
+    """Each token's ids from its own extraction, without the memo."""
+    return [list(vectorize(extract(tok, pos, index.template), index))
+            for sent in sentences for pos, tok in enumerate(sent)]
+
+
+class TestBatchFeatures:
+    """One batch call gives the per-sentence calls' arrays stacked, byte for byte."""
+
+    TRAIN = [["Zed", "runs"], ["the", "cat", "runs"], ["x"], ["cat", "the", "cat"]]
+    # "Zed" was seen only first; "novel" and "Quux" are outside the index
+    BATCH = [["runs", "Zed"], ["Zed"], ["novel", "cat", "novel"], ["x"], ["Quux"],
+             ["the", "cat", "runs"]]
+
+    @staticmethod
+    def assert_same_bytes(got, expected):
+        assert got.dtype == expected.dtype == np.intp
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def assert_memo_rows_are_extractions(index):
+        for (tok, first), row in index.memo.items():
+            assert ("word", tok) in index.ids
+            assert row == vectorize(extract(tok, 0 if first else 1, index.template), index)
+
+    @pytest.mark.parametrize("template", list(FeatureTemplate))
+    def test_warm_index(self, template):
+        per = FeaturePipeline(build_index(self.TRAIN, template))
+        batch = FeaturePipeline(build_index(self.TRAIN, template))
+        got = batch.sentence_features(self.BATCH)
+        self.assert_same_bytes(got, stacked_per_sentence(per, self.BATCH))
+        assert got.tolist() == extracted_rows(batch.index, self.BATCH)
+        memo = batch.index.memo
+        assert dict(memo.items()) == dict(per.index.memo.items())
+        assert ("Zed", False) in memo
+        assert not {("novel", True), ("novel", False), ("Quux", True)} & set(memo)
+        self.assert_memo_rows_are_extractions(batch.index)
+
+    @pytest.mark.parametrize("kind", [DecoderKind.HMC_EFB, DecoderKind.MEMM,
+                                      DecoderKind.HMC_NAIVE])
+    def test_cold_memo_after_load_model(self, kind, tmp_path):
+        corpus = random_corpus(np.random.default_rng(24))
+        tagger, _ = train_tagger(corpus, kind, FeatureTemplate.LF2, SGD, smoothing=1e-3)
+        save_model(tmp_path / "m.bin", tagger)
+        test = random_corpus(np.random.default_rng(25), 30, STEMS + ("zebra", "Quux"))
+        sentences = [sent.tokens for sent in test.sentences]
+        per, batch = (load_model(tmp_path / "m.bin").pipeline for _ in range(2))
+        assert not batch.index.memo
+        got = batch.sentence_features(sentences)
+        self.assert_same_bytes(got, stacked_per_sentence(per, sentences))
+        assert got.tolist() == extracted_rows(batch.index, sentences)
+        assert batch.index.memo
+        assert dict(batch.index.memo.items()) == dict(per.index.memo.items())
+        self.assert_memo_rows_are_extractions(batch.index)
+        # a second batch, now from a warm table, gives the same bytes
+        self.assert_same_bytes(batch.sentence_features(sentences), got)
+
+    @given(
+        train=st.lists(st.lists(st.sampled_from(["a", "B", "ab", "b-1", "Ab", "7"]),
+                                min_size=1, max_size=5), min_size=1, max_size=5),
+        sentences=st.lists(st.lists(st.sampled_from(["a", "B", "ab", "b-1", "zz", "Q"]),
+                                    max_size=5), min_size=1, max_size=6),
+        template=st.sampled_from(list(FeatureTemplate)),
+    )
+    def test_random_batches(self, train, sentences, template):
+        per = FeaturePipeline(build_index(train, template))
+        batch = FeaturePipeline(build_index(train, template))
+        got = batch.sentence_features(sentences)
+        self.assert_same_bytes(got, stacked_per_sentence(per, sentences))
+        assert got.tolist() == extracted_rows(batch.index, sentences)
+        assert dict(batch.index.memo.items()) == dict(per.index.memo.items())
+        self.assert_memo_rows_are_extractions(batch.index)
+
+
 class TestNaiveDecodingUsesTheMemo:
     @staticmethod
     def _count_extracts(monkeypatch):
@@ -392,7 +471,8 @@ def test_memm_training_extracts_each_sentence_once(monkeypatch):
 
     monkeypatch.setattr(FeaturePipeline, "sentence_features", counting)
     train_tagger(corpus, DecoderKind.MEMM, FeatureTemplate.LF1, SGD)
-    assert len(calls) == len(corpus.sentences)
+    # one batch call for l0 and l1 together, every sentence once and in order
+    assert calls == [[sent.tokens for sent in corpus.sentences]]
 
 
 @pytest.mark.parametrize("kind", list(DecoderKind))
