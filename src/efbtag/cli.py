@@ -157,6 +157,11 @@ def cmd_tag(args) -> int:
             src = files.enter_context(open(_resolve(args.input), encoding="utf-8-sig"))
         dst = sys.stdout
         if args.out != "-":
+            # opening --out truncates it, so it must not be the input, by any name
+            if src is not sys.stdin and os.path.exists(args.out) and os.path.samefile(
+                src.name, args.out
+            ):
+                raise InvalidInputError(f"--out {args.out} is the input file")
             dst = files.enter_context(open(args.out, "w", encoding="utf-8"))
         first = True
         for line in utf8_lines(src, "<stdin>" if src is sys.stdin else args.input):

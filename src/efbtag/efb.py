@@ -6,26 +6,27 @@ the stationary prior, and yield exactly the posterior marginals of the
 matched generative chain.  No emission table is involved, so arbitrary
 token features can drive the decoder.
 
-The conditionals come in one of two forms.  Built without a provider,
-`EfbParams` takes a sentence's observations to be its T x N conditional
-matrix itself, as a discriminative model scores the whole sentence in
-one call; `conditional_matrix` then only floors it.  Built with an
-`l_provider`, it asks the provider for each position's row in turn, so
+EFB runs on any `HmcParams` chain (pi, A); an emission table, if the
+chain carries one, is ignored.  On a plain chain a sentence's
+observations are its T x N conditional matrix itself, as a
+discriminative model scores the whole sentence in one call;
+`conditional_matrix` then only checks and floors it.  An `EfbParams` is
+the same chain plus an `l_provider` that fills row t from `obs[t]`, so
 the observations may be anything the provider reads (symbol ids, feature
-rows).  Both forms give the same matrix, so the same posteriors to the
-bit.
+rows).  The rows then take the matrix's checks and floor, so both forms
+give the same posteriors to the bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import PosteriorLattice, mpm_from_lattice
 from .errors import InvalidInputError
-from .hmc import check_chain, posterior_from_lattices, scaled_backward, scaled_forward
+from .hmc import HmcParams, posterior_from_lattices, scaled_backward, scaled_forward
 
 # floor for conditional label probabilities; softmax providers never hit
 # it, but table-backed providers may emit exact zeros
@@ -36,58 +37,46 @@ LProvider = Callable[[object, int], np.ndarray]
 
 
 @dataclass(frozen=True)
-class EfbParams:
-    """Stationary prior, transition table, and an optional conditional-label provider.
+class EfbParams(HmcParams):
+    """A chain (pi, A) whose observations a conditional-label provider reads row by row."""
 
-    With no provider, each observation sequence is the (T, N) conditional
-    matrix of a sentence.
-    """
-
-    pi: np.ndarray
-    trans: np.ndarray
-    l_provider: Optional[LProvider] = None
-
-    def __post_init__(self):
-        check_chain(self.pi, self.trans)
-
-    @property
-    def n_labels(self) -> int:
-        return self.pi.shape[0]
+    l_provider: Optional[LProvider] = field(default=None, kw_only=True)
 
 
-def conditional_matrix(params: EfbParams, obs: Sequence | np.ndarray) -> np.ndarray:
+def conditional_matrix(params: HmcParams, obs: Sequence | np.ndarray) -> np.ndarray:
     """The T x N conditional matrix, floored at L_FLOOR.
 
-    Without a provider `obs` is that matrix; with one, row t is the
-    provider's output for `obs[t]`.  A row that is not a length-N vector
-    raises InvalidInputError instead of being broadcast.
+    `obs` is that matrix, unless `params` is an `EfbParams` with a
+    provider: then row t is the provider's output for `obs[t]`.  A row
+    that is not a length-N vector raises InvalidInputError instead of
+    being broadcast.
     """
     n = params.n_labels
-    if params.l_provider is None:
-        try:
-            lmat = np.asarray(obs, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise InvalidInputError("conditional matrix must be numeric") from None
-        if lmat.ndim != 2 or lmat.shape[0] == 0 or lmat.shape[1] != n:
-            raise InvalidInputError(
-                f"conditional matrix has shape {lmat.shape}, expected (T >= 1, {n})"
-            )
-        return np.maximum(lmat, L_FLOOR)
-    if len(obs) == 0:
-        raise InvalidInputError("observation sequence must be non-empty")
-    lmat = np.empty((len(obs), n))
-    for t, item in enumerate(obs):
-        row = params.l_provider(item, t)
-        if np.shape(row) != (n,):
-            raise InvalidInputError(
-                f"conditional row {t} has shape {np.shape(row)}, expected ({n},)"
-            )
-        lmat[t] = row
+    if isinstance(params, EfbParams) and params.l_provider is not None:
+        if len(obs) == 0:
+            raise InvalidInputError("observation sequence must be non-empty")
+        rows = []
+        for t, item in enumerate(obs):
+            row = params.l_provider(item, t)
+            if np.shape(row) != (n,):
+                raise InvalidInputError(
+                    f"conditional row {t} has shape {np.shape(row)}, expected ({n},)"
+                )
+            rows.append(row)
+        obs = rows
+    try:
+        lmat = np.asarray(obs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidInputError("conditional matrix must be numeric") from None
+    if lmat.ndim != 2 or lmat.shape[0] == 0 or lmat.shape[1] != n:
+        raise InvalidInputError(
+            f"conditional matrix has shape {lmat.shape}, expected (T >= 1, {n})"
+        )
     return np.maximum(lmat, L_FLOOR)
 
 
 def entropic_forward(
-    params: EfbParams, obs: Sequence | np.ndarray
+    params: HmcParams, obs: Sequence | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropic forward lattice: the scaled forward recursion on L / pi.
 
@@ -100,19 +89,19 @@ def entropic_forward(
 
 
 def entropic_backward(
-    params: EfbParams, obs: Sequence | np.ndarray
+    params: HmcParams, obs: Sequence | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropic backward lattice; unscaled value at t is betas[t] * prod(scales[t:])."""
     return scaled_backward(params.trans, conditional_matrix(params, obs) / params.pi)
 
 
-def posterior_efb(params: EfbParams, obs: Sequence | np.ndarray) -> PosteriorLattice:
+def posterior_efb(params: HmcParams, obs: Sequence | np.ndarray) -> PosteriorLattice:
     """Posterior marginals from the entropic recursions (scales cancel)."""
     alphas, _ = entropic_forward(params, obs)
     betas, _ = entropic_backward(params, obs)
     return posterior_from_lattices(alphas, betas)
 
 
-def decode_efb(params: EfbParams, obs: Sequence | np.ndarray) -> list[int]:
+def decode_efb(params: HmcParams, obs: Sequence | np.ndarray) -> list[int]:
     """Maximum-posterior-mode labels for one sentence's per-position inputs."""
     return mpm_from_lattice(posterior_efb(params, obs))

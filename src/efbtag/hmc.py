@@ -23,6 +23,12 @@ PROB_TOL = 1e-12
 DEFAULT_SMOOTHING = 1e-6
 
 
+def _check_rows(table: np.ndarray, what: str) -> None:
+    """Require every row to be a distribution: no negative entry, sum 1; NaN fails."""
+    if not ((table >= 0.0).all() and (np.abs(table.sum(axis=1) - 1.0) <= PROB_TOL).all()):
+        raise InvalidInputError(f"{what} rows must be non-negative and sum to 1")
+
+
 def check_chain(pi: np.ndarray, trans: np.ndarray) -> None:
     """Require a strictly positive prior and row-stochastic transitions; NaN fails."""
     if pi.ndim != 1:
@@ -31,8 +37,7 @@ def check_chain(pi: np.ndarray, trans: np.ndarray) -> None:
         raise InvalidInputError("transition table shape mismatch")
     if not (abs(pi.sum() - 1.0) <= PROB_TOL and pi.min() > 0.0):
         raise InvalidInputError("pi must be a strictly positive distribution")
-    if not (np.abs(trans.sum(axis=1) - 1.0) <= PROB_TOL).all():
-        raise InvalidInputError("transition rows must sum to 1")
+    _check_rows(trans, "transition")
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,7 @@ class HmcParams:
             return
         if self.emit.ndim != 2 or self.emit.shape[0] != self.n_labels:
             raise InvalidInputError("emission table shape mismatch")
-        if not (np.abs(self.emit.sum(axis=1) - 1.0) <= PROB_TOL).all():
-            raise InvalidInputError("emission rows must sum to 1")
+        _check_rows(self.emit, "emission")
 
     @property
     def n_labels(self) -> int:
@@ -264,8 +268,7 @@ class NaiveFeatureEmission:
 
     def __post_init__(self):
         for fam in self.families:
-            if not (np.abs(self.tables[fam].sum(axis=1) - 1.0) <= PROB_TOL).all():
-                raise InvalidInputError(f"family {fam!r} rows must sum to 1")
+            _check_rows(self.tables[fam], f"family {fam!r}")
         tables = [self.tables[fam] for fam in self.families]
         stacked = np.hstack([t[:, :-1] for t in tables] + [t[:, -1:] for t in tables])
         object.__setattr__(self, "stacked", stacked)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,11 +46,6 @@ class Tagger:
             raise InvalidInputError(f"{self.kind.value} model carries no feature index")
         return FeaturePipeline(self.feature_index)
 
-    @cached_property
-    def _efb_params(self) -> efb.EfbParams:
-        """hmc-efb's chain, checked once per tagger; observations are (T, N) matrices."""
-        return efb.EfbParams(pi=self.hmc_params.pi, trans=self.hmc_params.trans)
-
     def decode(self, tokens: Sequence[str]) -> list[int]:
         if len(tokens) == 0:
             raise InvalidInputError("cannot decode an empty sentence")
@@ -64,7 +58,7 @@ class Tagger:
             return mpm_from_lattice(lattice)
         if self.kind is DecoderKind.HMC_EFB:
             # the sentence's (T, N) conditional from one batch is the observation
-            return efb.decode_efb(self._efb_params, discrim.predict(self.l0, feats))
+            return efb.decode_efb(self.hmc_params, discrim.predict(self.l0, feats))
         model = memm.MemmModel(l0=self.l0, l1=self.l1, tagset=self.tagset)
         return memm.decode_memm(model, feats)
 

@@ -229,6 +229,20 @@ def assert_one_line_data_error(rc, capsys, path):
     assert len(err.strip().splitlines()) == 1
 
 
+def rewrite_row(path, name, row):
+    """Overwrite row 0 of the saved model's array `name` in place."""
+    data = bytearray(path.read_bytes())
+    end = data.index(b"\n", len(MAGIC))
+    offset = end + 1
+    for entry in json.loads(data[len(MAGIC) : end])["arrays"]:
+        if entry["name"] == name:
+            data[offset : offset + 8 * len(row)] = np.asarray(row, dtype="<f8").tobytes()
+            path.write_bytes(bytes(data))
+            return
+        offset += 8 * int(np.prod(entry["shape"]))
+    raise KeyError(name)
+
+
 class TestMalformedInputs:
     def test_non_utf8_corpus_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -263,6 +277,53 @@ class TestMalformedInputs:
         assert rc == 2
         assert err.startswith("efbtag: ") and "out.txt" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_tag_refuses_to_write_over_its_input(self, toy_files, tmp_path, capsys, link):
+        train_path, _ = toy_files
+        model = tmp_path / "m.bin"
+        assert main(["train", str(train_path), "--format", "conll2000",
+                     "--decoder", "hmc-fb", "--out", str(model)]) == 0
+        capsys.readouterr()
+        sent_file = tmp_path / "in.txt"
+        sent_file.write_text("the cat runs\n", encoding="utf-8")
+        out = sent_file
+        if link:
+            out = tmp_path / "link.txt"
+            out.symlink_to(sent_file)
+        rc = main(["tag", str(model), str(sent_file), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert sent_file.read_text(encoding="utf-8") == "the cat runs\n"
+        assert err.startswith("efbtag: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "kind, array",
+        [
+            (DecoderKind.HMC_FB, "trans"),
+            (DecoderKind.HMC_EFB, "trans"),
+            (DecoderKind.HMC_NAIVE, "trans"),
+            (DecoderKind.HMC_NAIVE, "naive:word"),
+        ],
+        ids=["hmc-fb", "hmc-efb", "hmc-naive-features", "naive-table"],
+    )
+    def test_negative_probability_is_a_data_error(
+        self, toy_files, tmp_path, capsys, kind, array
+    ):
+        # the row sums to 1, so only the negative entry makes it no distribution
+        train_path, _ = toy_files
+        corpus = read_corpus(train_path, CorpusFormat.CONLL2000)
+        tagger, _ = train_tagger(corpus, kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
+        path = tmp_path / "m.bin"
+        save_model(path, tagger)
+        width = tagger.naive.tables["word"].shape[1] if array == "naive:word" else len(
+            tagger.tagset
+        )
+        rewrite_row(path, array, [1.5, -0.5] + [0.0] * (width - 2))
+        sent_file = tmp_path / "in.txt"
+        sent_file.write_text("the cat runs\n", encoding="utf-8")
+        rc = main(["tag", str(path), str(sent_file)])
+        assert_one_line_data_error(rc, capsys, path)
 
     def test_conflicting_tag_map_is_a_data_error(self, toy_files, tmp_path, capsys):
         train_path, _ = toy_files

@@ -1,10 +1,10 @@
 """hmc-efb's conditional matrix as the observation, and integer-only id inputs.
 
-An `EfbParams` built without a provider takes a sentence's (T, N)
-conditional matrix as its observations.  It must give the provider
-form's floored matrix, recursions and posteriors byte for byte, and
-reject what is not a (T, N) matrix; the provider form must reject rows
-that are not length-N vectors.  Id inputs that are not integers are
+Any chain without a provider, a bare `HmcParams` or an `EfbParams`,
+takes a sentence's (T, N) conditional matrix as its observations.  It
+must give the provider form's floored matrix, recursions and posteriors
+byte for byte, and reject what is not a (T, N) matrix; the provider form
+must reject rows that are not numeric length-N vectors.  Id inputs that are not integers are
 rejected instead of being truncated, and so are labels that are not.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from efbtag import discrim, efb, hmc
 from efbtag.core import mpm_from_lattice
@@ -113,6 +113,54 @@ def test_matrix_form_converts_like_the_provider_stores(worked_params, convert):
         worked_params.pi, worked_params.trans, lmat
     )
     assert results(matrix, obs) == results(provider, positions)
+
+
+def chain_forms(pi, trans, lmat):
+    """`both_forms`, after the matrix form on a bare `HmcParams` chain."""
+    return [(hmc.HmcParams(pi=pi, trans=trans), lmat)] + both_forms(pi, trans, lmat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    t_len=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.sampled_from([-300.0, -10.0, -1.0]),
+    tiny_pi=st.booleans(),
+)
+@example(n=17, t_len=1, seed=1, low=-10.0, tiny_pi=False)
+@example(n=17, t_len=5000, seed=2, low=-10.0, tiny_pi=False)
+@example(n=5, t_len=50, seed=3, low=-1.0, tiny_pi=True)
+def test_three_chain_forms_bit_equal(n, t_len, seed, low, tiny_pi):
+    rng = np.random.default_rng(seed)
+    pi, trans, lmat = random_conditionals(rng, n, t_len, low, "none")
+    if tiny_pi and n > 1:  # a prior entry near 1e-12 puts L / pi near 1e12
+        pi[0] = 1e-12
+        pi[1:] *= (1.0 - pi[0]) / pi[1:].sum()
+    forms = chain_forms(pi, trans, lmat)
+    got = [results(params, obs) for params, obs in forms]
+    assert got[0] == got[1] == got[2]
+
+
+def test_an_hmc_fb_chain_decodes_as_its_bare_chain(worked_params):
+    lmat = np.random.default_rng(4).dirichlet(np.ones(2), size=9)
+    bare = replace(worked_params, emit=None)
+    assert results(worked_params, lmat) == results(bare, lmat)
+    assert efb.decode_efb(worked_params, lmat) == efb.decode_efb(bare, lmat)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [np.array(["a", "b"]), [0.5, "x"], [0.5, object()]],
+    ids=["strings", "string-among-floats", "object"],
+)
+def test_non_numeric_provider_row_rejected(worked_params, row):
+    params = efb.EfbParams(
+        pi=worked_params.pi, trans=worked_params.trans, l_provider=lambda y, t: row
+    )
+    for entry in (efb.conditional_matrix, efb.posterior_efb, efb.decode_efb):
+        with pytest.raises(InvalidInputError, match="conditional matrix must be numeric"):
+            entry(params, [0, 1])
 
 
 def parent_posterior(tagger, lmat):

@@ -23,6 +23,7 @@ def test_demo_exits_zero(name):
         env=env,
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
