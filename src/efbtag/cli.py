@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import stat
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -149,6 +150,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _reads_file(stream, path: str) -> bool:
+    """Whether `stream` reads the regular file at `path`, which opening `path`
+    truncates (a terminal or /dev/null may be input and output at once);
+    False for a stream with no descriptor."""
+    try:
+        st = os.fstat(stream.fileno())
+        return stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(path))
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return False
+
+
 def cmd_tag(args) -> int:
     tagger = load_model(_resolve(args.model_path))
     with ExitStack() as files:  # closes what was opened if a later open fails
@@ -157,10 +169,9 @@ def cmd_tag(args) -> int:
             src = files.enter_context(open(_resolve(args.input), encoding="utf-8-sig"))
         dst = sys.stdout
         if args.out != "-":
-            # opening --out truncates it, so it must not be the input, by any name
-            if src is not sys.stdin and os.path.exists(args.out) and os.path.samefile(
-                src.name, args.out
-            ):
+            # opening --out truncates it, so it must not be the input, by any
+            # name, whether the input was named or redirected to stdin
+            if _reads_file(src, args.out):
                 raise InvalidInputError(f"--out {args.out} is the input file")
             dst = files.enter_context(open(args.out, "w", encoding="utf-8"))
         first = True

@@ -87,25 +87,6 @@ class LogisticModel:
     def bias_row(self) -> int:
         return self.weights.shape[0] - 1
 
-    def active_rows(
-        self, feature_ids: Sequence[int], prev_label: Optional[int]
-    ) -> list[int]:
-        if self.conditions_on_prev:
-            if prev_label is None:
-                raise InvalidInputError("model conditions on the previous label")
-            if not 0 <= prev_label < self.n_labels:
-                raise InvalidInputError(f"previous label {prev_label} out of range")
-        elif prev_label is not None:
-            raise InvalidInputError("model does not condition on the previous label")
-        rows = list(feature_ids)
-        for fid in rows:
-            if not 0 <= fid < self.n_features:
-                raise InvalidInputError(f"feature id {fid} out of range")
-        if self.conditions_on_prev:
-            rows.append(self.n_features + prev_label)
-        rows.append(self.bias_row)
-        return rows
-
 
 def zero_model(
     n_features: int, n_labels: int, conditions_on_prev: bool = False
@@ -135,7 +116,7 @@ def _as_batch(feature_ids) -> tuple[np.ndarray, bool]:
 def _weight_rows(
     model: LogisticModel, ids: np.ndarray, prev_label=None, all_prev=False
 ) -> np.ndarray:
-    """(T, W) weight-row indices of a (T, F) id batch, in `active_rows` order.
+    """(T, W) weight-row indices of a (T, F) id batch.
 
     Row t holds input t's feature ids, its previous-label row (one label for
     all or one per input; none when `all_prev`) and the bias row.  Ids and
@@ -225,22 +206,34 @@ def _l2_term(w: np.ndarray, l2: float) -> float:
     return 0.5 * l2 * float((w * w).sum()) if l2 else 0.0
 
 
+def _residuals(
+    weights: np.ndarray, rows: np.ndarray, targets: np.ndarray, scale: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The loss-and-gradient kernel of a (B, W) weight-row batch, scored at
+    `scale` times its row sums (`train`'s lazy L2 scale): the (B, N) softmax
+    minus one-hot targets, each example's gradient for each of its rows, and
+    the (B,) probabilities of the targets."""
+    probs = _softmax_rows(scale * _row_sums(weights, rows))
+    picked = np.arange(len(rows)), targets
+    target_probs = probs[picked]
+    probs[picked] -= 1.0
+    return probs, target_probs
+
+
 def loss_and_gradient(
-    model: LogisticModel, batch: Sequence[Example], l2: float = 0.0
+    model: LogisticModel, batch: Dataset, l2: float = 0.0
 ) -> tuple[float, np.ndarray]:
-    """Average negative log-likelihood plus (l2/2)*||w||^2, and its gradient."""
+    """Average negative log-likelihood plus (l2/2)*||w||^2, and its gradient,
+    over a batch in either form of `train`."""
     w = model.weights
     grad = l2 * w
     loss = _l2_term(w, l2)
     if batch:
+        rows, targets = _example_rows(model, batch)
+        g, target_probs = _residuals(w, rows, targets)
         inv = 1.0 / len(batch)
-        for feature_ids, prev_label, target in batch:
-            rows = model.active_rows(feature_ids, prev_label)
-            p = _softmax_rows(w[rows].sum(axis=0))
-            loss -= inv * float(np.log(p[target]))
-            g = p.copy()
-            g[target] -= 1.0
-            np.add.at(grad, rows, inv * g)
+        loss -= inv * float(np.log(target_probs).sum())
+        np.add.at(grad, rows, (inv * g)[:, np.newaxis])
     return loss, grad
 
 
@@ -280,8 +273,7 @@ def train(
             batch_idx = order[start : start + config.batch_size]
             b_rows = rows[batch_idx]  # (B, width)
             b_size = len(batch_idx)
-            g = _softmax_rows(scale * _row_sums(w, b_rows))
-            g[np.arange(b_size), targets[batch_idx]] -= 1.0
+            g, _ = _residuals(w, b_rows, targets[batch_idx], scale)
             scale *= decay_factor
             g *= rate / (b_size * scale)
             # flat ids in (example, slot, label) order: each weight takes its
@@ -315,7 +307,6 @@ def mean_loss(model: LogisticModel, dataset: Dataset, l2: float = 0.0) -> float:
     inv = 1.0 / len(dataset)
     for start in range(0, len(dataset), LOSS_CHUNK):
         chunk = slice(start, start + LOSS_CHUNK)
-        scores = _row_sums(w, rows[chunk])
-        p = _softmax_rows(scores)
-        loss -= inv * float(np.log(p[np.arange(len(p)), targets[chunk]]).sum())
+        _, target_probs = _residuals(w, rows[chunk], targets[chunk])
+        loss -= inv * float(np.log(target_probs).sum())
     return loss

@@ -8,8 +8,8 @@ twice therefore produces byte-identical files.
 A kind stores only the arrays it decodes with: `pi` and `trans` for the
 chain decoders, `emit` for hmc-fb alone, `naive:<family>` tables for
 hmc-naive-features, and `l0_weights` (plus `l1_weights` for memm) for
-the discriminative kinds.  Loading rejects any other array list and any
-non-finite value.
+the discriminative kinds.  Saving and loading reject any other array
+list, and loading any non-finite value.
 
 The featured kinds store their index as `feature_index.entries`, its
 (family, value) pairs in id order (a naive model's family by family), and
@@ -64,8 +64,40 @@ def _tagger_arrays(tagger: Tagger) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _array_shapes(
+    kind: DecoderKind, n: int, n_words: int, index: Optional[FeatureIndex]
+) -> dict[str, tuple[int, ...]]:
+    """The arrays a kind's file holds, in file order, and their shapes, given
+    its label count, its word count with the unknown word and its index."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    if kind is not DecoderKind.MEMM:
+        shapes["pi"] = (n,)
+        shapes["trans"] = (n, n)
+    if kind is DecoderKind.HMC_FB:
+        shapes["emit"] = (n, n_words)
+    if kind is DecoderKind.HMC_NAIVE:
+        for fam, values in hmc.naive_value_columns(index).items():
+            shapes[f"naive:{fam}"] = (n, len(values) + 1)
+    if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
+        shapes["l0_weights"] = (index.size + 1, n)
+    if kind is DecoderKind.MEMM:
+        shapes["l1_weights"] = (index.size + n + 1, n)
+    return shapes
+
+
 def save_model(path: str | Path, tagger: Tagger) -> None:
+    """Write a tagger's file; a tagger whose parts `load_model` would reject
+    for its kind raises InvalidInputError before the file is opened."""
+    kind, index = tagger.kind, tagger.feature_index
+    if (index is None) != (kind is DecoderKind.HMC_FB):  # hmc-fb alone has none
+        has = "has no" if index is None else "has a"
+        raise InvalidInputError(f"a {kind.value} tagger {has} feature index")
     arrays = _tagger_arrays(tagger)
+    shapes = _array_shapes(kind, len(tagger.tagset), tagger.vocab.size_with_unknown, index)
+    if [(name, arr.shape) for name, arr in arrays.items()] != list(shapes.items()):
+        raise InvalidInputError(
+            f"a {kind.value} tagger holds arrays {list(arrays)}; its kind holds {list(shapes)}"
+        )
     header = {
         "format_version": FORMAT_VERSION,
         "kind": tagger.kind.value,
@@ -163,18 +195,7 @@ def _tagger_from(
         if [fam for fam, _ in index.ids] != grouped:
             raise DataError(f"{path}: naive feature index pairs are not family by family")
 
-    shapes: dict[str, tuple[int, ...]] = {}
-    if kind is not DecoderKind.MEMM:
-        shapes["pi"] = (n,)
-        shapes["trans"] = (n, n)
-    if kind is DecoderKind.HMC_FB:
-        shapes["emit"] = (n, vocab.size_with_unknown)
-    for fam, values in value_index.items():
-        shapes[f"naive:{fam}"] = (n, len(values) + 1)
-    if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
-        shapes["l0_weights"] = (index.size + 1, n)
-    if kind is DecoderKind.MEMM:
-        shapes["l1_weights"] = (index.size + n + 1, n)
+    shapes = _array_shapes(kind, n, vocab.size_with_unknown, index)
     listed = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
     if header["arrays"] != listed:
         raise DataError(

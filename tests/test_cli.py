@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from efbtag.cli import _sgd_config, build_parser, main
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.evaluation import EvalReport, evaluate
 from efbtag.features import FeatureTemplate
-from efbtag.errors import DataError
+from efbtag.errors import DataError, InvalidInputError
 from efbtag.modelfile import MAGIC, load_model, save_model
 from efbtag.tagger import DecoderKind, train_tagger
 from efbtag.discrim import SgdConfig
@@ -71,6 +72,22 @@ class TestModelRoundTrip:
         save_model(p1, tagger)
         save_model(p2, load_model(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_refuses_parts_that_load_would_reject(self, toy_files, tmp_path):
+        corpus = read_corpus(toy_files[0], CorpusFormat.CONLL2000)
+        fb, _ = train_tagger(corpus, DecoderKind.HMC_FB)
+        efb, _ = train_tagger(corpus, DecoderKind.HMC_EFB, sgd=SgdConfig(epochs=1))
+        bad = {
+            "efb-with-fb-chain": replace(efb, hmc_params=fb.hmc_params),
+            "fb-without-chain": replace(fb, hmc_params=None),
+            "efb-without-index": replace(efb, feature_index=None),
+            "fb-with-index": replace(fb, feature_index=efb.feature_index),
+        }
+        for name, tagger in bad.items():
+            path = tmp_path / f"{name}.bin"
+            with pytest.raises(InvalidInputError):
+                save_model(path, tagger)
+            assert not path.exists(), name
 
     def test_reload_decodes_identically(self, toy_files, tmp_path):
         train_path, _ = toy_files
@@ -296,6 +313,32 @@ class TestMalformedInputs:
         assert rc == 1
         assert sent_file.read_text(encoding="utf-8") == "the cat runs\n"
         assert err.startswith("efbtag: ") and len(err.strip().splitlines()) == 1
+
+    def test_tag_refuses_to_write_over_its_redirected_stdin(self, toy_files, tmp_path):
+        # in a subprocess, because pytest's captured stdin has no descriptor
+        train_path, _ = toy_files
+        model = tmp_path / "m.bin"
+        assert main(["train", str(train_path), "--format", "conll2000",
+                     "--decoder", "hmc-fb", "--out", str(model)]) == 0
+        sent_file = tmp_path / "in.txt"
+        sent_file.write_bytes(b"the cat runs\n")
+        src = Path(efbtag.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+
+        def tag(out, **stdin):
+            argv = [sys.executable, "-m", "efbtag.cli", "tag", str(model), "--out", str(out)]
+            return subprocess.run(argv, capture_output=True, env=env, timeout=60, **stdin)
+
+        with open(sent_file, "rb") as fh:  # `efbtag tag m.bin --out in.txt < in.txt`
+            proc = tag(sent_file, stdin=fh)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"efbtag: ") and len(proc.stderr.splitlines()) == 1
+        assert sent_file.read_bytes() == b"the cat runs\n"
+        out = tmp_path / "out.txt"  # piped input with another --out is tagged
+        proc = tag(out, input=sent_file.read_bytes())
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert out.read_text(encoding="utf-8") == "the\tDT\ncat\tNN\nruns\tVB\n"
 
     @pytest.mark.parametrize(
         "kind, array",

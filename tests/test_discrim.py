@@ -190,11 +190,16 @@ class TestTrain:
         assert int(np.argmax(predict(model, [0], prev_label=1))) == 1
 
 
+def example_rows(model, ids, prev):
+    """One example's weight rows: its feature ids, previous-label row and bias row."""
+    return list(ids) + ([] if prev is None else [model.n_features + prev]) + [model.bias_row]
+
+
 def reference_train(dataset, n_features, n_labels, config, conditions_on_prev=False):
     """Per-example SGD: the loop `train` must reproduce byte for byte."""
     model = zero_model(n_features, n_labels, conditions_on_prev)
     w = model.weights
-    rows = [model.active_rows(ids, prev) for ids, prev, _ in dataset]
+    rows = [example_rows(model, ids, prev) for ids, prev, _ in dataset]
     rng = np.random.default_rng(config.seed)
     scale = 1.0
     for epoch in range(config.epochs):
@@ -277,6 +282,24 @@ class TestSinglePaths:
         columns = as_columns(dataset)
         assert mean_loss(model, columns, l2=0.03) == mean_loss(model, dataset, l2=0.03)
 
+    @pytest.mark.parametrize("cond", [False, True], ids=["plain", "prev"])
+    def test_sgd_steps_follow_checked_gradient(self, cond):
+        # rate 1, no decay and no L2: each SGD step is minus the batch's
+        # `loss_and_gradient`, with its examples in the order SGD visits them
+        rng = np.random.default_rng(73)
+        dataset = sparse_dataset(rng, 13, 8, 4, [2], cond)
+        config = SgdConfig(learning_rate=1.0, decay=0.0, epochs=1, l2=0.0, batch_size=7)
+        visits = lambda n: np.random.default_rng(config.seed).permutation(n)
+        order = visits(len(dataset))
+        first, second = ([dataset[i] for i in part] for part in (order[:7], order[7:]))
+        w1 = -loss_and_gradient(zero_model(8, 4, cond), first)[1]
+        # `first` arranged so that an epoch over it alone visits it as listed
+        alone = [first[k] for k in np.argsort(visits(7))]
+        assert np.array_equal(train(alone, 8, 4, config, cond).weights, w1)
+        w2 = w1 - loss_and_gradient(LogisticModel(w1, 8, 4, cond), second)[1]
+        final = train(dataset, 8, 4, config, cond).weights
+        np.testing.assert_allclose(final, w2, rtol=0, atol=1e-12)
+
     def test_mean_loss_over_several_chunks(self):
         rng = np.random.default_rng(71)
         dataset = sparse_dataset(rng, LOSS_CHUNK + 905, 30, 6, [5])
@@ -304,7 +327,7 @@ BAD_EXAMPLES = [
 ]
 
 
-@pytest.mark.parametrize("entry", ["train", "mean_loss"])
+@pytest.mark.parametrize("entry", ["train", "mean_loss", "loss_and_gradient"])
 @pytest.mark.parametrize(
     "cond,dataset", [b[1:] for b in BAD_EXAMPLES], ids=[b[0] for b in BAD_EXAMPLES]
 )
@@ -313,12 +336,15 @@ def test_bad_example_rejected(entry, cond, dataset):
         with pytest.raises(InvalidInputError):
             if entry == "train":
                 train(data, 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
-            else:
+            elif entry == "mean_loss":
                 mean_loss(zero_model(4, 3, cond), data)
+            else:
+                loss_and_gradient(zero_model(4, 3, cond), data)
     if len(dataset) > 1:  # the valid examples alone are accepted
         for data in both_forms(dataset[:-1]):
             train(data, 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
             mean_loss(zero_model(4, 3, cond), data)
+            loss_and_gradient(zero_model(4, 3, cond), data)
 
 
 def test_negative_seed_rejected():
@@ -327,7 +353,7 @@ def test_negative_seed_rejected():
     assert SgdConfig(seed=0).seed == 0
 
 
-@pytest.mark.parametrize("entry", ["train", "mean_loss"])
+@pytest.mark.parametrize("entry", ["train", "mean_loss", "loss_and_gradient"])
 def test_columns_of_unequal_length_rejected(entry):
     ids = np.array([[0], [1]])
     for bad in (ExampleColumns(ids, None, np.array([0])),
@@ -335,5 +361,7 @@ def test_columns_of_unequal_length_rejected(entry):
         with pytest.raises(InvalidInputError, match="one id row and label per example"):
             if entry == "train":
                 train(bad, 4, 3, SgdConfig(epochs=1), conditions_on_prev=True)
-            else:
+            elif entry == "mean_loss":
                 mean_loss(zero_model(4, 3, True), bad)
+            else:
+                loss_and_gradient(zero_model(4, 3, True), bad)
