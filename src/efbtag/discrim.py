@@ -9,6 +9,7 @@ feature id space).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -51,6 +52,8 @@ class SgdConfig:
     def __post_init__(self):
         if not np.isfinite([self.learning_rate, self.decay, self.l2]).all():
             raise InvalidInputError("learning rate, decay and l2 must be finite")
+        if not all(isinstance(v, Integral) for v in (self.epochs, self.batch_size, self.seed)):
+            raise InvalidInputError("epochs, batch size and seed must be integers")
         if self.learning_rate <= 0:
             raise InvalidInputError("learning rate must be > 0")
         if self.epochs < 1:

@@ -75,6 +75,8 @@ def extract(token: str, position: int, template: FeatureTemplate) -> dict[str, s
     fv["first-letter-up"] = _bool_value(token[0].isupper())
     if template is FeatureTemplate.LF1:
         return fv
+    if template is not FeatureTemplate.LF2:
+        raise InvalidInputError(f"unknown feature template: {template!r}")
     fv["suffix-5"] = token[-5:]
     fv["suffix-4"] = token[-4:]
     fv["prefix-5"] = token[:5]

@@ -5,11 +5,9 @@ separators), then the raw bytes of every array listed in the metadata,
 concatenated in order as little-endian float64.  Writing the same model
 twice therefore produces byte-identical files.
 
-A kind stores only the arrays it decodes with: `pi` and `trans` for the
-chain decoders, `emit` for hmc-fb alone, `naive:<family>` tables for
-hmc-naive-features, and `l0_weights` (plus `l1_weights` for memm) for
-the discriminative kinds.  Saving and loading reject any other array
-list, and loading any non-finite value.
+A kind stores the arrays of its `tagger.part_shapes`, in that order.
+Loading rejects a header with any other array list, and any non-finite
+value.
 
 The featured kinds store their index as `feature_index.entries`, its
 (family, value) pairs in id order (a naive model's family by family), and
@@ -31,7 +29,7 @@ from . import discrim, hmc
 from .core import TagSet, Vocabulary
 from .errors import DataError, InvalidInputError
 from .features import TEMPLATE_FAMILIES, FeatureIndex, FeatureTemplate, index_from_pairs
-from .tagger import DecoderKind, Tagger
+from .tagger import DecoderKind, Tagger, part_shapes
 
 MAGIC = b"EFBTAG-MODEL\n"
 FORMAT_VERSION = 1
@@ -47,57 +45,9 @@ def _index_header(index: Optional[FeatureIndex]):
     return {"entries": [[fam, val] for fam, val in entries]}
 
 
-def _tagger_arrays(tagger: Tagger) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
-    if tagger.hmc_params is not None:
-        arrays["pi"] = tagger.hmc_params.pi
-        arrays["trans"] = tagger.hmc_params.trans
-        if tagger.hmc_params.emit is not None:
-            arrays["emit"] = tagger.hmc_params.emit
-    if tagger.naive is not None:
-        for fam in tagger.naive.families:
-            arrays[f"naive:{fam}"] = tagger.naive.tables[fam]
-    if tagger.l0 is not None:
-        arrays["l0_weights"] = tagger.l0.weights
-    if tagger.l1 is not None:
-        arrays["l1_weights"] = tagger.l1.weights
-    return arrays
-
-
-def _array_shapes(
-    kind: DecoderKind, n: int, n_words: int, index: Optional[FeatureIndex]
-) -> dict[str, tuple[int, ...]]:
-    """The arrays a kind's file holds, in file order, and their shapes, given
-    its label count, its word count with the unknown word and its index."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    if kind is not DecoderKind.MEMM:
-        shapes["pi"] = (n,)
-        shapes["trans"] = (n, n)
-    if kind is DecoderKind.HMC_FB:
-        shapes["emit"] = (n, n_words)
-    if kind is DecoderKind.HMC_NAIVE:
-        for fam, values in hmc.naive_value_columns(index).items():
-            shapes[f"naive:{fam}"] = (n, len(values) + 1)
-    if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
-        shapes["l0_weights"] = (index.size + 1, n)
-    if kind is DecoderKind.MEMM:
-        shapes["l1_weights"] = (index.size + n + 1, n)
-    return shapes
-
-
 def save_model(path: str | Path, tagger: Tagger) -> None:
-    """Write a tagger's file; a tagger whose parts `load_model` would reject
-    for its kind raises InvalidInputError before the file is opened."""
-    kind, index = tagger.kind, tagger.feature_index
-    if (index is None) != (kind is DecoderKind.HMC_FB):  # hmc-fb alone has none
-        has = "has no" if index is None else "has a"
-        raise InvalidInputError(f"a {kind.value} tagger {has} feature index")
-    arrays = _tagger_arrays(tagger)
-    shapes = _array_shapes(kind, len(tagger.tagset), tagger.vocab.size_with_unknown, index)
-    if [(name, arr.shape) for name, arr in arrays.items()] != list(shapes.items()):
-        raise InvalidInputError(
-            f"a {kind.value} tagger holds arrays {list(arrays)}; its kind holds {list(shapes)}"
-        )
+    """Write a tagger's header, then its `arrays` in order."""
+    arrays = tagger.arrays
     header = {
         "format_version": FORMAT_VERSION,
         "kind": tagger.kind.value,
@@ -125,9 +75,9 @@ def load_model(path: str | Path) -> Tagger:
     """Load a model file.
 
     The header must list exactly the arrays, in order and with the
-    shapes, that `save_model` writes for its kind, labels, words and
-    feature index, and the file must end with the last of them.  Any
-    missing key, mistyped value or inconsistency is a DataError.
+    shapes, of `part_shapes` for its kind, labels, words and feature
+    index, and the file must end with the last of them.  Any missing
+    key, mistyped value or inconsistency is a DataError.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
@@ -188,14 +138,7 @@ def _tagger_from(
         with _header_key(path, "feature_index"):
             pairs = [(fam, value) for fam, value in header["feature_index"]["entries"]]
             index = index_from_pairs(template, TEMPLATE_FAMILIES[template], pairs)
-    value_index: dict[str, dict[str, int]] = {}
-    if kind is DecoderKind.HMC_NAIVE:
-        value_index = hmc.naive_value_columns(index)
-        grouped = [fam for fam in index.families for _ in value_index[fam]]
-        if [fam for fam, _ in index.ids] != grouped:
-            raise DataError(f"{path}: naive feature index pairs are not family by family")
-
-    shapes = _array_shapes(kind, n, vocab.size_with_unknown, index)
+    shapes = part_shapes(kind, n, vocab.size_with_unknown, index)
     listed = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
     if header["arrays"] != listed:
         raise DataError(
@@ -220,10 +163,10 @@ def _tagger_from(
         params = hmc.HmcParams(arrays["pi"], arrays["trans"], arrays.get("emit"))
 
     naive = None
-    if value_index:
+    if kind is DecoderKind.HMC_NAIVE:
         naive = hmc.NaiveFeatureEmission(
             families=index.families,
-            value_index=value_index,
+            value_index=hmc.naive_value_columns(index),
             tables={fam: arrays[f"naive:{fam}"] for fam in index.families},
         )
 

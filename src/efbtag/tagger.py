@@ -22,9 +22,37 @@ class DecoderKind(Enum):
     HMC_NAIVE = "hmc-naive-features"
 
 
+def part_shapes(
+    kind: DecoderKind, n_labels: int, n_words: int, index: Optional[FeatureIndex]
+) -> dict[str, tuple[int, ...]]:
+    """The arrays a kind's tagger holds, in order, and their shapes, given its
+    label count, its word count with the unknown word and its feature index.
+    A naive table's columns are ids, so a naive index is family by family."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    if kind is not DecoderKind.MEMM:
+        shapes["pi"] = (n_labels,)
+        shapes["trans"] = (n_labels, n_labels)
+    if kind is DecoderKind.HMC_FB:
+        shapes["emit"] = (n_labels, n_words)
+    if kind is DecoderKind.HMC_NAIVE:
+        columns = hmc.naive_value_columns(index)
+        if [fam for fam, _ in index.ids] != [f for f in index.families for _ in columns[f]]:
+            raise InvalidInputError("naive feature index pairs are not family by family")
+        for fam, values in columns.items():
+            shapes[f"naive:{fam}"] = (n_labels, len(values) + 1)
+    if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
+        shapes["l0_weights"] = (index.size + 1, n_labels)
+    if kind is DecoderKind.MEMM:
+        shapes["l1_weights"] = (index.size + n_labels + 1, n_labels)
+    return shapes
+
+
 @dataclass(frozen=True)
 class Tagger:
-    """A trained decoder plus everything needed to label new sentences."""
+    """A trained decoder plus everything needed to label new sentences.
+
+    Building one checks its parts against its kind's `part_shapes`.
+    """
 
     kind: DecoderKind
     tagset: TagSet
@@ -34,6 +62,44 @@ class Tagger:
     feature_index: Optional[FeatureIndex] = None
     l0: Optional[discrim.LogisticModel] = None
     l1: Optional[discrim.LogisticModel] = None
+
+    def __post_init__(self):
+        kind, index = self.kind, self.feature_index
+        if not isinstance(kind, DecoderKind):
+            raise InvalidInputError(f"unknown decoder kind: {kind!r}")
+        if (index is None) != (kind is DecoderKind.HMC_FB):  # hmc-fb alone has none
+            has = "has no" if index is None else "has a"
+            raise InvalidInputError(f"a {kind.value} tagger {has} feature index")
+        arrays = self.arrays
+        shapes = part_shapes(kind, len(self.tagset), self.vocab.size_with_unknown, index)
+        if [(name, arr.shape) for name, arr in arrays.items()] != list(shapes.items()):
+            raise InvalidInputError(
+                f"a {kind.value} tagger holds arrays {list(arrays)}; "
+                f"its kind holds {list(shapes)}"
+            )
+        # under these shapes, the flags fix both models' n_features at index.size
+        if self.l0 is not None and self.l0.conditions_on_prev:
+            raise InvalidInputError("l0 must not condition on the previous label")
+        if self.l1 is not None and not self.l1.conditions_on_prev:
+            raise InvalidInputError("l1 must condition on the previous label")
+
+    @property
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every array the tagger holds, by name, in `part_shapes` order."""
+        arrays: dict[str, np.ndarray] = {}
+        if self.hmc_params is not None:
+            arrays["pi"] = self.hmc_params.pi
+            arrays["trans"] = self.hmc_params.trans
+            if self.hmc_params.emit is not None:
+                arrays["emit"] = self.hmc_params.emit
+        if self.naive is not None:
+            for fam in self.naive.families:
+                arrays[f"naive:{fam}"] = self.naive.tables[fam]
+        if self.l0 is not None:
+            arrays["l0_weights"] = self.l0.weights
+        if self.l1 is not None:
+            arrays["l1_weights"] = self.l1.weights
+        return arrays
 
     @property
     def template(self) -> Optional[FeatureTemplate]:
@@ -83,8 +149,6 @@ def train_tagger(
     """Train the requested decoder kind on a labeled corpus."""
     if len(corpus.sentences) == 0:
         raise InvalidInputError("training corpus is empty")
-    if not isinstance(kind, DecoderKind):
-        raise InvalidInputError(f"unknown decoder kind: {kind!r}")
     hmc.check_smoothing(smoothing)  # here, for memm too, which counts nothing
     tagset, vocab = corpus.tagset, corpus.vocab
     n = len(tagset)

@@ -12,11 +12,11 @@ import efbtag
 from efbtag.cli import _sgd_config, build_parser, main
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.evaluation import EvalReport, evaluate
-from efbtag.features import FeatureTemplate
+from efbtag.features import FeatureTemplate, index_from_pairs
 from efbtag.errors import DataError, InvalidInputError
 from efbtag.modelfile import MAGIC, load_model, save_model
 from efbtag.tagger import DecoderKind, train_tagger
-from efbtag.discrim import SgdConfig
+from efbtag.discrim import LogisticModel, SgdConfig
 from efbtag.hmc import DEFAULT_SMOOTHING
 
 
@@ -74,19 +74,35 @@ class TestModelRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_save_refuses_parts_that_load_would_reject(self, toy_files, tmp_path):
+        """Parts that do not fit their kind raise when the tagger is built, so
+        no such tagger exists and no file can be written."""
         corpus = read_corpus(toy_files[0], CorpusFormat.CONLL2000)
         fb, _ = train_tagger(corpus, DecoderKind.HMC_FB)
         efb, _ = train_tagger(corpus, DecoderKind.HMC_EFB, sgd=SgdConfig(epochs=1))
+        naive, _ = train_tagger(corpus, DecoderKind.HMC_NAIVE)
+        n, size = len(efb.tagset), efb.feature_index.size
+        # the same weight shape, read as conditioned on the previous label
+        l0_on_prev = LogisticModel(efb.l0.weights, size - n, n, conditions_on_prev=True)
+        pairs = list(naive.feature_index.ids)  # a word pair moved behind the last family
+        moved = index_from_pairs(naive.template, naive.feature_index.families,
+                                 pairs[1:] + pairs[:1])
         bad = {
-            "efb-with-fb-chain": replace(efb, hmc_params=fb.hmc_params),
-            "fb-without-chain": replace(fb, hmc_params=None),
-            "efb-without-index": replace(efb, feature_index=None),
-            "fb-with-index": replace(fb, feature_index=efb.feature_index),
+            "efb-with-fb-chain": (lambda: replace(efb, hmc_params=fb.hmc_params),
+                                  "holds arrays"),
+            "fb-without-chain": (lambda: replace(fb, hmc_params=None), "holds arrays"),
+            "efb-without-index": (lambda: replace(efb, feature_index=None),
+                                  "has no feature index"),
+            "fb-with-index": (lambda: replace(fb, feature_index=efb.feature_index),
+                              "has a feature index"),
+            "efb-l0-on-prev": (lambda: replace(efb, l0=l0_on_prev),
+                               "l0 must not condition"),
+            "naive-not-family-by-family": (lambda: replace(naive, feature_index=moved),
+                                           "not family by family"),
         }
-        for name, tagger in bad.items():
+        for name, (build, message) in bad.items():
             path = tmp_path / f"{name}.bin"
-            with pytest.raises(InvalidInputError):
-                save_model(path, tagger)
+            with pytest.raises(InvalidInputError, match=message):
+                save_model(path, build())
             assert not path.exists(), name
 
     def test_reload_decodes_identically(self, toy_files, tmp_path):

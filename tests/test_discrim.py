@@ -353,6 +353,15 @@ def test_negative_seed_rejected():
     assert SgdConfig(seed=0).seed == 0
 
 
+@pytest.mark.parametrize("field", ["epochs", "batch_size", "seed"])
+def test_non_integer_counts_rejected(field):
+    # each used to build, then fail inside `train` with a bare TypeError
+    for value in (2.5, 2.0, "2"):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            SgdConfig(**{field: value})
+    assert getattr(SgdConfig(**{field: np.int64(2)}), field) == 2
+
+
 @pytest.mark.parametrize("entry", ["train", "mean_loss", "loss_and_gradient"])
 def test_columns_of_unequal_length_rejected(entry):
     ids = np.array([[0], [1]])

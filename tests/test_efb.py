@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import exact_conditional_table, random_stationary_hmc
+from conftest import (
+    exact_conditional_table,
+    random_stationary_hmc,
+    stationary_distribution,
+)
 from efbtag.efb import (
     EfbParams,
     conditional_matrix,
@@ -12,6 +16,7 @@ from efbtag.efb import (
 )
 from efbtag.errors import InvalidInputError
 from efbtag.hmc import (
+    HmcParams,
     backward,
     forward,
     posterior_fb,
@@ -137,6 +142,27 @@ class TestEquivalenceProperties:
             m = int(rng.integers(2, 7))
             params = random_stationary_hmc(rng, n, m)
             obs = [int(y) for y in rng.integers(0, m, int(rng.integers(1, 11)))]
+            efb_lat = posterior_efb(efb_params_for(params), obs)
+            fb_lat = posterior_fb(params, obs)
+            assert np.max(np.abs(efb_lat.values - fb_lat.values)) <= 1e-10
+
+    @pytest.mark.parametrize("near_zero_pi", [False, True], ids=["stationary", "near-zero-pi"])
+    def test_efb_equals_fb_long_sentences(self, near_zero_pi):
+        """T = 5,000 on chains of up to 17 states; with `near_zero_pi`, one
+        state's inflow is about 1e-13 before the stationary prior is taken,
+        so that state's prior is about 1e-13 too."""
+        rng = np.random.default_rng(37 + near_zero_pi)
+        for trial in range(10):
+            n = 17 if trial == 0 else int(rng.integers(2, 18))
+            m = int(rng.integers(2, 50))
+            trans = rng.dirichlet(np.ones(n) * 2.0, size=n)
+            if near_zero_pi:
+                trans[:, rng.integers(n)] = 1e-13
+                trans /= trans.sum(axis=1, keepdims=True)
+            pi = stationary_distribution(trans)
+            assert (pi.min() < 1e-12) == near_zero_pi
+            params = HmcParams(pi=pi, trans=trans, emit=rng.dirichlet(np.ones(m), size=n))
+            obs = [int(y) for y in rng.integers(0, m, 5_000)]
             efb_lat = posterior_efb(efb_params_for(params), obs)
             fb_lat = posterior_fb(params, obs)
             assert np.max(np.abs(efb_lat.values - fb_lat.values)) <= 1e-10

@@ -65,6 +65,12 @@ class TestExtract:
         with pytest.raises(InvalidInputError):
             extract("", 0, FeatureTemplate.NF)
 
+    @pytest.mark.parametrize("template", ["lf1", None], ids=["string", "none"])
+    def test_template_not_a_feature_template_rejected(self, template):
+        # "lf1" used to fall through to all thirteen LF2 families
+        with pytest.raises(InvalidInputError, match="unknown feature template"):
+            extract("Cat", 0, template)
+
     @given(tokens_st, st.integers(0, 30))
     def test_lf2_restricted_to_lf1_families_equals_lf1(self, token, pos):
         lf1 = extract(token, pos, FeatureTemplate.LF1)
@@ -112,6 +118,11 @@ class TestBuildIndex:
     def test_empty_corpus_rejected(self):
         with pytest.raises(InvalidInputError):
             build_index([], FeatureTemplate.NF)
+
+    @pytest.mark.parametrize("template", ["lf1", None], ids=["string", "none"])
+    def test_template_not_a_feature_template_rejected(self, template):
+        with pytest.raises(InvalidInputError, match="unknown feature template"):
+            build_index(toy_corpus(), template)
 
 
 class TestVectorize:

@@ -85,6 +85,27 @@ def test_compare_pair_shares_l0_and_pipeline():
     assert memm_tagger.l1 is not None
 
 
+@pytest.mark.parametrize("kind", [DecoderKind.HMC_EFB, DecoderKind.MEMM,
+                                  DecoderKind.HMC_NAIVE], ids=lambda k: k.value)
+@pytest.mark.parametrize("template", ["lf1", None], ids=["string", "none"])
+def test_featured_training_rejects_a_template_that_is_not_one(kind, template):
+    with pytest.raises(InvalidInputError, match="unknown feature template"):
+        train_tagger(toy_corpus(), kind, template, FAST_SGD)
+
+
+def test_tagger_checks_its_kind_and_l1_when_built():
+    memm, _ = train_tagger(toy_corpus(), DecoderKind.MEMM, sgd=SgdConfig(epochs=1))
+    with pytest.raises(InvalidInputError, match="unknown decoder kind"):
+        Tagger(kind="memm", tagset=memm.tagset, vocab=memm.vocab,
+               feature_index=memm.feature_index, l0=memm.l0, l1=memm.l1)
+    l1 = memm.l1  # the same weights, read as not conditioned on the previous label
+    unconditioned = discrim.LogisticModel(l1.weights, l1.n_features + l1.n_labels,
+                                          l1.n_labels, conditions_on_prev=False)
+    with pytest.raises(InvalidInputError, match="l1 must condition"):
+        Tagger(kind=DecoderKind.MEMM, tagset=memm.tagset, vocab=memm.vocab,
+               feature_index=memm.feature_index, l0=memm.l0, l1=unconditioned)
+
+
 def test_pipelineless_kind_has_no_pipeline():
     corpus = toy_corpus()
     tagger, _ = train_tagger(corpus, DecoderKind.HMC_FB)
