@@ -176,3 +176,20 @@ def id_array(values, what: str) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "iu":
         raise InvalidInputError(f"{what} must be integers, not {arr.dtype}")
     return arr.astype(np.intp, copy=False)
+
+
+def check_lengths(lengths, n_rows: int | None = None) -> np.ndarray:
+    """Sentence lengths of `n_rows` stacked rows, as intp.
+
+    Every length is at least 1 and, unless `n_rows` is None, they sum to
+    it; anything else raises instead of reaching the recursions as a bare
+    numpy error.
+    """
+    arr = id_array(lengths, "sentence lengths")
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidInputError("sentence lengths must be a non-empty list of integers")
+    if arr.min() < 1:
+        raise InvalidInputError(f"sentence length {int(arr.min())} is below 1")
+    if n_rows is not None and arr.sum() != n_rows:
+        raise InvalidInputError(f"sentence lengths sum to {int(arr.sum())}, not {n_rows} rows")
+    return arr

@@ -15,6 +15,11 @@ the same chain plus an `l_provider` that fills row t from `obs[t]`, so
 the observations may be anything the provider reads (symbol ids, feature
 rows).  The rows then take the matrix's checks and floor, so both forms
 give the same posteriors to the bit.
+
+Every function takes `lengths=None`; given sentence lengths, `obs` holds
+those sentences one after another (stacked conditional rows, or the
+provider's inputs), the recursions run them in lockstep, and the results
+come back stacked in the same order.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import PosteriorLattice, mpm_from_lattice
+from .core import PosteriorLattice, check_lengths, mpm_from_lattice
 from .errors import InvalidInputError
 from .hmc import HmcParams, posterior_from_lattices, scaled_backward, scaled_forward
 
@@ -43,11 +48,14 @@ class EfbParams(HmcParams):
     l_provider: Optional[LProvider] = field(default=None, kw_only=True)
 
 
-def conditional_matrix(params: HmcParams, obs: Sequence | np.ndarray) -> np.ndarray:
+def conditional_matrix(
+    params: HmcParams, obs: Sequence | np.ndarray, lengths=None
+) -> np.ndarray:
     """The T x N conditional matrix, floored at L_FLOOR.
 
     `obs` is that matrix, unless `params` is an `EfbParams` with a
-    provider: then row t is the provider's output for `obs[t]`.  A row
+    provider: then row t is the provider's output for `obs[t]`, with t
+    counted within its sentence when `lengths` is given.  A row
     that is not a length-N vector raises InvalidInputError instead of
     being broadcast.
     """
@@ -55,8 +63,13 @@ def conditional_matrix(params: HmcParams, obs: Sequence | np.ndarray) -> np.ndar
     if isinstance(params, EfbParams) and params.l_provider is not None:
         if len(obs) == 0:
             raise InvalidInputError("observation sequence must be non-empty")
+        positions = range(len(obs))
+        if lengths is not None:
+            lengths = check_lengths(lengths, len(obs))
+            starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+            positions = (np.arange(len(obs)) - starts).tolist()
         rows = []
-        for t, item in enumerate(obs):
+        for t, item in zip(positions, obs):
             row = params.l_provider(item, t)
             if np.shape(row) != (n,):
                 raise InvalidInputError(
@@ -72,11 +85,13 @@ def conditional_matrix(params: HmcParams, obs: Sequence | np.ndarray) -> np.ndar
         raise InvalidInputError(
             f"conditional matrix has shape {lmat.shape}, expected (T >= 1, {n})"
         )
+    if lengths is not None:
+        check_lengths(lengths, len(lmat))
     return np.maximum(lmat, L_FLOOR)
 
 
 def entropic_forward(
-    params: HmcParams, obs: Sequence | np.ndarray
+    params: HmcParams, obs: Sequence | np.ndarray, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropic forward lattice: the scaled forward recursion on L / pi.
 
@@ -84,24 +99,30 @@ def entropic_forward(
     alphas[t] * prod(scales[:t+1]).
     """
     return scaled_forward(
-        params.pi, params.trans, conditional_matrix(params, obs) / params.pi
+        params.pi, params.trans, conditional_matrix(params, obs, lengths) / params.pi,
+        lengths,
     )
 
 
 def entropic_backward(
-    params: HmcParams, obs: Sequence | np.ndarray
+    params: HmcParams, obs: Sequence | np.ndarray, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropic backward lattice; unscaled value at t is betas[t] * prod(scales[t:])."""
-    return scaled_backward(params.trans, conditional_matrix(params, obs) / params.pi)
+    return scaled_backward(
+        params.trans, conditional_matrix(params, obs, lengths) / params.pi, lengths
+    )
 
 
-def posterior_efb(params: HmcParams, obs: Sequence | np.ndarray) -> PosteriorLattice:
+def posterior_efb(
+    params: HmcParams, obs: Sequence | np.ndarray, lengths=None
+) -> PosteriorLattice:
     """Posterior marginals from the entropic recursions (scales cancel)."""
-    alphas, _ = entropic_forward(params, obs)
-    betas, _ = entropic_backward(params, obs)
+    alphas, _ = entropic_forward(params, obs, lengths)
+    betas, _ = entropic_backward(params, obs, lengths)
     return posterior_from_lattices(alphas, betas)
 
 
-def decode_efb(params: HmcParams, obs: Sequence | np.ndarray) -> list[int]:
-    """Maximum-posterior-mode labels for one sentence's per-position inputs."""
-    return mpm_from_lattice(posterior_efb(params, obs))
+def decode_efb(params: HmcParams, obs: Sequence | np.ndarray, lengths=None) -> list[int]:
+    """Maximum-posterior-mode labels for one sentence's per-position inputs,
+    or for stacked sentences of `lengths`, stacked alike."""
+    return mpm_from_lattice(posterior_efb(params, obs, lengths))

@@ -8,7 +8,7 @@ from itertools import chain
 import numpy as np
 
 from .core import Vocabulary
-from .dataio import Corpus, split_known_unknown
+from .dataio import Corpus
 from .errors import InvalidInputError
 from .tagger import Tagger
 
@@ -53,12 +53,13 @@ def evaluate(tagger: Tagger, test: Corpus, train_vocab: Vocabulary) -> EvalRepor
     if len(test.sentences) == 0:
         raise InvalidInputError("test corpus is empty")
     n = len(tagger.tagset)
-    decoded = (tagger.decode(s.tokens) for s in test.sentences)
+    sentences = [s.tokens for s in test.sentences]
+    decoded = tagger.decode(sentences)  # one batch
     pred = np.fromiter(chain.from_iterable(decoded), np.intp)
     gold = np.fromiter(chain.from_iterable(s.labels for s in test.sentences), np.intp)
-    unknown = np.fromiter(
-        chain.from_iterable(split_known_unknown(test.sentences, train_vocab)), bool
-    )
+    # a word outside the training vocabulary, and only such a word, takes the unknown id
+    words = train_vocab.ids_of(chain.from_iterable(sentences))
+    unknown = np.array(words) == train_vocab.unknown_id
     confusion = np.zeros((n, n), dtype=np.int64)
     np.add.at(confusion, (gold, pred), 1)
     wrong = gold != pred

@@ -15,7 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LabeledSentence, PosteriorLattice, TagSet, Vocabulary, id_array
+from .core import (
+    LabeledSentence, PosteriorLattice, TagSet, Vocabulary, check_lengths, id_array,
+)
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .features import FeatureIndex, FeatureTemplate, index_from_pairs
 
@@ -126,7 +128,7 @@ def estimate_params(
 
 
 def scaled_forward(
-    pi: np.ndarray, trans: np.ndarray, emissions: np.ndarray
+    pi: np.ndarray, trans: np.ndarray, emissions: np.ndarray, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward recursion over an explicit T x N emission matrix.
 
@@ -136,7 +138,12 @@ def scaled_forward(
     written in place into the returned lattice, with the operations of
     the textbook step `emissions[t] * (alphas[t - 1] @ trans)` in that
     order, so the lattice is bitwise the one that step gives.
+
+    Given `lengths`, `emissions` holds sentences of those lengths stacked,
+    which run in lockstep; the lattices and scales come back stacked alike.
     """
+    if lengths is not None:
+        return _lockstep_forward(pi, trans, emissions, lengths)
     # a step is four numpy calls on N-vectors, so name lookups, keyword
     # parsing and `np.dot`'s dispatch would be a visible share of it: the
     # calls are bound once, take their output positionally, and the product
@@ -163,15 +170,17 @@ def scaled_forward(
 
 
 def scaled_backward(
-    trans: np.ndarray, emissions: np.ndarray
+    trans: np.ndarray, emissions: np.ndarray, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward recursion with the same row-normalization scheme.
 
     Unscaled value: beta[t] * prod(scales[t:]).  Like `scaled_forward`
     it writes rows in place, with the operations of the textbook step
     `trans @ (emissions[t + 1] * betas[t + 1])`; the product goes
-    through one scratch vector.
+    through one scratch vector.  `lengths` stacks sentences as there.
     """
+    if lengths is not None:
+        return _lockstep_backward(trans, emissions, lengths)
     matvec, multiply, divide, add = trans.dot, np.multiply, np.divide, np.add.reduce
     betas = np.empty(emissions.shape)
     scales = []  # last position first
@@ -193,6 +202,83 @@ def scaled_backward(
         divide(row, s, row)
         nxt, nxt_emit = row, emit
     return betas, np.array(scales[::-1])
+
+
+def _time_major(emissions: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked sentences as a (T_max, B, N) copy, padded with emission 1.
+
+    Also returns the lengths as checked, and each stacked row's place in
+    the copy's (T_max * B) rows, which gathers lattices back in order.
+    """
+    lengths = check_lengths(lengths, len(emissions))
+    b, n = len(lengths), emissions.shape[1]
+    starts = np.cumsum(lengths) - lengths
+    pos = np.arange(len(emissions)) - np.repeat(starts, lengths)
+    flat = pos * b + np.repeat(np.arange(b), lengths)
+    # a padded row has emission 1: its mass stays that of a distribution
+    # pushed through `trans`, so no padded row is ever divided by zero
+    padded = np.ones((int(lengths.max()) * b, n))
+    padded[flat] = emissions
+    return padded.reshape(-1, b, n), lengths, flat
+
+
+def _lockstep_forward(pi, trans, emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """`scaled_forward` of stacked sentences, one (B, N) step per position.
+
+    A step is one stacked matmul in the per-sentence (1, N) @ (N, N) form,
+    so every sentence's rows are bitwise those it gets alone.
+    """
+    padded, _, flat = _time_major(emissions, lengths)
+    matmul, multiply, divide, add = np.matmul, np.multiply, np.divide, np.add.reduce
+    alphas = np.empty(padded.shape)
+    scales = np.empty(padded.shape[:2])
+    prev = None
+    for t, (rows, emit, s) in enumerate(zip(alphas, padded, scales)):
+        if prev is None:
+            multiply(pi, emit, rows)
+        else:
+            matmul(prev[:, None, :], trans, rows[:, None, :])
+            multiply(emit, rows, rows)
+        add(rows, 1, None, s)
+        if not (s > 0.0).all():
+            raise NumericalDegeneracyError(
+                f"forward pass degenerated to zero mass at position {t}"
+            )
+        divide(rows, s[:, None], rows)
+        prev = rows
+    return alphas.reshape(-1, alphas.shape[2])[flat], scales.reshape(-1)[flat]
+
+
+def _lockstep_backward(trans, emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """`scaled_backward` of stacked sentences, one (B, N) step per position.
+
+    A step is one stacked matmul in the per-sentence (N, N) @ (N, 1) form;
+    each sentence's pass starts afresh at its last row, so the steps
+    through its padding never reach its own rows.
+    """
+    padded, lengths, flat = _time_major(emissions, lengths)
+    matmul, multiply, divide, add = np.matmul, np.multiply, np.divide, np.add.reduce
+    betas = np.empty(padded.shape)
+    scales = np.empty(padded.shape[:2])
+    buf = np.empty(padded.shape[1:])
+    last = lengths - 1
+    nxt = nxt_emit = None
+    for t in range(len(padded) - 1, -1, -1):
+        rows, s = betas[t], scales[t]
+        if nxt is None:
+            rows.fill(1.0)
+        else:
+            multiply(nxt_emit, nxt, buf)
+            matmul(trans, buf[:, :, None], rows[:, :, None])
+            rows[last == t] = 1.0
+        add(rows, 1, None, s)
+        if not (s > 0.0).all():
+            raise NumericalDegeneracyError(
+                f"backward pass degenerated to zero mass at position {t}"
+            )
+        divide(rows, s[:, None], rows)
+        nxt, nxt_emit = rows, padded[t]
+    return betas.reshape(-1, betas.shape[2])[flat], scales.reshape(-1)[flat]
 
 
 def unscale(rows: np.ndarray, scales: np.ndarray, backward: bool = False) -> np.ndarray:
@@ -237,16 +323,20 @@ def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray) -> PosteriorL
     return PosteriorLattice(np.divide(prod, denom[:, None], out=prod))
 
 
-def _posterior(params: HmcParams, emissions: np.ndarray) -> PosteriorLattice:
+def _posterior(params: HmcParams, emissions: np.ndarray, lengths=None) -> PosteriorLattice:
     """Run the scaled forward and backward recursions over one emission matrix."""
-    alphas, _ = scaled_forward(params.pi, params.trans, emissions)
-    betas, _ = scaled_backward(params.trans, emissions)
+    alphas, _ = scaled_forward(params.pi, params.trans, emissions, lengths)
+    betas, _ = scaled_backward(params.trans, emissions, lengths)
     return posterior_from_lattices(alphas, betas)
 
 
-def posterior_fb(params: HmcParams, obs: Sequence[int]) -> PosteriorLattice:
-    """Posterior marginals by classic Forward-Backward."""
-    return _posterior(params, _emission_matrix(params, obs))
+def posterior_fb(params: HmcParams, obs: Sequence[int], lengths=None) -> PosteriorLattice:
+    """Posterior marginals by classic Forward-Backward.
+
+    Given `lengths`, `obs` holds sentences of those lengths one after
+    another, and the lattice their stacked posteriors.
+    """
+    return _posterior(params, _emission_matrix(params, obs), lengths)
 
 
 @dataclass(frozen=True)
@@ -361,9 +451,13 @@ def naive_emission_matrix(
 
 
 def posterior_naive_features(
-    params: HmcParams, model: NaiveFeatureEmission, ids: Sequence[Sequence[int]]
+    params: HmcParams, model: NaiveFeatureEmission, ids: Sequence[Sequence[int]],
+    lengths=None,
 ) -> PosteriorLattice:
-    """Forward-Backward posterior with the independence-product emission."""
+    """Forward-Backward posterior with the independence-product emission.
+
+    `lengths` stacks sentences as in `posterior_fb`.
+    """
     if len(ids) == 0:
         raise InvalidInputError("observation sequence must be non-empty")
-    return _posterior(params, naive_emission_matrix(model, ids))
+    return _posterior(params, naive_emission_matrix(model, ids), lengths)

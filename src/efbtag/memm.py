@@ -3,16 +3,20 @@
 The posterior at position t only depends on observations 1..t, so
 decoding needs no backward pass and each forward row is already a
 probability distribution.
+
+Given sentence `lengths`, the functions take sentences stacked one
+after another and run them in lockstep: step t scores and advances only
+the sentences longer than t, and the lattices come back stacked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import PosteriorLattice, TagSet, id_array, mpm_from_lattice
+from .core import PosteriorLattice, TagSet, check_lengths, id_array, mpm_from_lattice
 from .discrim import LogisticModel, predict, predict_all_prev
 from .errors import InvalidInputError
 
@@ -35,7 +39,7 @@ class MemmModel:
 
 
 def forward_lattice(
-    first: np.ndarray, steps: Sequence[np.ndarray]
+    first: np.ndarray, steps: Sequence[np.ndarray] | Iterable[np.ndarray], lengths=None
 ) -> np.ndarray:
     """Forward recursion from explicit conditional tables.
 
@@ -44,7 +48,13 @@ def forward_lattice(
     previous label j at position t+1.  Rows are never renormalized: if
     the inputs are distributions, each output row sums to 1 exactly by
     construction.
+
+    Given B sentences' `lengths`, `first` is their (B, N) first rows and
+    step t a (L, N, N) stack of tables, one per sentence longer than t, in
+    sentence order; steps may be produced one at a time.
     """
+    if lengths is not None:
+        return _lockstep_lattice(first, steps, lengths)
     n = first.shape[0]
     alphas = np.empty((len(steps) + 1, n))
     alphas[0] = first
@@ -55,11 +65,45 @@ def forward_lattice(
     return alphas
 
 
-def memm_forward(model: MemmModel, obs: Sequence[Sequence[int]]) -> np.ndarray:
-    """T x N forward lattice for one sentence's (T, F) feature ids."""
+def _lockstep_lattice(first: np.ndarray, steps, lengths) -> np.ndarray:
+    """`forward_lattice` of stacked sentences, one matmul of the live rows a step."""
+    lengths = check_lengths(lengths)
+    n = first.shape[-1]
+    if first.shape != (len(lengths), n):
+        raise InvalidInputError(f"{len(lengths)} sentences need {len(lengths)} first rows")
+    starts = np.cumsum(lengths) - lengths
+    alphas = np.empty((int(lengths.sum()), n))
+    alphas[starts] = first
+    t = 0
+    for t, tables in enumerate(steps, 1):
+        rows = starts[lengths > t] + t
+        if tables.shape != (len(rows), n, n):
+            raise InvalidInputError("conditional table shape mismatch")
+        # the per-sentence (N, N) @ (N, 1) product of each live row
+        alphas[rows] = np.matmul(tables, alphas[rows - 1, :, None])[:, :, 0]
+    if t != lengths.max() - 1:
+        raise InvalidInputError(f"{t} conditional steps for sentences of {lengths.max()}")
+    return alphas
+
+
+def memm_forward(
+    model: MemmModel, obs: Sequence[Sequence[int]], lengths=None
+) -> np.ndarray:
+    """T x N forward lattice for one sentence's (T, F) feature ids, or the
+    stacked lattices of stacked sentences of `lengths`."""
     obs = id_array(obs, "feature ids")
     if len(obs) == 0:
         raise InvalidInputError("observation sequence must be non-empty")
+    if lengths is not None:
+        lengths = check_lengths(lengths, len(obs))
+        starts = np.cumsum(lengths) - lengths
+        first = predict(model.l0, obs[starts])
+        # scored step by step, so only one step's (L, N, N) tables are live
+        steps = (
+            predict_all_prev(model.l1, obs[starts[lengths > t] + t])
+            for t in range(1, lengths.max())
+        )
+        return forward_lattice(first, steps, lengths)
     first = predict(model.l0, obs[0])
     steps = predict_all_prev(model.l1, obs[1:]) if len(obs) > 1 else []
     return forward_lattice(first, steps)
@@ -70,6 +114,6 @@ def decode_lattice(alphas: np.ndarray) -> list[int]:
     return mpm_from_lattice(PosteriorLattice(alphas))
 
 
-def decode_memm(model: MemmModel, obs: Sequence[Sequence[int]]) -> list[int]:
+def decode_memm(model: MemmModel, obs: Sequence[Sequence[int]], lengths=None) -> list[int]:
     """Per-position argmax of the forward rows (forward-only posterior)."""
-    return decode_lattice(memm_forward(model, obs))
+    return decode_lattice(memm_forward(model, obs, lengths))

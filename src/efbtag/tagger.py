@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate, chain, groupby
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -13,6 +15,31 @@ from .core import TagSet, Vocabulary, id_array, mpm_from_lattice
 from .dataio import Corpus
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .features import FeatureIndex, FeaturePipeline, FeatureTemplate, build_index
+
+
+# a batch decodes in buckets of sentences of similar length, each bucket
+# at most this many sentences and this many padded positions; a sentence
+# too long to share a bucket is decoded alone
+BUCKET_SENTENCES = 64
+BUCKET_POSITIONS = 8192
+
+
+def buckets(lengths: Sequence[int]) -> list[list[int]]:
+    """Sentence numbers grouped for lockstep decoding, by ascending length.
+
+    Each group holds at most BUCKET_SENTENCES sentences and, padded to its
+    longest, at most BUCKET_POSITIONS positions, unless it is one sentence.
+    """
+    groups: list[list[int]] = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        # sorted, so sentence i is the longest of its group so far
+        if not groups or (
+            len(groups[-1]) == BUCKET_SENTENCES
+            or (len(groups[-1]) + 1) * lengths[i] > BUCKET_POSITIONS
+        ):
+            groups.append([])
+        groups[-1].append(i)
+    return groups
 
 
 class DecoderKind(Enum):
@@ -35,11 +62,14 @@ def part_shapes(
     if kind is DecoderKind.HMC_FB:
         shapes["emit"] = (n_labels, n_words)
     if kind is DecoderKind.HMC_NAIVE:
-        columns = hmc.naive_value_columns(index)
-        if [fam for fam, _ in index.ids] != [f for f in index.families for _ in columns[f]]:
+        # the pairs in id order: one run of values per family, in family order
+        runs = [(fam, sum(1 for _ in run)) for fam, run in groupby(index.ids, itemgetter(0))]
+        present = [fam for fam, _ in runs]
+        if present != [fam for fam in index.families if fam in present]:
             raise InvalidInputError("naive feature index pairs are not family by family")
-        for fam, values in columns.items():
-            shapes[f"naive:{fam}"] = (n_labels, len(values) + 1)
+        counts = dict(runs)
+        for fam in index.families:
+            shapes[f"naive:{fam}"] = (n_labels, counts.get(fam, 0) + 1)
     if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
         shapes["l0_weights"] = (index.size + 1, n_labels)
     if kind is DecoderKind.MEMM:
@@ -112,21 +142,57 @@ class Tagger:
             raise InvalidInputError(f"{self.kind.value} model carries no feature index")
         return FeaturePipeline(self.feature_index)
 
-    def decode(self, tokens: Sequence[str]) -> list[int]:
+    def decode(
+        self, tokens: Sequence[str] | Sequence[Sequence[str]]
+    ) -> list[int] | list[list[int]]:
+        """One sentence's labels.
+
+        Given a batch of sentences (a sequence whose first item is not a
+        string), returns one label list per sentence, in input order.  The
+        batch is decoded bucket by bucket (see `buckets`), and gives the
+        labels that decoding each sentence alone gives.
+        """
         if len(tokens) == 0:
             raise InvalidInputError("cannot decode an empty sentence")
+        if not isinstance(tokens[0], str):
+            return self._decode_batch(tokens)
+        return self._decode(tokens)
+
+    def _decode_batch(self, batch: Sequence[Sequence[str]]) -> list[list[int]]:
+        lengths = [len(sent) for sent in batch]
+        if 0 in lengths:
+            raise InvalidInputError(
+                f"cannot decode an empty sentence (batch item {lengths.index(0)})"
+            )
+        labels: list = [None] * len(batch)
+        for group in buckets(lengths):
+            sizes = [lengths[i] for i in group]
+            if len(group) == 1:  # alone, the per-sentence recursions are faster
+                flat = self._decode(batch[group[0]])
+            else:
+                flat = self._decode([batch[i] for i in group], sizes)
+            ends = list(accumulate(sizes))
+            for i, start, end in zip(group, [0] + ends, ends):
+                labels[i] = flat[start:end]
+        return labels
+
+    def _decode(self, tokens, lengths: Optional[list[int]] = None) -> list[int]:
+        """Labels of one sentence, or the stacked labels of sentences of `lengths`."""
         if self.kind is DecoderKind.HMC_FB:
-            obs = self.vocab.ids_of(tokens)
-            return mpm_from_lattice(hmc.posterior_fb(self.hmc_params, obs))
+            obs = self.vocab.ids_of(tokens if lengths is None else chain.from_iterable(tokens))
+            return mpm_from_lattice(hmc.posterior_fb(self.hmc_params, obs, lengths))
+        # one sentence's (T, F) ids, or the sentences' stacked (ΣT, F) ids
         feats = self.pipeline.sentence_features(tokens)
         if self.kind is DecoderKind.HMC_NAIVE:
-            lattice = hmc.posterior_naive_features(self.hmc_params, self.naive, feats)
+            lattice = hmc.posterior_naive_features(self.hmc_params, self.naive, feats, lengths)
             return mpm_from_lattice(lattice)
         if self.kind is DecoderKind.HMC_EFB:
-            # the sentence's (T, N) conditional from one batch is the observation
-            return efb.decode_efb(self.hmc_params, discrim.predict(self.l0, feats))
+            # the (T, N) conditional, or the stacked (ΣT, N) ones, from one
+            # batch is the observation
+            conditional = discrim.predict(self.l0, feats)
+            return efb.decode_efb(self.hmc_params, conditional, lengths)
         model = memm.MemmModel(l0=self.l0, l1=self.l1, tagset=self.tagset)
-        return memm.decode_memm(model, feats)
+        return memm.decode_memm(model, feats, lengths)
 
 
 @dataclass(frozen=True)

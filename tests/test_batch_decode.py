@@ -1,0 +1,333 @@
+"""Batched decoding: a batch decodes as its sentences do one at a time.
+
+`Tagger.decode` given a batch sorts it by length into buckets, and each
+bucket runs through the public layers' `lengths=` form: the recursions
+take every sentence one step at a time in lockstep.  These tests check
+that the batch form gives each sentence the posteriors (to 1e-12) and the
+labels that the per-sentence form gives, in input order, that the bucket
+caps hold, and that bad lengths raise `InvalidInputError`.  A padded row
+divided by zero would raise a `RuntimeWarning`, which pytest turns into a
+failure here.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import efbtag.modelfile  # noqa: F401  a traced module: the span recorder wraps it
+from efbtag import efb, evaluation, hmc, memm
+from efbtag.core import TagSet, check_lengths
+from efbtag.dataio import CorpusFormat, read_corpus
+from efbtag.discrim import LogisticModel, SgdConfig
+from efbtag.errors import InvalidInputError
+from efbtag.features import FeatureTemplate
+from efbtag.tagger import (
+    BUCKET_POSITIONS, BUCKET_SENTENCES, DecoderKind, buckets, train_tagger,
+)
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _load(name: str, path: Path):
+    """A benchmark module loaded by path, so its directory stays off sys.path;
+    registered first, because its dataclasses look their module up there."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = _load("efbtag_bench_gen", BENCH / "gen.py")
+
+TOL = 1e-12
+SEED = 3
+LONG = 5_000  # a sentence this long shares no bucket
+
+
+# --- the layers' lengths= form, on random models -----------------------------
+
+
+def random_chain(rng, n):
+    trans = rng.dirichlet(np.ones(n), size=n)
+    return hmc.HmcParams(pi=rng.dirichlet(np.ones(n)), trans=trans)
+
+
+def random_memm(rng, n, n_features=40):
+    l0 = LogisticModel(rng.normal(size=(n_features + 1, n)), n_features, n, False)
+    l1 = LogisticModel(rng.normal(size=(n_features + n + 1, n)), n_features, n, True)
+    return memm.MemmModel(l0, l1, TagSet(tuple(f"T{i}" for i in range(n))))
+
+
+def random_naive(rng, n, values=(5, 3)):
+    families = tuple(f"f{k}" for k in range(len(values)))
+    return hmc.NaiveFeatureEmission(
+        families=families,
+        value_index={f: {f"v{i}": i for i in range(v)} for f, v in zip(families, values)},
+        tables={f: rng.dirichlet(np.ones(v + 1), size=n) for f, v in zip(families, values)},
+    )
+
+
+def kind_posteriors(kind: str, rng, n: int, lengths: list[int]):
+    """One random model of `kind` and a function from (obs, lengths) to its
+    stacked posterior rows, with stacked observations for `lengths`."""
+    total = sum(lengths)
+    if kind == "hmc-fb":
+        chain = random_chain(rng, n)
+        params = hmc.HmcParams(chain.pi, chain.trans, rng.dirichlet(np.ones(8), size=n))
+        obs = rng.integers(0, 8, size=total)
+        return obs, lambda o, lens=None: hmc.posterior_fb(params, o, lens).values
+    if kind == "hmc-naive-features":
+        chain, model = random_chain(rng, n), random_naive(rng, n)
+        obs = rng.integers(0, model.stacked.shape[1], size=(total, 2))
+        return obs, lambda o, lens=None: hmc.posterior_naive_features(
+            chain, model, o, lens
+        ).values
+    if kind == "hmc-efb":
+        chain = random_chain(rng, n)
+        obs = rng.dirichlet(np.ones(n), size=total)
+        return obs, lambda o, lens=None: efb.posterior_efb(chain, o, lens).values
+    model = random_memm(rng, n)
+    obs = rng.integers(0, 40, size=(total, 3))
+    return obs, lambda o, lens=None: memm.memm_forward(model, o, lens)
+
+
+KINDS = [kind.value for kind in DecoderKind]
+
+# length-1 sentences mixed with long ones, in no particular order
+batch_lengths = st.lists(
+    st.one_of(st.just(1), st.integers(1, 30), st.integers(150, 400)), min_size=1, max_size=12
+)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 20), lengths=batch_lengths, seed=st.integers(0, 2**32 - 1))
+def test_stacked_posteriors_equal_per_sentence(kind, n, lengths, seed):
+    obs, posterior = kind_posteriors(kind, np.random.default_rng(seed), n, lengths)
+    batched = posterior(obs, lengths)
+    ends = np.cumsum(lengths)
+    alone = np.concatenate([posterior(obs[e - t : e]) for t, e in zip(lengths, ends)])
+    assert batched.shape == alone.shape
+    assert np.max(np.abs(batched - alone)) <= TOL
+    assert batched.argmax(axis=1).tolist() == alone.argmax(axis=1).tolist()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_long_sentence_alone_and_among_short_ones(kind):
+    lengths = [1, LONG, 3, 1]
+    obs, posterior = kind_posteriors(kind, np.random.default_rng(SEED), 17, lengths)
+    batched = posterior(obs, lengths)
+    assert np.max(np.abs(batched[1 : 1 + LONG] - posterior(obs[1 : 1 + LONG]))) <= TOL
+    assert np.array_equal(posterior(obs[1 : 1 + LONG], [LONG]), batched[1 : 1 + LONG])
+
+
+def test_each_backward_pass_starts_at_its_sentence_end():
+    """A sentence's last backward row is all ones scaled by N, as alone,
+    however many padded steps the longest sentence runs before it."""
+    rng = np.random.default_rng(SEED)
+    chain = random_chain(rng, 5)
+    lengths = [4, 1, 30, 7]
+    betas, scales = hmc.scaled_backward(chain.trans, rng.random((sum(lengths), 5)), lengths)
+    ends = np.cumsum(lengths) - 1
+    assert (betas[ends] == 1.0 / 5).all() and (scales[ends] == 5.0).all()
+
+
+def test_provider_rows_count_positions_within_each_sentence(worked_params):
+    seen = []
+    params = efb.EfbParams(
+        pi=worked_params.pi, trans=worked_params.trans,
+        l_provider=lambda y, t: seen.append(t) or np.array([0.3, 0.7]),
+    )
+    efb.conditional_matrix(params, [0, 1, 0, 1, 1, 0], [2, 1, 3])
+    assert seen == [0, 1, 0, 0, 1, 2]
+
+
+# --- bad lengths -------------------------------------------------------------
+
+
+def _length_takers(params, chain, naive, model):
+    """Every public function with a lengths= form but `forward_lattice`, on
+    three stacked rows."""
+    lmat = np.full((3, 2), 0.5)
+    ids = np.zeros((3, 2), dtype=int)
+    return {
+        "check_lengths": lambda lens: check_lengths(lens, 3),
+        "scaled_forward": lambda lens: hmc.scaled_forward(chain.pi, chain.trans, lmat, lens),
+        "scaled_backward": lambda lens: hmc.scaled_backward(chain.trans, lmat, lens),
+        "posterior_fb": lambda lens: hmc.posterior_fb(params, [0, 1, 0], lens),
+        "posterior_naive_features": lambda lens: hmc.posterior_naive_features(
+            chain, naive, ids, lens
+        ),
+        "conditional_matrix": lambda lens: efb.conditional_matrix(chain, lmat, lens),
+        "provider conditional_matrix": lambda lens: efb.conditional_matrix(
+            efb.EfbParams(chain.pi, chain.trans, l_provider=lambda y, t: lmat[0]),
+            [0, 1, 0], lens,
+        ),
+        "entropic_forward": lambda lens: efb.entropic_forward(chain, lmat, lens),
+        "entropic_backward": lambda lens: efb.entropic_backward(chain, lmat, lens),
+        "posterior_efb": lambda lens: efb.posterior_efb(chain, lmat, lens),
+        "decode_efb": lambda lens: efb.decode_efb(chain, lmat, lens),
+        "memm_forward": lambda lens: memm.memm_forward(model, ids, lens),
+        "decode_memm": lambda lens: memm.decode_memm(model, ids, lens),
+    }
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [[], [0, 3], [-1, 4], [2, 2], [1, 1], [1.5, 1.5], [[1, 2]], 3, ["1", "2"]],
+    ids=["none", "zero", "negative", "too-many", "too-few", "float", "nested",
+         "scalar", "strings"],
+)
+def test_bad_lengths_raise_invalid_input(worked_params, lengths):
+    rng = np.random.default_rng(SEED)
+    chain = hmc.HmcParams(worked_params.pi, worked_params.trans)
+    takers = _length_takers(worked_params, chain, random_naive(rng, 2), random_memm(rng, 2, 2))
+    for call in takers.values():
+        with pytest.raises(InvalidInputError):
+            call(lengths)
+
+
+def test_forward_lattice_rejects_steps_that_do_not_fit_the_lengths():
+    """Its rows are the first rows and the steps' tables, so it checks those
+    against the lengths."""
+    first = np.full((2, 2), 0.5)
+    table = np.full((1, 2, 2), 0.5)
+    for lengths in ([0, 1], [-1, 3], [1.5, 1.5], [[1, 1]]):
+        with pytest.raises(InvalidInputError):
+            memm.forward_lattice(first, iter([]), lengths)
+    with pytest.raises(InvalidInputError, match="shape"):  # two live sentences at t=1
+        memm.forward_lattice(first, iter([table]), [2, 2])
+    with pytest.raises(InvalidInputError, match="steps"):  # one step short
+        memm.forward_lattice(first, iter([table]), [3, 1])
+    with pytest.raises(InvalidInputError, match="first rows"):
+        memm.forward_lattice(first, iter([]), [1, 1, 1])
+
+
+# --- buckets -----------------------------------------------------------------
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 200), st.integers(3000, 9000)), max_size=300))
+def test_buckets_cover_every_sentence_within_the_caps(lengths):
+    groups = buckets(lengths)
+    assert sorted(i for g in groups for i in g) == list(range(len(lengths)))
+    order = [lengths[i] for g in groups for i in g]
+    assert order == sorted(order)
+    for g in groups:
+        longest = max(lengths[i] for i in g)
+        assert len(g) == 1 or (
+            len(g) <= BUCKET_SENTENCES and len(g) * longest <= BUCKET_POSITIONS
+        )
+
+
+def test_bucket_boundaries():
+    assert buckets([LONG, 3, 1]) == [[2, 1], [0]]
+    assert [len(g) for g in buckets([2] * 65)] == [64, 1]
+    side = BUCKET_POSITIONS // BUCKET_SENTENCES
+    assert [len(g) for g in buckets([side] * 64)] == [64]  # exactly 8,192 positions
+    assert [len(g) for g in buckets([side + 1] * 64)] == [63, 1]
+    assert buckets([BUCKET_POSITIONS + 1, 1]) == [[1], [0]]
+
+
+# --- Tagger.decode on gen.py corpora -----------------------------------------
+
+KIND_TEMPLATES = [(DecoderKind.HMC_FB, FeatureTemplate.LF1)] + [
+    (kind, template)
+    for kind in (DecoderKind.HMC_NAIVE, DecoderKind.HMC_EFB, DecoderKind.MEMM)
+    for template in FeatureTemplate
+]
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("gen")
+    lang = gen.Language()
+    for part, (name, tokens) in enumerate((("train", 4_000), ("test", 3_000))):
+        gen.write_conllu(tmp / f"{name}.conllu",
+                         lang.sample([SEED, part], tokens, gen.ewt_lengths, 0.0))
+    train = read_corpus(tmp / "train.conllu", CorpusFormat.CONLLU)
+    test = read_corpus(tmp / "test.conllu", CorpusFormat.CONLLU, tagset=train.tagset)
+    return train, test
+
+
+@pytest.fixture(scope="module")
+def taggers(corpora):
+    train, _ = corpora
+    return {
+        (kind, template): train_tagger(train, kind, template, SgdConfig(epochs=1))[0]
+        for kind, template in KIND_TEMPLATES
+    }
+
+
+def test_gen_corpus_batch_equals_per_sentence(taggers, corpora):
+    sentences = [s.tokens for s in corpora[1].sentences]
+    # shuffled, so buckets reorder them and the result must undo that
+    order = np.random.default_rng(SEED).permutation(len(sentences))
+    batch = [sentences[i] for i in order]
+    for (kind, template), tagger in taggers.items():
+        assert tagger.decode(batch) == [tagger.decode(s) for s in batch], (kind, template)
+
+
+def test_long_sentences_and_bucket_edges_equal_per_sentence(taggers, corpora):
+    stream = [tok for s in corpora[1].sentences for tok in s.tokens]
+    words = stream * (BUCKET_POSITIONS // len(stream) + 1)
+    side = BUCKET_POSITIONS // BUCKET_SENTENCES
+    edges = {
+        "a long sentence alone": ([words[:3], tuple(words[:LONG]), words[3:4]], [2, 1]),
+        "65 sentences": ([words[i : i + 1 + i % 7] for i in range(65)], [64, 1]),
+        "exactly 8,192 positions": ([words[i : i + side] for i in range(0, 64 * side, side)],
+                                    [64]),
+    }
+    for (kind, template), tagger in taggers.items():
+        if template is FeatureTemplate.LF2 or kind is DecoderKind.HMC_FB:
+            for name, (batch, sizes) in edges.items():
+                assert [len(g) for g in buckets([len(s) for s in batch])] == sizes, name
+                assert tagger.decode(batch) == [tagger.decode(s) for s in batch], (kind, name)
+
+
+def test_empty_batch_and_empty_sentence_raise(taggers):
+    tagger = taggers[DecoderKind.HMC_EFB, FeatureTemplate.LF1]
+    with pytest.raises(InvalidInputError):
+        tagger.decode([])
+    for batch in ([("a", "b"), ()], [(), ("a",)], [[]]):
+        with pytest.raises(InvalidInputError, match="empty sentence"):
+            tagger.decode(batch)
+
+
+def test_one_sentence_batch_is_a_list_of_one(taggers):
+    tagger = taggers[DecoderKind.MEMM, FeatureTemplate.LF1]
+    assert tagger.decode([("the", "cat")]) == [tagger.decode(("the", "cat"))]
+
+
+# --- every traced layer is still called -----------------------------------------
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's span recorder and span table.  layers.py imports the
+    recorder as `spans`, so that name is registered for this test only."""
+    monkeypatch.setitem(sys.modules, "spans", None)
+    return _load("spans", BENCH / "spans.py"), _load("efbtag_bench_layers", BENCH / "layers.py")
+
+
+def test_evaluate_calls_every_decode_corpus_span(bench, taggers, corpora):
+    """The benchmark's traced decode-corpus unit requires these spans: a batch
+    path that bypassed a traced layer would fail there, and fails here first."""
+    spans, layers = bench
+    train, test = corpora
+    with spans.Tracer() as tracer:
+        tracer.install(layers.SPANS)
+        for kind in (DecoderKind.HMC_FB, DecoderKind.HMC_NAIVE, DecoderKind.HMC_EFB,
+                     DecoderKind.MEMM):
+            tagger = taggers[kind, FeatureTemplate.LF1]
+            # through the module, whose binding the recorder replaces
+            report = evaluation.evaluate(tagger, test, train.vocab)
+            assert report.total_tokens == test.n_tokens
+    assert layers.missing_spans(tracer, "decode-corpus") == []
+    calls = tracer.self_times()
+    for kind in DecoderKind:  # one batch call per evaluate
+        assert calls[f"tagger.decode:{kind.value}"][1] == 1

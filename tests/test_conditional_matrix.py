@@ -183,8 +183,8 @@ def test_efb_tagger_decodes_as_the_row_copying_path(monkeypatch, template):
     lattices = []
     posterior = efb.posterior_efb
 
-    def kept(params, obs):
-        lattices.append(posterior(params, obs))
+    def kept(params, obs, lengths=None):
+        lattices.append(posterior(params, obs, lengths))
         return lattices[-1]
 
     monkeypatch.setattr(efb, "posterior_efb", kept)

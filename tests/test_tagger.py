@@ -5,11 +5,11 @@ import pytest
 
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.dataio import Corpus
-from efbtag import discrim
+from efbtag import discrim, hmc
 from efbtag.discrim import SgdConfig, predict
 from efbtag.errors import InvalidInputError
 from efbtag.features import FeaturePipeline, FeatureTemplate, build_index
-from efbtag.modelfile import MAGIC, save_model
+from efbtag.modelfile import MAGIC, load_model, save_model
 from efbtag.tagger import DecoderKind, Tagger, train_compare_pair, train_tagger
 
 
@@ -191,3 +191,22 @@ def test_memm_needs_a_sentence_of_two_tokens():
         InvalidInputError, match="MEMM training needs at least one sentence of length >= 2"
     ):
         train_tagger(corpus, DecoderKind.MEMM, FeatureTemplate.LF1, SgdConfig(epochs=1))
+
+
+@pytest.mark.parametrize("template", list(FeatureTemplate), ids=lambda t: t.value)
+def test_naive_load_numbers_the_index_values_once(tmp_path, monkeypatch, template):
+    tagger, _ = train_tagger(toy_corpus(), DecoderKind.HMC_NAIVE, template, SgdConfig(epochs=1))
+    path = tmp_path / "m.bin"
+    save_model(path, tagger)
+    calls = []
+    numbered = hmc.naive_value_columns
+
+    def counted(index):
+        calls.append(index)
+        return numbered(index)
+
+    monkeypatch.setattr(hmc, "naive_value_columns", counted)
+    for loads in (1, 2):
+        loaded = load_model(path)
+        assert len(calls) == loads  # for the naive tables' value_index, not for checks
+    assert loaded.naive.value_index == tagger.naive.value_index
