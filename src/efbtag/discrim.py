@@ -188,6 +188,11 @@ def predict(
     return probs if batch else probs[0]
 
 
+# a step-table column whose factored normaliser is at most this may have
+# lost its mass to underflow, so it is scored as a direct softmax instead
+FACTOR_FLOOR = 1e-150
+
+
 def predict_all_prev(model: LogisticModel, feature_ids: ArrayLike) -> np.ndarray:
     """N x N table whose column j is the prediction given previous label j.
 
@@ -197,10 +202,24 @@ def predict_all_prev(model: LogisticModel, feature_ids: ArrayLike) -> np.ndarray
         raise InvalidInputError("model does not condition on the previous label")
     ids, batch = _as_batch(feature_ids)
     rows = _weight_rows(model, ids, all_prev=True)
-    base = _row_sums(model.weights, rows)
+    base = _row_sums(model.weights, rows)  # [t, i]: input t's score of label i
     block = model.weights[model.n_features : model.n_features + model.n_labels]
-    scores = base[:, None, :] + block  # [t, j]: scores at t given prev=j
-    tables = _softmax_rows(scores).transpose(0, 2, 1)
+    # softmax over i of base[t, i] + block[j, i] factors into exp(base - its
+    # max) times exp(block - its max), normalised over i: N exponentials a
+    # row, not N^2, written straight in [t, i, j] order
+    scaled = base - base.max(axis=1, keepdims=True)
+    np.exp(scaled, out=scaled)
+    prev = block - block.max(axis=1, keepdims=True)
+    np.exp(prev, out=prev)  # [j, i]
+    tables = np.multiply(scaled[:, :, None], prev.T, out=np.empty((len(base),) + prev.shape))
+    norms = tables.sum(axis=1)  # [t, j]
+    if norms.min(initial=np.inf) > FACTOR_FLOOR:
+        tables /= norms[:, None, :]
+    else:
+        t, j = np.nonzero(norms <= FACTOR_FLOOR)
+        norms[t, j] = 1.0
+        tables /= norms[:, None, :]
+        tables[t, :, j] = _softmax_rows(base[t] + block[j])
     return tables if batch else tables[0]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -51,39 +52,45 @@ TEMPLATE_FAMILIES: dict[FeatureTemplate, tuple[str, ...]] = {
 }
 
 
-def _bool_value(flag: bool) -> str:
-    return "true" if flag else "false"
+def extract(
+    tokens: str | Sequence[str], positions: int | Sequence[int], template: FeatureTemplate
+) -> dict[str, str] | dict[str, list[str]]:
+    """String-valued feature columns of tokens in sentence context.
 
-
-def extract(token: str, position: int, template: FeatureTemplate) -> dict[str, str]:
-    """String-valued feature vector of a token in sentence context.
-
-    Affixes of tokens shorter than n are the whole token, so every
+    Given a list of tokens and a list of their positions in their
+    sentences, returns one column of values per family, in family order,
+    row k for token k.  Given one token and its position, returns its
+    vector, family -> value: a batch of one.  Affixes of tokens shorter than n are the whole token, so every
     family is present for every token.  Case is preserved in the word
     and affix families; capitalization lives only in first-letter-up.
     """
-    if not token:
+    one = isinstance(tokens, str)
+    if one:
+        tokens, positions = [tokens], [positions]
+    if "" in tokens:
         raise InvalidInputError("token must be non-empty")
-    fv = {"word": token}
-    if template is FeatureTemplate.NF:
-        return fv
-    fv["suffix-3"] = token[-3:]
-    fv["suffix-2"] = token[-2:]
-    fv["prefix-3"] = token[:3]
-    fv["prefix-2"] = token[:2]
-    fv["first-position"] = _bool_value(position == 0)
-    fv["first-letter-up"] = _bool_value(token[0].isupper())
-    if template is FeatureTemplate.LF1:
-        return fv
-    if template is not FeatureTemplate.LF2:
+    if not isinstance(template, FeatureTemplate):
         raise InvalidInputError(f"unknown feature template: {template!r}")
-    fv["suffix-5"] = token[-5:]
-    fv["suffix-4"] = token[-4:]
-    fv["prefix-5"] = token[:5]
-    fv["prefix-4"] = token[:4]
-    fv["has-digit"] = _bool_value(any(c.isdigit() for c in token))
-    fv["has-hyphen"] = _bool_value("-" in token)
-    return fv
+    cols = {"word": list(tokens)}
+    if template is not FeatureTemplate.NF:
+        cols["suffix-3"] = [tok[-3:] for tok in tokens]
+        cols["suffix-2"] = [tok[-2:] for tok in tokens]
+        cols["prefix-3"] = [tok[:3] for tok in tokens]
+        cols["prefix-2"] = [tok[:2] for tok in tokens]
+        cols["first-position"] = ["true" if pos == 0 else "false" for pos in positions]
+        cols["first-letter-up"] = ["true" if tok[0].isupper() else "false" for tok in tokens]
+    if template is FeatureTemplate.LF2:
+        cols["suffix-5"] = [tok[-5:] for tok in tokens]
+        cols["suffix-4"] = [tok[-4:] for tok in tokens]
+        cols["prefix-5"] = [tok[:5] for tok in tokens]
+        cols["prefix-4"] = [tok[:4] for tok in tokens]
+        # no letter is a digit, so a token of letters needs no scan
+        cols["has-digit"] = [
+            "false" if tok.isalpha() or not any(map(str.isdigit, tok)) else "true"
+            for tok in tokens
+        ]
+        cols["has-hyphen"] = ["true" if "-" in tok else "false" for tok in tokens]
+    return {fam: col[0] for fam, col in cols.items()} if one else cols
 
 
 class FeatureMemo(Mapping):
@@ -91,7 +98,8 @@ class FeatureMemo(Mapping):
 
     A key is (token, position == 0), the only inputs of `extract`; it maps
     to a row number of `table`.  As a mapping, a key's value is its row as
-    a tuple of ids.
+    a tuple of ids.  Rows from `n_rows` on are spare: `sentence_features`
+    stages the rows of the keys it misses there for its gather.
     """
 
     def __init__(self, width: int):
@@ -118,18 +126,23 @@ class FeatureMemo(Mapping):
             rows.clear()
         self.n_rows = 0
 
-    def extend(self, keys: Sequence[tuple[str, bool]], rows: ArrayLike) -> None:
-        """Store each new key's row; the table doubles when it runs out of rows."""
-        start = self.n_rows
-        self.n_rows += len(keys)
-        if self.n_rows > len(self.table):
-            grown = np.empty((max(self.n_rows, 2 * len(self.table)), self.table.shape[1]),
+    def spare(self, n: int) -> np.ndarray:
+        """The n rows after the stored ones, where `extend` writes next; the
+        table doubles when it runs out of rows."""
+        end = self.n_rows + n
+        if end > len(self.table):
+            grown = np.empty((max(end, 2 * len(self.table)), self.table.shape[1]),
                              dtype=np.intp)
-            grown[:start] = self.table[:start]
+            grown[: self.n_rows] = self.table[: self.n_rows]
             self.table = grown
-        self.table[start : self.n_rows] = rows
-        for num, (token, first) in enumerate(keys, start):
+        return self.table[self.n_rows : end]
+
+    def extend(self, keys: Sequence[tuple[str, bool]], rows: ArrayLike) -> None:
+        """Store each new key's row."""
+        self.spare(len(keys))[:] = rows
+        for num, (token, first) in enumerate(keys, self.n_rows):
             self.rows[first][token] = num
+        self.n_rows += len(keys)
 
 
 @dataclass(frozen=True)
@@ -156,6 +169,19 @@ class FeatureIndex:
     def size(self) -> int:
         return len(self.ids) + len(self.unknown_ids)
 
+    @cached_property
+    def value_ids(self) -> dict[str, dict[str, int]]:
+        """Each family's value -> id map, built on first use."""
+        maps: dict[str, dict[str, int]] = {fam: {} for fam in self.families}
+        for (fam, value), num in self.ids.items():
+            maps[fam][value] = num
+        return maps
+
+    @cached_property
+    def _lookups(self) -> dict[str, tuple]:
+        """Each family's value -> id lookup and unknown id, for `vectorize`."""
+        return {fam: (ids.get, self.unknown_ids[fam]) for fam, ids in self.value_ids.items()}
+
     def id_of(self, family: str, value: str) -> int:
         if family not in self.unknown_ids:
             raise InvalidInputError(f"feature family {family!r} not in index")
@@ -173,24 +199,23 @@ def build_index(
     corpus key's id row is left in the index's memo, so the corpus is
     extracted once.
     """
-    ids: dict[tuple[str, str], int] = {}
     # (token, position == 0) are the only inputs of `extract`: a repeat adds no pair
     keys: dict[tuple[str, bool], None] = {}
-    flat: list[int] = []  # the keys' id rows, one after another
     saw_any = False
     for sent in corpus:
         saw_any = True
         tokens = sent.tokens if isinstance(sent, LabeledSentence) else sent
-        for pos, token in enumerate(tokens):
-            key = (token, pos == 0)
-            if key not in keys:
-                keys[key] = None
-                fv = extract(token, pos, template)
-                flat.extend([ids.setdefault(pair, len(ids)) for pair in fv.items()])
+        keys.update(dict.fromkeys((token, pos == 0) for pos, token in enumerate(tokens)))
     if not saw_any:
         raise InvalidInputError("corpus must be non-empty")
-    index = index_from_pairs(template, TEMPLATE_FAMILIES[template], ids)
-    index.memo.extend(list(keys), np.reshape(flat, (len(keys), len(index.families))))
+    cols = extract([tok for tok, _ in keys], [0 if first else 1 for _, first in keys], template)
+    families = tuple(cols)
+    ids: dict[tuple[str, str], int] = {}
+    # the keys' id rows, one after another: pairs take ids key by key
+    flat = [ids.setdefault(pair, len(ids))
+            for row in zip(*cols.values()) for pair in zip(families, row)]
+    index = index_from_pairs(template, families, ids)
+    index.memo.extend(list(keys), np.reshape(flat, (len(keys), len(families))))
     return index
 
 
@@ -217,13 +242,24 @@ def index_from_pairs(
     return FeatureIndex(template, families, ids, unknown_ids)
 
 
-def vectorize(fv: dict[str, str], index: FeatureIndex) -> tuple[int, ...]:
-    """Map a string-valued feature vector to dense ids, one per family."""
-    ids, unknown_ids = index.ids, index.unknown_ids
-    try:  # an unseen value takes its family's unknown id
-        return tuple([ids.get(pair, unknown_ids[pair[0]]) for pair in fv.items()])
+def vectorize(
+    fv: dict[str, str] | dict[str, list[str]], index: FeatureIndex
+) -> tuple[int, ...] | np.ndarray:
+    """Map a string-valued feature vector to dense ids, one per family.
+
+    Given `extract`'s value columns for K tokens, returns their (K, F)
+    intp ids, through the index's per-family `value_ids`; an unseen value
+    takes its family's unknown id.  One vector is a batch of one.
+    """
+    if isinstance(next(iter(fv.values()), ""), str):
+        return tuple(vectorize({fam: [value] for fam, value in fv.items()}, index)[0].tolist())
+    try:
+        lookups = list(map(index._lookups.__getitem__, fv))
     except KeyError as err:
         raise InvalidInputError(f"feature family {err.args[0]!r} not in index") from None
+    flat = [get(value, unknown) for (get, unknown), values in zip(lookups, fv.values())
+            for value in values]  # family by family
+    return np.fromiter(flat, np.intp, len(flat)).reshape(len(fv), -1).T
 
 
 @dataclass(frozen=True)
@@ -240,15 +276,19 @@ class FeaturePipeline:
         Given a batch of token sequences, returns their (ΣT, F) ids stacked
         in order, from one gather.  Rows of indexed words come from the
         index's memo table, which keeps each indexed word's row it lacked.
+        The keys a call misses are extracted with one `extract` call.
         """
         index = self.index
         memo = index.memo
         later, first = memo.rows
         nums: list = []  # each token's row number; None until a miss is resolved
-        # indexed words the memo lacks take the next row numbers, in order met
-        new: dict[tuple[str, bool], int] = {}
-        new_rows: list[tuple[int, ...]] = []
-        outside: dict[int, tuple[int, ...]] = {}  # rows of words outside the index
+        # the keys missed, in the order first met, and `extract`'s inputs for
+        # them; key k's row is staged in the memo's spare row n_rows + k
+        missed: dict[tuple[str, bool], int] = {}
+        toks: list[str] = []
+        positions: list[int] = []
+        kept: list[int] = []  # the missed keys of indexed words, which the memo keeps
+        base = memo.n_rows
         for sent in tokens if len(tokens) and not isinstance(tokens[0], str) else [tokens]:
             if not len(sent):
                 continue
@@ -258,21 +298,23 @@ class FeaturePipeline:
             if None not in nums[start:]:
                 continue
             for at, tok in enumerate(sent, start):
-                if nums[at] is not None:
-                    continue
-                key = (tok, at == start)
-                num = new.get(key)
-                if num is None:
-                    row = vectorize(extract(tok, at - start, index.template), index)
-                    if ("word", tok) in index.ids:
-                        num = new[key] = memo.n_rows + len(new_rows)
-                        new_rows.append(row)
-                    else:  # row 0, which always exists, stands in until patched below
-                        num, outside[at] = 0, row
-                nums[at] = num
-        if new:
-            memo.extend(list(new), new_rows)
+                if nums[at] is None:
+                    key = (tok, at == start)
+                    k = missed.get(key)
+                    if k is None:
+                        k = missed[key] = len(toks)
+                        toks.append(tok)
+                        positions.append(at - start)
+                        if ("word", tok) in index.ids:
+                            kept.append(k)
+                    nums[at] = base + k
+        if not missed:
+            return memo.table.take(nums, axis=0)
+        staged = memo.spare(len(toks))
+        staged[:] = vectorize(extract(toks, positions, index.template), index)
         ids = memo.table.take(nums, axis=0)
-        for at, row in outside.items():
-            ids[at] = row
+        if kept:  # rows of words outside the index stay spare, to be overwritten
+            keys = list(missed)
+            memo.extend([keys[k] for k in kept],
+                        staged if len(kept) == len(keys) else staged[kept])
         return ids

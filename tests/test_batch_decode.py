@@ -19,12 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import efbtag.modelfile  # noqa: F401  a traced module: the span recorder wraps it
-from efbtag import efb, evaluation, hmc, memm
+from efbtag import efb, evaluation, features, hmc, memm
 from efbtag.core import TagSet, check_lengths
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.discrim import LogisticModel, SgdConfig
 from efbtag.errors import InvalidInputError
 from efbtag.features import FeatureTemplate
+from efbtag.modelfile import load_model, save_model
 from efbtag.tagger import (
     BUCKET_POSITIONS, BUCKET_SENTENCES, DecoderKind, buckets, train_tagger,
 )
@@ -331,3 +332,45 @@ def test_evaluate_calls_every_decode_corpus_span(bench, taggers, corpora):
     calls = tracer.self_times()
     for kind in DecoderKind:  # one batch call per evaluate
         assert calls[f"tagger.decode:{kind.value}"][1] == 1
+
+
+# --- a freshly loaded model extracts its misses once per bucket ----------------
+
+
+@pytest.mark.parametrize("kind", [DecoderKind.HMC_NAIVE, DecoderKind.HMC_EFB, DecoderKind.MEMM])
+def test_loaded_tagger_extracts_once_per_bucket(taggers, corpora, tmp_path, monkeypatch, kind):
+    """After a load the memo is empty: a batch decode makes one `extract` call
+    per bucket at most, naming each missed key once; an indexed word's key,
+    kept in the memo, is not missed again, and a decode without a miss makes
+    no call."""
+    sentences = [s.tokens for s in corpora[1].sentences]
+    save_model(tmp_path / "m.bin", taggers[kind, FeatureTemplate.LF2])
+    loaded = load_model(tmp_path / "m.bin")
+    calls = []
+    original = features.extract
+
+    def counting(tokens, positions, template):
+        one = isinstance(tokens, str)
+        calls.append([(tok, pos == 0) for tok, pos in
+                      zip([tokens] if one else tokens, [positions] if one else positions)])
+        return original(tokens, positions, template)
+
+    monkeypatch.setattr(features, "extract", counting)
+    loaded.decode(sentences)
+    assert 0 < len(calls) <= len(buckets([len(s) for s in sentences]))
+    assert all(len(keys) == len(set(keys)) for keys in calls)
+    every_key = {(tok, pos == 0) for s in sentences for pos, tok in enumerate(s)}
+    assert set().union(*calls) == every_key
+    indexed = [key for keys in calls for key in keys if ("word", key[0]) in loaded.feature_index.ids]
+    assert len(indexed) == len(set(indexed))
+
+    memo = loaded.feature_index.memo
+    warm = next(s for s in sentences
+                if all((tok, pos == 0) in memo for pos, tok in enumerate(s)))
+    cold = next(s for s in sentences
+                if not all((tok, pos == 0) in memo for pos, tok in enumerate(s)))
+    calls.clear()
+    loaded.decode(warm)
+    assert calls == []
+    loaded.decode(cold)
+    assert len(calls) == 1

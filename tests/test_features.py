@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +83,84 @@ class TestExtract:
         for template in FeatureTemplate:
             fv = extract(token, pos, template)
             assert tuple(fv) == TEMPLATE_FAMILIES[template]
+
+
+# Unicode digits, a non-ASCII capital, one-character tokens and hyphens
+EDGE_TOKENS = ["²", "٣", "É", "é", "a", "-", "B-52", "x-ray-", "É-2", "Batman", "٣rd"]
+batch_tokens_st = st.lists(st.one_of(st.sampled_from(EDGE_TOKENS), tokens_st), max_size=12)
+
+
+class TestBatchExtract:
+    """The batch form is the per-token form, column by column."""
+
+    @given(batch_tokens_st, st.data())
+    def test_columns_equal_per_token_vectors(self, tokens, data):
+        positions = data.draw(st.lists(st.integers(0, 3), min_size=len(tokens),
+                                       max_size=len(tokens)))
+        for template in FeatureTemplate:
+            cols = extract(tokens, positions, template)
+            assert tuple(cols) == TEMPLATE_FAMILIES[template]
+            rows = [extract(tok, pos, template) for tok, pos in zip(tokens, positions)]
+            assert cols == {fam: [fv[fam] for fv in rows] for fam in cols}
+
+    @given(batch_tokens_st)
+    def test_flag_columns_follow_their_definitions(self, tokens):
+        cols = extract(tokens, [0] * len(tokens), FeatureTemplate.LF2)
+        flag = {True: "true", False: "false"}
+        assert cols["has-digit"] == [flag[any(c.isdigit() for c in t)] for t in tokens]
+        assert cols["has-hyphen"] == [flag["-" in t] for t in tokens]
+        assert cols["first-letter-up"] == [flag[t[0].isupper()] for t in tokens]
+
+    def test_edge_tokens(self):
+        cols = extract(["²", "٣", "É", "a-b"], [0, 1, 2, 3], FeatureTemplate.LF2)
+        assert cols["has-digit"] == ["true", "true", "false", "false"]
+        assert cols["first-letter-up"] == ["false", "false", "true", "false"]
+        assert cols["has-hyphen"] == ["false", "false", "false", "true"]
+        assert cols["first-position"] == ["true", "false", "false", "false"]
+        # a token shorter than an affix is its own affix
+        assert cols["suffix-5"] == ["²", "٣", "É", "a-b"]
+        assert cols["prefix-2"] == ["²", "٣", "É", "a-"]
+
+    @given(batch_tokens_st, st.sampled_from(list(FeatureTemplate)))
+    def test_column_vectorize_equals_row_vectorize(self, tokens, template):
+        index = build_index([["Batman", "is", "B-52", "É"], ["²", "x-ray-"]], template)
+        positions = list(range(len(tokens)))
+        got = vectorize(extract(tokens, positions, template), index)
+        assert got.dtype == np.intp and got.shape == (len(tokens), len(index.families))
+        assert got.tolist() == [
+            list(vectorize(extract(tok, pos, template), index))
+            for tok, pos in zip(tokens, positions)
+        ]
+        # and each id is the pair map's, not only the per-family maps'
+        assert got.tolist() == [
+            [index.id_of(fam, value) for fam, value in extract(tok, pos, template).items()]
+            for tok, pos in zip(tokens, positions)
+        ]
+
+    def test_column_vectorize_rejects_a_family_outside_the_index(self):
+        index = build_index(toy_corpus(), FeatureTemplate.NF)
+        with pytest.raises(InvalidInputError, match="'suffix-2' not in index"):
+            vectorize({"suffix-2": ["is"]}, index)
+        with pytest.raises(InvalidInputError, match="'suffix-2' not in index"):
+            vectorize({"suffix-2": "is"}, index)
+
+    @pytest.mark.parametrize("template", list(FeatureTemplate))
+    def test_empty_token_rejected_in_both_forms(self, template):
+        for args in (("", 0), (["a", ""], [0, 1])):
+            with pytest.raises(InvalidInputError, match="^token must be non-empty$"):
+                extract(*args, template)
+
+    @pytest.mark.parametrize("template", ["lf1", None], ids=["string", "none"])
+    def test_unknown_template_rejected_in_both_forms(self, template):
+        for args in (("Cat", 0), (["Cat", "dog"], [0, 1])):
+            with pytest.raises(InvalidInputError, match="^unknown feature template: "):
+                extract(*args, template)
+
+    def test_empty_batch_has_every_family(self):
+        cols = extract([], [], FeatureTemplate.LF2)
+        assert cols == {fam: [] for fam in TEMPLATE_FAMILIES[FeatureTemplate.LF2]}
+        index = build_index(toy_corpus(), FeatureTemplate.LF2)
+        assert vectorize(cols, index).shape == (0, len(index.families))
 
 
 def toy_corpus():

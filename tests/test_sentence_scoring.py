@@ -393,9 +393,12 @@ class TestNaiveDecodingUsesTheMemo:
         keys = []
         original = features.extract
 
-        def counting(token, position, template):
-            keys.append((token, position == 0))
-            return original(token, position, template)
+        def counting(tokens, positions, template):
+            if isinstance(tokens, str):  # one token
+                keys.append((tokens, positions == 0))
+            else:  # every key of a batch call
+                keys.extend((tok, pos == 0) for tok, pos in zip(tokens, positions))
+            return original(tokens, positions, template)
 
         # every efbtag module that binds the name, wherever decoding calls it from
         for name, module in list(sys.modules.items()):
