@@ -166,8 +166,9 @@ def _row_sums(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # Gathered slot-major, (W, T, N): the reduction over axis 0 adds whole
     # (T, N) slabs one slot after another, so each input's sum is taken in
     # slot order exactly as summing its own (W, N) rows does, while every
-    # addition runs over a contiguous slab instead of T short rows.
-    return np.add.reduce(weights[rows.T], axis=0)
+    # addition runs over a contiguous slab instead of T short rows.  `take`
+    # copies the rows fancy indexing copies, in about half the time.
+    return np.add.reduce(weights.take(rows.T, axis=0), axis=0)
 
 
 def predict(
@@ -211,14 +212,17 @@ def predict_all_prev(model: LogisticModel, feature_ids: ArrayLike) -> np.ndarray
     np.exp(scaled, out=scaled)
     prev = block - block.max(axis=1, keepdims=True)
     np.exp(prev, out=prev)  # [j, i]
+    # the normalisers as one (1, N) @ (N, N) product per input, so an
+    # input's table never depends on the inputs scored with it; the tables
+    # then take two passes, the product and the scaling
+    norms = np.matmul(scaled[:, None, :], prev.T)[:, 0]  # [t, j]
     tables = np.multiply(scaled[:, :, None], prev.T, out=np.empty((len(base),) + prev.shape))
-    norms = tables.sum(axis=1)  # [t, j]
     if norms.min(initial=np.inf) > FACTOR_FLOOR:
-        tables /= norms[:, None, :]
+        tables *= (1.0 / norms)[:, None, :]
     else:
         t, j = np.nonzero(norms <= FACTOR_FLOOR)
         norms[t, j] = 1.0
-        tables /= norms[:, None, :]
+        tables *= (1.0 / norms)[:, None, :]
         tables[t, :, j] = _softmax_rows(base[t] + block[j])
     return tables if batch else tables[0]
 
@@ -293,9 +297,9 @@ def train(
         decay_factor = 1.0 - rate * config.l2
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            b_rows = rows[batch_idx]  # (B, width)
+            b_rows = rows.take(batch_idx, axis=0)  # (B, width)
             b_size = len(batch_idx)
-            g, _ = _residuals(w, b_rows, targets[batch_idx], scale)
+            g, _ = _residuals(w, b_rows, targets.take(batch_idx), scale)
             scale *= decay_factor
             g *= rate / (b_size * scale)
             # flat ids in (example, slot, label) order: each weight takes its

@@ -48,11 +48,14 @@ class HmcParams:
 
     `emit` has one column per trained word plus a trailing unknown-word
     column, or is None for a bare (pi, A) chain; every row is a distribution.
+    `emit_rows` is `emit.T` copied to C order, (M+1, N), so a word's N
+    emissions are one contiguous row for `posterior_fb` to gather.
     """
 
     pi: np.ndarray     # (N,)
     trans: np.ndarray  # (N, N), trans[i, j] = P(next=j | cur=i)
     emit: Optional[np.ndarray] = None  # (N, M+1), last column is the unknown-word slot
+    emit_rows: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_chain(self.pi, self.trans)
@@ -61,6 +64,7 @@ class HmcParams:
         if self.emit.ndim != 2 or self.emit.shape[0] != self.n_labels:
             raise InvalidInputError("emission table shape mismatch")
         _check_rows(self.emit, "emission")
+        object.__setattr__(self, "emit_rows", np.ascontiguousarray(self.emit.T))
 
     @property
     def n_labels(self) -> int:
@@ -246,7 +250,8 @@ def _lockstep_forward(pi, trans, emissions, lengths) -> tuple[np.ndarray, np.nda
             )
         divide(rows, s[:, None], rows)
         prev = rows
-    return alphas.reshape(-1, alphas.shape[2])[flat], scales.reshape(-1)[flat]
+    alphas = alphas.reshape(-1, alphas.shape[2])
+    return alphas.take(flat, axis=0), scales.reshape(-1).take(flat)
 
 
 def _lockstep_backward(trans, emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +283,8 @@ def _lockstep_backward(trans, emissions, lengths) -> tuple[np.ndarray, np.ndarra
             )
         divide(rows, s[:, None], rows)
         nxt, nxt_emit = rows, padded[t]
-    return betas.reshape(-1, betas.shape[2])[flat], scales.reshape(-1)[flat]
+    betas = betas.reshape(-1, betas.shape[2])
+    return betas.take(flat, axis=0), scales.reshape(-1).take(flat)
 
 
 def unscale(rows: np.ndarray, scales: np.ndarray, backward: bool = False) -> np.ndarray:
@@ -298,7 +304,7 @@ def _emission_matrix(params: HmcParams, obs: Sequence[int]) -> np.ndarray:
     obs_arr = id_array(obs, "word ids")
     if obs_arr.min() < 0 or obs_arr.max() >= params.emit.shape[1]:
         raise InvalidInputError("word id outside emission table")
-    return params.emit.T[obs_arr]  # (T, N), C-ordered: the recursions read rows
+    return params.emit_rows.take(obs_arr, axis=0)  # (T, N): the recursions read rows
 
 
 def forward(params: HmcParams, obs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -347,14 +353,16 @@ class NaiveFeatureEmission:
     per-family conditionals; unseen values route to each family's
     trailing unknown slot.  `stacked` holds every family's value columns
     in family order, then every family's unknown column: the layout of
-    `index_from_pairs`, so its columns are the ids of `naive_feature_index`
-    that `naive_emission_matrix` gathers.
+    `index_from_pairs`, so its columns are the ids of `naive_feature_index`.
+    `stacked_rows` is `stacked.T` copied to C order, the rows that
+    `naive_emission_matrix` gathers.
     """
 
     families: tuple[str, ...]
     value_index: dict[str, dict[str, int]]  # family -> value -> column
     tables: dict[str, np.ndarray]           # family -> (N, V_f + 1)
-    stacked: np.ndarray = field(init=False, repr=False, compare=False)  # (N, sum(V_f + 1))
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)  # (N, S)
+    stacked_rows: np.ndarray = field(init=False, repr=False, compare=False)  # (S, N)
 
     def __post_init__(self):
         for fam in self.families:
@@ -362,6 +370,7 @@ class NaiveFeatureEmission:
         tables = [self.tables[fam] for fam in self.families]
         stacked = np.hstack([t[:, :-1] for t in tables] + [t[:, -1:] for t in tables])
         object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "stacked_rows", np.ascontiguousarray(stacked.T))
 
     def column_of(self, family: str, value: str) -> int:
         if family not in self.tables:
@@ -447,7 +456,9 @@ def naive_emission_matrix(
         raise InvalidInputError("naive emission ids must be a (T, families) array")
     if ids.size and (ids.min() < 0 or ids.max() >= model.stacked.shape[1]):
         raise InvalidInputError("feature id outside the naive emission tables")
-    return np.prod(model.stacked.T[ids], axis=1)
+    # gathered family-major, (F, T, N): the reduction multiplies whole
+    # (T, N) slabs in family order, as a product over each input's F rows does
+    return np.multiply.reduce(model.stacked_rows.take(ids.T, axis=0), axis=0)
 
 
 def posterior_naive_features(

@@ -80,7 +80,8 @@ def _lockstep_lattice(first: np.ndarray, steps, lengths) -> np.ndarray:
         if tables.shape != (len(rows), n, n):
             raise InvalidInputError("conditional table shape mismatch")
         # the per-sentence (N, N) @ (N, 1) product of each live row
-        alphas[rows] = np.matmul(tables, alphas[rows - 1, :, None])[:, :, 0]
+        before = alphas.take(rows - 1, axis=0)
+        alphas[rows] = np.matmul(tables, before[:, :, None])[:, :, 0]
     if t != lengths.max() - 1:
         raise InvalidInputError(f"{t} conditional steps for sentences of {lengths.max()}")
     return alphas
@@ -97,10 +98,10 @@ def memm_forward(
     if lengths is not None:
         lengths = check_lengths(lengths, len(obs))
         starts = np.cumsum(lengths) - lengths
-        first = predict(model.l0, obs[starts])
+        first = predict(model.l0, obs.take(starts, axis=0))
         # scored step by step, so only one step's (L, N, N) tables are live
         steps = (
-            predict_all_prev(model.l1, obs[starts[lengths > t] + t])
+            predict_all_prev(model.l1, obs.take(starts[lengths > t] + t, axis=0))
             for t in range(1, lengths.max())
         )
         return forward_lattice(first, steps, lengths)

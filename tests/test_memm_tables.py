@@ -4,7 +4,9 @@
 into exponentials of the input's N scores and of the previous-label
 block, normalised over labels, and scores a table column whose
 normaliser underflows as a direct softmax.  `reference_predict_all_prev`
-below is the direct softmax it replaced.
+below is the direct softmax it replaced.  An input's table is the same
+whichever inputs are scored with it, so batched memm decoding gives the
+per-sentence lattices byte for byte.
 """
 
 import importlib.util
@@ -15,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from efbtag import discrim, memm
 from efbtag.core import ROW_SUM_TOL
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.discrim import LogisticModel, SgdConfig, predict, predict_all_prev
 from efbtag.features import FeatureTemplate
 from efbtag.memm import MemmModel, decode_memm, forward_lattice
-from efbtag.tagger import DecoderKind, train_tagger
+from efbtag.tagger import DecoderKind, buckets, train_tagger
 
 _GEN = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
 
@@ -132,3 +135,64 @@ def test_memm_labels_equal_labels_from_reference_tables(corpora, template):
         expected.append(lattice.argmax(axis=1).tolist())
         assert decode_memm(model, feats) == expected[-1]
     assert tagger.decode(sentences) == expected
+
+
+# --- a table does not depend on the inputs scored with it --------------------
+
+
+def assert_tables_are_per_input(model, ids):
+    tables = tables_without_warnings(model, ids)
+    for k in range(len(ids)):
+        alone = tables_without_warnings(model, ids[k : k + 1])[0]
+        assert alone.tobytes() == tables[k].tobytes(), k
+
+
+@pytest.mark.parametrize("n_labels", [1, 2, 5, 17])
+@pytest.mark.parametrize("seed", range(3))
+def test_normal_weight_tables_do_not_depend_on_the_batch(n_labels, seed):
+    rng = np.random.default_rng([seed, n_labels, 2])
+    d = 100 + n_labels + 1
+    model = LogisticModel(rng.normal(0.0, 1.5, (d, n_labels)), 100, n_labels, True)
+    assert_tables_are_per_input(model, rng.integers(0, 100, (37, 13)))
+
+
+def test_wide_weight_tables_do_not_depend_on_the_batch(monkeypatch):
+    # the direct softmax runs only for columns whose normaliser underflows
+    fallbacks = []
+    softmax = discrim._softmax_rows
+
+    def counting_softmax(scores):
+        fallbacks.append(len(scores))
+        return softmax(scores)
+
+    monkeypatch.setattr(discrim, "_softmax_rows", counting_softmax)
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 3])
+        n_labels = (1, 2, 17)[seed % 3]
+        model = weight_model(rng, 300, n_labels)
+        assert_tables_are_per_input(model, rng.integers(0, 300, (23, 13)))
+    assert fallbacks, "no column took the FACTOR_FLOOR fallback"
+
+
+def test_batched_memm_lattices_equal_per_sentence_lattices(corpora, monkeypatch):
+    train, test = corpora
+    tagger, _ = train_tagger(train, DecoderKind.MEMM, FeatureTemplate.LF1, SgdConfig(epochs=1))
+    lattices = []
+    decode_lattice = memm.decode_lattice
+
+    def recording_decode_lattice(alphas):
+        lattices.append(alphas)
+        return decode_lattice(alphas)
+
+    monkeypatch.setattr(memm, "decode_lattice", recording_decode_lattice)
+    sentences = [sent.tokens for sent in test.sentences]
+    alone = []
+    for tokens in sentences:
+        tagger.decode(tokens)
+        alone.append(lattices.pop())
+    tagger.decode(sentences)
+    groups = buckets([len(tokens) for tokens in sentences])
+    assert len(lattices) == len(groups) and max(map(len, groups)) > 1
+    for group, stacked in zip(groups, lattices):
+        expected = np.concatenate([alone[i] for i in group])
+        assert stacked.tobytes() == expected.tobytes()

@@ -1,0 +1,88 @@
+"""Row gathers by `take` copy the rows that fancy indexing copies.
+
+The hmc-fb and hmc-naive-features emission matrices gather rows from
+C-ordered copies of their tables (`HmcParams.emit_rows`,
+`NaiveFeatureEmission.stacked_rows`) with `ndarray.take`.  These tests pin
+both to the fancy-index forms they replaced, byte for byte: the emission
+matrix, and the posterior computed from it.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from efbtag import hmc
+
+
+def random_chain(rng, n):
+    return rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n), size=n)
+
+
+@st.composite
+def naive_cases(draw):
+    """A random naive model and (T, F) ids, each family's unknown column among them."""
+    n = draw(st.integers(1, 20))
+    values = draw(st.lists(st.integers(0, 6), min_size=1, max_size=13))
+    t = draw(st.integers(len(values), 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    families = tuple(f"f{k}" for k in range(len(values)))
+    model = hmc.NaiveFeatureEmission(
+        families=families,
+        value_index={f: {f"v{i}": i for i in range(v)} for f, v in zip(families, values)},
+        tables={f: rng.dirichlet(np.ones(v + 1), size=n) for f, v in zip(families, values)},
+    )
+    # the `stacked` layout: every family's value columns, then every unknown column
+    offsets = np.cumsum(values) - values
+    unknown = sum(values) + np.arange(len(values))
+    ids = offsets + (rng.random((t, len(values))) * np.array(values)).astype(np.intp)
+    ids = np.where(np.array(values) > 0, ids, unknown)
+    rows = rng.permutation(t)[: len(values)]
+    ids[rows, np.arange(len(values))] = unknown  # each family's unknown column once at least
+    return model, ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(naive_cases())
+def test_naive_emission_matrix_equals_the_fancy_index_product(case):
+    model, ids = case
+    assert model.stacked_rows.flags.c_contiguous
+    assert np.array_equal(model.stacked_rows, model.stacked.T)
+    got = hmc.naive_emission_matrix(model, ids)
+    expected = np.prod(model.stacked.T[ids], axis=1)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_naive_emission_matrix_of_no_inputs():
+    tables = {"f0": np.full((4, 3), 1 / 3), "f1": np.full((4, 2), 0.5)}
+    model = hmc.NaiveFeatureEmission(("f0", "f1"), {"f0": {"a": 0, "b": 1}, "f1": {"c": 0}}, tables)
+    assert hmc.naive_emission_matrix(model, np.empty((0, 2), dtype=np.intp)).shape == (0, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    words=st.integers(0, 30),
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_posterior_fb_equals_the_posterior_of_fancy_index_emissions(n, words, lengths, seed):
+    rng = np.random.default_rng(seed)
+    pi, trans = random_chain(rng, n)
+    # `words` trained words plus the trailing unknown-word column
+    params = hmc.HmcParams(pi, trans, rng.dirichlet(np.ones(words + 1), size=n))
+    assert params.emit_rows.flags.c_contiguous
+    assert np.array_equal(params.emit_rows, params.emit.T)
+    obs = rng.integers(0, words + 1, size=sum(lengths))
+    obs[rng.integers(len(obs))] = words
+    emissions = params.emit.T[obs]
+    for lens, part in ((None, obs[: lengths[0]]), (lengths, obs)):
+        got = hmc.posterior_fb(params, part, lens).values
+        e = emissions[: len(part)]
+        alphas, _ = hmc.scaled_forward(pi, trans, e, lens)
+        betas, _ = hmc.scaled_backward(trans, e, lens)
+        expected = hmc.posterior_from_lattices(alphas, betas).values
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_a_bare_chain_has_no_emission_rows():
+    pi, trans = random_chain(np.random.default_rng(0), 3)
+    assert hmc.HmcParams(pi, trans).emit_rows is None
