@@ -208,40 +208,47 @@ def scaled_backward(
     return betas, np.array(scales[::-1])
 
 
-def _time_major(emissions: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked sentences as a (T_max, B, N) copy, padded with emission 1.
+def _packed(emissions: np.ndarray, lengths) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Stacked sentences' rows packed step by step, longest sentence first.
 
-    Also returns the lengths as checked, and each stacked row's place in
-    the copy's (T_max * B) rows, which gathers lattices back in order.
+    Packed rows `bounds[t]:bounds[t + 1]` are position t of the sentences
+    longer than t, longest first (a stable sort), so each step's sentences
+    are a prefix of the step before's and no row is padding.  Also returns
+    each stacked row's place among the packed rows, which gathers lattices
+    back in input order.
     """
     lengths = check_lengths(lengths, len(emissions))
-    b, n = len(lengths), emissions.shape[1]
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # sentences longer than t, for each step t: the sort leaves them first
+    live = np.searchsorted(-lengths[order], -np.arange(lengths.max()))
+    bounds = np.concatenate(([0], np.cumsum(live)))
     starts = np.cumsum(lengths) - lengths
     pos = np.arange(len(emissions)) - np.repeat(starts, lengths)
-    flat = pos * b + np.repeat(np.arange(b), lengths)
-    # a padded row has emission 1: its mass stays that of a distribution
-    # pushed through `trans`, so no padded row is ever divided by zero
-    padded = np.ones((int(lengths.max()) * b, n))
-    padded[flat] = emissions
-    return padded.reshape(-1, b, n), lengths, flat
+    place = bounds[pos] + np.repeat(rank, lengths)
+    source = np.empty_like(place)
+    source[place] = np.arange(len(place))
+    return emissions.take(source, axis=0), bounds.tolist(), place
 
 
 def _lockstep_forward(pi, trans, emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """`scaled_forward` of stacked sentences, one (B, N) step per position.
+    """`scaled_forward` of stacked sentences, one `_packed` step per position.
 
     A step is one stacked matmul in the per-sentence (1, N) @ (N, N) form,
     so every sentence's rows are bitwise those it gets alone.
     """
-    padded, _, flat = _time_major(emissions, lengths)
+    packed, bounds, place = _packed(emissions, lengths)
     matmul, multiply, divide, add = np.matmul, np.multiply, np.divide, np.add.reduce
-    alphas = np.empty(padded.shape)
-    scales = np.empty(padded.shape[:2])
+    alphas = np.empty(packed.shape)
+    scales = np.empty(len(packed))
     prev = None
-    for t, (rows, emit, s) in enumerate(zip(alphas, padded, scales)):
+    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        rows, emit, s = alphas[lo:hi], packed[lo:hi], scales[lo:hi]
         if prev is None:
             multiply(pi, emit, rows)
         else:
-            matmul(prev[:, None, :], trans, rows[:, None, :])
+            matmul(prev[: hi - lo, None, :], trans, rows[:, None, :])
             multiply(emit, rows, rows)
         add(rows, 1, None, s)
         if not (s > 0.0).all():
@@ -250,41 +257,36 @@ def _lockstep_forward(pi, trans, emissions, lengths) -> tuple[np.ndarray, np.nda
             )
         divide(rows, s[:, None], rows)
         prev = rows
-    alphas = alphas.reshape(-1, alphas.shape[2])
-    return alphas.take(flat, axis=0), scales.reshape(-1).take(flat)
+    return alphas.take(place, axis=0), scales.take(place)
 
 
 def _lockstep_backward(trans, emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """`scaled_backward` of stacked sentences, one (B, N) step per position.
+    """`scaled_backward` of stacked sentences, one `_packed` step per position.
 
-    A step is one stacked matmul in the per-sentence (N, N) @ (N, 1) form;
-    each sentence's pass starts afresh at its last row, so the steps
-    through its padding never reach its own rows.
+    A step is one stacked matmul in the per-sentence (N, N) @ (N, 1) form
+    on the sentences that ran at the step after; the sentences that end at
+    the step follow them, and start their pass there with a row of ones.
     """
-    padded, lengths, flat = _time_major(emissions, lengths)
+    packed, bounds, place = _packed(emissions, lengths)
     matmul, multiply, divide, add = np.matmul, np.multiply, np.divide, np.add.reduce
-    betas = np.empty(padded.shape)
-    scales = np.empty(padded.shape[:2])
-    buf = np.empty(padded.shape[1:])
-    last = lengths - 1
-    nxt = nxt_emit = None
-    for t in range(len(padded) - 1, -1, -1):
-        rows, s = betas[t], scales[t]
-        if nxt is None:
-            rows.fill(1.0)
-        else:
-            multiply(nxt_emit, nxt, buf)
-            matmul(trans, buf[:, :, None], rows[:, :, None])
-            rows[last == t] = 1.0
+    betas = np.empty(packed.shape)
+    scales = np.empty(len(packed))
+    buf = np.empty((bounds[1], packed.shape[1]))
+    nxt = nxt_emit = packed[:0]  # no sentence runs after the last step
+    for t in range(len(bounds) - 2, -1, -1):
+        lo, hi, m = bounds[t], bounds[t + 1], len(nxt)
+        rows, s = betas[lo:hi], scales[lo:hi]
+        multiply(nxt_emit, nxt, buf[:m])
+        matmul(trans, buf[:m, :, None], rows[:m, :, None])
+        rows[m:] = 1.0
         add(rows, 1, None, s)
         if not (s > 0.0).all():
             raise NumericalDegeneracyError(
                 f"backward pass degenerated to zero mass at position {t}"
             )
         divide(rows, s[:, None], rows)
-        nxt, nxt_emit = rows, padded[t]
-    betas = betas.reshape(-1, betas.shape[2])
-    return betas.take(flat, axis=0), scales.reshape(-1).take(flat)
+        nxt, nxt_emit = rows, packed[lo:hi]
+    return betas.take(place, axis=0), scales.take(place)
 
 
 def unscale(rows: np.ndarray, scales: np.ndarray, backward: bool = False) -> np.ndarray:

@@ -18,27 +18,24 @@ from .features import FeatureIndex, FeaturePipeline, FeatureTemplate, build_inde
 
 
 # a batch decodes in buckets of sentences of similar length, each bucket
-# at most this many sentences and this many padded positions; a sentence
-# too long to share a bucket is decoded alone
-BUCKET_SENTENCES = 64
-BUCKET_POSITIONS = 8192
+# at most this many tokens; a sentence too long to share a bucket is
+# decoded alone
+BUCKET_TOKENS = 8192
 
 
 def buckets(lengths: Sequence[int]) -> list[list[int]]:
     """Sentence numbers grouped for lockstep decoding, by ascending length.
 
-    Each group holds at most BUCKET_SENTENCES sentences and, padded to its
-    longest, at most BUCKET_POSITIONS positions, unless it is one sentence.
+    Each group holds at most BUCKET_TOKENS tokens, unless it is one sentence.
     """
     groups: list[list[int]] = []
+    tokens = 0
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        # sorted, so sentence i is the longest of its group so far
-        if not groups or (
-            len(groups[-1]) == BUCKET_SENTENCES
-            or (len(groups[-1]) + 1) * lengths[i] > BUCKET_POSITIONS
-        ):
+        if not groups or tokens + lengths[i] > BUCKET_TOKENS:
             groups.append([])
+            tokens = 0
         groups[-1].append(i)
+        tokens += lengths[i]
     return groups
 
 

@@ -2,12 +2,14 @@
 
 `Tagger.decode` given a batch sorts it by length into buckets, and each
 bucket runs through the public layers' `lengths=` form: the recursions
-take every sentence one step at a time in lockstep.  These tests check
-that the batch form gives each sentence the posteriors (to 1e-12) and the
-labels that the per-sentence form gives, in input order, that the bucket
-caps hold, and that bad lengths raise `InvalidInputError`.  A padded row
-divided by zero would raise a `RuntimeWarning`, which pytest turns into a
-failure here.
+take every sentence one step at a time in lockstep, each step over the
+packed rows of the sentences still running.  These tests check that the
+batch form gives each sentence the posteriors (to 1e-12), the scaled
+lattices and scales (to the byte), the degeneracy errors and the labels
+that the per-sentence form gives, in input order, that the bucket cap
+holds, and that bad lengths raise `InvalidInputError`.  A row divided by
+zero would raise a `RuntimeWarning`, which pytest turns into a failure
+here.
 """
 
 import importlib.util
@@ -23,12 +25,10 @@ from efbtag import efb, evaluation, features, hmc, memm
 from efbtag.core import TagSet, check_lengths
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.discrim import LogisticModel, SgdConfig
-from efbtag.errors import InvalidInputError
+from efbtag.errors import InvalidInputError, NumericalDegeneracyError
 from efbtag.features import FeatureTemplate
 from efbtag.modelfile import load_model, save_model
-from efbtag.tagger import (
-    BUCKET_POSITIONS, BUCKET_SENTENCES, DecoderKind, buckets, train_tagger,
-)
+from efbtag.tagger import BUCKET_TOKENS, DecoderKind, buckets, train_tagger
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -46,7 +46,7 @@ gen = _load("efbtag_bench_gen", BENCH / "gen.py")
 
 TOL = 1e-12
 SEED = 3
-LONG = 5_000  # a sentence this long shares no bucket
+LONG = BUCKET_TOKENS + 1  # a sentence this long shares no bucket
 
 
 # --- the layers' lengths= form, on random models -----------------------------
@@ -128,13 +128,66 @@ def test_a_long_sentence_alone_and_among_short_ones(kind):
 
 def test_each_backward_pass_starts_at_its_sentence_end():
     """A sentence's last backward row is all ones scaled by N, as alone,
-    however many padded steps the longest sentence runs before it."""
+    however many steps the longest sentence runs before it."""
     rng = np.random.default_rng(SEED)
     chain = random_chain(rng, 5)
     lengths = [4, 1, 30, 7]
     betas, scales = hmc.scaled_backward(chain.trans, rng.random((sum(lengths), 5)), lengths)
     ends = np.cumsum(lengths) - 1
     assert (betas[ends] == 1.0 / 5).all() and (scales[ends] == 5.0).all()
+
+
+def _recursions(chain):
+    """The scaled forward and backward recursions of `chain`, each from
+    (emissions, lengths=None) to its (lattice, scales)."""
+    return {
+        "forward": lambda e, lens=None: hmc.scaled_forward(chain.pi, chain.trans, e, lens),
+        "backward": lambda e, lens=None: hmc.scaled_backward(chain.trans, e, lens),
+    }
+
+
+# many sentences of one length, length-1 sentences and longer ones, shuffled
+packed_lengths = st.lists(
+    st.one_of(st.just(1), st.sampled_from([4, 9]), st.integers(1, 60)), min_size=1, max_size=40
+).flatmap(st.permutations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 20), lengths=packed_lengths, seed=st.integers(0, 2**32 - 1))
+def test_lockstep_lattices_and_scales_are_the_per_sentence_bytes(n, lengths, seed):
+    rng = np.random.default_rng(seed)
+    chain = random_chain(rng, n)
+    emissions = rng.random((sum(lengths), n))
+    ends = np.cumsum(lengths)
+    for name, recursion in _recursions(chain).items():
+        lattice, scales = recursion(emissions, lengths)
+        alone = [recursion(emissions[e - t : e]) for t, e in zip(lengths, ends)]
+        expected = np.concatenate([rows for rows, _ in alone])
+        assert lattice.shape == expected.shape and lattice.tobytes() == expected.tobytes(), name
+        expected = np.concatenate([s for _, s in alone])
+        assert scales.shape == expected.shape and scales.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("position", [1, 3, 6])
+def test_a_degenerate_sentence_names_its_own_position_in_a_batch(position):
+    """A zero-mass emission row at `position` of the fourth sentence zeroes
+    its forward row there and its backward row just before; the batch names
+    the position that decoding the sentence alone names."""
+    rng = np.random.default_rng(SEED)
+    chain = random_chain(rng, 4)
+    lengths = [5, 7, 1, 7, 3]
+    emissions = rng.random((sum(lengths), 4))
+    start = sum(lengths[:3])
+    emissions[start + position] = 0.0
+    sentence = emissions[start : start + 7]
+    for name, recursion in _recursions(chain).items():
+        with pytest.raises(NumericalDegeneracyError) as alone:
+            recursion(sentence)
+        with pytest.raises(NumericalDegeneracyError) as batched:
+            recursion(emissions, lengths)
+        named = position if name == "forward" else position - 1
+        assert str(alone.value).endswith(f"at position {named}"), name
+        assert str(batched.value) == str(alone.value), name
 
 
 def test_provider_rows_count_positions_within_each_sentence(worked_params):
@@ -213,25 +266,27 @@ def test_forward_lattice_rejects_steps_that_do_not_fit_the_lengths():
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.one_of(st.integers(1, 200), st.integers(3000, 9000)), max_size=300))
-def test_buckets_cover_every_sentence_within_the_caps(lengths):
+def test_buckets_cover_every_sentence_within_the_cap(lengths):
     groups = buckets(lengths)
     assert sorted(i for g in groups for i in g) == list(range(len(lengths)))
     order = [lengths[i] for g in groups for i in g]
     assert order == sorted(order)
-    for g in groups:
-        longest = max(lengths[i] for i in g)
-        assert len(g) == 1 or (
-            len(g) <= BUCKET_SENTENCES and len(g) * longest <= BUCKET_POSITIONS
-        )
+    tokens = [sum(lengths[i] for i in g) for g in groups]
+    for g, total in zip(groups, tokens):
+        assert len(g) == 1 or total <= BUCKET_TOKENS
+    # each bucket is full: the next bucket's first sentence would overflow it
+    for total, nxt in zip(tokens, groups[1:]):
+        assert total + lengths[nxt[0]] > BUCKET_TOKENS
 
 
 def test_bucket_boundaries():
+    half = BUCKET_TOKENS // 2
     assert buckets([LONG, 3, 1]) == [[2, 1], [0]]
-    assert [len(g) for g in buckets([2] * 65)] == [64, 1]
-    side = BUCKET_POSITIONS // BUCKET_SENTENCES
-    assert [len(g) for g in buckets([side] * 64)] == [64]  # exactly 8,192 positions
-    assert [len(g) for g in buckets([side + 1] * 64)] == [63, 1]
-    assert buckets([BUCKET_POSITIONS + 1, 1]) == [[1], [0]]
+    assert buckets([half, half]) == [[0, 1]]  # exactly the cap
+    assert buckets([half + 1, half]) == [[1], [0]]  # the cap + 1
+    assert buckets([BUCKET_TOKENS - 1, 1]) == [[1, 0]]
+    assert buckets([BUCKET_TOKENS, 1]) == [[1], [0]]
+    assert [len(g) for g in buckets([2] * (half + 1))] == [half, 1]
 
 
 # --- Tagger.decode on gen.py corpora -----------------------------------------
@@ -275,13 +330,14 @@ def test_gen_corpus_batch_equals_per_sentence(taggers, corpora):
 
 def test_long_sentences_and_bucket_edges_equal_per_sentence(taggers, corpora):
     stream = [tok for s in corpora[1].sentences for tok in s.tokens]
-    words = stream * (BUCKET_POSITIONS // len(stream) + 1)
-    side = BUCKET_POSITIONS // BUCKET_SENTENCES
+    words = stream * (LONG // len(stream) + 1)
+    side = BUCKET_TOKENS // 64
+    at_cap = [words[i : i + side] for i in range(0, 64 * side, side)]
     edges = {
         "a long sentence alone": ([words[:3], tuple(words[:LONG]), words[3:4]], [2, 1]),
-        "65 sentences": ([words[i : i + 1 + i % 7] for i in range(65)], [64, 1]),
-        "exactly 8,192 positions": ([words[i : i + side] for i in range(0, 64 * side, side)],
-                                    [64]),
+        "300 sentences of 1 to 7": ([words[i : i + 1 + i % 7] for i in range(300)], [300]),
+        "exactly the cap": (at_cap, [64]),
+        "the cap + 1": (at_cap + [words[:1]], [64, 1]),
     }
     for (kind, template), tagger in taggers.items():
         if template is FeatureTemplate.LF2 or kind is DecoderKind.HMC_FB:
