@@ -278,6 +278,8 @@ class FeaturePipeline:
         index's memo table, which keeps each indexed word's row it lacked.
         The keys a call misses are extracted with one `extract` call.
         """
+        if isinstance(tokens, str):
+            raise InvalidInputError("a sentence is a sequence of tokens, not a string")
         index = self.index
         memo = index.memo
         later, first = memo.rows

@@ -131,6 +131,10 @@ def estimate_params(
     return HmcParams(pi=pi, trans=trans, emit=_smoothed_rows(emit_counts, smoothing))
 
 
+def _degenerate(direction: str, t: int) -> NumericalDegeneracyError:
+    return NumericalDegeneracyError(f"{direction} pass degenerated to zero mass at position {t}")
+
+
 def scaled_forward(
     pi: np.ndarray, trans: np.ndarray, emissions: np.ndarray, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -144,19 +148,37 @@ def scaled_forward(
     order, so the lattice is bitwise the one that step gives.
 
     Given `lengths`, `emissions` holds sentences of those lengths stacked,
-    which run in lockstep; the lattices and scales come back stacked alike.
+    and the lattices and scales come back stacked alike.  Their `_packed`
+    rows run in two phases: while two or more sentences run, a step is one
+    stacked matmul in the per-row (1, N) @ (N, N) form; then the longest
+    runs on alone, a row at a time, as one sentence does throughout.
     """
-    if lengths is not None:
-        return _lockstep_forward(pi, trans, emissions, lengths)
-    # a step is four numpy calls on N-vectors, so name lookups, keyword
+    packed, bounds, place = _packed(emissions, lengths)
+    # a step alone is four numpy calls on N-vectors, so name lookups, keyword
     # parsing and `np.dot`'s dispatch would be a visible share of it: the
     # calls are bound once, take their output positionally, and the product
     # is the array method, which runs the same BLAS call as `np.dot`
     multiply, divide, add = np.multiply, np.divide, np.add.reduce
-    alphas = np.empty(emissions.shape)
-    scales = []
-    prev = None
-    for row, emit in zip(alphas, emissions):
+    alphas = np.empty(packed.shape)
+    scales = np.empty(len(packed))
+    start = bounds[-1]
+    prev, tail = None, (alphas, packed)
+    if start:  # two or more sentences: stacked steps, then the longest alone
+        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            rows, emit, s = alphas[lo:hi], packed[lo:hi], scales[lo:hi]
+            if prev is None:
+                multiply(pi, emit, rows)
+            else:
+                np.matmul(prev[: hi - lo, None, :], trans, rows[:, None, :])
+                multiply(emit, rows, rows)
+            add(rows, 1, None, s)
+            if not (s > 0.0).all():
+                raise _degenerate("forward", t)
+            divide(rows, s[:, None], rows)
+            prev = rows
+        prev, tail = prev[0], (alphas[start:], packed[start:])
+    alone = []
+    for row, emit in zip(*tail):
         if prev is None:
             multiply(pi, emit, row)
         else:
@@ -164,13 +186,14 @@ def scaled_forward(
             multiply(emit, row, row)
         s = add(row)
         if not s > 0.0:
-            raise NumericalDegeneracyError(
-                f"forward pass degenerated to zero mass at position {len(scales)}"
-            )
-        scales.append(s)
+            raise _degenerate("forward", len(bounds) - 1 + len(alone))
+        alone.append(s)
         divide(row, s, row)
         prev = row
-    return alphas, np.array(scales)
+    scales[start:] = alone
+    if not start:  # one sentence: its packed rows are in its own order
+        return alphas, scales
+    return alphas.take(place, axis=0), scales.take(place)
 
 
 def scaled_backward(
@@ -181,16 +204,22 @@ def scaled_backward(
     Unscaled value: beta[t] * prod(scales[t:]).  Like `scaled_forward`
     it writes rows in place, with the operations of the textbook step
     `trans @ (emissions[t + 1] * betas[t + 1])`; the product goes
-    through one scratch vector.  `lengths` stacks sentences as there.
+    through one scratch vector.  `lengths` stacks sentences as there, and
+    the phases run in reverse: the longest sentence alone, then stacked
+    steps in the per-row (N, N) @ (N, 1) form on the sentences that ran at
+    the step after; those that end at a step follow them, and start their
+    pass there with a row of ones.
     """
-    if lengths is not None:
-        return _lockstep_backward(trans, emissions, lengths)
+    packed, bounds, place = _packed(emissions, lengths)
     matvec, multiply, divide, add = trans.dot, np.multiply, np.divide, np.add.reduce
-    betas = np.empty(emissions.shape)
-    scales = []  # last position first
-    buf = np.empty(emissions.shape[1])
+    betas = np.empty(packed.shape)
+    scales = np.empty(len(packed))
+    start = bounds[-1]
+    alone = []  # last position first
+    buf = np.empty(packed.shape[1])
     nxt = nxt_emit = None
-    for row, emit in zip(betas[::-1], emissions[::-1]):
+    tail = slice(None, start - 1 if start else None, -1)  # rows `start:`, last first
+    for row, emit in zip(betas[tail], packed[tail]):
         if nxt is None:
             row.fill(1.0)
         else:
@@ -198,25 +227,44 @@ def scaled_backward(
             matvec(buf, row)
         s = add(row)
         if not s > 0.0:
-            t = len(betas) - 1 - len(scales)
-            raise NumericalDegeneracyError(
-                f"backward pass degenerated to zero mass at position {t}"
-            )
-        scales.append(s)
+            raise _degenerate("backward", len(bounds) - 2 + len(packed) - start - len(alone))
+        alone.append(s)
         divide(row, s, row)
         nxt, nxt_emit = row, emit
-    return betas, np.array(scales[::-1])
+    scales[tail] = alone
+    if not start:  # one sentence: its packed rows are in its own order
+        return betas, scales
+    # the rows after the last stacked step: the longest sentence's, if it ran on
+    nxt, nxt_emit = betas[start : start + 1], packed[start : start + 1]
+    buf = np.empty((bounds[1], packed.shape[1]))
+    for t in range(len(bounds) - 2, -1, -1):
+        lo, hi, m = bounds[t], bounds[t + 1], len(nxt)
+        rows, s = betas[lo:hi], scales[lo:hi]
+        multiply(nxt_emit, nxt, buf[:m])
+        np.matmul(trans, buf[:m, :, None], rows[:m, :, None])
+        rows[m:] = 1.0
+        add(rows, 1, None, s)
+        if not (s > 0.0).all():
+            raise _degenerate("backward", t)
+        divide(rows, s[:, None], rows)
+        nxt, nxt_emit = rows, packed[lo:hi]
+    return betas.take(place, axis=0), scales.take(place)
 
 
-def _packed(emissions: np.ndarray, lengths) -> tuple[np.ndarray, list[int], np.ndarray]:
+def _packed(emissions: np.ndarray, lengths) -> tuple[np.ndarray, list[int], np.ndarray | None]:
     """Stacked sentences' rows packed step by step, longest sentence first.
 
     Packed rows `bounds[t]:bounds[t + 1]` are position t of the sentences
     longer than t, longest first (a stable sort), so each step's sentences
-    are a prefix of the step before's and no row is padding.  Also returns
-    each stacked row's place among the packed rows, which gathers lattices
-    back in input order.
+    are a prefix of the step before's and no row is padding.  `bounds`
+    stops at the steps that two or more sentences run, so where the
+    second-longest ends; the longest one's later rows follow, one a step.
+    Also returns each row's place among the packed rows, which gathers
+    lattices back in input order.  With no `lengths`, one sentence is its
+    own packing, and `bounds` is [0].
     """
+    if lengths is None:
+        return emissions, [0], None
     lengths = check_lengths(lengths, len(emissions))
     order = np.argsort(-lengths, kind="stable")
     rank = np.empty_like(order)
@@ -229,64 +277,8 @@ def _packed(emissions: np.ndarray, lengths) -> tuple[np.ndarray, list[int], np.n
     place = bounds[pos] + np.repeat(rank, lengths)
     source = np.empty_like(place)
     source[place] = np.arange(len(place))
-    return emissions.take(source, axis=0), bounds.tolist(), place
-
-
-def _lockstep_forward(pi, trans, emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """`scaled_forward` of stacked sentences, one `_packed` step per position.
-
-    A step is one stacked matmul in the per-sentence (1, N) @ (N, N) form,
-    so every sentence's rows are bitwise those it gets alone.
-    """
-    packed, bounds, place = _packed(emissions, lengths)
-    matmul, multiply, divide, add = np.matmul, np.multiply, np.divide, np.add.reduce
-    alphas = np.empty(packed.shape)
-    scales = np.empty(len(packed))
-    prev = None
-    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        rows, emit, s = alphas[lo:hi], packed[lo:hi], scales[lo:hi]
-        if prev is None:
-            multiply(pi, emit, rows)
-        else:
-            matmul(prev[: hi - lo, None, :], trans, rows[:, None, :])
-            multiply(emit, rows, rows)
-        add(rows, 1, None, s)
-        if not (s > 0.0).all():
-            raise NumericalDegeneracyError(
-                f"forward pass degenerated to zero mass at position {t}"
-            )
-        divide(rows, s[:, None], rows)
-        prev = rows
-    return alphas.take(place, axis=0), scales.take(place)
-
-
-def _lockstep_backward(trans, emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """`scaled_backward` of stacked sentences, one `_packed` step per position.
-
-    A step is one stacked matmul in the per-sentence (N, N) @ (N, 1) form
-    on the sentences that ran at the step after; the sentences that end at
-    the step follow them, and start their pass there with a row of ones.
-    """
-    packed, bounds, place = _packed(emissions, lengths)
-    matmul, multiply, divide, add = np.matmul, np.multiply, np.divide, np.add.reduce
-    betas = np.empty(packed.shape)
-    scales = np.empty(len(packed))
-    buf = np.empty((bounds[1], packed.shape[1]))
-    nxt = nxt_emit = packed[:0]  # no sentence runs after the last step
-    for t in range(len(bounds) - 2, -1, -1):
-        lo, hi, m = bounds[t], bounds[t + 1], len(nxt)
-        rows, s = betas[lo:hi], scales[lo:hi]
-        multiply(nxt_emit, nxt, buf[:m])
-        matmul(trans, buf[:m, :, None], rows[:m, :, None])
-        rows[m:] = 1.0
-        add(rows, 1, None, s)
-        if not (s > 0.0).all():
-            raise NumericalDegeneracyError(
-                f"backward pass degenerated to zero mass at position {t}"
-            )
-        divide(rows, s[:, None], rows)
-        nxt, nxt_emit = rows, packed[lo:hi]
-    return betas.take(place, axis=0), scales.take(place)
+    shared = int((live > 1).sum())
+    return emissions.take(source, axis=0), bounds[: shared + 1].tolist(), place
 
 
 def unscale(rows: np.ndarray, scales: np.ndarray, backward: bool = False) -> np.ndarray:

@@ -149,6 +149,8 @@ class Tagger:
         batch is decoded bucket by bucket (see `buckets`), and gives the
         labels that decoding each sentence alone gives.
         """
+        if isinstance(tokens, str):
+            raise InvalidInputError("a sentence is a sequence of tokens, not a string")
         if len(tokens) == 0:
             raise InvalidInputError("cannot decode an empty sentence")
         if not isinstance(tokens[0], str):

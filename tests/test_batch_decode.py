@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import efbtag.modelfile  # noqa: F401  a traced module: the span recorder wraps it
 from efbtag import efb, evaluation, features, hmc, memm
@@ -154,6 +154,9 @@ packed_lengths = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 20), lengths=packed_lengths, seed=st.integers(0, 2**32 - 1))
+@example(n=5, lengths=[9, 4, 9], seed=1)  # the longest two tie: no step runs alone
+@example(n=5, lengths=[30], seed=2)  # one sentence: no stacked step
+@example(n=5, lengths=[1, 1, 1, 1], seed=3)
 def test_lockstep_lattices_and_scales_are_the_per_sentence_bytes(n, lengths, seed):
     rng = np.random.default_rng(seed)
     chain = random_chain(rng, n)
@@ -168,24 +171,31 @@ def test_lockstep_lattices_and_scales_are_the_per_sentence_bytes(n, lengths, see
         assert scales.shape == expected.shape and scales.tobytes() == expected.tobytes(), name
 
 
-@pytest.mark.parametrize("position", [1, 3, 6])
-def test_a_degenerate_sentence_names_its_own_position_in_a_batch(position):
-    """A zero-mass emission row at `position` of the fourth sentence zeroes
-    its forward row there and its backward row just before; the batch names
-    the position that decoding the sentence alone names."""
+# (lengths, sentence, zeroed positions): the 12-token sentence of the second
+# batch runs alone from position 7, where the 7-token one ends
+DEGENERATE = [([5, 7, 1, 7, 3], 3, (p,)) for p in (1, 3, 6)] + [
+    ([5, 12, 1, 7, 3], 1, zeroed) for zeroed in ((2,), (6,), (7,), (8,), (11,), (2, 9), (6, 8))
+]
+
+
+@pytest.mark.parametrize("lengths, which, zeroed", DEGENERATE)
+def test_a_degenerate_sentence_names_its_own_position_in_a_batch(lengths, which, zeroed):
+    """Zero-mass emission rows at `zeroed` of sentence `which` zero its
+    forward row at the first of them and its backward row just before the
+    last; the batch names the positions that decoding the sentence alone
+    names, in either phase of the recursion."""
     rng = np.random.default_rng(SEED)
     chain = random_chain(rng, 4)
-    lengths = [5, 7, 1, 7, 3]
     emissions = rng.random((sum(lengths), 4))
-    start = sum(lengths[:3])
-    emissions[start + position] = 0.0
-    sentence = emissions[start : start + 7]
+    start = sum(lengths[:which])
+    emissions[[start + p for p in zeroed]] = 0.0
+    sentence = emissions[start : start + lengths[which]]
     for name, recursion in _recursions(chain).items():
         with pytest.raises(NumericalDegeneracyError) as alone:
             recursion(sentence)
         with pytest.raises(NumericalDegeneracyError) as batched:
             recursion(emissions, lengths)
-        named = position if name == "forward" else position - 1
+        named = min(zeroed) if name == "forward" else max(zeroed) - 1
         assert str(alone.value).endswith(f"at position {named}"), name
         assert str(batched.value) == str(alone.value), name
 
@@ -299,14 +309,20 @@ KIND_TEMPLATES = [(DecoderKind.HMC_FB, FeatureTemplate.LF1)] + [
 
 
 @pytest.fixture(scope="module")
-def corpora(tmp_path_factory):
+def gen_dir(tmp_path_factory):
+    """A directory holding a gen.py train.conllu and test.conllu."""
     tmp = tmp_path_factory.mktemp("gen")
     lang = gen.Language()
     for part, (name, tokens) in enumerate((("train", 4_000), ("test", 3_000))):
         gen.write_conllu(tmp / f"{name}.conllu",
                          lang.sample([SEED, part], tokens, gen.ewt_lengths, 0.0))
-    train = read_corpus(tmp / "train.conllu", CorpusFormat.CONLLU)
-    test = read_corpus(tmp / "test.conllu", CorpusFormat.CONLLU, tagset=train.tagset)
+    return tmp
+
+
+@pytest.fixture(scope="module")
+def corpora(gen_dir):
+    train = read_corpus(gen_dir / "train.conllu", CorpusFormat.CONLLU)
+    test = read_corpus(gen_dir / "test.conllu", CorpusFormat.CONLLU, tagset=train.tagset)
     return train, test
 
 
@@ -369,6 +385,48 @@ def bench(monkeypatch):
     recorder as `spans`, so that name is registered for this test only."""
     monkeypatch.setitem(sys.modules, "spans", None)
     return _load("spans", BENCH / "spans.py"), _load("efbtag_bench_layers", BENCH / "layers.py")
+
+
+@pytest.fixture
+def workloads(bench, monkeypatch):
+    """The benchmark's workloads module.  It imports its sibling modules by
+    name, so those names are registered for this test only."""
+    monkeypatch.setitem(sys.modules, "gen", gen)
+    monkeypatch.setitem(sys.modules, "layers", bench[1])
+    for name in ("retrain", "speed"):
+        monkeypatch.setitem(sys.modules, name, None)
+        _load(name, BENCH / f"{name}.py")
+    return _load("efbtag_bench_workloads", BENCH / "workloads.py")
+
+
+def test_training_calls_every_train_span(bench, workloads, gen_dir, tmp_path):
+    """The benchmark's traced train unit, `train_one` for each of its kinds,
+    requires these spans; a renamed or bypassed layer fails here first."""
+    spans, layers = bench
+    with spans.Tracer() as tracer:
+        tracer.install(layers.SPANS)
+        for kind, template in workloads.TRAIN_KINDS:
+            out = tmp_path / f"{kind.value}.model"
+            workloads.train_one(gen_dir / "train.conllu", kind, template, out)
+    assert layers.missing_spans(tracer, "train") == []
+
+
+def test_tagging_a_stream_calls_every_tag_stream_span(bench, workloads, gen_dir, tmp_path):
+    """The traced tag-stream unit loads its model and decodes a stream of
+    mostly novel words one sentence a call; it requires these spans."""
+    spans, layers = bench
+    kind, template = workloads.STREAM_KIND
+    path = tmp_path / "stream.model"
+    workloads.train_one(gen_dir / "train.conllu", kind, template, path)
+    stream = gen.Language().sample([SEED, 2], 1_000, gen.stream_lengths,
+                                   workloads.STREAM_NOVEL_SHARE).tokens
+    with spans.Tracer() as tracer:
+        tracer.install(layers.SPANS)
+        tagger = efbtag.modelfile.load_model(path)  # the module's binding is replaced
+        for words in stream:
+            assert len(tagger.decode(words)) == len(words)
+    assert layers.missing_spans(tracer, "tag-stream") == []
+    assert tracer.self_times()[f"tagger.decode:{kind.value}"][1] == len(stream)
 
 
 def test_evaluate_calls_every_decode_corpus_span(bench, taggers, corpora):

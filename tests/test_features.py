@@ -246,6 +246,12 @@ class TestPipeline:
         assert feats[0][first_pos_slot] == index.ids[("first-position", "true")]
         assert feats[1][first_pos_slot] == index.ids[("first-position", "false")]
 
+    def test_a_bare_string_is_not_a_sentence(self):
+        pipeline = FeaturePipeline(build_index(toy_corpus(), FeatureTemplate.LF1))
+        with pytest.raises(InvalidInputError, match="not a string"):
+            pipeline.sentence_features("abc")
+        assert pipeline.sentence_features(["abc"]).shape[0] == 1
+
 
 def build_index_every_occurrence(sentences, template):
     """The index built by extracting every token occurrence, in corpus order."""

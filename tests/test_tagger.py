@@ -75,6 +75,15 @@ def test_empty_sentence_rejected():
         tagger.decode([])
 
 
+def test_a_bare_string_is_not_a_sentence():
+    """A `str` would iterate as a sentence of characters: it raises instead,
+    and a one-word sentence still decodes."""
+    tagger, _ = train_tagger(toy_corpus(), DecoderKind.HMC_FB)
+    with pytest.raises(InvalidInputError, match="not a string"):
+        tagger.decode("hello")
+    assert len(tagger.decode(["hello"])) == 1
+
+
 def test_compare_pair_shares_l0_and_pipeline():
     corpus = toy_corpus()
     efb_tagger, memm_tagger = train_compare_pair(
