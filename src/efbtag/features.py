@@ -195,9 +195,10 @@ def build_index(
     """Index every (family, value) pair observed in the corpus.
 
     Accepts labeled sentences or bare token sequences; only tokens are
-    used.  `index_from_pairs` lays the pairs out in corpus order.  Each
-    corpus key's id row is left in the index's memo, so the corpus is
-    extracted once.
+    used.  `index_from_pairs` numbers the pairs family by family, each
+    family's values in the order first met in the corpus.  Each corpus
+    key's id row is left in the index's memo, so the corpus is extracted
+    once.
     """
     # (token, position == 0) are the only inputs of `extract`: a repeat adds no pair
     keys: dict[tuple[str, bool], None] = {}
@@ -209,13 +210,9 @@ def build_index(
     if not saw_any:
         raise InvalidInputError("corpus must be non-empty")
     cols = extract([tok for tok, _ in keys], [0 if first else 1 for _, first in keys], template)
-    families = tuple(cols)
-    ids: dict[tuple[str, str], int] = {}
-    # the keys' id rows, one after another: pairs take ids key by key
-    flat = [ids.setdefault(pair, len(ids))
-            for row in zip(*cols.values()) for pair in zip(families, row)]
-    index = index_from_pairs(template, families, ids)
-    index.memo.extend(list(keys), np.reshape(flat, (len(keys), len(families))))
+    pairs = [(fam, value) for fam, col in cols.items() for value in dict.fromkeys(col)]
+    index = index_from_pairs(template, tuple(cols), pairs)
+    index.memo.extend(list(keys), vectorize(cols, index))
     return index
 
 
@@ -291,7 +288,10 @@ class FeaturePipeline:
         positions: list[int] = []
         kept: list[int] = []  # the missed keys of indexed words, which the memo keeps
         base = memo.n_rows
-        for sent in tokens if len(tokens) and not isinstance(tokens[0], str) else [tokens]:
+        batch = tokens if len(tokens) and not isinstance(tokens[0], str) else [tokens]
+        for item, sent in enumerate(batch):
+            if isinstance(sent, str):  # its ids would be those of its characters
+                raise InvalidInputError(f"batch item {item} is a string, not a sentence")
             if not len(sent):
                 continue
             start = len(nums)

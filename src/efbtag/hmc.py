@@ -19,7 +19,7 @@ from .core import (
     LabeledSentence, PosteriorLattice, TagSet, Vocabulary, check_lengths, id_array,
 )
 from .errors import InvalidInputError, NumericalDegeneracyError
-from .features import FeatureIndex, FeatureTemplate, index_from_pairs
+from .features import FeatureIndex
 
 PROB_TOL = 1e-12
 DEFAULT_SMOOTHING = 1e-6
@@ -346,8 +346,8 @@ class NaiveFeatureEmission:
     The emission probability of a feature vector is the product of
     per-family conditionals; unseen values route to each family's
     trailing unknown slot.  `stacked` holds every family's value columns
-    in family order, then every family's unknown column: the layout of
-    `index_from_pairs`, so its columns are the ids of `naive_feature_index`.
+    in family order, then every family's unknown column: the family by
+    family layout of `build_index`, so its columns are the index's ids.
     `stacked_rows` is `stacked.T` copied to C order, the rows that
     `naive_emission_matrix` gathers.
     """
@@ -379,15 +379,6 @@ def naive_value_columns(index: FeatureIndex) -> dict[str, dict[str, int]]:
     for fam, value in index.ids:  # in id order
         columns[fam][value] = len(columns[fam])
     return columns
-
-
-def naive_feature_index(
-    model: NaiveFeatureEmission, template: FeatureTemplate
-) -> FeatureIndex:
-    """The index of `model.stacked`'s columns: pairs family by family, in column order."""
-    cols = model.value_index
-    pairs = [(f, v) for f in model.families for v in sorted(cols[f], key=cols[f].get)]
-    return index_from_pairs(template, model.families, pairs)
 
 
 def estimate_naive_emission(

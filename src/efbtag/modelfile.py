@@ -10,10 +10,11 @@ Loading rejects a header with any other array list, and any non-finite
 value.
 
 The featured kinds store their index as `feature_index.entries`, its
-(family, value) pairs in id order (a naive model's family by family), and
-`features.index_from_pairs` rebuilds it.  Keys a kind does not use are
-null: `template` and `feature_index` for hmc-fb, and `naive` (where older
-naive files kept their values) for every kind.
+(family, value) pairs in id order, and `features.index_from_pairs`
+rebuilds it.  An efb or memm index loads in any pair order (older files
+hold theirs key by key); a naive one must be family by family.  Keys a
+kind does not use are null: `template` and `feature_index` for hmc-fb,
+and `naive` (where older naive files kept their values) for every kind.
 """
 
 from __future__ import annotations

@@ -51,7 +51,8 @@ def part_shapes(
 ) -> dict[str, tuple[int, ...]]:
     """The arrays a kind's tagger holds, in order, and their shapes, given its
     label count, its word count with the unknown word and its feature index.
-    A naive table's columns are ids, so a naive index is family by family."""
+    A naive table's columns are ids, so a naive index must be family by
+    family, as `build_index` lays out every index."""
     shapes: dict[str, tuple[int, ...]] = {}
     if kind is not DecoderKind.MEMM:
         shapes["pi"] = (n_labels,)
@@ -158,7 +159,11 @@ class Tagger:
         return self._decode(tokens)
 
     def _decode_batch(self, batch: Sequence[Sequence[str]]) -> list[list[int]]:
-        lengths = [len(sent) for sent in batch]
+        lengths = []
+        for item, sent in enumerate(batch):
+            if isinstance(sent, str):  # it would decode as a sentence of characters
+                raise InvalidInputError(f"batch item {item} is a string, not a sentence")
+            lengths.append(len(sent))
         if 0 in lengths:
             raise InvalidInputError(
                 f"cannot decode an empty sentence (batch item {lengths.index(0)})"
@@ -232,7 +237,6 @@ def train_tagger(
     if kind is DecoderKind.HMC_NAIVE:
         # the corpus counted as one sequence: counts ignore sentence bounds
         naive = hmc.estimate_naive_emission(index, [ids], [labels], n, smoothing)
-        index = hmc.naive_feature_index(naive, template)
     if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
         l0_data = discrim.ExampleColumns(ids, None, labels)
         l0 = discrim.train(l0_data, index.size, n, sgd, conditions_on_prev=False)

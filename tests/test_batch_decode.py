@@ -14,6 +14,7 @@ here.
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,50 @@ def test_empty_batch_and_empty_sentence_raise(taggers):
 def test_one_sentence_batch_is_a_list_of_one(taggers):
     tagger = taggers[DecoderKind.MEMM, FeatureTemplate.LF1]
     assert tagger.decode([("the", "cat")]) == [tagger.decode(("the", "cat"))]
+
+
+# --- model files from before ids went family by family ------------------------
+
+
+def key_by_key(tagger, train):
+    """`tagger` as a file written before `build_index` numbered ids family
+    by family: each distinct (token, first) key's pairs took ids in turn, in
+    corpus order.  Its weight rows are permuted to match."""
+    index = tagger.feature_index
+    keys = dict.fromkeys((tok, pos == 0) for s in train.sentences
+                         for pos, tok in enumerate(s.tokens))
+    pairs: dict = {}
+    for tok, first in keys:
+        fv = features.extract(tok, 0 if first else 1, index.template)
+        pairs.update(dict.fromkeys(fv.items()))
+    older = features.index_from_pairs(index.template, index.families, pairs)
+    # each old id's row in the trained weights; unknowns keep their ids
+    source = [index.ids[pair] for pair in pairs] + list(index.unknown_ids.values())
+
+    def moved(model):
+        if model is None:
+            return None
+        rows = np.concatenate([source, np.arange(index.size, len(model.weights))])
+        return replace(model, weights=model.weights[rows])
+
+    return replace(tagger, feature_index=older, l0=moved(tagger.l0), l1=moved(tagger.l1))
+
+
+@pytest.mark.parametrize("kind", [DecoderKind.HMC_EFB, DecoderKind.MEMM], ids=lambda k: k.value)
+def test_a_key_by_key_model_file_decodes_the_same(taggers, corpora, tmp_path, kind):
+    train, test = corpora
+    tagger = taggers[kind, FeatureTemplate.LF2]
+    older = key_by_key(tagger, train)
+    assert list(older.feature_index.ids) != list(tagger.feature_index.ids)
+    sentences = [s.tokens for s in test.sentences]
+    labels = []
+    for name, form in (("family-by-family", tagger), ("key-by-key", older)):
+        save_model(tmp_path / name, form)
+        loaded = load_model(tmp_path / name)
+        assert list(loaded.feature_index.ids) == list(form.feature_index.ids)
+        labels.append((loaded.decode(sentences), [loaded.decode(s) for s in sentences]))
+    assert labels[0] == labels[1]
+    assert labels[0][0] == labels[0][1] == tagger.decode(sentences)
 
 
 # --- every traced layer is still called -----------------------------------------

@@ -250,17 +250,22 @@ class TestPipeline:
         pipeline = FeaturePipeline(build_index(toy_corpus(), FeatureTemplate.LF1))
         with pytest.raises(InvalidInputError, match="not a string"):
             pipeline.sentence_features("abc")
+        # inside a batch, a string is named by its place
+        with pytest.raises(InvalidInputError, match="batch item 1 is a string"):
+            pipeline.sentence_features([["the", "cat"], "dog"])
         assert pipeline.sentence_features(["abc"]).shape[0] == 1
 
 
 def build_index_every_occurrence(sentences, template):
-    """The index built by extracting every token occurrence, in corpus order."""
-    ids = {}
+    """The index built by extracting every token occurrence: family after
+    family, each family's values in the order first met in the corpus."""
+    values = {}
     for tokens in sentences:
         for pos, token in enumerate(tokens):
-            for pair in extract(token, pos, template).items():
-                ids.setdefault(pair, len(ids))
-    return ids
+            for fam, value in extract(token, pos, template).items():
+                values.setdefault(fam, {}).setdefault(value, None)
+    pairs = [(fam, value) for fam, seen in values.items() for value in seen]
+    return dict(zip(pairs, range(len(pairs))))
 
 
 class TestBuildIndexSkipsRepeats:

@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 from conftest import random_stationary_hmc
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.errors import InvalidInputError
-from efbtag.features import FeatureIndex, FeatureTemplate, vectorize
+from efbtag.features import FeatureIndex, FeatureTemplate, index_from_pairs, vectorize
 from efbtag.hmc import (
     HmcParams,
     backward,
@@ -14,7 +14,6 @@ from efbtag.hmc import (
     estimate_params,
     forward,
     naive_emission_matrix,
-    naive_feature_index,
     posterior_fb,
     unscale,
 )
@@ -270,24 +269,24 @@ class TestPosteriorFb:
 
 
 def naive_from_strings(corpus, tagset, feature_fn, smoothing=TINY):
-    """Index `feature_fn`'s string vectors in corpus order, then count their ids.
+    """Index `feature_fn`'s string vectors as `build_index` lays ids out
+    (family by family, each family's values in corpus order), then count
+    their ids.
 
-    Returns the model and the index of the stacked columns, so tests can
-    state feature vectors as strings.
+    Returns the model and its index, whose ids are the stacked columns, so
+    tests can state feature vectors as strings.
     """
     fvs = [[feature_fn(tok, pos) for pos, tok in enumerate(s.tokens)] for s in corpus]
     families = tuple(fvs[0][0])
-    ids = {}
-    for fv in (fv for sent in fvs for fv in sent):
-        for pair in fv.items():
-            ids.setdefault(pair, len(ids))
-    unknown = {fam: len(ids) + k for k, fam in enumerate(families)}
-    index = FeatureIndex(FeatureTemplate.NF, families, ids, unknown)
+    every = [fv for sent in fvs for fv in sent]
+    pairs = [(fam, value) for fam in families
+             for value in dict.fromkeys(fv[fam] for fv in every)]
+    index = index_from_pairs(FeatureTemplate.NF, families, pairs)
     feats = [[vectorize(fv, index) for fv in sent] for sent in fvs]
     model = estimate_naive_emission(
         index, feats, [s.labels for s in corpus], len(tagset), smoothing
     )
-    return model, naive_feature_index(model, FeatureTemplate.NF)
+    return model, index
 
 
 class TestNaiveFeatureEmission:

@@ -410,10 +410,22 @@ class TestNaiveDecodingUsesTheMemo:
         corpus = random_corpus(np.random.default_rng(19))
         tagger, _ = train_tagger(corpus, DecoderKind.HMC_NAIVE, FeatureTemplate.LF2)
         keys = self._count_extracts(monkeypatch)
+        # `build_index` left every training key's row in the memo
+        for sent in corpus.sentences:
+            tagger.decode(sent.tokens)
+        assert keys == []
+        # each sentence rotated: indexed words at places they were not
+        # trained at, so keys the memo lacks, and some unknown words
+        train_keys = {(tok, pos == 0) for s in corpus.sentences
+                      for pos, tok in enumerate(s.tokens)}
+        unseen = random_corpus(np.random.default_rng(24), 25, STEMS + ("zebra", "Quux"))
+        rotated = [s.tokens[1:] + s.tokens[:1] for s in corpus.sentences + unseen.sentences]
         for _ in range(2):
-            for sent in corpus.sentences:
-                tagger.decode(sent.tokens)
-        assert keys and len(keys) == len(set(keys))
+            for tokens in rotated:
+                tagger.decode(tokens)
+        indexed = [key for key in keys if ("word", key[0]) in tagger.feature_index.ids]
+        assert indexed and len(indexed) == len(set(indexed))
+        assert not set(indexed) & train_keys
 
     def test_loaded_tagger_extracts_each_key_once(self, monkeypatch, tmp_path):
         corpus = random_corpus(np.random.default_rng(20))

@@ -77,10 +77,12 @@ def test_empty_sentence_rejected():
 
 def test_a_bare_string_is_not_a_sentence():
     """A `str` would iterate as a sentence of characters: it raises instead,
-    and a one-word sentence still decodes."""
+    alone or inside a batch, and a one-word sentence still decodes."""
     tagger, _ = train_tagger(toy_corpus(), DecoderKind.HMC_FB)
     with pytest.raises(InvalidInputError, match="not a string"):
         tagger.decode("hello")
+    with pytest.raises(InvalidInputError, match="batch item 1 is a string"):
+        tagger.decode([["the", "cat"], "dog"])
     assert len(tagger.decode(["hello"])) == 1
 
 
@@ -126,8 +128,8 @@ def test_pipelineless_kind_has_no_pipeline():
 # header holds no float bytes, so the digests do not depend on the machine
 HEADER_SHA256 = {
     DecoderKind.HMC_FB: "7af763cdfc91520c193182c48199e6c42f47d2bce5bd12f72cb13ab1d3d185d6",
-    DecoderKind.HMC_EFB: "bda269699bcc9218b104c3040476984872265f9dd202a48a9e2ded3139372d39",
-    DecoderKind.MEMM: "a2fd5d0a6aaacd960889ff60cbc25753b8e110e227c7a583c6a49c2b3875e306",
+    DecoderKind.HMC_EFB: "2dd8b7608b833b3203846617f6b2db5f02e96c4d5b17921acfcf27fa1b4aa01c",
+    DecoderKind.MEMM: "6dec73703a898f500944b54fdc5c58558928d20d3cc48bd94055174e8bc8208f",
     DecoderKind.HMC_NAIVE: "dde5b62b8abdf3c8e80da02109f0670e2d4fac7e717492178dcd91931c54b498",
 }
 
