@@ -11,7 +11,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -147,17 +146,15 @@ class FeatureMemo(Mapping):
 
 @dataclass(frozen=True)
 class FeatureIndex:
-    """Frozen map from (family, value) to dense ids, with per-family unknown ids.
+    """Frozen map from each family's values to dense ids, family by family.
 
-    `index_from_pairs` assigns the ids and they never change afterwards;
-    values unseen at train time route to their family's unknown id, so
-    vectorization is total.
+    `index_from_pairs` numbers every family's values, one family after
+    another, then gives each family in turn one unknown id; values unseen
+    at train time route to it, so vectorization is total.
     """
 
     template: FeatureTemplate
-    families: tuple[str, ...]
-    ids: dict[tuple[str, str], int]
-    unknown_ids: dict[str, int]
+    value_ids: dict[str, dict[str, int]]
     # rows of indexed words: `build_index` fills it with every training key's
     # row and `FeaturePipeline` with the indexed words it meets
     memo: FeatureMemo = field(init=False, repr=False, compare=False)
@@ -166,26 +163,23 @@ class FeatureIndex:
         object.__setattr__(self, "memo", FeatureMemo(len(self.families)))
 
     @property
+    def families(self) -> tuple[str, ...]:
+        return tuple(self.value_ids)
+
+    @cached_property
+    def unknown_ids(self) -> dict[str, int]:
+        """Each family's unknown id, after every value's id."""
+        n_values = sum(map(len, self.value_ids.values()))
+        return {fam: n_values + k for k, fam in enumerate(self.value_ids)}
+
+    @property
     def size(self) -> int:
-        return len(self.ids) + len(self.unknown_ids)
-
-    @cached_property
-    def value_ids(self) -> dict[str, dict[str, int]]:
-        """Each family's value -> id map, built on first use."""
-        maps: dict[str, dict[str, int]] = {fam: {} for fam in self.families}
-        for (fam, value), num in self.ids.items():
-            maps[fam][value] = num
-        return maps
-
-    @cached_property
-    def _lookups(self) -> dict[str, tuple]:
-        """Each family's value -> id lookup and unknown id, for `vectorize`."""
-        return {fam: (ids.get, self.unknown_ids[fam]) for fam, ids in self.value_ids.items()}
+        return sum(map(len, self.value_ids.values())) + len(self.value_ids)
 
     def id_of(self, family: str, value: str) -> int:
-        if family not in self.unknown_ids:
+        if family not in self.value_ids:
             raise InvalidInputError(f"feature family {family!r} not in index")
-        return self.ids.get((family, value), self.unknown_ids[family])
+        return self.value_ids[family].get(value, self.unknown_ids[family])
 
 
 def build_index(
@@ -219,24 +213,30 @@ def build_index(
 def index_from_pairs(
     template: FeatureTemplate, families: tuple[str, ...], pairs: Iterable[tuple[str, str]]
 ) -> FeatureIndex:
-    """Freeze `pairs` into an index in the one id layout.
+    """Freeze `pairs` into an index, numbered family by family.
 
-    Pairs take ids 0, 1, ... in order, then each of `families` in turn one
-    unknown id.  Rejects a repeated pair, a stray family, a non-string value.
+    Each of `families` in turn numbers its values in the order `pairs`
+    gives them, so pairs already family by family take ids 0, 1, ... in
+    order, and the families' unknown ids follow.  Rejects a repeated pair,
+    a stray family, a non-string value.
     """
-    pairs = list(pairs)
-    ids = dict(zip(pairs, range(len(pairs))))
-    if len(ids) != len(pairs):  # a repeat keeps its last id
-        pair = next(p for i, p in enumerate(pairs) if ids[p] != i)
-        raise InvalidInputError(f"feature pair {pair!r} repeats")
-    if not set(map(itemgetter(0), pairs)) <= set(families):
-        fam = next(fam for fam, _ in pairs if fam not in families)
-        raise InvalidInputError(f"feature family {fam!r} not in index")
-    if not set(map(type, map(itemgetter(1), pairs))) <= {str}:
-        value = next(value for _, value in pairs if type(value) is not str)
-        raise InvalidInputError(f"feature value {value!r} is not a string")
-    unknown_ids = {fam: len(ids) + k for k, fam in enumerate(families)}
-    return FeatureIndex(template, families, ids, unknown_ids)
+    value_ids: dict = {fam: [] for fam in families}  # each family's values, then their ids
+    try:
+        for fam, value in pairs:
+            value_ids[fam].append(value)
+    except KeyError as err:
+        raise InvalidInputError(f"feature family {err.args[0]!r} not in index") from None
+    num = 0
+    for fam, values in value_ids.items():
+        if not set(map(type, values)) <= {str}:
+            value = next(value for value in values if type(value) is not str)
+            raise InvalidInputError(f"feature value {value!r} is not a string")
+        ids = value_ids[fam] = dict(zip(values, range(num, num + len(values))))
+        if len(ids) != len(values):  # a repeat keeps its last id
+            value = next(v for i, v in enumerate(values, num) if ids[v] != i)
+            raise InvalidInputError(f"feature pair {(fam, value)!r} repeats")
+        num += len(values)
+    return FeatureIndex(template, value_ids)
 
 
 def vectorize(
@@ -251,7 +251,7 @@ def vectorize(
     if isinstance(next(iter(fv.values()), ""), str):
         return tuple(vectorize({fam: [value] for fam, value in fv.items()}, index)[0].tolist())
     try:
-        lookups = list(map(index._lookups.__getitem__, fv))
+        lookups = [(index.value_ids[fam].get, index.unknown_ids[fam]) for fam in fv]
     except KeyError as err:
         raise InvalidInputError(f"feature family {err.args[0]!r} not in index") from None
     flat = [get(value, unknown) for (get, unknown), values in zip(lookups, fv.values())
@@ -279,6 +279,7 @@ class FeaturePipeline:
             raise InvalidInputError("a sentence is a sequence of tokens, not a string")
         index = self.index
         memo = index.memo
+        words = index.value_ids.get("word", {})
         later, first = memo.rows
         nums: list = []  # each token's row number; None until a miss is resolved
         # the keys missed, in the order first met, and `extract`'s inputs for
@@ -307,7 +308,7 @@ class FeaturePipeline:
                         k = missed[key] = len(toks)
                         toks.append(tok)
                         positions.append(at - start)
-                        if ("word", tok) in index.ids:
+                        if tok in words:
                             kept.append(k)
                     nums[at] = base + k
         if not missed:

@@ -347,7 +347,7 @@ class NaiveFeatureEmission:
     per-family conditionals; unseen values route to each family's
     trailing unknown slot.  `stacked` holds every family's value columns
     in family order, then every family's unknown column: the family by
-    family layout of `build_index`, so its columns are the index's ids.
+    family layout of every `FeatureIndex`, so its columns are the index's ids.
     `stacked_rows` is `stacked.T` copied to C order, the rows that
     `naive_emission_matrix` gathers.
     """
@@ -374,11 +374,8 @@ class NaiveFeatureEmission:
 
 
 def naive_value_columns(index: FeatureIndex) -> dict[str, dict[str, int]]:
-    """Each family's values numbered in id order: a naive table's value columns."""
-    columns: dict[str, dict[str, int]] = {fam: {} for fam in index.families}
-    for fam, value in index.ids:  # in id order
-        columns[fam][value] = len(columns[fam])
-    return columns
+    """Each family's values numbered from 0 in id order: a naive table's value columns."""
+    return {fam: dict(zip(ids, range(len(ids)))) for fam, ids in index.value_ids.items()}
 
 
 def estimate_naive_emission(
@@ -411,14 +408,12 @@ def estimate_naive_emission(
         raise InvalidInputError(f"feature id {int(ids[bad][0])} outside the index")
     flat = np.repeat(y, ids.shape[1]) * index.size + ids.ravel()
     counts = np.bincount(flat, minlength=n_labels * index.size).reshape(n_labels, -1)
-    value_index = naive_value_columns(index)
     tables: dict[str, np.ndarray] = {}
-    for fam in index.families:
-        fids = [index.ids[fam, value] for value in value_index[fam]]
+    for fam, fids in index.value_ids.items():
         # copied to C order: row sums of the Fortran-ordered gather differ in the last bit
-        table = np.ascontiguousarray(counts[:, fids + [index.unknown_ids[fam]]])
+        table = np.ascontiguousarray(counts[:, [*fids.values(), index.unknown_ids[fam]]])
         tables[fam] = _smoothed_rows(table, smoothing)
-    return NaiveFeatureEmission(index.families, value_index, tables)
+    return NaiveFeatureEmission(index.families, naive_value_columns(index), tables)
 
 
 def emission_naive_features(

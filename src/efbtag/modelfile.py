@@ -11,8 +11,8 @@ value.
 
 The featured kinds store their index as `feature_index.entries`, its
 (family, value) pairs in id order, and `features.index_from_pairs`
-rebuilds it.  An efb or memm index loads in any pair order (older files
-hold theirs key by key); a naive one must be family by family.  Keys a
+rebuilds it.  Older efb and memm files list theirs key by key, and their
+weight rows in that order: loading moves the rows to the ids.  Keys a
 kind does not use are null: `template` and `feature_index` for hmc-fb,
 and `naive` (where older naive files kept their values) for every kind.
 """
@@ -42,8 +42,7 @@ _HEADER_KEYS = ("arrays", "feature_index", "labels", "naive", "template", "words
 def _index_header(index: Optional[FeatureIndex]):
     if index is None:
         return None
-    entries = sorted(index.ids, key=index.ids.__getitem__)
-    return {"entries": [[fam, val] for fam, val in entries]}
+    return {"entries": [[fam, val] for fam, ids in index.value_ids.items() for val in ids]}
 
 
 def save_model(path: str | Path, tagger: Tagger) -> None:
@@ -130,6 +129,8 @@ def _tagger_from(
         if header[key] is not None:
             raise DataError(f"{path}: header key {key!r} must be null for {kind.value}")
     tagset = TagSet(_strings(path, header, "labels"))
+    if not tagset.labels:
+        raise DataError(f"{path}: header key 'labels' is empty")
     vocab = Vocabulary(_strings(path, header, "words"))
     n = len(tagset)
     index = None
@@ -137,8 +138,8 @@ def _tagger_from(
         with _header_key(path, "template"):
             template = FeatureTemplate(header["template"])
         with _header_key(path, "feature_index"):
-            pairs = [(fam, value) for fam, value in header["feature_index"]["entries"]]
-            index = index_from_pairs(template, TEMPLATE_FAMILIES[template], pairs)
+            entries = header["feature_index"]["entries"]
+            index = index_from_pairs(template, TEMPLATE_FAMILIES[template], entries)
     shapes = part_shapes(kind, n, vocab.size_with_unknown, index)
     listed = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
     if header["arrays"] != listed:
@@ -158,6 +159,16 @@ def _tagger_from(
             raise DataError(f"{path}: array {name!r} holds a non-finite value")
     if fh.read(1):
         raise DataError(f"{path}: bytes after the last array")
+    # each family's values keep their file order, so the families alone tell
+    # whether the file lists its pairs, and so its weight rows, in id order
+    if "l0_weights" in arrays and [fam for fam, _ in entries] != [
+        fam for fam, ids in index.value_ids.items() for _ in ids
+    ]:
+        # an older file, whose pairs go key by key: id k's row is rows[k]
+        rows = np.argsort([index.value_ids[fam][value] for fam, value in entries])
+        for name in ("l0_weights", "l1_weights"):
+            if name in arrays:
+                arrays[name][: len(rows)] = arrays[name][rows]
 
     params = None
     if "pi" in arrays:
@@ -165,11 +176,8 @@ def _tagger_from(
 
     naive = None
     if kind is DecoderKind.HMC_NAIVE:
-        naive = hmc.NaiveFeatureEmission(
-            families=index.families,
-            value_index=hmc.naive_value_columns(index),
-            tables={fam: arrays[f"naive:{fam}"] for fam in index.families},
-        )
+        tables = {fam: arrays[f"naive:{fam}"] for fam in index.families}
+        naive = hmc.NaiveFeatureEmission(index.families, hmc.naive_value_columns(index), tables)
 
     def _logistic(name: str, conditions_on_prev: bool):
         if name not in arrays:

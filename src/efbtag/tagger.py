@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate, chain, groupby
-from operator import itemgetter
+from itertools import accumulate, chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,9 +49,7 @@ def part_shapes(
     kind: DecoderKind, n_labels: int, n_words: int, index: Optional[FeatureIndex]
 ) -> dict[str, tuple[int, ...]]:
     """The arrays a kind's tagger holds, in order, and their shapes, given its
-    label count, its word count with the unknown word and its feature index.
-    A naive table's columns are ids, so a naive index must be family by
-    family, as `build_index` lays out every index."""
+    label count, its word count with the unknown word and its feature index."""
     shapes: dict[str, tuple[int, ...]] = {}
     if kind is not DecoderKind.MEMM:
         shapes["pi"] = (n_labels,)
@@ -60,14 +57,8 @@ def part_shapes(
     if kind is DecoderKind.HMC_FB:
         shapes["emit"] = (n_labels, n_words)
     if kind is DecoderKind.HMC_NAIVE:
-        # the pairs in id order: one run of values per family, in family order
-        runs = [(fam, sum(1 for _ in run)) for fam, run in groupby(index.ids, itemgetter(0))]
-        present = [fam for fam, _ in runs]
-        if present != [fam for fam in index.families if fam in present]:
-            raise InvalidInputError("naive feature index pairs are not family by family")
-        counts = dict(runs)
-        for fam in index.families:
-            shapes[f"naive:{fam}"] = (n_labels, counts.get(fam, 0) + 1)
+        for fam, ids in index.value_ids.items():
+            shapes[f"naive:{fam}"] = (n_labels, len(ids) + 1)
     if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
         shapes["l0_weights"] = (index.size + 1, n_labels)
     if kind is DecoderKind.MEMM:

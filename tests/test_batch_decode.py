@@ -13,8 +13,8 @@ here.
 """
 
 import importlib.util
+import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -380,10 +380,11 @@ def test_one_sentence_batch_is_a_list_of_one(taggers):
 # --- model files from before ids went family by family ------------------------
 
 
-def key_by_key(tagger, train):
-    """`tagger` as a file written before `build_index` numbered ids family
-    by family: each distinct (token, first) key's pairs took ids in turn, in
-    corpus order.  Its weight rows are permuted to match."""
+def save_key_by_key(tagger, train, path):
+    """Write `tagger` as a file from before `build_index` numbered ids family
+    by family: its header lists each distinct (token, first) key's pairs in
+    turn, in corpus order, and its weight rows follow that order.  Returns
+    the pairs in file order."""
     index = tagger.feature_index
     keys = dict.fromkeys((tok, pos == 0) for s in train.sentences
                          for pos, tok in enumerate(s.tokens))
@@ -391,34 +392,46 @@ def key_by_key(tagger, train):
     for tok, first in keys:
         fv = features.extract(tok, 0 if first else 1, index.template)
         pairs.update(dict.fromkeys(fv.items()))
-    older = features.index_from_pairs(index.template, index.families, pairs)
-    # each old id's row in the trained weights; unknowns keep their ids
-    source = [index.ids[pair] for pair in pairs] + list(index.unknown_ids.values())
+    # each file row's id in the trained weights; unknown ids keep their rows
+    source = [index.value_ids[fam][value] for fam, value in pairs]
+    save_model(path, tagger)
+    with open(path, "rb") as fh:
+        magic, header = fh.readline(), json.loads(fh.readline())
+    header["feature_index"]["entries"] = [list(pair) for pair in pairs]
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False,
+                            separators=(",", ":")).encode("utf-8") + b"\n")
+        for name, arr in tagger.arrays.items():
+            if name in ("l0_weights", "l1_weights"):
+                arr = arr.copy()
+                arr[: len(source)] = arr[source]
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return list(pairs)
 
-    def moved(model):
-        if model is None:
-            return None
-        rows = np.concatenate([source, np.arange(index.size, len(model.weights))])
-        return replace(model, weights=model.weights[rows])
 
-    return replace(tagger, feature_index=older, l0=moved(tagger.l0), l1=moved(tagger.l1))
+def id_layout(index):
+    """Each family and its values in id order."""
+    return [(fam, list(ids.items())) for fam, ids in index.value_ids.items()]
 
 
 @pytest.mark.parametrize("kind", [DecoderKind.HMC_EFB, DecoderKind.MEMM], ids=lambda k: k.value)
 def test_a_key_by_key_model_file_decodes_the_same(taggers, corpora, tmp_path, kind):
+    """The older file loads family by family, decodes as the tagger does and
+    saves as the family-by-family file, byte for byte."""
     train, test = corpora
     tagger = taggers[kind, FeatureTemplate.LF2]
-    older = key_by_key(tagger, train)
-    assert list(older.feature_index.ids) != list(tagger.feature_index.ids)
+    index = tagger.feature_index
+    pairs = save_key_by_key(tagger, train, tmp_path / "key-by-key")
+    assert pairs != [(fam, value) for fam, ids in index.value_ids.items() for value in ids]
+    loaded = load_model(tmp_path / "key-by-key")
+    assert id_layout(loaded.feature_index) == id_layout(index)
     sentences = [s.tokens for s in test.sentences]
-    labels = []
-    for name, form in (("family-by-family", tagger), ("key-by-key", older)):
-        save_model(tmp_path / name, form)
-        loaded = load_model(tmp_path / name)
-        assert list(loaded.feature_index.ids) == list(form.feature_index.ids)
-        labels.append((loaded.decode(sentences), [loaded.decode(s) for s in sentences]))
-    assert labels[0] == labels[1]
-    assert labels[0][0] == labels[0][1] == tagger.decode(sentences)
+    labels = loaded.decode(sentences)
+    assert labels == [loaded.decode(s) for s in sentences] == tagger.decode(sentences)
+    save_model(tmp_path / "family-by-family", tagger)
+    save_model(tmp_path / "resaved", loaded)
+    assert (tmp_path / "resaved").read_bytes() == (tmp_path / "family-by-family").read_bytes()
 
 
 # --- every traced layer is still called -----------------------------------------
@@ -520,7 +533,8 @@ def test_loaded_tagger_extracts_once_per_bucket(taggers, corpora, tmp_path, monk
     assert all(len(keys) == len(set(keys)) for keys in calls)
     every_key = {(tok, pos == 0) for s in sentences for pos, tok in enumerate(s)}
     assert set().union(*calls) == every_key
-    indexed = [key for keys in calls for key in keys if ("word", key[0]) in loaded.feature_index.ids]
+    words = loaded.feature_index.value_ids["word"]
+    indexed = [key for keys in calls for key in keys if key[0] in words]
     assert len(indexed) == len(set(indexed))
 
     memo = loaded.feature_index.memo

@@ -12,7 +12,7 @@ import efbtag
 from efbtag.cli import _sgd_config, build_parser, main
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.evaluation import EvalReport, evaluate
-from efbtag.features import FeatureTemplate, index_from_pairs
+from efbtag.features import FeatureTemplate
 from efbtag.errors import DataError, InvalidInputError
 from efbtag.modelfile import MAGIC, load_model, save_model
 from efbtag.tagger import DecoderKind, train_tagger
@@ -79,13 +79,9 @@ class TestModelRoundTrip:
         corpus = read_corpus(toy_files[0], CorpusFormat.CONLL2000)
         fb, _ = train_tagger(corpus, DecoderKind.HMC_FB)
         efb, _ = train_tagger(corpus, DecoderKind.HMC_EFB, sgd=SgdConfig(epochs=1))
-        naive, _ = train_tagger(corpus, DecoderKind.HMC_NAIVE)
         n, size = len(efb.tagset), efb.feature_index.size
         # the same weight shape, read as conditioned on the previous label
         l0_on_prev = LogisticModel(efb.l0.weights, size - n, n, conditions_on_prev=True)
-        pairs = list(naive.feature_index.ids)  # a word pair moved behind the last family
-        moved = index_from_pairs(naive.template, naive.feature_index.families,
-                                 pairs[1:] + pairs[:1])
         bad = {
             "efb-with-fb-chain": (lambda: replace(efb, hmc_params=fb.hmc_params),
                                   "holds arrays"),
@@ -96,8 +92,6 @@ class TestModelRoundTrip:
                               "has a feature index"),
             "efb-l0-on-prev": (lambda: replace(efb, l0=l0_on_prev),
                                "l0 must not condition"),
-            "naive-not-family-by-family": (lambda: replace(naive, feature_index=moved),
-                                           "not family by family"),
         }
         for name, (build, message) in bad.items():
             path = tmp_path / f"{name}.bin"

@@ -18,7 +18,7 @@ from efbtag import discrim, efb, hmc
 from efbtag.core import mpm_from_lattice
 from efbtag.discrim import ExampleColumns, SgdConfig, predict, predict_all_prev, zero_model
 from efbtag.errors import InvalidInputError, NumericalDegeneracyError
-from efbtag.features import FeatureIndex, FeatureTemplate
+from efbtag.features import FeatureTemplate, index_from_pairs
 from efbtag.tagger import DecoderKind, train_tagger
 from test_bitwise_kernels import outcome, reference_backward, reference_forward
 from test_sentence_scoring import SGD, STEMS, random_corpus
@@ -282,9 +282,7 @@ def test_non_integer_columns_rejected(entry, columns, what):
     ids=["ids", "labels"],
 )
 def test_naive_estimate_rejects_non_integer_values(feats, labels, what):
-    index = FeatureIndex(
-        FeatureTemplate.NF, ("word",), {("word", "x"): 0, ("word", "y"): 1}, {"word": 2}
-    )
+    index = index_from_pairs(FeatureTemplate.NF, ("word",), [("word", "x"), ("word", "y")])
     with pytest.raises(InvalidInputError, match=f"^{what} must be integers"):
         hmc.estimate_naive_emission(index, feats, labels, 2)
 

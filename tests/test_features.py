@@ -180,7 +180,7 @@ class TestBuildIndex:
     def test_deterministic(self):
         a = build_index(toy_corpus(), FeatureTemplate.LF1)
         b = build_index(toy_corpus(), FeatureTemplate.LF1)
-        assert a.ids == b.ids
+        assert a.value_ids == b.value_ids
         assert a.unknown_ids == b.unknown_ids
 
     def test_size_matches_distinct_pair_count(self):
@@ -208,7 +208,7 @@ class TestVectorize:
     def test_seen_value_keeps_train_id(self):
         index = build_index(toy_corpus(), FeatureTemplate.NF)
         fv = extract("Batman", 0, FeatureTemplate.NF)
-        assert vectorize(fv, index) == (index.ids[("word", "Batman")],)
+        assert vectorize(fv, index) == (index.value_ids["word"]["Batman"],)
 
     def test_unseen_value_maps_to_unknown(self):
         index = build_index(toy_corpus(), FeatureTemplate.NF)
@@ -219,7 +219,7 @@ class TestVectorize:
         index = build_index(toy_corpus(), FeatureTemplate.LF1)
         fv = extract("is", 1, FeatureTemplate.LF1)
         fid = vectorize(fv, index)[list(fv).index("first-position")]
-        assert fid == index.ids[("first-position", "false")]
+        assert fid == index.value_ids["first-position"]["false"]
 
     def test_family_absent_from_index_rejected(self):
         index = build_index(toy_corpus(), FeatureTemplate.NF)
@@ -243,8 +243,8 @@ class TestPipeline:
         first_pos_slot = list(TEMPLATE_FAMILIES[FeatureTemplate.LF1]).index(
             "first-position"
         )
-        assert feats[0][first_pos_slot] == index.ids[("first-position", "true")]
-        assert feats[1][first_pos_slot] == index.ids[("first-position", "false")]
+        assert feats[0][first_pos_slot] == index.value_ids["first-position"]["true"]
+        assert feats[1][first_pos_slot] == index.value_ids["first-position"]["false"]
 
     def test_a_bare_string_is_not_a_sentence(self):
         pipeline = FeaturePipeline(build_index(toy_corpus(), FeatureTemplate.LF1))
@@ -265,7 +265,13 @@ def build_index_every_occurrence(sentences, template):
             for fam, value in extract(token, pos, template).items():
                 values.setdefault(fam, {}).setdefault(value, None)
     pairs = [(fam, value) for fam, seen in values.items() for value in seen]
-    return dict(zip(pairs, range(len(pairs))))
+    return list(zip(pairs, range(len(pairs))))
+
+
+def id_order(index):
+    """The index's ((family, value), id) items, family after family."""
+    return [((fam, value), num) for fam, ids in index.value_ids.items()
+            for value, num in ids.items()]
 
 
 class TestBuildIndexSkipsRepeats:
@@ -283,17 +289,13 @@ class TestBuildIndexSkipsRepeats:
             ("sat",),
         ]
         index = build_index(sentences, template)
-        assert list(index.ids.items()) == list(
-            build_index_every_occurrence(sentences, template).items()
-        )
+        assert id_order(index) == build_index_every_occurrence(sentences, template)
 
     @given(st.lists(st.lists(st.sampled_from(["a", "B", "ab", "b-1", "Ab"]),
                              min_size=1, max_size=6), min_size=1, max_size=6))
     def test_same_ids_on_random_corpora(self, sentences):
         index = build_index(sentences, FeatureTemplate.LF2)
-        assert list(index.ids.items()) == list(
-            build_index_every_occurrence(sentences, FeatureTemplate.LF2).items()
-        )
+        assert id_order(index) == build_index_every_occurrence(sentences, FeatureTemplate.LF2)
 
 
 class TestBuildIndexFillsTheMemo:

@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 from conftest import random_stationary_hmc
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.errors import InvalidInputError
-from efbtag.features import FeatureIndex, FeatureTemplate, index_from_pairs, vectorize
+from efbtag.features import FeatureTemplate, index_from_pairs, vectorize
 from efbtag.hmc import (
     HmcParams,
     backward,
@@ -361,9 +361,7 @@ class TestNaiveFeatureEmission:
 
 
 class TestNaiveEstimateRejects:
-    INDEX = FeatureIndex(
-        FeatureTemplate.NF, ("word",), {("word", "x"): 0, ("word", "y"): 1}, {"word": 2}
-    )
+    INDEX = index_from_pairs(FeatureTemplate.NF, ("word",), [("word", "x"), ("word", "y")])
 
     @pytest.mark.parametrize("labels", [(-1, 1), (2, 1)])
     def test_label_outside_tag_set(self, labels):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from efbtag.core import TagSet
-from efbtag.discrim import LogisticModel, predict, predict_all_prev, zero_model
+from efbtag.discrim import predict, predict_all_prev, zero_model
 from efbtag.errors import InvalidInputError
 from efbtag.memm import (
     MemmModel,

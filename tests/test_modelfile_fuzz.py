@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import struct
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from efbtag.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.discrim import SgdConfig
 from efbtag.errors import DataError
-from efbtag.features import FeatureTemplate
+from efbtag.features import TEMPLATE_FAMILIES, FeatureTemplate, index_from_pairs
 from efbtag.modelfile import MAGIC, load_model, save_model
-from efbtag.tagger import DecoderKind, Tagger, train_tagger
+from efbtag.tagger import DecoderKind, Tagger, part_shapes, train_tagger
 
 TRAIN = """\
 the DT O
@@ -196,14 +197,42 @@ def test_bad_feature_index_entry(workdir, models, kind, last, message):
     assert message in err
 
 
-def test_naive_pairs_not_family_by_family(workdir, models):
-    """The first word pair moved behind the last family: shapes unchanged."""
+def test_naive_pairs_interleaving_families(workdir, models):
+    """Every family's first value, then every second one, and so on: each
+    family's values keep their order, so the file loads as the family by
+    family file, tags as it does and saves to its bytes."""
     header, body = split(models[DecoderKind.HMC_NAIVE])
-    entries = header["feature_index"]["entries"]
-    entries.append(entries.pop(0))
-    rc, err = check_damaged(workdir, join(header, body))
+    by_family: dict = {}
+    for entry in header["feature_index"]["entries"]:
+        by_family.setdefault(entry[0], []).append(entry)
+    interleaved = [entry for row in zip_longest(*by_family.values()) for entry in row if entry]
+    assert interleaved != header["feature_index"]["entries"]
+    header["feature_index"]["entries"] = interleaved
+    tagged = []
+    for data in (models[DecoderKind.HMC_NAIVE], join(header, body)):
+        assert check_damaged(workdir, data)[0] == EXIT_OK
+        tagged.append((workdir / "out.txt").read_text())
+    assert tagged[0] == tagged[1]
+    save_model(workdir / "resaved.bin", load_model(workdir / "damaged.bin"))
+    assert (workdir / "resaved.bin").read_bytes() == models[DecoderKind.HMC_NAIVE]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_empty_label_list(workdir, models, kind):
+    """No labels, and every array shaped for none, as memm's (S + 1, 0)
+    weights: a DataError at load, not a traceback at decode."""
+    header, _ = split(models[kind])
+    index = None
+    if kind is not DecoderKind.HMC_FB:
+        template = FeatureTemplate(header["template"])
+        index = index_from_pairs(template, TEMPLATE_FAMILIES[template],
+                                 header["feature_index"]["entries"])
+    shapes = part_shapes(kind, 0, len(header["words"]) + 1, index)
+    header["labels"] = []
+    header["arrays"] = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
+    rc, err = check_damaged(workdir, join(header, b""))
     assert rc == EXIT_DATA
-    assert "not family by family" in err
+    assert "header key 'labels' is empty" in err
 
 
 def test_naive_file_in_the_layout_before_the_shared_index(workdir, models):

@@ -283,14 +283,14 @@ class TestFeatureMemo:
         corpus = random_corpus(np.random.default_rng(12))
         tagger, _ = train_tagger(corpus, DecoderKind.HMC_EFB, FeatureTemplate.LF1, SGD)
         index = tagger.feature_index
-        n_words = sum(1 for fam, _ in index.ids if fam == "word")
+        n_words = len(index.value_ids["word"])
         filled = len(index.memo)
         assert 0 < filled <= 2 * n_words
         novel = [f"novel{i}" for i in range(1000)]
         for start in range(0, len(novel), 25):
             tagger.decode(novel[start : start + 25])
         assert len(index.memo) == filled
-        assert all(("word", tok) in index.ids for tok, _ in index.memo)
+        assert all(tok in index.value_ids["word"] for tok, _ in index.memo)
 
     @pytest.mark.parametrize("kind", [DecoderKind.HMC_EFB, DecoderKind.MEMM])
     def test_memo_is_not_saved(self, kind, tmp_path):
@@ -335,7 +335,7 @@ class TestBatchFeatures:
     @staticmethod
     def assert_memo_rows_are_extractions(index):
         for (tok, first), row in index.memo.items():
-            assert ("word", tok) in index.ids
+            assert tok in index.value_ids["word"]
             assert row == vectorize(extract(tok, 0 if first else 1, index.template), index)
 
     @pytest.mark.parametrize("template", list(FeatureTemplate))
@@ -423,7 +423,7 @@ class TestNaiveDecodingUsesTheMemo:
         for _ in range(2):
             for tokens in rotated:
                 tagger.decode(tokens)
-        indexed = [key for key in keys if ("word", key[0]) in tagger.feature_index.ids]
+        indexed = [key for key in keys if key[0] in tagger.feature_index.value_ids["word"]]
         assert indexed and len(indexed) == len(set(indexed))
         assert not set(indexed) & train_keys
 
