@@ -131,8 +131,7 @@ class PosteriorLattice:
 
     def __post_init__(self):
         v = self.values
-        if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
-            raise InvalidInputError("lattice must be a non-empty T x N table")
+        _check_table(v)
         # fmin/fmax skip NaN, which the row-sum check below rejects
         if np.fmin.reduce(v, axis=None) < -ROW_SUM_TOL or (
             np.fmax.reduce(v, axis=None) > 1.0 + ROW_SUM_TOL
@@ -145,6 +144,17 @@ class PosteriorLattice:
                 f"lattice row {t} sums to {sums[t]!r}, expected 1"
             )
 
+    @classmethod
+    def _normalised(cls, values: np.ndarray) -> "PosteriorLattice":
+        """A lattice of rows that its caller divided by their sums, having
+        found every entry finite and non-negative and every sum finite and
+        > 0: such rows lie in [0, 1] and sum to 1 within rounding, so only
+        the shape is checked."""
+        _check_table(values)
+        lattice = object.__new__(cls)
+        object.__setattr__(lattice, "values", values)
+        return lattice
+
     @property
     def length(self) -> int:
         return self.values.shape[0]
@@ -152,6 +162,11 @@ class PosteriorLattice:
     @property
     def n_labels(self) -> int:
         return self.values.shape[1]
+
+
+def _check_table(values: np.ndarray) -> None:
+    if values.ndim != 2 or values.shape[0] == 0 or values.shape[1] == 0:
+        raise InvalidInputError("lattice must be a non-empty T x N table")
 
 
 def mpm_from_lattice(lattice: PosteriorLattice) -> list[int]:
@@ -192,4 +207,16 @@ def check_lengths(lengths, n_rows: int | None = None) -> np.ndarray:
         raise InvalidInputError(f"sentence length {int(arr.min())} is below 1")
     if n_rows is not None and arr.sum() != n_rows:
         raise InvalidInputError(f"sentence lengths sum to {int(arr.sum())}, not {n_rows} rows")
+    return arr
+
+
+def check_token_rows(token_rows, n_rows: int) -> np.ndarray:
+    """Each token's row number among `n_rows` rows scored once each, as intp.
+
+    A number outside those rows raises instead of reaching numpy as an
+    IndexError.
+    """
+    arr = id_array(token_rows, "token rows")
+    if arr.ndim != 1 or arr.size and (arr.min() < 0 or arr.max() >= n_rows):
+        raise InvalidInputError(f"token rows must be a vector of row numbers below {n_rows}")
     return arr

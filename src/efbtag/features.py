@@ -266,14 +266,19 @@ class FeaturePipeline:
     index: FeatureIndex
 
     def sentence_features(
-        self, tokens: Sequence[str] | Sequence[Sequence[str]]
-    ) -> np.ndarray:
+        self, tokens: Sequence[str] | Sequence[Sequence[str]], distinct: bool = False
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """(T, F) intp ids of one sentence's tokens.
 
         Given a batch of token sequences, returns their (ΣT, F) ids stacked
         in order, from one gather.  Rows of indexed words come from the
         index's memo table, which keeps each indexed word's row it lacked.
         The keys a call misses are extracted with one `extract` call.
+
+        With `distinct`, returns instead the (K, F) ids of the K distinct
+        (token, first-in-sentence) keys met, and each token's (ΣT,) row
+        number among them, so a scorer whose rows do not depend on each
+        other scores each key once and gathers every token's scores.
         """
         if isinstance(tokens, str):
             raise InvalidInputError("a sentence is a sequence of tokens, not a string")
@@ -311,13 +316,14 @@ class FeaturePipeline:
                         if tok in words:
                             kept.append(k)
                     nums[at] = base + k
-        if not missed:
-            return memo.table.take(nums, axis=0)
-        staged = memo.spare(len(toks))
-        staged[:] = vectorize(extract(toks, positions, index.template), index)
+        if missed:
+            staged = memo.spare(len(toks))
+            staged[:] = vectorize(extract(toks, positions, index.template), index)
+        if distinct:  # one memo or staged row number per key
+            nums, token_rows = np.unique(np.asarray(nums, dtype=np.intp), return_inverse=True)
         ids = memo.table.take(nums, axis=0)
         if kept:  # rows of words outside the index stay spare, to be overwritten
             keys = list(missed)
             memo.extend([keys[k] for k in kept],
                         staged if len(kept) == len(keys) else staged[kept])
-        return ids
+        return (ids, token_rows) if distinct else ids

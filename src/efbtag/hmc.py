@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    LabeledSentence, PosteriorLattice, TagSet, Vocabulary, check_lengths, id_array,
+    LabeledSentence, PosteriorLattice, TagSet, Vocabulary, check_lengths, check_token_rows,
+    id_array,
 )
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .features import FeatureIndex
@@ -312,7 +313,12 @@ def backward(params: HmcParams, obs: Sequence[int]) -> tuple[np.ndarray, np.ndar
 
 
 def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray) -> PosteriorLattice:
-    """Combine scaled forward/backward rows; per-row scales cancel in the ratio."""
+    """Combine scaled forward/backward rows; per-row scales cancel in the ratio.
+
+    Float64 products that are all finite and non-negative, with finite row
+    sums, divide into rows that the lattice need not check again; any
+    others take its full check.
+    """
     prod = alphas * betas
     denom = np.add.reduce(prod, axis=1)
     if not (denom > 0.0).all():
@@ -320,7 +326,11 @@ def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray) -> PosteriorL
         raise NumericalDegeneracyError(
             f"posterior denominator underflowed at position {int(bad[0])}"
         )
-    return PosteriorLattice(np.divide(prod, denom[:, None], out=prod))
+    # the minimum is NaN if any product is; an infinite product makes its sum infinite
+    normalised = (prod.dtype == np.float64 and prod.size > 0
+                  and prod.min() >= 0.0 and denom.max() < np.inf)
+    values = np.divide(prod, denom[:, None], out=prod)
+    return PosteriorLattice._normalised(values) if normalised else PosteriorLattice(values)
 
 
 def _posterior(params: HmcParams, emissions: np.ndarray, lengths=None) -> PosteriorLattice:
@@ -443,12 +453,17 @@ def naive_emission_matrix(
 
 def posterior_naive_features(
     params: HmcParams, model: NaiveFeatureEmission, ids: Sequence[Sequence[int]],
-    lengths=None,
+    lengths=None, token_rows=None,
 ) -> PosteriorLattice:
     """Forward-Backward posterior with the independence-product emission.
 
-    `lengths` stacks sentences as in `posterior_fb`.
+    `lengths` stacks sentences as in `posterior_fb`.  Given `token_rows`,
+    token t's ids are row token_rows[t] of `ids`, so each row is scored once
+    however many tokens share it; by default each token has its own row.
     """
     if len(ids) == 0:
         raise InvalidInputError("observation sequence must be non-empty")
-    return _posterior(params, naive_emission_matrix(model, ids), lengths)
+    emissions = naive_emission_matrix(model, ids)
+    if token_rows is not None:
+        emissions = emissions.take(check_token_rows(token_rows, len(emissions)), axis=0)
+    return _posterior(params, emissions, lengths)

@@ -5,8 +5,8 @@ decoding needs no backward pass and each forward row is already a
 probability distribution.
 
 Given sentence `lengths`, the functions take sentences stacked one
-after another and run them in lockstep: step t scores and advances only
-the sentences longer than t, and the lattices come back stacked.
+after another and run them in lockstep: step t advances only the
+sentences longer than t, and the lattices come back stacked.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import PosteriorLattice, TagSet, check_lengths, id_array, mpm_from_lattice
+from .core import (
+    PosteriorLattice, TagSet, check_lengths, check_token_rows, id_array, mpm_from_lattice,
+)
 from .discrim import LogisticModel, predict, predict_all_prev
 from .errors import InvalidInputError
 
@@ -88,23 +90,38 @@ def _lockstep_lattice(first: np.ndarray, steps, lengths) -> np.ndarray:
 
 
 def memm_forward(
-    model: MemmModel, obs: Sequence[Sequence[int]], lengths=None
+    model: MemmModel, obs: Sequence[Sequence[int]], lengths=None, token_rows=None
 ) -> np.ndarray:
     """T x N forward lattice for one sentence's (T, F) feature ids, or the
-    stacked lattices of stacked sentences of `lengths`."""
+    stacked lattices of stacked sentences of `lengths`.
+
+    Stacked sentences are scored once per distinct row: l0 on the rows of
+    first positions, and l1 in one `predict_all_prev` call on the rows of
+    later ones, from whose (K, N, N) tables each step takes its own.  Given
+    `token_rows`, token t's ids are row token_rows[t] of `obs`; by default
+    each token has its own row.
+    """
     obs = id_array(obs, "feature ids")
     if len(obs) == 0:
         raise InvalidInputError("observation sequence must be non-empty")
     if lengths is not None:
-        lengths = check_lengths(lengths, len(obs))
+        rows = np.arange(len(obs)) if token_rows is None else check_token_rows(token_rows, len(obs))
+        lengths = check_lengths(lengths, len(rows))
         starts = np.cumsum(lengths) - lengths
-        first = predict(model.l0, obs.take(starts, axis=0))
-        # scored step by step, so only one step's (L, N, N) tables are live
+        later = np.ones(len(rows), dtype=bool)
+        later[starts] = False
+        at = rows.copy()  # each token's place among its position kind's distinct rows
+        first_rows, at[starts] = np.unique(rows[starts], return_inverse=True)
+        later_rows, at[later] = np.unique(rows[later], return_inverse=True)
+        first = predict(model.l0, obs.take(first_rows, axis=0)).take(at[starts], axis=0)
+        tables = predict_all_prev(model.l1, obs.take(later_rows, axis=0))
         steps = (
-            predict_all_prev(model.l1, obs.take(starts[lengths > t] + t, axis=0))
+            tables.take(at[starts[lengths > t] + t], axis=0)
             for t in range(1, lengths.max())
         )
         return forward_lattice(first, steps, lengths)
+    if token_rows is not None:
+        obs = obs.take(check_token_rows(token_rows, len(obs)), axis=0)
     first = predict(model.l0, obs[0])
     steps = predict_all_prev(model.l1, obs[1:]) if len(obs) > 1 else []
     return forward_lattice(first, steps)
@@ -115,6 +132,8 @@ def decode_lattice(alphas: np.ndarray) -> list[int]:
     return mpm_from_lattice(PosteriorLattice(alphas))
 
 
-def decode_memm(model: MemmModel, obs: Sequence[Sequence[int]], lengths=None) -> list[int]:
+def decode_memm(
+    model: MemmModel, obs: Sequence[Sequence[int]], lengths=None, token_rows=None
+) -> list[int]:
     """Per-position argmax of the forward rows (forward-only posterior)."""
-    return decode_lattice(memm_forward(model, obs, lengths))
+    return decode_lattice(memm_forward(model, obs, lengths, token_rows))

@@ -172,22 +172,32 @@ class Tagger:
         return labels
 
     def _decode(self, tokens, lengths: Optional[list[int]] = None) -> list[int]:
-        """Labels of one sentence, or the stacked labels of sentences of `lengths`."""
+        """Labels of one sentence, or the stacked labels of sentences of `lengths`.
+
+        Stacked sentences are scored once per distinct feature row: each
+        token's row number `rows[t]` picks its scores.
+        """
         if self.kind is DecoderKind.HMC_FB:
             obs = self.vocab.ids_of(tokens if lengths is None else chain.from_iterable(tokens))
             return mpm_from_lattice(hmc.posterior_fb(self.hmc_params, obs, lengths))
-        # one sentence's (T, F) ids, or the sentences' stacked (ΣT, F) ids
-        feats = self.pipeline.sentence_features(tokens)
+        # one sentence's (T, F) ids, or the sentences' distinct (K, F) ids
+        if lengths is None:
+            feats, rows = self.pipeline.sentence_features(tokens), None
+        else:
+            feats, rows = self.pipeline.sentence_features(tokens, distinct=True)
         if self.kind is DecoderKind.HMC_NAIVE:
-            lattice = hmc.posterior_naive_features(self.hmc_params, self.naive, feats, lengths)
+            lattice = hmc.posterior_naive_features(
+                self.hmc_params, self.naive, feats, lengths, rows
+            )
             return mpm_from_lattice(lattice)
         if self.kind is DecoderKind.HMC_EFB:
-            # the (T, N) conditional, or the stacked (ΣT, N) ones, from one
-            # batch is the observation
+            # the (T, N) conditional, or the stacked (ΣT, N) ones, is the observation
             conditional = discrim.predict(self.l0, feats)
+            if rows is not None:
+                conditional = conditional.take(rows, axis=0)
             return efb.decode_efb(self.hmc_params, conditional, lengths)
         model = memm.MemmModel(l0=self.l0, l1=self.l1, tagset=self.tagset)
-        return memm.decode_memm(model, feats, lengths)
+        return memm.decode_memm(model, feats, lengths, rows)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@
 `Tagger.decode` given a batch sorts it by length into buckets, and each
 bucket runs through the public layers' `lengths=` form: the recursions
 take every sentence one step at a time in lockstep, each step over the
-packed rows of the sentences still running.  These tests check that the
+packed rows of the sentences still running; the featured kinds score
+each distinct feature row of a bucket once.  These tests check that the
 batch form gives each sentence the posteriors (to 1e-12), the scaled
 lattices and scales (to the byte), the degeneracy errors and the labels
 that the per-sentence form gives, in input order, that the bucket cap
-holds, and that bad lengths raise `InvalidInputError`.  A row divided by
-zero would raise a `RuntimeWarning`, which pytest turns into a failure
-here.
+holds, and that bad lengths and token rows raise `InvalidInputError`.  A
+row divided by zero would raise a `RuntimeWarning`, which pytest turns
+into a failure here.
 """
 
 import importlib.util
@@ -23,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import efbtag.modelfile  # noqa: F401  a traced module: the span recorder wraps it
 from efbtag import efb, evaluation, features, hmc, memm
+from efbtag import tagger as tagger_module
 from efbtag.core import TagSet, check_lengths
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.discrim import LogisticModel, SgdConfig
@@ -256,6 +258,38 @@ def test_bad_lengths_raise_invalid_input(worked_params, lengths):
             call(lengths)
 
 
+def _row_takers(rng):
+    """Every public function with a token_rows= form, as a function of id
+    rows, sentence lengths (None for one sentence) and token rows."""
+    chain, naive, model = random_chain(rng, 2), random_naive(rng, 2), random_memm(rng, 2, 2)
+    return {
+        "posterior_naive_features": lambda ids, lens, rows: hmc.posterior_naive_features(
+            chain, naive, ids, lens, rows
+        ).values,
+        "memm_forward": lambda ids, lens, rows: memm.memm_forward(model, ids, lens, rows),
+        "decode_memm": lambda ids, lens, rows: memm.decode_memm(model, ids, lens, rows),
+    }
+
+
+@pytest.mark.parametrize("rows", [[0, 3], [-1, 0], [0.5, 1.0], [[0, 1]], ["0", "1"]],
+                         ids=["past-the-end", "negative", "float", "nested", "strings"])
+def test_bad_token_rows_raise_invalid_input(rows):
+    ids = np.zeros((3, 2), dtype=int)
+    for call in _row_takers(np.random.default_rng(SEED)).values():
+        for lengths in (None, [1, 1]):
+            with pytest.raises(InvalidInputError):
+                call(ids, lengths, rows)
+
+
+def test_token_rows_give_the_bytes_of_one_row_per_token():
+    rng = np.random.default_rng(SEED)
+    ids, rows = rng.integers(0, 2, size=(3, 2)), rng.integers(0, 3, size=9)
+    for name, call in _row_takers(rng).items():
+        for lengths in (None, [4, 1, 4], [2, 3, 1, 3]):
+            got, expected = call(ids, lengths, rows), call(ids[rows], lengths, None)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (name, lengths)
+
+
 def test_forward_lattice_rejects_steps_that_do_not_fit_the_lengths():
     """Its rows are the first rows and the steps' tables, so it checks those
     against the lengths."""
@@ -375,6 +409,88 @@ def test_empty_batch_and_empty_sentence_raise(taggers):
 def test_one_sentence_batch_is_a_list_of_one(taggers):
     tagger = taggers[DecoderKind.MEMM, FeatureTemplate.LF1]
     assert tagger.decode([("the", "cat")]) == [tagger.decode(("the", "cat"))]
+
+
+# --- each bucket scores each distinct feature row once -------------------------
+
+
+@pytest.fixture
+def lattices(monkeypatch):
+    """A function from a tagger and a sentence or batch to the lattice rows
+    that its decode reads labels from, stacked in the order it reads them."""
+    seen = []
+    mpm = tagger_module.mpm_from_lattice
+
+    def recording(lattice):
+        seen.append(lattice.values.copy())
+        return mpm(lattice)
+
+    for module in (tagger_module, efb, memm):
+        monkeypatch.setattr(module, "mpm_from_lattice", recording)
+
+    def decode(tagger, tokens):
+        seen.clear()
+        tagger.decode(tokens)
+        return np.concatenate(seen)
+
+    return decode
+
+
+def distinct_row_cases(train):
+    """Batches whose (token, first) keys repeat in the ways a bucket's
+    distinct rows must keep apart, or do not repeat at all."""
+    words = list(dict.fromkeys(tok for s in train.sentences for tok in s.tokens))
+    w, x = words[:2]
+    novel = "Zq-9x"  # outside the index: its rows are staged, never kept
+    assert novel not in words
+    # 1,024 sentences of 8, one bucket: distinct first tokens, distinct later ones
+    fresh = words + [f"{'Q' if i % 3 else 'q'}{i}{'-x' if i % 5 else ''}" for i in range(8192)]
+    full = [[fresh[i]] + fresh[1024 + 7 * i : 1024 + 7 * i + 7] for i in range(1024)]
+    return {
+        "every token the same word": ([[w] * n for n in (1, 3, 7, 2, 12)], 2),
+        "one word first and later": ([[w, x, w], [x, w], [w]], 4),
+        "a word outside the index repeats": ([[novel, w, novel], [novel], [x, novel, novel]], 4),
+        "every key distinct in a full bucket": (full, BUCKET_TOKENS),
+    }
+
+
+@pytest.mark.parametrize("kind, template", KIND_TEMPLATES, ids=lambda v: v.value)
+def test_distinct_row_cases_give_the_per_sentence_bytes(taggers, corpora, lattices, kind,
+                                                       template):
+    """Batched lattices equal the per-sentence ones byte for byte, whether a
+    bucket's tokens share one key, keep a word's first and later keys apart,
+    repeat a word outside the index, or share none."""
+    tagger = taggers[kind, template]
+    for name, (batch, n_keys) in distinct_row_cases(corpora[0]).items():
+        lengths = [len(s) for s in batch]
+        assert len(buckets(lengths)) == 1, name
+        if tagger.feature_index is not None:
+            rows, _ = tagger.pipeline.sentence_features(batch, distinct=True)
+            assert len(rows) == n_keys, name
+        got = lattices(tagger, batch)
+        order = buckets(lengths)[0]
+        expected = np.concatenate([lattices(tagger, batch[i]) for i in order])
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+
+
+def test_memm_scores_step_tables_once_per_bucket(taggers, corpora, monkeypatch):
+    """One `predict_all_prev` call per multi-sentence bucket, on fewer rows
+    than the bucket has later positions, since keys repeat."""
+    sentences = [s.tokens for s in corpora[1].sentences] * 3
+    groups = buckets([len(s) for s in sentences])
+    assert len(groups) > 1 and min(map(len, groups)) > 1
+    calls = []
+    original = memm.predict_all_prev
+
+    def counting(model, ids):
+        calls.append(len(ids))
+        return original(model, ids)
+
+    monkeypatch.setattr(memm, "predict_all_prev", counting)
+    taggers[DecoderKind.MEMM, FeatureTemplate.LF2].decode(sentences)
+    assert len(calls) == len(groups)
+    later = [sum(len(sentences[i]) - 1 for i in group) for group in groups]
+    assert all(rows < n for rows, n in zip(calls, later))
 
 
 # --- model files from before ids went family by family ------------------------

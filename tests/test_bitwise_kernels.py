@@ -2,13 +2,15 @@
 
 Each reference below is the plain form of a kernel that the package
 now runs with in-place or reordered numpy calls: a fresh-row scaled
-recursion, a row-major weight-row sum, and the elementwise range check
-of a posterior lattice.  Every comparison is on the bytes.
+recursion, a row-major weight-row sum, the elementwise range check
+of a posterior lattice, and a posterior that takes that check in full.
+Every comparison is on the bytes.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from efbtag import discrim, hmc
 from efbtag.core import (
@@ -212,6 +214,70 @@ def test_lattice_accepts_and_rejects_as_the_elementwise_check(first, second):
         with pytest.raises(InvalidInputError) as err:
             PosteriorLattice(values)
         assert str(err.value) == expected
+
+
+def reference_posterior(alphas, betas):
+    """`posterior_from_lattices` with the lattice's full check on every input."""
+    prod = alphas * betas
+    denom = prod.sum(axis=1)
+    if not (denom > 0.0).all():
+        bad = np.nonzero(~(denom > 0.0))[0]
+        raise NumericalDegeneracyError(
+            f"posterior denominator underflowed at position {int(bad[0])}"
+        )
+    return PosteriorLattice(prod / denom[:, None])
+
+
+def lattice_pair(elements):
+    shape = st.tuples(st.integers(1, 8), st.integers(1, 20))
+    return shape.flatmap(lambda s: st.tuples(
+        arrays(np.float64, s, elements=elements), arrays(np.float64, s, elements=elements)
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_pair(st.floats(0.0, 1e150, allow_subnormal=True)))
+def test_a_posterior_of_finite_non_negative_lattices_passes_the_full_check(pair):
+    """The lattice skips its range and row-sum checks after the products
+    passed posterior_from_lattices's own: those rows must pass them anyway."""
+    alphas, betas = pair
+    try:
+        lattice = hmc.posterior_from_lattices(alphas, betas)
+    except NumericalDegeneracyError:
+        assert not ((alphas * betas).sum(axis=1) > 0.0).all()
+        return
+    PosteriorLattice(lattice.values)
+    assert lattice.values.tobytes() == reference_posterior(alphas, betas).values.tobytes()
+
+
+ODD_FACTORS = st.one_of(
+    st.floats(-2.0, 0.0),
+    st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, -1e-12, 5e-324, 1e300, 1e160]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=lattice_pair(st.floats(0.0, 2.0)),
+    odd=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 10**6), ODD_FACTORS),
+                 max_size=3),
+)
+@np.errstate(all="ignore")
+def test_posterior_from_lattices_raises_as_the_full_check_does(pair, odd):
+    """Any input gives the lattice, or the error class and message, that
+    checking every lattice in full gives: products that are negative, NaN,
+    infinite or sum past the largest float among non-negative ones."""
+    alphas, betas = pair
+    for which, at, value in odd:
+        pair[which].flat[at % alphas.size] = value
+    try:
+        expected = reference_posterior(alphas, betas).values
+    except (InvalidInputError, NumericalDegeneracyError) as err:
+        with pytest.raises(type(err)) as got:
+            hmc.posterior_from_lattices(alphas, betas)
+        assert str(got.value) == str(err)
+    else:
+        assert hmc.posterior_from_lattices(alphas, betas).values.tobytes() == expected.tobytes()
 
 
 def test_mpm_returns_python_ints_with_lowest_id_ties():

@@ -4,13 +4,16 @@ The hmc-fb and hmc-naive-features emission matrices gather rows from
 C-ordered copies of their tables (`HmcParams.emit_rows`,
 `NaiveFeatureEmission.stacked_rows`) with `ndarray.take`.  These tests pin
 both to the fancy-index forms they replaced, byte for byte: the emission
-matrix, and the posterior computed from it.
+matrix, and the posterior computed from it.  A batch decode scores each
+distinct feature row once and gathers every token's scores from those
+rows; the last tests pin that to scoring every token's row.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from efbtag import hmc
+from efbtag.discrim import LogisticModel, predict, predict_all_prev
 
 
 def random_chain(rng, n):
@@ -86,3 +89,42 @@ def test_posterior_fb_equals_the_posterior_of_fancy_index_emissions(n, words, le
 def test_a_bare_chain_has_no_emission_rows():
     pi, trans = random_chain(np.random.default_rng(0), 3)
     assert hmc.HmcParams(pi, trans).emit_rows is None
+
+
+def _repeated(rng, distinct: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """T rows drawn from `distinct` with repeats, and each one's row number."""
+    at = rng.integers(0, len(distinct), size=t)
+    return distinct[at], at
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    width=st.integers(1, 14),
+    k=st.integers(1, 30),
+    t=st.integers(1, 80),
+    # at 400, factored normalisers underflow and take the direct softmax
+    scale=st.sampled_from([1.0, 40.0, 400.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scoring_distinct_rows_then_gathering_is_scoring_every_row(n, width, k, t, scale, seed):
+    rng = np.random.default_rng(seed)
+    n_features = 50
+    distinct = rng.integers(0, n_features, size=(k, width))
+    ids, at = _repeated(rng, distinct, t)
+    plain = LogisticModel(scale * rng.normal(size=(n_features + 1, n)), n_features, n, False)
+    cond = LogisticModel(scale * rng.normal(size=(n_features + n + 1, n)), n_features, n, True)
+    for score, model in ((predict, plain), (predict_all_prev, cond)):
+        every = score(model, ids)
+        gathered = score(model, distinct).take(at, axis=0)
+        assert gathered.shape == every.shape and gathered.tobytes() == every.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(naive_cases(), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_naive_emissions_of_distinct_rows_gathered_are_every_row_s(case, t, seed):
+    model, distinct = case
+    ids, at = _repeated(np.random.default_rng(seed), distinct, t)
+    every = hmc.naive_emission_matrix(model, ids)
+    gathered = hmc.naive_emission_matrix(model, distinct).take(at, axis=0)
+    assert gathered.shape == every.shape and gathered.tobytes() == every.tobytes()

@@ -385,6 +385,14 @@ class TestBatchFeatures:
         assert got.tolist() == extracted_rows(batch.index, sentences)
         assert dict(batch.index.memo.items()) == dict(per.index.memo.items())
         self.assert_memo_rows_are_extractions(batch.index)
+        # the distinct form: one row per (token, first) key, gathered to the same bytes
+        distinct = FeaturePipeline(build_index(train, template))
+        rows, token_rows = distinct.sentence_features(sentences, distinct=True)
+        self.assert_same_bytes(rows.take(token_rows, axis=0), got)
+        keys = [(tok, pos == 0) for sent in sentences for pos, tok in enumerate(sent)]
+        assert len(rows) == len(set(keys))
+        assert len(set(zip(keys, token_rows.tolist()))) == len(rows)  # a row per key
+        assert dict(distinct.index.memo.items()) == dict(per.index.memo.items())
 
 
 class TestNaiveDecodingUsesTheMemo:
