@@ -87,13 +87,19 @@ def _parse(path: str | Path, fmt: CorpusFormat) -> tuple[list[str], list[str], l
     tags: list[str] = []
     ends: list[int] = []  # the offset at every sentence boundary, empty sentences too
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if conllu:
+            cols = line.split("\t")
+            # a word line passes every check below, so it is taken first
+            if len(cols) == 10 and cols[0].isdigit() and cols[1] and cols[3]:
+                tokens.append(cols[1])
+                tags.append(cols[3])
+                continue
         if not line or line.isspace():
             ends.append(len(tokens))
             continue
         if conllu:
             if line[0] == "#":
                 continue
-            cols = line.split("\t")
             if len(cols) != 10:
                 raise DataError(
                     f"{path}:{lineno}: expected 10 tab-separated columns, got {len(cols)}"

@@ -104,9 +104,11 @@ def zero_model(
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """The softmax of each row, written over `scores`, which the caller owns."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _as_batch(feature_ids) -> tuple[np.ndarray, bool]:
@@ -239,7 +241,9 @@ def _residuals(
     `scale` times its row sums (`train`'s lazy L2 scale): the (B, N) softmax
     minus one-hot targets, each example's gradient for each of its rows, and
     the (B,) probabilities of the targets."""
-    probs = _softmax_rows(scale * _row_sums(weights, rows))
+    sums = _row_sums(weights, rows)
+    sums *= scale
+    probs = _softmax_rows(sums)
     picked = np.arange(len(rows)), targets
     target_probs = probs[picked]
     probs[picked] -= 1.0
@@ -287,7 +291,9 @@ def train(
     rows, targets = _example_rows(model, dataset)
     w = model.weights
     flat_w = w.reshape(-1)  # a view: `zero_model` makes a C-ordered table
-    cols = np.arange(n_labels)
+    # each weight's flat id at its place in the table, so a batch's ids in
+    # (example, slot, label) order are one gather of its weight rows
+    flat_ids = np.arange(w.size).reshape(w.shape)
     rng = np.random.default_rng(config.seed)
     n = len(dataset)
     scale = 1.0
@@ -304,9 +310,9 @@ def train(
             g *= rate / (b_size * scale)
             # flat ids in (example, slot, label) order: each weight takes its
             # updates in example order, through numpy's fast 1-D `ufunc.at`
-            flat_ids = b_rows[:, :, None] * n_labels + cols
+            b_ids = flat_ids.take(b_rows, axis=0)  # (B, width, N)
             g = np.repeat(g, b_rows.shape[1], axis=0)  # row b * width + slot is g[b]
-            np.subtract.at(flat_w, flat_ids.ravel(), g.ravel())
+            np.subtract.at(flat_w, b_ids.ravel(), g.ravel())
         # fold the lazy scale back in once per epoch to limit drift
         w *= scale
         scale = 1.0

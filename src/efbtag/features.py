@@ -188,21 +188,30 @@ def build_index(
 ) -> FeatureIndex:
     """Index every (family, value) pair observed in the corpus.
 
-    Accepts labeled sentences or bare token sequences; only tokens are
-    used.  `index_from_pairs` numbers the pairs family by family, each
-    family's values in the order first met in the corpus.  Each corpus
-    key's id row is left in the index's memo, so the corpus is extracted
-    once.
+    Accepts labeled sentences or bare token sequences, not strings; only
+    tokens are used.  `index_from_pairs` numbers the pairs family by
+    family, each family's values in the order first met in the corpus.
+    Each corpus key's id row is left in the index's memo, so the corpus is
+    extracted once.
     """
-    # (token, position == 0) are the only inputs of `extract`: a repeat adds no pair
-    keys: dict[tuple[str, bool], None] = {}
-    saw_any = False
-    for sent in corpus:
-        saw_any = True
-        tokens = sent.tokens if isinstance(sent, LabeledSentence) else sent
-        keys.update(dict.fromkeys((token, pos == 0) for pos, token in enumerate(tokens)))
-    if not saw_any:
+    sents = list(corpus)
+    if not sents:
         raise InvalidInputError("corpus must be non-empty")
+    tokens: list[str] = []  # every token, flat, and where each sentence starts
+    starts: list[int] = []
+    for item, sent in enumerate(sents):
+        if isinstance(sent, LabeledSentence):
+            sent = sent.tokens
+        elif isinstance(sent, str):  # its keys would be those of its characters
+            raise InvalidInputError(f"batch item {item} is a string, not a sentence")
+        if len(sent):
+            starts.append(len(tokens))
+            tokens.extend(sent)
+    firsts = [False] * len(tokens)
+    for start in starts:
+        firsts[start] = True
+    # (token, position == 0) are the only inputs of `extract`: a repeat adds no pair
+    keys = dict.fromkeys(zip(tokens, firsts))
     cols = extract([tok for tok, _ in keys], [0 if first else 1 for _, first in keys], template)
     pairs = [(fam, value) for fam, col in cols.items() for value in dict.fromkeys(col)]
     index = index_from_pairs(template, tuple(cols), pairs)

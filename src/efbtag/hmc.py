@@ -100,7 +100,7 @@ def _smoothed_rows(counts: np.ndarray, smoothing: float) -> np.ndarray:
 def estimate_params(
     corpus: Sequence[LabeledSentence],
     tagset: TagSet,
-    vocab: Vocabulary,
+    vocab: Optional[Vocabulary],
     smoothing: float = DEFAULT_SMOOTHING,
 ) -> HmcParams:
     """Maximum-likelihood counts with additive smoothing.
@@ -109,18 +109,17 @@ def estimate_params(
     stationary, so the all-positions estimate is the empirical
     stationary marginal).  Transition counts never cross sentence
     boundaries.  The emission table gets one smoothing-weighted
-    unknown-word column.
+    unknown-word column; with no `vocab`, no emission is counted and
+    the bare (pi, A) chain is returned, as the featured kinds score
+    emissions apart.
     """
     if len(corpus) == 0:
         raise InvalidInputError("corpus must be non-empty")
     check_smoothing(smoothing)
 
     n = len(tagset)
-    m1 = len(vocab) + 1
     labels = id_array(list(chain.from_iterable(s.labels for s in corpus)), "labels")
     _check_labels(labels, n)
-    tokens = chain.from_iterable(s.tokens for s in corpus)
-    words = np.array(vocab.ids_of(tokens), dtype=np.intp)
     # position t has a successor in its sentence unless it ends one
     has_next = np.ones(len(labels), dtype=bool)
     has_next[np.cumsum([len(s.labels) for s in corpus]) - 1] = False
@@ -128,6 +127,10 @@ def estimate_params(
 
     pi = _smoothed_rows(np.bincount(labels, minlength=n), smoothing)
     trans = _smoothed_rows(np.bincount(pairs, minlength=n * n).reshape(n, n), smoothing)
+    if vocab is None:
+        return HmcParams(pi=pi, trans=trans)
+    m1 = len(vocab) + 1
+    words = np.array(vocab.ids_of(chain.from_iterable(s.tokens for s in corpus)), dtype=np.intp)
     emit_counts = np.bincount(labels * m1 + words, minlength=n * m1).reshape(n, m1)
     return HmcParams(pi=pi, trans=trans, emit=_smoothed_rows(emit_counts, smoothing))
 

@@ -227,9 +227,9 @@ def train_tagger(
     final_loss = float("nan")
 
     if kind is not DecoderKind.MEMM:
-        params = hmc.estimate_params(corpus.sentences, tagset, vocab, smoothing)
-    if kind in (DecoderKind.HMC_EFB, DecoderKind.HMC_NAIVE):
-        params = replace(params, emit=None)  # a bare chain: emissions are scored apart
+        # the featured kinds take a bare chain: their emissions are scored apart
+        words = vocab if kind is DecoderKind.HMC_FB else None
+        params = hmc.estimate_params(corpus.sentences, tagset, words, smoothing)
     if kind is not DecoderKind.HMC_FB:
         index = build_index(corpus.sentences, template)
         # every token in corpus order: one (ΣT, F) id array and its labels
@@ -290,12 +290,7 @@ def train_compare_pair(
     between both decoders.
     """
     # counted first, so an unusable smoothing fails before any SGD runs
-    chain = hmc.estimate_params(corpus.sentences, corpus.tagset, corpus.vocab, smoothing)
+    chain = hmc.estimate_params(corpus.sentences, corpus.tagset, None, smoothing)
     memm_tagger, _ = train_tagger(corpus, DecoderKind.MEMM, template, sgd, smoothing)
-    efb_tagger = replace(
-        memm_tagger,
-        kind=DecoderKind.HMC_EFB,
-        hmc_params=replace(chain, emit=None),
-        l1=None,
-    )
+    efb_tagger = replace(memm_tagger, kind=DecoderKind.HMC_EFB, hmc_params=chain, l1=None)
     return efb_tagger, memm_tagger

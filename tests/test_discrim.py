@@ -300,6 +300,31 @@ class TestSinglePaths:
         final = train(dataset, 8, 4, config, cond).weights
         np.testing.assert_allclose(final, w2, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("cond", [False, True], ids=["plain", "prev"])
+    @pytest.mark.parametrize("batch_size", [1, 20, 21, 64], ids=["one", "n", "n+1", "4n"])
+    def test_batch_edges_byte_equal_to_per_example_loop(self, cond, batch_size):
+        # one example a batch, the whole set as one batch, and a batch size past
+        # n, where each epoch is one short batch
+        rng = np.random.default_rng(79)
+        dataset = sparse_dataset(rng, 20, 9, 4, [3], cond)
+        config = SgdConfig(learning_rate=0.3, decay=0.1, epochs=3, l2=1e-3,
+                           batch_size=batch_size)
+        ref = reference_train(dataset, 9, 4, config, conditions_on_prev=cond)
+        for data in both_forms(dataset):
+            fast = train(data, 9, 4, config, conditions_on_prev=cond)
+            assert fast.weights.tobytes() == ref.weights.tobytes()
+
+    @pytest.mark.parametrize("cond", [False, True], ids=["plain", "prev"])
+    def test_huge_batch_size_writes_the_bytes_of_one_whole_batch(self, cond):
+        # a buffer sized by the batch size would ask for 8 TiB here and raise
+        # MemoryError at once; the epoch is one batch of the 20 examples
+        rng = np.random.default_rng(83)
+        dataset = sparse_dataset(rng, 20, 9, 4, [3], cond)
+        whole = SgdConfig(learning_rate=0.3, decay=0.1, epochs=3, l2=1e-3, batch_size=20)
+        huge = SgdConfig(learning_rate=0.3, decay=0.1, epochs=3, l2=1e-3, batch_size=2**40)
+        want = train(dataset, 9, 4, whole, conditions_on_prev=cond).weights.tobytes()
+        assert train(dataset, 9, 4, huge, conditions_on_prev=cond).weights.tobytes() == want
+
     def test_mean_loss_over_several_chunks(self):
         rng = np.random.default_rng(71)
         dataset = sparse_dataset(rng, LOSS_CHUNK + 905, 30, 6, [5])

@@ -203,6 +203,23 @@ class TestBuildIndex:
         with pytest.raises(InvalidInputError, match="unknown feature template"):
             build_index(toy_corpus(), template)
 
+    @pytest.mark.parametrize(
+        "corpus,item",
+        [(["the cat"], 0), ("the cat", 0), ([["a"], "xy"], 1), ([[], ("a", "b"), "c"], 2)],
+        ids=["string-item", "string-corpus", "mixed", "after-an-empty-sentence"],
+    )
+    def test_a_string_is_not_a_sentence(self, corpus, item):
+        # its keys would be those of its characters, as `sentence_features` says
+        with pytest.raises(InvalidInputError,
+                           match=f"^batch item {item} is a string, not a sentence$"):
+            build_index(corpus, FeatureTemplate.LF1)
+
+    def test_empty_sentences_add_no_key(self):
+        index = build_index([[], ["a", "b"], (), ["b"]], FeatureTemplate.NF)
+        assert set(index.memo) == {("a", True), ("b", False), ("b", True)}
+        assert id_order(index) == build_index_every_occurrence([["a", "b"], ["b"]],
+                                                               FeatureTemplate.NF)
+
 
 class TestVectorize:
     def test_seen_value_keeps_train_id(self):

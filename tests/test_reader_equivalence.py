@@ -9,6 +9,7 @@ files avoid the two inputs whose reading was changed on purpose: a
 from pathlib import Path
 from typing import Optional
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
@@ -178,3 +179,41 @@ def test_same_corpus_or_same_error(tmp_path, data, fmt):
     ) | st.lists(st.sampled_from(ALL_TAGS), unique=True).map(TagSet.from_labels))
     expected = outcome(line_reader, path, fmt, tagmap, tagset)
     assert outcome(read_corpus, path, fmt, tagmap, tagset) == expected
+
+
+def conllu_line(word_id: str, form: str = "w", upos: str = "NOUN") -> str:
+    return "\t".join([word_id, form, "_", upos, "_", "_", "0", "_", "_", "_"])
+
+
+# CoNLL-U files at the edges of the reader's first check, which takes a
+# 10-column line with an all-digit ID, a FORM and a UPOS before the blank,
+# comment and multiword checks: (lines, the error's "line: text" or None)
+CHECK_ORDER_FILES = {
+    "multi-digit-ids": ([conllu_line("1"), conllu_line("10"), conllu_line("123")], None),
+    # `str.isdigit` holds for both, and neither holds "-" or "."
+    "non-ascii-digit-ids": ([conllu_line("٣"), conllu_line("²")], None),
+    "id-with-a-leading-space": ([conllu_line(" 1"), conllu_line("2")], None),
+    "empty-form": ([conllu_line("1"), conllu_line("2", form="")], "2: empty FORM column"),
+    "empty-upos": ([conllu_line("1"), conllu_line("2", upos="")], "2: empty UPOS column"),
+    "empty-form-and-upos": ([conllu_line("1", form="", upos="")], "1: empty FORM column"),
+    "nine-tabs": ([conllu_line("1"), "\t" * 9, conllu_line("1")], None),
+    "comment-of-nine-tabs": (["#" + "\t" * 9, conllu_line("1"), "#"], None),
+    "multiword-and-empty-node": (
+        [conllu_line("1-2"), conllu_line("1"), conllu_line("2"), conllu_line("2.1")], None
+    ),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("name", list(CHECK_ORDER_FILES))
+def test_word_lines_taken_first_read_as_the_line_reader(tmp_path, name, newline):
+    lines, error = CHECK_ORDER_FILES[name]
+    path = Path(tmp_path) / "c.conllu"
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+    fmt = CorpusFormat.CONLLU
+    got = outcome(read_corpus, path, fmt, None, None)
+    assert got == outcome(line_reader, path, fmt, None, None)
+    if error is None:
+        assert isinstance(got, Corpus)
+    else:
+        assert got == f"{path}:{error}"

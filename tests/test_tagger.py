@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,27 @@ def test_compare_pair_shares_l0_and_pipeline():
     assert efb_tagger.feature_index is memm_tagger.feature_index
     assert efb_tagger.l0 is memm_tagger.l0
     assert memm_tagger.l1 is not None
+
+
+def test_bare_chain_equals_the_counted_chain_without_emissions(tmp_path):
+    corpus = toy_corpus()
+    counted = hmc.estimate_params(corpus.sentences, corpus.tagset, corpus.vocab)
+    bare = hmc.estimate_params(corpus.sentences, corpus.tagset, None)
+    assert counted.emit is not None and bare.emit is None and bare.emit_rows is None
+    assert bare.pi.tobytes() == counted.pi.tobytes()
+    assert bare.trans.tobytes() == counted.trans.tobytes()
+    pair_efb, _ = train_compare_pair(corpus, FeatureTemplate.LF1, FAST_SGD)
+    efb, _ = train_tagger(corpus, DecoderKind.HMC_EFB, FeatureTemplate.LF1, FAST_SGD)
+    naive, _ = train_tagger(corpus, DecoderKind.HMC_NAIVE, FeatureTemplate.LF1, FAST_SGD)
+    for name, tagger in (("pair-efb", pair_efb), ("efb", efb), ("naive", naive)):
+        assert tagger.hmc_params.emit is None
+        # the file of the tagger whose chain was counted with emissions,
+        # which were then dropped, has the same bytes
+        dropped = replace(tagger, hmc_params=replace(counted, emit=None))
+        save_model(tmp_path / f"{name}.bin", tagger)
+        save_model(tmp_path / f"{name}-dropped.bin", dropped)
+        assert (tmp_path / f"{name}.bin").read_bytes() == \
+            (tmp_path / f"{name}-dropped.bin").read_bytes()
 
 
 @pytest.mark.parametrize("kind", [DecoderKind.HMC_EFB, DecoderKind.MEMM,
