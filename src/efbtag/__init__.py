@@ -17,10 +17,10 @@ from .core import (
 )
 from .dataio import Corpus, CorpusFormat, read_corpus
 from .discrim import LogisticModel, SgdConfig
-from .efb import EfbParams, decode_efb, posterior_efb
+from .efb import EfbParams, posterior_efb
 from .features import FeaturePipeline, FeatureTemplate, build_index, extract
 from .hmc import HmcParams, estimate_params, posterior_fb
-from .memm import MemmModel, decode_memm, memm_forward
+from .memm import MemmModel, memm_forward
 from .tagger import DecoderKind, Tagger, train_tagger
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "Tagger",
     "Vocabulary",
     "build_index",
-    "decode_efb",
-    "decode_memm",
     "estimate_params",
     "extract",
     "memm_forward",

@@ -7,7 +7,7 @@ lattice from which maximum-posterior-mode label sequences are read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -104,6 +104,15 @@ class Vocabulary:
         return [get(w, unknown) for w in words]
 
 
+def check_tokens(tokens: Iterable) -> None:
+    """Require every token to be a non-empty string."""
+    for tok in tokens:
+        if not isinstance(tok, str):
+            raise InvalidInputError(f"token {tok!r} is not a string")
+        if not tok:
+            raise InvalidInputError("token must be non-empty")
+
+
 @dataclass(frozen=True)
 class LabeledSentence:
     """A token sequence paired with gold label ids of equal length."""
@@ -156,10 +165,6 @@ class PosteriorLattice:
         return lattice
 
     @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_labels(self) -> int:
         return self.values.shape[1]
 
@@ -176,10 +181,6 @@ def mpm_from_lattice(lattice: PosteriorLattice) -> list[int]:
     deterministic across runs and platforms.
     """
     return lattice.values.argmax(axis=1).tolist()
-
-
-def as_lattice(values: Sequence[Sequence[float]] | np.ndarray) -> PosteriorLattice:
-    return PosteriorLattice(np.asarray(values, dtype=np.float64))
 
 
 def id_array(values, what: str) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import PosteriorLattice, check_lengths, mpm_from_lattice
+from .core import PosteriorLattice, check_lengths
 from .errors import InvalidInputError
 from .hmc import HmcParams, posterior_from_lattices, scaled_backward, scaled_forward
 
@@ -121,8 +121,3 @@ def posterior_efb(
     betas, _ = entropic_backward(params, obs, lengths)
     return posterior_from_lattices(alphas, betas)
 
-
-def decode_efb(params: HmcParams, obs: Sequence | np.ndarray, lengths=None) -> list[int]:
-    """Maximum-posterior-mode labels for one sentence's per-position inputs,
-    or for stacked sentences of `lengths`, stacked alike."""
-    return mpm_from_lattice(posterior_efb(params, obs, lengths))

@@ -7,16 +7,15 @@ extended with longer affixes, digit and hyphen indicators (LF2).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import LabeledSentence
+from .core import LabeledSentence, check_tokens
 from .errors import InvalidInputError
 
 
@@ -66,8 +65,7 @@ def extract(
     one = isinstance(tokens, str)
     if one:
         tokens, positions = [tokens], [positions]
-    if "" in tokens:
-        raise InvalidInputError("token must be non-empty")
+    check_tokens(tokens)
     if not isinstance(template, FeatureTemplate):
         raise InvalidInputError(f"unknown feature template: {template!r}")
     cols = {"word": list(tokens)}
@@ -92,13 +90,13 @@ def extract(
     return {fam: col[0] for fam, col in cols.items()} if one else cols
 
 
-class FeatureMemo(Mapping):
+class FeatureMemo:
     """Vectorized rows of indexed words in one growing (K, F) intp table.
 
-    A key is (token, position == 0), the only inputs of `extract`; it maps
-    to a row number of `table`.  As a mapping, a key's value is its row as
-    a tuple of ids.  Rows from `n_rows` on are spare: `sentence_features`
-    stages the rows of the keys it misses there for its gather.
+    A key is (token, position == 0), the only inputs of `extract`; `rows`
+    maps it to a row number of `table`, through one dict per position kind.
+    Rows from `n_rows` on are spare: `sentence_features` stages the rows of
+    the keys it misses there for its gather.
     """
 
     def __init__(self, width: int):
@@ -107,23 +105,6 @@ class FeatureMemo(Mapping):
         self.n_rows = 0
         # rows from n_rows on are spare capacity; there is always at least one row
         self.table = np.empty((1, width), dtype=np.intp)
-
-    def __len__(self) -> int:
-        return len(self.rows[0]) + len(self.rows[1])
-
-    def __iter__(self) -> Iterator[tuple[str, bool]]:
-        for first, rows in enumerate(self.rows):
-            for token in rows:
-                yield token, bool(first)
-
-    def __getitem__(self, key: tuple[str, bool]) -> tuple[int, ...]:
-        token, first = key
-        return tuple(self.table[self.rows[bool(first)][token]].tolist())
-
-    def clear(self) -> None:
-        for rows in self.rows:
-            rows.clear()
-        self.n_rows = 0
 
     def spare(self, n: int) -> np.ndarray:
         """The n rows after the stored ones, where `extend` writes next; the
@@ -175,11 +156,6 @@ class FeatureIndex:
     @property
     def size(self) -> int:
         return sum(map(len, self.value_ids.values())) + len(self.value_ids)
-
-    def id_of(self, family: str, value: str) -> int:
-        if family not in self.value_ids:
-            raise InvalidInputError(f"feature family {family!r} not in index")
-        return self.value_ids[family].get(value, self.unknown_ids[family])
 
 
 def build_index(

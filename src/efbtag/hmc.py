@@ -357,38 +357,25 @@ class NaiveFeatureEmission:
     """Per-family conditional tables under the feature-independence assumption.
 
     The emission probability of a feature vector is the product of
-    per-family conditionals; unseen values route to each family's
-    trailing unknown slot.  `stacked` holds every family's value columns
-    in family order, then every family's unknown column: the family by
-    family layout of every `FeatureIndex`, so its columns are the index's ids.
-    `stacked_rows` is `stacked.T` copied to C order, the rows that
-    `naive_emission_matrix` gathers.
+    per-family conditionals.  A family's table has one column per value
+    of its index family, in id order, then one for its unknown id.
+    `stacked_rows` holds every family's value rows, then every family's
+    unknown row, in the family by family layout of every `FeatureIndex`:
+    row k is index id k's N emissions, which `naive_emission_matrix` gathers.
     """
 
     families: tuple[str, ...]
-    value_index: dict[str, dict[str, int]]  # family -> value -> column
-    tables: dict[str, np.ndarray]           # family -> (N, V_f + 1)
-    stacked: np.ndarray = field(init=False, repr=False, compare=False)  # (N, S)
+    tables: dict[str, np.ndarray]  # family -> (N, V_f + 1)
     stacked_rows: np.ndarray = field(init=False, repr=False, compare=False)  # (S, N)
 
     def __post_init__(self):
         for fam in self.families:
             _check_rows(self.tables[fam], f"family {fam!r}")
-        tables = [self.tables[fam] for fam in self.families]
-        stacked = np.hstack([t[:, :-1] for t in tables] + [t[:, -1:] for t in tables])
-        object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "stacked_rows", np.ascontiguousarray(stacked.T))
-
-    def column_of(self, family: str, value: str) -> int:
-        if family not in self.tables:
-            raise InvalidInputError(f"feature family {family!r} not trained")
-        idx = self.value_index[family]
-        return idx.get(value, len(idx))  # the trailing unknown column
-
-
-def naive_value_columns(index: FeatureIndex) -> dict[str, dict[str, int]]:
-    """Each family's values numbered from 0 in id order: a naive table's value columns."""
-    return {fam: dict(zip(ids, range(len(ids)))) for fam, ids in index.value_ids.items()}
+        tables = [self.tables[fam].T for fam in self.families]  # (V_f + 1, N)
+        parts = [t[:-1] for t in tables] + [t[-1:] for t in tables]
+        # into C order: concatenated alone, the transposed parts would come out F-ordered
+        rows = np.concatenate(parts, out=np.empty((sum(map(len, parts)), tables[0].shape[1])))
+        object.__setattr__(self, "stacked_rows", rows)
 
 
 def estimate_naive_emission(
@@ -426,28 +413,17 @@ def estimate_naive_emission(
         # copied to C order: row sums of the Fortran-ordered gather differ in the last bit
         table = np.ascontiguousarray(counts[:, [*fids.values(), index.unknown_ids[fam]]])
         tables[fam] = _smoothed_rows(table, smoothing)
-    return NaiveFeatureEmission(index.families, naive_value_columns(index), tables)
-
-
-def emission_naive_features(
-    model: NaiveFeatureEmission, fv: dict[str, str], label: int
-) -> float:
-    """Product of per-family conditionals for one label (the independence rule)."""
-    prob = 1.0
-    for fam, value in fv.items():
-        col = model.column_of(fam, value)
-        prob *= model.tables[fam][label, col]
-    return float(prob)
+    return NaiveFeatureEmission(index.families, tables)
 
 
 def naive_emission_matrix(
     model: NaiveFeatureEmission, ids: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """T x N product, in family order, of the `stacked` columns of (T, F) ids."""
+    """T x N product, in family order, of the `stacked_rows` of (T, F) ids."""
     ids = id_array(ids, "feature ids")
     if ids.ndim != 2 or ids.shape[1] != len(model.families):
         raise InvalidInputError("naive emission ids must be a (T, families) array")
-    if ids.size and (ids.min() < 0 or ids.max() >= model.stacked.shape[1]):
+    if ids.size and (ids.min() < 0 or ids.max() >= len(model.stacked_rows)):
         raise InvalidInputError("feature id outside the naive emission tables")
     # gathered family-major, (F, T, N): the reduction multiplies whole
     # (T, N) slabs in family order, as a product over each input's F rows does

@@ -16,9 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (
-    PosteriorLattice, TagSet, check_lengths, check_token_rows, id_array, mpm_from_lattice,
-)
+from .core import TagSet, check_lengths, check_token_rows, id_array
 from .discrim import LogisticModel, predict, predict_all_prev
 from .errors import InvalidInputError
 
@@ -126,14 +124,3 @@ def memm_forward(
     steps = predict_all_prev(model.l1, obs[1:]) if len(obs) > 1 else []
     return forward_lattice(first, steps)
 
-
-def decode_lattice(alphas: np.ndarray) -> list[int]:
-    """Maximum-posterior-mode labels of a forward lattice whose rows are distributions."""
-    return mpm_from_lattice(PosteriorLattice(alphas))
-
-
-def decode_memm(
-    model: MemmModel, obs: Sequence[Sequence[int]], lengths=None, token_rows=None
-) -> list[int]:
-    """Per-position argmax of the forward rows (forward-only posterior)."""
-    return decode_lattice(memm_forward(model, obs, lengths, token_rows))

@@ -177,7 +177,7 @@ def _tagger_from(
     naive = None
     if kind is DecoderKind.HMC_NAIVE:
         tables = {fam: arrays[f"naive:{fam}"] for fam in index.families}
-        naive = hmc.NaiveFeatureEmission(index.families, hmc.naive_value_columns(index), tables)
+        naive = hmc.NaiveFeatureEmission(index.families, tables)
 
     def _logistic(name: str, conditions_on_prev: bool):
         if name not in arrays:

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import discrim, efb, hmc, memm
-from .core import TagSet, Vocabulary, id_array, mpm_from_lattice
+from .core import PosteriorLattice, TagSet, Vocabulary, check_tokens, id_array, mpm_from_lattice
 from .dataio import Corpus
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .features import FeatureIndex, FeaturePipeline, FeatureTemplate, build_index
@@ -152,9 +152,12 @@ class Tagger:
     def _decode_batch(self, batch: Sequence[Sequence[str]]) -> list[list[int]]:
         lengths = []
         for item, sent in enumerate(batch):
-            if isinstance(sent, str):  # it would decode as a sentence of characters
+            if isinstance(sent, (str, bytes)):  # it would decode as a sentence of characters
                 raise InvalidInputError(f"batch item {item} is a string, not a sentence")
-            lengths.append(len(sent))
+            try:
+                lengths.append(len(sent))
+            except TypeError:  # a token such as 5 or None, first in what is then a batch
+                raise InvalidInputError(f"batch item {item} is not a sentence") from None
         if 0 in lengths:
             raise InvalidInputError(
                 f"cannot decode an empty sentence (batch item {lengths.index(0)})"
@@ -172,32 +175,35 @@ class Tagger:
         return labels
 
     def _decode(self, tokens, lengths: Optional[list[int]] = None) -> list[int]:
-        """Labels of one sentence, or the stacked labels of sentences of `lengths`.
+        """Labels of one sentence, or the stacked labels of sentences of `lengths`:
+        the argmax of one posterior lattice (memm: its forward rows).
 
         Stacked sentences are scored once per distinct feature row: each
         token's row number `rows[t]` picks its scores.
         """
-        if self.kind is DecoderKind.HMC_FB:
-            obs = self.vocab.ids_of(tokens if lengths is None else chain.from_iterable(tokens))
-            return mpm_from_lattice(hmc.posterior_fb(self.hmc_params, obs, lengths))
-        # one sentence's (T, F) ids, or the sentences' distinct (K, F) ids
-        if lengths is None:
-            feats, rows = self.pipeline.sentence_features(tokens), None
-        else:
+        kind = self.kind
+        if kind is DecoderKind.HMC_FB:
+            words = tokens if lengths is None else list(chain.from_iterable(tokens))
+            obs, unknown = self.vocab.ids_of(words), self.vocab.unknown_id
+            if unknown in obs:  # only a word outside the vocabulary can be malformed
+                check_tokens(w for w, i in zip(words, obs) if i == unknown)
+            lattice = hmc.posterior_fb(self.hmc_params, obs, lengths)
+        elif lengths is None:  # (T, F) ids, of a batch of one: its first token reads as a token
+            feats, rows = self.pipeline.sentence_features([tokens]), None
+        else:  # the sentences' distinct (K, F) ids, and each token's row among them
             feats, rows = self.pipeline.sentence_features(tokens, distinct=True)
-        if self.kind is DecoderKind.HMC_NAIVE:
-            lattice = hmc.posterior_naive_features(
-                self.hmc_params, self.naive, feats, lengths, rows
-            )
-            return mpm_from_lattice(lattice)
-        if self.kind is DecoderKind.HMC_EFB:
+        if kind is DecoderKind.HMC_NAIVE:
+            lattice = hmc.posterior_naive_features(self.hmc_params, self.naive, feats, lengths, rows)
+        elif kind is DecoderKind.HMC_EFB:
             # the (T, N) conditional, or the stacked (ΣT, N) ones, is the observation
             conditional = discrim.predict(self.l0, feats)
             if rows is not None:
                 conditional = conditional.take(rows, axis=0)
-            return efb.decode_efb(self.hmc_params, conditional, lengths)
-        model = memm.MemmModel(l0=self.l0, l1=self.l1, tagset=self.tagset)
-        return memm.decode_memm(model, feats, lengths, rows)
+            lattice = efb.posterior_efb(self.hmc_params, conditional, lengths)
+        elif kind is DecoderKind.MEMM:
+            model = memm.MemmModel(l0=self.l0, l1=self.l1, tagset=self.tagset)
+            lattice = PosteriorLattice(memm.memm_forward(model, feats, lengths, rows))
+        return mpm_from_lattice(lattice)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from efbtag import efb, memm
+from efbtag.core import PosteriorLattice, mpm_from_lattice
 from efbtag.hmc import HmcParams
 
 
@@ -34,3 +36,39 @@ def exact_conditional_table(params: HmcParams) -> np.ndarray:
     """L table with entry (y, i) = pi_i b_i(y) / p(y), p(y) the stationary marginal."""
     joint = params.pi[None, :] * params.emit.T  # (M, N)
     return joint / joint.sum(axis=1, keepdims=True)
+
+
+def memo_rows(memo) -> dict[tuple[str, bool], tuple[int, ...]]:
+    """A feature memo's stored id rows, by (token, first in sentence) key."""
+    return {(tok, bool(first)): tuple(memo.table[num].tolist())
+            for first, rows in enumerate(memo.rows) for tok, num in rows.items()}
+
+
+def naive_column(index, family: str, value: str) -> int:
+    """A naive table's column for a family's value: the value's place among the
+    family's index values, in id order, or the trailing unknown column."""
+    values = list(index.value_ids[family])
+    return values.index(value) if value in index.value_ids[family] else len(values)
+
+
+def emission_naive_features(model, index, fv: dict[str, str], label: int) -> float:
+    """Product of per-family conditionals for one label (the independence rule),
+    each column found from the index's value ids, not from `stacked_rows`."""
+    prob = 1.0
+    for fam, value in fv.items():
+        prob *= model.tables[fam][label, naive_column(index, fam, value)]
+    return float(prob)
+
+
+def decode_efb(params, obs, lengths=None) -> list[int]:
+    """Labels as an hmc-efb `Tagger` reads them: the argmax of the EFB posterior."""
+    return mpm_from_lattice(efb.posterior_efb(params, obs, lengths))
+
+
+def decode_lattice(alphas) -> list[int]:
+    """Labels as a memm `Tagger` reads a forward lattice: its check, then its argmax."""
+    return mpm_from_lattice(PosteriorLattice(alphas))
+
+
+def decode_memm(model, obs, lengths=None, token_rows=None) -> list[int]:
+    return decode_lattice(memm.memm_forward(model, obs, lengths, token_rows))

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import memo_rows
 import efbtag.modelfile  # noqa: F401  a traced module: the span recorder wraps it
 from efbtag import efb, evaluation, features, hmc, memm
 from efbtag import tagger as tagger_module
@@ -70,7 +71,6 @@ def random_naive(rng, n, values=(5, 3)):
     families = tuple(f"f{k}" for k in range(len(values)))
     return hmc.NaiveFeatureEmission(
         families=families,
-        value_index={f: {f"v{i}": i for i in range(v)} for f, v in zip(families, values)},
         tables={f: rng.dirichlet(np.ones(v + 1), size=n) for f, v in zip(families, values)},
     )
 
@@ -86,7 +86,7 @@ def kind_posteriors(kind: str, rng, n: int, lengths: list[int]):
         return obs, lambda o, lens=None: hmc.posterior_fb(params, o, lens).values
     if kind == "hmc-naive-features":
         chain, model = random_chain(rng, n), random_naive(rng, n)
-        obs = rng.integers(0, model.stacked.shape[1], size=(total, 2))
+        obs = rng.integers(0, len(model.stacked_rows), size=(total, 2))
         return obs, lambda o, lens=None: hmc.posterior_naive_features(
             chain, model, o, lens
         ).values
@@ -237,9 +237,7 @@ def _length_takers(params, chain, naive, model):
         "entropic_forward": lambda lens: efb.entropic_forward(chain, lmat, lens),
         "entropic_backward": lambda lens: efb.entropic_backward(chain, lmat, lens),
         "posterior_efb": lambda lens: efb.posterior_efb(chain, lmat, lens),
-        "decode_efb": lambda lens: efb.decode_efb(chain, lmat, lens),
         "memm_forward": lambda lens: memm.memm_forward(model, ids, lens),
-        "decode_memm": lambda lens: memm.decode_memm(model, ids, lens),
     }
 
 
@@ -267,7 +265,6 @@ def _row_takers(rng):
             chain, naive, ids, lens, rows
         ).values,
         "memm_forward": lambda ids, lens, rows: memm.memm_forward(model, ids, lens, rows),
-        "decode_memm": lambda ids, lens, rows: memm.decode_memm(model, ids, lens, rows),
     }
 
 
@@ -425,8 +422,7 @@ def lattices(monkeypatch):
         seen.append(lattice.values.copy())
         return mpm(lattice)
 
-    for module in (tagger_module, efb, memm):
-        monkeypatch.setattr(module, "mpm_from_lattice", recording)
+    monkeypatch.setattr(tagger_module, "mpm_from_lattice", recording)
 
     def decode(tagger, tokens):
         seen.clear()
@@ -653,7 +649,7 @@ def test_loaded_tagger_extracts_once_per_bucket(taggers, corpora, tmp_path, monk
     indexed = [key for keys in calls for key in keys if key[0] in words]
     assert len(indexed) == len(set(indexed))
 
-    memo = loaded.feature_index.memo
+    memo = memo_rows(loaded.feature_index.memo)
     warm = next(s for s in sentences
                 if all((tok, pos == 0) in memo for pos, tok in enumerate(s)))
     cold = next(s for s in sentences

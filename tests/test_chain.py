@@ -86,7 +86,7 @@ class TestBareChain:
 
     def test_bare_chain_still_drives_the_naive_posterior(self):
         naive = hmc.NaiveFeatureEmission(
-            families=("word",), value_index={"word": {"x": 0}}, tables={"word": EMIT}
+            families=("word",), tables={"word": EMIT}
         )
         bare = hmc.posterior_naive_features(
             hmc.HmcParams(pi=PI, trans=TRANS), naive, [[0], [0]]
@@ -127,7 +127,6 @@ class TestNanFailsEveryCheck:
         with pytest.raises(InvalidInputError):
             hmc.NaiveFeatureEmission(
                 families=("word",),
-                value_index={"word": {"x": 0}},
                 tables={"word": np.array([[NAN, 0.1], [0.2, 0.8]])},
             )
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import decode_efb
 from efbtag import discrim, efb, hmc
 from efbtag.core import mpm_from_lattice
 from efbtag.discrim import ExampleColumns, SgdConfig, predict, predict_all_prev, zero_model
@@ -87,7 +88,7 @@ def test_matrix_form_bit_equal_on_one_and_on_many_positions(t_len):
     got = results(matrix, obs)
     assert all(isinstance(r, tuple) for r in got[1:])  # no degeneracy
     assert got == results(provider, positions)
-    assert efb.decode_efb(matrix, obs) == efb.decode_efb(provider, positions)
+    assert decode_efb(matrix, obs) == decode_efb(provider, positions)
 
 
 def test_exact_zeros_are_floored_alike(worked_params):
@@ -146,7 +147,7 @@ def test_an_hmc_fb_chain_decodes_as_its_bare_chain(worked_params):
     lmat = np.random.default_rng(4).dirichlet(np.ones(2), size=9)
     bare = replace(worked_params, emit=None)
     assert results(worked_params, lmat) == results(bare, lmat)
-    assert efb.decode_efb(worked_params, lmat) == efb.decode_efb(bare, lmat)
+    assert decode_efb(worked_params, lmat) == decode_efb(bare, lmat)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +159,7 @@ def test_non_numeric_provider_row_rejected(worked_params, row):
     params = efb.EfbParams(
         pi=worked_params.pi, trans=worked_params.trans, l_provider=lambda y, t: row
     )
-    for entry in (efb.conditional_matrix, efb.posterior_efb, efb.decode_efb):
+    for entry in (efb.conditional_matrix, efb.posterior_efb, decode_efb):
         with pytest.raises(InvalidInputError, match="conditional matrix must be numeric"):
             entry(params, [0, 1])
 
@@ -206,7 +207,7 @@ def test_provider_row_of_another_shape_rejected(worked_params, row):
     params = efb.EfbParams(
         pi=worked_params.pi, trans=worked_params.trans, l_provider=lambda y, t: row
     )
-    for entry in (efb.conditional_matrix, efb.posterior_efb, efb.decode_efb):
+    for entry in (efb.conditional_matrix, efb.posterior_efb, decode_efb):
         with pytest.raises(InvalidInputError, match=r"conditional row 0 has shape"):
             entry(params, [0, 1])
 
@@ -221,7 +222,7 @@ def test_provider_row_of_another_shape_rejected(worked_params, row):
 def test_matrix_form_rejects_what_is_not_a_t_by_n_matrix(worked_params, obs):
     params = efb.EfbParams(pi=worked_params.pi, trans=worked_params.trans)
     for entry in (efb.conditional_matrix, efb.entropic_forward, efb.entropic_backward,
-                  efb.posterior_efb, efb.decode_efb):
+                  efb.posterior_efb, decode_efb):
         with pytest.raises(InvalidInputError, match="conditional matrix"):
             entry(params, obs)
 

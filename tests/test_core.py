@@ -7,10 +7,13 @@ from efbtag.core import (
     PosteriorLattice,
     TagSet,
     Vocabulary,
-    as_lattice,
     mpm_from_lattice,
 )
 from efbtag.errors import InvalidInputError
+
+
+def as_lattice(values) -> PosteriorLattice:
+    return PosteriorLattice(np.asarray(values, dtype=np.float64))
 
 
 class TestTagSet:

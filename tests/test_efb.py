@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    decode_efb,
     exact_conditional_table,
     random_stationary_hmc,
     stationary_distribution,
@@ -9,7 +10,6 @@ from conftest import (
 from efbtag.efb import (
     EfbParams,
     conditional_matrix,
-    decode_efb,
     entropic_backward,
     entropic_forward,
     posterior_efb,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import memo_rows
 from efbtag.core import LabeledSentence
 from efbtag.errors import InvalidInputError
 from efbtag.features import (
@@ -18,6 +19,11 @@ tokens_st = st.text(
     min_size=1,
     max_size=12,
 )
+
+
+def id_of(index, family, value):
+    """A value's id, read from the index's maps one value at a time."""
+    return index.value_ids[family].get(value, index.unknown_ids[family])
 
 
 class TestExtract:
@@ -131,9 +137,9 @@ class TestBatchExtract:
             list(vectorize(extract(tok, pos, template), index))
             for tok, pos in zip(tokens, positions)
         ]
-        # and each id is the pair map's, not only the per-family maps'
+        # and each id is its family's value id, or the family's unknown id
         assert got.tolist() == [
-            [index.id_of(fam, value) for fam, value in extract(tok, pos, template).items()]
+            [id_of(index, fam, value) for fam, value in extract(tok, pos, template).items()]
             for tok, pos in zip(tokens, positions)
         ]
 
@@ -174,8 +180,8 @@ class TestBuildIndex:
     def test_nf_two_words_plus_unknown(self):
         index = build_index(toy_corpus(), FeatureTemplate.NF)
         assert index.size == 3  # two words + one unknown slot
-        assert index.id_of("word", "Batman") != index.id_of("word", "is")
-        assert index.id_of("word", "never-seen") == index.unknown_ids["word"]
+        assert id_of(index, "word", "Batman") != id_of(index, "word", "is")
+        assert id_of(index, "word", "never-seen") == index.unknown_ids["word"]
 
     def test_deterministic(self):
         a = build_index(toy_corpus(), FeatureTemplate.LF1)
@@ -216,7 +222,7 @@ class TestBuildIndex:
 
     def test_empty_sentences_add_no_key(self):
         index = build_index([[], ["a", "b"], (), ["b"]], FeatureTemplate.NF)
-        assert set(index.memo) == {("a", True), ("b", False), ("b", True)}
+        assert set(memo_rows(index.memo)) == {("a", True), ("b", False), ("b", True)}
         assert id_order(index) == build_index_every_occurrence([["a", "b"], ["b"]],
                                                                FeatureTemplate.NF)
 
@@ -322,7 +328,8 @@ class TestBuildIndexFillsTheMemo:
     def test_memo_rows_are_the_vectorized_extractions(self, sentences, template):
         index = build_index(sentences, template)
         keys = {(tok, pos == 0) for sent in sentences for pos, tok in enumerate(sent)}
-        assert set(index.memo) == keys
+        memo = memo_rows(index.memo)
+        assert set(memo) == keys
         for token, first in keys:
             fv = extract(token, 0 if first else 1, template)
-            assert index.memo[(token, first)] == vectorize(fv, index)
+            assert memo[(token, first)] == vectorize(fv, index)

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import random_stationary_hmc
+from conftest import emission_naive_features, naive_column, random_stationary_hmc
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.errors import InvalidInputError
 from efbtag.features import FeatureTemplate, index_from_pairs, vectorize
 from efbtag.hmc import (
     HmcParams,
     backward,
-    emission_naive_features,
     estimate_naive_emission,
     estimate_params,
     forward,
@@ -305,8 +304,8 @@ class TestNaiveFeatureEmission:
     def test_single_family_matches_plain_conditional(self):
         tagset = TagSet.from_labels(["A", "B"])
         corpus = [LabeledSentence(("x", "y"), (0, 1))]
-        model, _ = naive_from_strings(corpus, tagset, lambda tok, pos: {"word": tok})
-        assert emission_naive_features(model, {"word": "x"}, 0) == pytest.approx(
+        model, index = naive_from_strings(corpus, tagset, lambda tok, pos: {"word": tok})
+        assert emission_naive_features(model, index, {"word": "x"}, 0) == pytest.approx(
             1.0, abs=1e-9
         )
 
@@ -314,31 +313,29 @@ class TestNaiveFeatureEmission:
         model, index = self._toy_model()
         fv = {"word": "x", "first-position": "true"}
         expected = (
-            model.tables["word"][0, model.column_of("word", "x")]
+            model.tables["word"][0, naive_column(index, "word", "x")]
             * model.tables["first-position"][
-                0, model.column_of("first-position", "true")
+                0, naive_column(index, "first-position", "true")
             ]
         )
-        assert emission_naive_features(model, fv, 0) == pytest.approx(expected)
+        assert emission_naive_features(model, index, fv, 0) == pytest.approx(expected)
         matrix = naive_emission_matrix(model, [vectorize(fv, index)])
         assert matrix[0, 0] == expected
 
     def test_unknown_value_routes_to_unknown_slot(self):
         model, index = self._toy_model()
-        p = emission_naive_features(model, {"word": "zzz"}, 0)
+        p = emission_naive_features(model, index, {"word": "zzz"}, 0)
         assert p == pytest.approx(model.tables["word"][0, -1], rel=1e-12)
         row = vectorize({"word": "zzz", "first-position": "false"}, index)
         assert row[0] == index.unknown_ids["word"]
         first = model.tables["first-position"]
         np.testing.assert_array_equal(
             naive_emission_matrix(model, [row])[0],
-            model.tables["word"][:, -1] * first[:, model.column_of("first-position", "false")],
+            model.tables["word"][:, -1] * first[:, naive_column(index, "first-position", "false")],
         )
 
     def test_untrained_family_rejected(self):
         model, index = self._toy_model()
-        with pytest.raises(InvalidInputError):
-            emission_naive_features(model, {"suffix-2": "zz"}, 0)
         with pytest.raises(InvalidInputError):
             naive_emission_matrix(model, [[0, index.size]])  # past the last column
         with pytest.raises(InvalidInputError):
@@ -352,7 +349,7 @@ class TestNaiveFeatureEmission:
         model, index = naive_from_strings(
             corpus, tagset, lambda tok, pos: {"f1": tok, "f2": tok}
         )
-        product = emission_naive_features(model, {"f1": "x", "f2": "x"}, 0)
+        product = emission_naive_features(model, index, {"f1": "x", "f2": "x"}, 0)
         joint_exact = 0.5  # one of two observed (f1, f2) joint outcomes
         assert product == pytest.approx(0.25, abs=1e-6)
         assert product < joint_exact

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import decode_lattice, decode_memm
 from efbtag.core import TagSet
 from efbtag.discrim import predict, predict_all_prev, zero_model
 from efbtag.errors import InvalidInputError
-from efbtag.memm import (
-    MemmModel,
-    decode_lattice,
-    decode_memm,
-    forward_lattice,
-    memm_forward,
-)
+from efbtag.memm import MemmModel, forward_lattice, memm_forward
 from efbtag.oracle import memm_posterior_bruteforce
 
 

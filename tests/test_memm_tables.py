@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import decode_memm
 from efbtag import discrim, memm
 from efbtag.core import ROW_SUM_TOL
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.discrim import LogisticModel, SgdConfig, predict, predict_all_prev
 from efbtag.features import FeatureTemplate
-from efbtag.memm import MemmModel, decode_memm, forward_lattice
+from efbtag.memm import MemmModel, forward_lattice
 from efbtag.tagger import DecoderKind, buckets, train_tagger
 
 _GEN = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
@@ -178,13 +179,13 @@ def test_batched_memm_lattices_equal_per_sentence_lattices(corpora, monkeypatch)
     train, test = corpora
     tagger, _ = train_tagger(train, DecoderKind.MEMM, FeatureTemplate.LF1, SgdConfig(epochs=1))
     lattices = []
-    decode_lattice = memm.decode_lattice
+    memm_forward = memm.memm_forward
 
-    def recording_decode_lattice(alphas):
-        lattices.append(alphas)
-        return decode_lattice(alphas)
+    def recording_memm_forward(*args):
+        lattices.append(memm_forward(*args))
+        return lattices[-1]
 
-    monkeypatch.setattr(memm, "decode_lattice", recording_decode_lattice)
+    monkeypatch.setattr(memm, "memm_forward", recording_memm_forward)
     sentences = [sent.tokens for sent in test.sentences]
     alone = []
     for tokens in sentences:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import decode_efb, memo_rows, naive_column
 from efbtag import efb, features, hmc
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.dataio import Corpus, split_known_unknown
@@ -190,12 +191,11 @@ class TestMemmForward:
         assert np.array_equal(memm_forward(model, obs), self._per_position(model, obs))
 
 
-def per_token_naive(model, fvs, n_labels):
+def per_token_naive(model, index, fvs, n_labels):
     out = np.ones((len(fvs), n_labels))
     for t, fv in enumerate(fvs):
         for fam, value in fv.items():
-            idx = model.value_index[fam]
-            out[t] *= model.tables[fam][:, idx.get(value, len(idx))]
+            out[t] *= model.tables[fam][:, naive_column(index, fam, value)]
     return out
 
 
@@ -230,7 +230,7 @@ class TestNaiveEmissionMatrix:
         fvs = [extract(tok, pos, template) for pos, tok in enumerate(tokens)]
         ids = tagger.pipeline.sentence_features(tokens)
         got = hmc.naive_emission_matrix(tagger.naive, ids)
-        assert np.array_equal(got, per_token_naive(tagger.naive, fvs, N_LABELS))
+        assert np.array_equal(got, per_token_naive(tagger.naive, tagger.feature_index, fvs, N_LABELS))
 
     @pytest.mark.parametrize("template", list(FeatureTemplate))
     def test_id_counts_equal_string_counts(self, template):
@@ -247,13 +247,14 @@ class TestNaiveEmissionMatrix:
         value_index, tables = string_counted_naive(corpus, template, 1e-3)
         assert model.families == tuple(value_index)
         for fam in model.families:
-            assert list(model.value_index[fam].items()) == list(value_index[fam].items())
+            # the same values in the same order: the same columns
+            assert list(index.value_ids[fam]) == list(value_index[fam])
             assert model.tables[fam].tobytes() == tables[fam].tobytes()
 
     def test_untrained_family_rejected(self):
         tagger = self._tagger(FeatureTemplate.LF1)
         row = tuple(tagger.pipeline.sentence_features(["cat"])[0].tolist())
-        width = tagger.naive.stacked.shape[1]
+        width = len(tagger.naive.stacked_rows)
         for bad in ([row + (0,)], [row[:-1] + (width,)], [row[:-1] + (-1,)], row,
                     [row[:-1] + (0.5,)]):
             with pytest.raises(InvalidInputError):
@@ -271,7 +272,7 @@ class TestFeatureMemo:
         first = pipeline.sentence_features(tokens)
         assert first.dtype == np.intp
         assert first.tolist() == cold
-        assert index.memo
+        assert index.memo.n_rows
         assert pipeline.sentence_features(tokens).tolist() == cold
         # a known word moved to the first position gets its own row
         assert pipeline.sentence_features(tokens[::-1]).tolist() == [
@@ -284,23 +285,26 @@ class TestFeatureMemo:
         tagger, _ = train_tagger(corpus, DecoderKind.HMC_EFB, FeatureTemplate.LF1, SGD)
         index = tagger.feature_index
         n_words = len(index.value_ids["word"])
-        filled = len(index.memo)
+        filled = index.memo.n_rows
         assert 0 < filled <= 2 * n_words
         novel = [f"novel{i}" for i in range(1000)]
         for start in range(0, len(novel), 25):
             tagger.decode(novel[start : start + 25])
-        assert len(index.memo) == filled
-        assert all(tok in index.value_ids["word"] for tok, _ in index.memo)
+        assert index.memo.n_rows == filled
+        assert all(tok in index.value_ids["word"] for tok, _ in memo_rows(index.memo))
 
     @pytest.mark.parametrize("kind", [DecoderKind.HMC_EFB, DecoderKind.MEMM])
     def test_memo_is_not_saved(self, kind, tmp_path):
         corpus = random_corpus(np.random.default_rng(13))
         tagger, _ = train_tagger(corpus, kind, FeatureTemplate.LF2, SGD)
-        tagger.feature_index.memo.clear()
+        memo = tagger.feature_index.memo
+        for rows in memo.rows:
+            rows.clear()
+        memo.n_rows = 0
         save_model(tmp_path / "empty.model", tagger)
         for sent in corpus.sentences:
             tagger.decode(sent.tokens)
-        assert tagger.feature_index.memo
+        assert memo.n_rows
         save_model(tmp_path / "full.model", tagger)
         assert (tmp_path / "empty.model").read_bytes() == (
             tmp_path / "full.model"
@@ -334,7 +338,7 @@ class TestBatchFeatures:
 
     @staticmethod
     def assert_memo_rows_are_extractions(index):
-        for (tok, first), row in index.memo.items():
+        for (tok, first), row in memo_rows(index.memo).items():
             assert tok in index.value_ids["word"]
             assert row == vectorize(extract(tok, 0 if first else 1, index.template), index)
 
@@ -345,8 +349,8 @@ class TestBatchFeatures:
         got = batch.sentence_features(self.BATCH)
         self.assert_same_bytes(got, stacked_per_sentence(per, self.BATCH))
         assert got.tolist() == extracted_rows(batch.index, self.BATCH)
-        memo = batch.index.memo
-        assert dict(memo.items()) == dict(per.index.memo.items())
+        memo = memo_rows(batch.index.memo)
+        assert memo == memo_rows(per.index.memo)
         assert ("Zed", False) in memo
         assert not {("novel", True), ("novel", False), ("Quux", True)} & set(memo)
         self.assert_memo_rows_are_extractions(batch.index)
@@ -360,12 +364,12 @@ class TestBatchFeatures:
         test = random_corpus(np.random.default_rng(25), 30, STEMS + ("zebra", "Quux"))
         sentences = [sent.tokens for sent in test.sentences]
         per, batch = (load_model(tmp_path / "m.bin").pipeline for _ in range(2))
-        assert not batch.index.memo
+        assert not batch.index.memo.n_rows
         got = batch.sentence_features(sentences)
         self.assert_same_bytes(got, stacked_per_sentence(per, sentences))
         assert got.tolist() == extracted_rows(batch.index, sentences)
-        assert batch.index.memo
-        assert dict(batch.index.memo.items()) == dict(per.index.memo.items())
+        assert batch.index.memo.n_rows
+        assert memo_rows(batch.index.memo) == memo_rows(per.index.memo)
         self.assert_memo_rows_are_extractions(batch.index)
         # a second batch, now from a warm table, gives the same bytes
         self.assert_same_bytes(batch.sentence_features(sentences), got)
@@ -383,7 +387,7 @@ class TestBatchFeatures:
         got = batch.sentence_features(sentences)
         self.assert_same_bytes(got, stacked_per_sentence(per, sentences))
         assert got.tolist() == extracted_rows(batch.index, sentences)
-        assert dict(batch.index.memo.items()) == dict(per.index.memo.items())
+        assert memo_rows(batch.index.memo) == memo_rows(per.index.memo)
         self.assert_memo_rows_are_extractions(batch.index)
         # the distinct form: one row per (token, first) key, gathered to the same bytes
         distinct = FeaturePipeline(build_index(train, template))
@@ -392,7 +396,7 @@ class TestBatchFeatures:
         keys = [(tok, pos == 0) for sent in sentences for pos, tok in enumerate(sent)]
         assert len(rows) == len(set(keys))
         assert len(set(zip(keys, token_rows.tolist()))) == len(rows)  # a row per key
-        assert dict(distinct.index.memo.items()) == dict(per.index.memo.items())
+        assert memo_rows(distinct.index.memo) == memo_rows(per.index.memo)
 
 
 class TestNaiveDecodingUsesTheMemo:
@@ -480,7 +484,7 @@ def test_efb_decode_equals_per_position_provider():
     test = random_corpus(np.random.default_rng(15), n_sentences=20)
     for sent in test.sentences:
         feats = tagger.pipeline.sentence_features(sent.tokens)
-        assert tagger.decode(sent.tokens) == efb.decode_efb(params, feats)
+        assert tagger.decode(sent.tokens) == decode_efb(params, feats)
 
 
 def test_memm_training_extracts_each_sentence_once(monkeypatch):

@@ -87,6 +87,21 @@ def test_a_bare_string_is_not_a_sentence():
     assert len(tagger.decode(["hello"])) == 1
 
 
+@pytest.mark.parametrize("bad", ["", 5, None, b"cat"], ids=["empty", "int", "none", "bytes"])
+@pytest.mark.parametrize("kind", list(DecoderKind), ids=lambda kind: kind.value)
+def test_a_malformed_token_is_invalid_input_for_every_kind(kind, bad):
+    """A token that is not a non-empty string raises InvalidInputError, in one
+    sentence or a batch, first or later; hmc-fb decoded it as an unknown word,
+    and the featured kinds ended in a TypeError or an AttributeError."""
+    tagger, _ = train_tagger(toy_corpus(), kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
+    fresh, _ = train_tagger(toy_corpus(), kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
+    for tokens in (["the", bad], [bad, "the"], [["the", "cat"], ["the", bad]], [[bad, "cat"]]):
+        with pytest.raises(InvalidInputError):
+            tagger.decode(tokens)
+    # a refusal leaves nothing behind: the next sentence decodes as on a fresh tagger
+    assert tagger.decode(["the", "wombat", "runs"]) == fresh.decode(["the", "wombat", "runs"])
+
+
 def test_compare_pair_shares_l0_and_pipeline():
     corpus = toy_corpus()
     efb_tagger, memm_tagger = train_compare_pair(
@@ -227,19 +242,11 @@ def test_memm_needs_a_sentence_of_two_tokens():
 
 
 @pytest.mark.parametrize("template", list(FeatureTemplate), ids=lambda t: t.value)
-def test_naive_load_numbers_the_index_values_once(tmp_path, monkeypatch, template):
+def test_naive_load_gives_the_trained_rows(tmp_path, template):
     tagger, _ = train_tagger(toy_corpus(), DecoderKind.HMC_NAIVE, template, SgdConfig(epochs=1))
     path = tmp_path / "m.bin"
     save_model(path, tagger)
-    calls = []
-    numbered = hmc.naive_value_columns
-
-    def counted(index):
-        calls.append(index)
-        return numbered(index)
-
-    monkeypatch.setattr(hmc, "naive_value_columns", counted)
-    for loads in (1, 2):
-        loaded = load_model(path)
-        assert len(calls) == loads  # for the naive tables' value_index, not for checks
-    assert loaded.naive.value_index == tagger.naive.value_index
+    loaded = load_model(path)
+    # a naive column is its index id: the load builds no map of its own
+    assert loaded.naive.families == tagger.feature_index.families
+    assert loaded.naive.stacked_rows.tobytes() == tagger.naive.stacked_rows.tobytes()
