@@ -20,7 +20,7 @@ from .discrim import LogisticModel, SgdConfig
 from .efb import EfbParams, posterior_efb
 from .features import FeaturePipeline, FeatureTemplate, build_index, extract
 from .hmc import HmcParams, estimate_params, posterior_fb
-from .memm import MemmModel, memm_forward
+from .memm import memm_forward
 from .tagger import DecoderKind, Tagger, train_tagger
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "HmcParams",
     "LabeledSentence",
     "LogisticModel",
-    "MemmModel",
     "PosteriorLattice",
     "SgdConfig",
     "TagSet",

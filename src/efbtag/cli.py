@@ -199,7 +199,7 @@ def cmd_evaluate(args) -> int:
             report,
             dataset=str(args.test_path),
             decoder=tagger.kind.value,
-            template=tagger.template.value if tagger.template else "none",
+            template=tagger.feature_index.template.value if tagger.feature_index else "none",
         )
     )
     return EXIT_OK

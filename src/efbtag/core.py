@@ -113,6 +113,14 @@ def check_tokens(tokens: Iterable) -> None:
             raise InvalidInputError("token must be non-empty")
 
 
+def check_sentences(batch: Iterable) -> None:
+    """Require every item to be a sized sequence of tokens that `check_tokens` passes."""
+    for item, sent in enumerate(batch):
+        if not hasattr(sent, "__len__"):
+            raise InvalidInputError(f"batch item {item} is not a sentence")
+        check_tokens(sent)
+
+
 @dataclass(frozen=True)
 class LabeledSentence:
     """A token sequence paired with gold label ids of equal length."""

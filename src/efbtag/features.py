@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import LabeledSentence, check_tokens
+from .core import LabeledSentence, check_sentences, check_tokens
 from .errors import InvalidInputError
 
 
@@ -170,24 +170,26 @@ def build_index(
     Each corpus key's id row is left in the index's memo, so the corpus is
     extracted once.
     """
-    sents = list(corpus)
+    sents = [sent.tokens if isinstance(sent, LabeledSentence) else sent for sent in corpus]
     if not sents:
         raise InvalidInputError("corpus must be non-empty")
     tokens: list[str] = []  # every token, flat, and where each sentence starts
     starts: list[int] = []
-    for item, sent in enumerate(sents):
-        if isinstance(sent, LabeledSentence):
-            sent = sent.tokens
-        elif isinstance(sent, str):  # its keys would be those of its characters
-            raise InvalidInputError(f"batch item {item} is a string, not a sentence")
-        if len(sent):
-            starts.append(len(tokens))
-            tokens.extend(sent)
-    firsts = [False] * len(tokens)
-    for start in starts:
-        firsts[start] = True
-    # (token, position == 0) are the only inputs of `extract`: a repeat adds no pair
-    keys = dict.fromkeys(zip(tokens, firsts))
+    try:
+        for item, sent in enumerate(sents):
+            if isinstance(sent, str):  # its keys would be those of its characters
+                raise InvalidInputError(f"batch item {item} is a string, not a sentence")
+            if len(sent):
+                starts.append(len(tokens))
+                tokens.extend(sent)
+        firsts = [False] * len(tokens)
+        for start in starts:
+            firsts[start] = True
+        # (token, position == 0) are the only inputs of `extract`: a repeat adds no pair
+        keys = dict.fromkeys(zip(tokens, firsts))
+    except TypeError:  # an item with no length, or an unhashable token
+        check_sentences(sents)
+        raise
     cols = extract([tok for tok, _ in keys], [0 if first else 1 for _, first in keys], template)
     pairs = [(fam, value) for fam, col in cols.items() for value in dict.fromkeys(col)]
     index = index_from_pairs(template, tuple(cols), pairs)
@@ -280,27 +282,31 @@ class FeaturePipeline:
         kept: list[int] = []  # the missed keys of indexed words, which the memo keeps
         base = memo.n_rows
         batch = tokens if len(tokens) and not isinstance(tokens[0], str) else [tokens]
-        for item, sent in enumerate(batch):
-            if isinstance(sent, str):  # its ids would be those of its characters
-                raise InvalidInputError(f"batch item {item} is a string, not a sentence")
-            if not len(sent):
-                continue
-            start = len(nums)
-            nums.append(first.get(sent[0]))
-            nums.extend(map(later.get, sent[1:]))
-            if None not in nums[start:]:
-                continue
-            for at, tok in enumerate(sent, start):
-                if nums[at] is None:
-                    key = (tok, at == start)
-                    k = missed.get(key)
-                    if k is None:
-                        k = missed[key] = len(toks)
-                        toks.append(tok)
-                        positions.append(at - start)
-                        if tok in words:
-                            kept.append(k)
-                    nums[at] = base + k
+        try:
+            for item, sent in enumerate(batch):
+                if isinstance(sent, str):  # its ids would be those of its characters
+                    raise InvalidInputError(f"batch item {item} is a string, not a sentence")
+                if not len(sent):
+                    continue
+                start = len(nums)
+                nums.append(first.get(sent[0]))
+                nums.extend(map(later.get, sent[1:]))
+                if None not in nums[start:]:
+                    continue
+                for at, tok in enumerate(sent, start):
+                    if nums[at] is None:
+                        key = (tok, at == start)
+                        k = missed.get(key)
+                        if k is None:
+                            k = missed[key] = len(toks)
+                            toks.append(tok)
+                            positions.append(at - start)
+                            if tok in words:
+                                kept.append(k)
+                        nums[at] = base + k
+        except TypeError:  # an item with no length, or an unhashable token
+            check_sentences(batch)
+            raise
         if missed:
             staged = memo.spare(len(toks))
             staged[:] = vectorize(extract(toks, positions, index.template), index)

@@ -1,5 +1,11 @@
 """MEMM baseline: forward-only recursion over discriminative conditionals.
 
+A MEMM is two logistic models, which a memm `Tagger` builds from its
+arrays: `l0` scores a sentence's first position and `l1`, conditioned on
+the previous label, every later one.  A model whose flag does not fit
+its place raises from `predict` or `predict_all_prev`, and models of
+different label counts from `forward_lattice`.
+
 The posterior at position t only depends on observations 1..t, so
 decoding needs no backward pass and each forward row is already a
 probability distribution.
@@ -11,31 +17,13 @@ sentences longer than t, and the lattices come back stacked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TagSet, check_lengths, check_token_rows, id_array
+from .core import check_lengths, check_token_rows, id_array
 from .discrim import LogisticModel, predict, predict_all_prev
 from .errors import InvalidInputError
-
-
-@dataclass(frozen=True)
-class MemmModel:
-    """First-position conditional plus the previous-label-conditioned one."""
-
-    l0: LogisticModel
-    l1: LogisticModel
-    tagset: TagSet
-
-    def __post_init__(self):
-        if self.l0.conditions_on_prev:
-            raise InvalidInputError("l0 must not condition on the previous label")
-        if not self.l1.conditions_on_prev:
-            raise InvalidInputError("l1 must condition on the previous label")
-        if self.l0.n_labels != self.l1.n_labels or self.l0.n_labels != len(self.tagset):
-            raise InvalidInputError("l0, l1, and tag set disagree on label count")
 
 
 def forward_lattice(
@@ -88,7 +76,8 @@ def _lockstep_lattice(first: np.ndarray, steps, lengths) -> np.ndarray:
 
 
 def memm_forward(
-    model: MemmModel, obs: Sequence[Sequence[int]], lengths=None, token_rows=None
+    l0: LogisticModel, l1: LogisticModel, obs: Sequence[Sequence[int]],
+    lengths=None, token_rows=None,
 ) -> np.ndarray:
     """T x N forward lattice for one sentence's (T, F) feature ids, or the
     stacked lattices of stacked sentences of `lengths`.
@@ -111,8 +100,8 @@ def memm_forward(
         at = rows.copy()  # each token's place among its position kind's distinct rows
         first_rows, at[starts] = np.unique(rows[starts], return_inverse=True)
         later_rows, at[later] = np.unique(rows[later], return_inverse=True)
-        first = predict(model.l0, obs.take(first_rows, axis=0)).take(at[starts], axis=0)
-        tables = predict_all_prev(model.l1, obs.take(later_rows, axis=0))
+        first = predict(l0, obs.take(first_rows, axis=0)).take(at[starts], axis=0)
+        tables = predict_all_prev(l1, obs.take(later_rows, axis=0))
         steps = (
             tables.take(at[starts[lengths > t] + t], axis=0)
             for t in range(1, lengths.max())
@@ -120,7 +109,6 @@ def memm_forward(
         return forward_lattice(first, steps, lengths)
     if token_rows is not None:
         obs = obs.take(check_token_rows(token_rows, len(obs)), axis=0)
-    first = predict(model.l0, obs[0])
-    steps = predict_all_prev(model.l1, obs[1:]) if len(obs) > 1 else []
-    return forward_lattice(first, steps)
+    # scored even when empty, so that a mis-flagged l1 raises for one token too
+    return forward_lattice(predict(l0, obs[0]), predict_all_prev(l1, obs[1:]))
 

@@ -5,9 +5,10 @@ separators), then the raw bytes of every array listed in the metadata,
 concatenated in order as little-endian float64.  Writing the same model
 twice therefore produces byte-identical files.
 
-A kind stores the arrays of its `tagger.part_shapes`, in that order.
-Loading rejects a header with any other array list, and any non-finite
-value.
+A file holds a tagger's `arrays`, which are its kind's
+`tagger.part_shapes`, in that order.  Loading reads them back into that
+dict, and `Tagger` builds its models from it.  Loading rejects a header
+with any other array list, and any non-finite value.
 
 The featured kinds store their index as `feature_index.entries`, its
 (family, value) pairs in id order, and `features.index_from_pairs`
@@ -22,14 +23,13 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Optional
+from typing import BinaryIO
 
 import numpy as np
 
-from . import discrim, hmc
 from .core import TagSet, Vocabulary
 from .errors import DataError, InvalidInputError
-from .features import TEMPLATE_FAMILIES, FeatureIndex, FeatureTemplate, index_from_pairs
+from .features import TEMPLATE_FAMILIES, FeatureTemplate, index_from_pairs
 from .tagger import DecoderKind, Tagger, part_shapes
 
 MAGIC = b"EFBTAG-MODEL\n"
@@ -39,22 +39,18 @@ _DTYPE = np.dtype("<f8")
 _HEADER_KEYS = ("arrays", "feature_index", "labels", "naive", "template", "words")
 
 
-def _index_header(index: Optional[FeatureIndex]):
-    if index is None:
-        return None
-    return {"entries": [[fam, val] for fam, ids in index.value_ids.items() for val in ids]}
-
-
 def save_model(path: str | Path, tagger: Tagger) -> None:
     """Write a tagger's header, then its `arrays` in order."""
-    arrays = tagger.arrays
+    arrays, index = tagger.arrays, tagger.feature_index
     header = {
         "format_version": FORMAT_VERSION,
         "kind": tagger.kind.value,
-        "template": tagger.template.value if tagger.template else None,
+        "template": None if index is None else index.template.value,
         "labels": list(tagger.tagset.labels),
         "words": list(tagger.vocab.words),
-        "feature_index": _index_header(tagger.feature_index),
+        "feature_index": None if index is None else {
+            "entries": [[fam, value] for fam, ids in index.value_ids.items() for value in ids]
+        },
         "naive": None,
         "arrays": [
             {"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()
@@ -132,7 +128,6 @@ def _tagger_from(
     if not tagset.labels:
         raise DataError(f"{path}: header key 'labels' is empty")
     vocab = Vocabulary(_strings(path, header, "words"))
-    n = len(tagset)
     index = None
     if kind is not DecoderKind.HMC_FB:
         with _header_key(path, "template"):
@@ -140,7 +135,7 @@ def _tagger_from(
         with _header_key(path, "feature_index"):
             entries = header["feature_index"]["entries"]
             index = index_from_pairs(template, TEMPLATE_FAMILIES[template], entries)
-    shapes = part_shapes(kind, n, vocab.size_with_unknown, index)
+    shapes = part_shapes(kind, len(tagset), vocab.size_with_unknown, index)
     listed = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
     if header["arrays"] != listed:
         raise DataError(
@@ -170,32 +165,4 @@ def _tagger_from(
             if name in arrays:
                 arrays[name][: len(rows)] = arrays[name][rows]
 
-    params = None
-    if "pi" in arrays:
-        params = hmc.HmcParams(arrays["pi"], arrays["trans"], arrays.get("emit"))
-
-    naive = None
-    if kind is DecoderKind.HMC_NAIVE:
-        tables = {fam: arrays[f"naive:{fam}"] for fam in index.families}
-        naive = hmc.NaiveFeatureEmission(index.families, tables)
-
-    def _logistic(name: str, conditions_on_prev: bool):
-        if name not in arrays:
-            return None
-        return discrim.LogisticModel(
-            weights=arrays[name],
-            n_features=index.size,
-            n_labels=n,
-            conditions_on_prev=conditions_on_prev,
-        )
-
-    return Tagger(
-        kind=kind,
-        tagset=tagset,
-        vocab=vocab,
-        hmc_params=params,
-        naive=naive,
-        feature_index=index,
-        l0=_logistic("l0_weights", False),
-        l1=_logistic("l1_weights", True),
-    )
+    return Tagger(kind, tagset, vocab, index, arrays)

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import discrim, efb, hmc, memm
-from .core import PosteriorLattice, TagSet, Vocabulary, check_tokens, id_array, mpm_from_lattice
+from .core import (
+    PosteriorLattice, TagSet, Vocabulary, check_sentences, check_tokens, id_array, mpm_from_lattice
+)
 from .dataio import Corpus
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .features import FeatureIndex, FeaturePipeline, FeatureTemplate, build_index
@@ -70,60 +73,47 @@ def part_shapes(
 class Tagger:
     """A trained decoder plus everything needed to label new sentences.
 
-    Building one checks its parts against its kind's `part_shapes`.
+    A tagger is its `arrays`, by name in `part_shapes` order, which are
+    checked against its kind's `part_shapes` when it is built.  From them it
+    builds the models it decodes with, sharing their arrays: `hmc_params`,
+    `naive`, `l0` and `l1`, each None where its kind holds no such part.
     """
 
     kind: DecoderKind
     tagset: TagSet
     vocab: Vocabulary
-    hmc_params: Optional[hmc.HmcParams] = None
-    naive: Optional[hmc.NaiveFeatureEmission] = None
-    feature_index: Optional[FeatureIndex] = None
-    l0: Optional[discrim.LogisticModel] = None
-    l1: Optional[discrim.LogisticModel] = None
+    feature_index: Optional[FeatureIndex]
+    arrays: Mapping[str, np.ndarray]
+    hmc_params: Optional[hmc.HmcParams] = field(init=False, repr=False, compare=False)
+    naive: Optional[hmc.NaiveFeatureEmission] = field(init=False, repr=False, compare=False)
+    l0: Optional[discrim.LogisticModel] = field(init=False, repr=False, compare=False)
+    l1: Optional[discrim.LogisticModel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kind, index = self.kind, self.feature_index
+        kind, index, arrays = self.kind, self.feature_index, MappingProxyType(dict(self.arrays))
         if not isinstance(kind, DecoderKind):
             raise InvalidInputError(f"unknown decoder kind: {kind!r}")
         if (index is None) != (kind is DecoderKind.HMC_FB):  # hmc-fb alone has none
             has = "has no" if index is None else "has a"
             raise InvalidInputError(f"a {kind.value} tagger {has} feature index")
-        arrays = self.arrays
-        shapes = part_shapes(kind, len(self.tagset), self.vocab.size_with_unknown, index)
-        if [(name, arr.shape) for name, arr in arrays.items()] != list(shapes.items()):
-            raise InvalidInputError(
-                f"a {kind.value} tagger holds arrays {list(arrays)}; "
-                f"its kind holds {list(shapes)}"
-            )
-        # under these shapes, the flags fix both models' n_features at index.size
-        if self.l0 is not None and self.l0.conditions_on_prev:
-            raise InvalidInputError("l0 must not condition on the previous label")
-        if self.l1 is not None and not self.l1.conditions_on_prev:
-            raise InvalidInputError("l1 must condition on the previous label")
-
-    @property
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Every array the tagger holds, by name, in `part_shapes` order."""
-        arrays: dict[str, np.ndarray] = {}
-        if self.hmc_params is not None:
-            arrays["pi"] = self.hmc_params.pi
-            arrays["trans"] = self.hmc_params.trans
-            if self.hmc_params.emit is not None:
-                arrays["emit"] = self.hmc_params.emit
-        if self.naive is not None:
-            for fam in self.naive.families:
-                arrays[f"naive:{fam}"] = self.naive.tables[fam]
-        if self.l0 is not None:
-            arrays["l0_weights"] = self.l0.weights
-        if self.l1 is not None:
-            arrays["l1_weights"] = self.l1.weights
-        return arrays
-
-    @property
-    def template(self) -> Optional[FeatureTemplate]:
-        """The feature index's template; None for hmc-fb, which reads words alone."""
-        return None if self.feature_index is None else self.feature_index.template
+        n = len(self.tagset)
+        shapes = part_shapes(kind, n, self.vocab.size_with_unknown, index)
+        if [(name, getattr(a, "shape", None)) for name, a in arrays.items()] != [*shapes.items()]:
+            raise InvalidInputError(f"a {kind.value} tagger holds arrays {list(arrays)}; "
+                                    f"its kind holds {list(shapes)}")
+        params = naive = l0 = l1 = None
+        if "pi" in arrays:
+            params = hmc.HmcParams(arrays["pi"], arrays["trans"], arrays.get("emit"))
+        if kind is DecoderKind.HMC_NAIVE:
+            tables = {fam: arrays[f"naive:{fam}"] for fam in index.families}
+            naive = hmc.NaiveFeatureEmission(index.families, tables)
+        if "l0_weights" in arrays:
+            l0 = discrim.LogisticModel(arrays["l0_weights"], index.size, n, False)
+        if "l1_weights" in arrays:  # l1 alone conditions on the previous label
+            l1 = discrim.LogisticModel(arrays["l1_weights"], index.size, n, True)
+        parts = dict(arrays=arrays, hmc_params=params, naive=naive, l0=l0, l1=l1)
+        for name, part in parts.items():
+            object.__setattr__(self, name, part)
 
     @property
     def pipeline(self) -> FeaturePipeline:
@@ -150,14 +140,14 @@ class Tagger:
         return self._decode(tokens)
 
     def _decode_batch(self, batch: Sequence[Sequence[str]]) -> list[list[int]]:
-        lengths = []
         for item, sent in enumerate(batch):
             if isinstance(sent, (str, bytes)):  # it would decode as a sentence of characters
                 raise InvalidInputError(f"batch item {item} is a string, not a sentence")
-            try:
-                lengths.append(len(sent))
-            except TypeError:  # a token such as 5 or None, first in what is then a batch
-                raise InvalidInputError(f"batch item {item} is not a sentence") from None
+        try:
+            lengths = [len(sent) for sent in batch]
+        except TypeError:  # a token such as 5 or None, first in what is then a batch
+            check_sentences(batch)
+            raise
         if 0 in lengths:
             raise InvalidInputError(
                 f"cannot decode an empty sentence (batch item {lengths.index(0)})"
@@ -184,7 +174,11 @@ class Tagger:
         kind = self.kind
         if kind is DecoderKind.HMC_FB:
             words = tokens if lengths is None else list(chain.from_iterable(tokens))
-            obs, unknown = self.vocab.ids_of(words), self.vocab.unknown_id
+            try:
+                obs, unknown = self.vocab.ids_of(words), self.vocab.unknown_id
+            except TypeError:  # an unhashable token
+                check_tokens(words)
+                raise
             if unknown in obs:  # only a word outside the vocabulary can be malformed
                 check_tokens(w for w, i in zip(words, obs) if i == unknown)
             lattice = hmc.posterior_fb(self.hmc_params, obs, lengths)
@@ -201,8 +195,7 @@ class Tagger:
                 conditional = conditional.take(rows, axis=0)
             lattice = efb.posterior_efb(self.hmc_params, conditional, lengths)
         elif kind is DecoderKind.MEMM:
-            model = memm.MemmModel(l0=self.l0, l1=self.l1, tagset=self.tagset)
-            lattice = PosteriorLattice(memm.memm_forward(model, feats, lengths, rows))
+            lattice = PosteriorLattice(memm.memm_forward(self.l0, self.l1, feats, lengths, rows))
         return mpm_from_lattice(lattice)
 
 
@@ -229,13 +222,17 @@ def train_tagger(
     hmc.check_smoothing(smoothing)  # here, for memm too, which counts nothing
     tagset, vocab = corpus.tagset, corpus.vocab
     n = len(tagset)
-    params = naive = index = l0 = l1 = None
+    index = None
+    arrays: dict[str, np.ndarray] = {}  # in `part_shapes` order
     final_loss = float("nan")
 
     if kind is not DecoderKind.MEMM:
         # the featured kinds take a bare chain: their emissions are scored apart
         words = vocab if kind is DecoderKind.HMC_FB else None
         params = hmc.estimate_params(corpus.sentences, tagset, words, smoothing)
+        arrays.update(pi=params.pi, trans=params.trans)
+        if words is not None:
+            arrays["emit"] = params.emit
     if kind is not DecoderKind.HMC_FB:
         index = build_index(corpus.sentences, template)
         # every token in corpus order: one (ΣT, F) id array and its labels
@@ -243,10 +240,12 @@ def train_tagger(
         labels = id_array(np.concatenate([s.labels for s in corpus.sentences]), "labels")
     if kind is DecoderKind.HMC_NAIVE:
         # the corpus counted as one sequence: counts ignore sentence bounds
-        naive = hmc.estimate_naive_emission(index, [ids], [labels], n, smoothing)
+        tables = hmc.estimate_naive_emission(index, [ids], [labels], n, smoothing).tables
+        arrays.update((f"naive:{fam}", table) for fam, table in tables.items())
     if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
         l0_data = discrim.ExampleColumns(ids, None, labels)
         l0 = discrim.train(l0_data, index.size, n, sgd, conditions_on_prev=False)
+        arrays["l0_weights"] = l0.weights
         final_loss = discrim.mean_loss(l0, l0_data, l2=sgd.l2)
     if kind is DecoderKind.MEMM:
         # teacher forcing: every token but a sentence's first, with its gold predecessor
@@ -258,20 +257,11 @@ def train_tagger(
                 "MEMM training needs at least one sentence of length >= 2"
             )
         l1 = discrim.train(l1_data, index.size, n, sgd, conditions_on_prev=True)
+        arrays["l1_weights"] = l1.weights
         final_loss = 0.5 * (final_loss + discrim.mean_loss(l1, l1_data, l2=sgd.l2))
-    if l0 is not None and not np.isfinite(final_loss):
+    if "l0_weights" in arrays and not np.isfinite(final_loss):
         raise NumericalDegeneracyError(f"training diverged: final loss is {final_loss}")
 
-    tagger = Tagger(
-        kind=kind,
-        tagset=tagset,
-        vocab=vocab,
-        hmc_params=params,
-        naive=naive,
-        feature_index=index,
-        l0=l0,
-        l1=l1,
-    )
     summary = TrainSummary(
         n_sentences=len(corpus.sentences),
         n_tokens=corpus.n_tokens,
@@ -280,7 +270,7 @@ def train_tagger(
         feature_index_size=index.size if index is not None else 0,
         final_loss=final_loss,
     )
-    return tagger, summary
+    return Tagger(kind, tagset, vocab, index, arrays), summary
 
 
 def train_compare_pair(
@@ -298,5 +288,8 @@ def train_compare_pair(
     # counted first, so an unusable smoothing fails before any SGD runs
     chain = hmc.estimate_params(corpus.sentences, corpus.tagset, None, smoothing)
     memm_tagger, _ = train_tagger(corpus, DecoderKind.MEMM, template, sgd, smoothing)
-    efb_tagger = replace(memm_tagger, kind=DecoderKind.HMC_EFB, hmc_params=chain, l1=None)
+    arrays = {"pi": chain.pi, "trans": chain.trans, "l0_weights": memm_tagger.arrays["l0_weights"]}
+    efb_tagger = Tagger(
+        DecoderKind.HMC_EFB, corpus.tagset, corpus.vocab, memm_tagger.feature_index, arrays
+    )
     return efb_tagger, memm_tagger

@@ -70,5 +70,5 @@ def decode_lattice(alphas) -> list[int]:
     return mpm_from_lattice(PosteriorLattice(alphas))
 
 
-def decode_memm(model, obs, lengths=None, token_rows=None) -> list[int]:
-    return decode_lattice(memm.memm_forward(model, obs, lengths, token_rows))
+def decode_memm(l0, l1, obs, lengths=None, token_rows=None) -> list[int]:
+    return decode_lattice(memm.memm_forward(l0, l1, obs, lengths, token_rows))

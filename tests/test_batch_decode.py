@@ -26,7 +26,7 @@ from conftest import memo_rows
 import efbtag.modelfile  # noqa: F401  a traced module: the span recorder wraps it
 from efbtag import efb, evaluation, features, hmc, memm
 from efbtag import tagger as tagger_module
-from efbtag.core import TagSet, check_lengths
+from efbtag.core import check_lengths
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.discrim import LogisticModel, SgdConfig
 from efbtag.errors import InvalidInputError, NumericalDegeneracyError
@@ -64,7 +64,7 @@ def random_chain(rng, n):
 def random_memm(rng, n, n_features=40):
     l0 = LogisticModel(rng.normal(size=(n_features + 1, n)), n_features, n, False)
     l1 = LogisticModel(rng.normal(size=(n_features + n + 1, n)), n_features, n, True)
-    return memm.MemmModel(l0, l1, TagSet(tuple(f"T{i}" for i in range(n))))
+    return l0, l1
 
 
 def random_naive(rng, n, values=(5, 3)):
@@ -96,7 +96,7 @@ def kind_posteriors(kind: str, rng, n: int, lengths: list[int]):
         return obs, lambda o, lens=None: efb.posterior_efb(chain, o, lens).values
     model = random_memm(rng, n)
     obs = rng.integers(0, 40, size=(total, 3))
-    return obs, lambda o, lens=None: memm.memm_forward(model, o, lens)
+    return obs, lambda o, lens=None: memm.memm_forward(*model, o, lens)
 
 
 KINDS = [kind.value for kind in DecoderKind]
@@ -237,7 +237,7 @@ def _length_takers(params, chain, naive, model):
         "entropic_forward": lambda lens: efb.entropic_forward(chain, lmat, lens),
         "entropic_backward": lambda lens: efb.entropic_backward(chain, lmat, lens),
         "posterior_efb": lambda lens: efb.posterior_efb(chain, lmat, lens),
-        "memm_forward": lambda lens: memm.memm_forward(model, ids, lens),
+        "memm_forward": lambda lens: memm.memm_forward(*model, ids, lens),
     }
 
 
@@ -264,7 +264,7 @@ def _row_takers(rng):
         "posterior_naive_features": lambda ids, lens, rows: hmc.posterior_naive_features(
             chain, naive, ids, lens, rows
         ).values,
-        "memm_forward": lambda ids, lens, rows: memm.memm_forward(model, ids, lens, rows),
+        "memm_forward": lambda ids, lens, rows: memm.memm_forward(*model, ids, lens, rows),
     }
 
 

@@ -16,7 +16,7 @@ from efbtag.features import FeatureTemplate
 from efbtag.errors import DataError, InvalidInputError
 from efbtag.modelfile import MAGIC, load_model, save_model
 from efbtag.tagger import DecoderKind, train_tagger
-from efbtag.discrim import LogisticModel, SgdConfig
+from efbtag.discrim import SgdConfig
 from efbtag.hmc import DEFAULT_SMOOTHING
 
 
@@ -79,19 +79,16 @@ class TestModelRoundTrip:
         corpus = read_corpus(toy_files[0], CorpusFormat.CONLL2000)
         fb, _ = train_tagger(corpus, DecoderKind.HMC_FB)
         efb, _ = train_tagger(corpus, DecoderKind.HMC_EFB, sgd=SgdConfig(epochs=1))
-        n, size = len(efb.tagset), efb.feature_index.size
-        # the same weight shape, read as conditioned on the previous label
-        l0_on_prev = LogisticModel(efb.l0.weights, size - n, n, conditions_on_prev=True)
+        with_emit = {"pi": efb.arrays["pi"], "trans": efb.arrays["trans"],
+                     "emit": fb.arrays["emit"], "l0_weights": efb.arrays["l0_weights"]}
         bad = {
-            "efb-with-fb-chain": (lambda: replace(efb, hmc_params=fb.hmc_params),
-                                  "holds arrays"),
-            "fb-without-chain": (lambda: replace(fb, hmc_params=None), "holds arrays"),
+            "efb-with-fb-chain": (lambda: replace(efb, arrays=with_emit), "holds arrays"),
+            "fb-without-chain": (lambda: replace(fb, arrays={"emit": fb.arrays["emit"]}),
+                                 "holds arrays"),
             "efb-without-index": (lambda: replace(efb, feature_index=None),
                                   "has no feature index"),
             "fb-with-index": (lambda: replace(fb, feature_index=efb.feature_index),
                               "has a feature index"),
-            "efb-l0-on-prev": (lambda: replace(efb, l0=l0_on_prev),
-                               "l0 must not condition"),
         }
         for name, (build, message) in bad.items():
             path = tmp_path / f"{name}.bin"

@@ -220,6 +220,18 @@ class TestBuildIndex:
                            match=f"^batch item {item} is a string, not a sentence$"):
             build_index(corpus, FeatureTemplate.LF1)
 
+    @pytest.mark.parametrize(
+        "corpus,message",
+        [([["the", ["x"]]], r"token \['x'\] is not a string"),
+         ([["a"], [{"y": 1}]], r"token \{'y': 1\} is not a string"),
+         ([["a"], 5], "batch item 1 is not a sentence"), ([None], "batch item 0 is not a sentence")],
+        ids=["list-token", "dict-token", "int-item", "none-item"],
+    )
+    def test_an_unhashable_token_or_a_non_sentence_is_invalid_input(self, corpus, message):
+        # each ended in a TypeError from a dict lookup or from len()
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            build_index(corpus, FeatureTemplate.LF1)
+
     def test_empty_sentences_add_no_key(self):
         index = build_index([[], ["a", "b"], (), ["b"]], FeatureTemplate.NF)
         assert set(memo_rows(index.memo)) == {("a", True), ("b", False), ("b", True)}
@@ -277,6 +289,26 @@ class TestPipeline:
         with pytest.raises(InvalidInputError, match="batch item 1 is a string"):
             pipeline.sentence_features([["the", "cat"], "dog"])
         assert pipeline.sentence_features(["abc"]).shape[0] == 1
+
+    @pytest.mark.parametrize(
+        "tokens,message",
+        [([5, "the"], "batch item 0 is not a sentence"),
+         ([None], "batch item 0 is not a sentence"),
+         ([["the"], 5], "batch item 1 is not a sentence"),
+         (["the", ["x"]], r"token \['x'\] is not a string"),
+         ([["the", ["x"]]], r"token \['x'\] is not a string"),
+         ([["a"], [{"y": 1}, "a"]], r"token \{'y': 1\} is not a string")],
+        ids=["int-first", "none", "int-item", "list-token", "list-token-in-batch",
+             "dict-token-first"],
+    )
+    def test_a_non_sentence_or_unhashable_token_is_invalid_input(self, tokens, message):
+        """Each ended in a TypeError (no len(), or an unhashable memo key); a
+        refusal stages nothing, so the memo is as before."""
+        index = build_index(toy_corpus(), FeatureTemplate.LF1)
+        before = memo_rows(index.memo)
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            FeaturePipeline(index).sentence_features(tokens)
+        assert memo_rows(index.memo) == before
 
 
 def build_index_every_occurrence(sentences, template):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import decode_lattice, decode_memm
-from efbtag.core import TagSet
 from efbtag.discrim import predict, predict_all_prev, zero_model
 from efbtag.errors import InvalidInputError
-from efbtag.memm import MemmModel, forward_lattice, memm_forward
+from efbtag.memm import forward_lattice, memm_forward
 from efbtag.oracle import memm_posterior_bruteforce
 
 
@@ -80,43 +79,51 @@ class TestDecode:
             assert truncated == full[:cut]
 
 
-class TestMemmModel:
-    def _model(self, rng, n_features=4, n_labels=2):
+class TestMemmForward:
+    def _models(self, rng, n_features=4, n_labels=2):
         l0 = zero_model(n_features, n_labels, conditions_on_prev=False)
         l1 = zero_model(n_features, n_labels, conditions_on_prev=True)
         l0.weights[:] = rng.normal(0, 0.5, l0.weights.shape)
         l1.weights[:] = rng.normal(0, 0.5, l1.weights.shape)
-        tagset = TagSet.from_labels([f"T{i}" for i in range(n_labels)])
-        return MemmModel(l0=l0, l1=l1, tagset=tagset)
+        return l0, l1
 
     def test_forward_matches_explicit_tables(self):
         rng = np.random.default_rng(49)
-        model = self._model(rng)
+        l0, l1 = self._models(rng)
         obs = [[0, 2], [1, 3], [3, 0]]
-        fast = memm_forward(model, obs)
-        first = predict(model.l0, obs[0])
-        steps = [predict_all_prev(model.l1, fv) for fv in obs[1:]]
+        fast = memm_forward(l0, l1, obs)
+        first = predict(l0, obs[0])
+        steps = [predict_all_prev(l1, fv) for fv in obs[1:]]
         slow = memm_posterior_bruteforce(first, steps)
         assert np.max(np.abs(fast - slow)) <= 1e-10
 
     def test_single_token_is_l0(self):
         rng = np.random.default_rng(51)
-        model = self._model(rng)
-        assert decode_memm(model, [[1]]) == [int(np.argmax(predict(model.l0, [1])))]
+        l0, l1 = self._models(rng)
+        assert decode_memm(l0, l1, [[1]]) == [int(np.argmax(predict(l0, [1])))]
 
-    def test_conditioning_flags_validated(self):
-        l0 = zero_model(2, 2, conditions_on_prev=False)
-        l1 = zero_model(2, 2, conditions_on_prev=True)
-        tagset = TagSet.from_labels(["A", "B"])
-        with pytest.raises(InvalidInputError):
-            MemmModel(l0=l1, l1=l1, tagset=tagset)
-        with pytest.raises(InvalidInputError):
-            MemmModel(l0=l0, l1=l0, tagset=tagset)
+    @pytest.mark.parametrize("obs, lengths", [
+        ([[1]], None), ([[1], [0], [1]], None), ([[1]], [1]), ([[1], [0], [1]], [2, 1]),
+    ], ids=["one-token", "one-sentence", "lockstep-one-token", "lockstep"])
+    def test_conditioning_flags_validated(self, obs, lengths):
+        """Models swapped, or l1 not conditioned on the previous label, raise
+        for every sentence, a one-token one too."""
+        l0, l1 = self._models(np.random.default_rng(53))
+        for first, rest in ((l1, l0), (l1, l1), (l0, l0)):
+            with pytest.raises(InvalidInputError, match="condition"):
+                memm_forward(first, rest, obs, lengths)
+
+    @pytest.mark.parametrize("lengths", [None, [2, 1]], ids=["one", "lockstep"])
+    def test_label_counts_must_agree(self, lengths):
+        l0, _ = self._models(np.random.default_rng(57), n_labels=2)
+        _, l1 = self._models(np.random.default_rng(57), n_labels=3)
+        with pytest.raises(InvalidInputError, match="conditional table shape mismatch"):
+            memm_forward(l0, l1, [[1], [0], [1]], lengths)
 
     def test_empty_observation_rejected(self):
         rng = np.random.default_rng(55)
         with pytest.raises(InvalidInputError):
-            memm_forward(self._model(rng), [])
+            memm_forward(*self._models(rng), [])
 
 
 def test_decode_lattice_rejects_rows_that_are_not_distributions():

@@ -23,7 +23,7 @@ from efbtag.core import ROW_SUM_TOL
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.discrim import LogisticModel, SgdConfig, predict, predict_all_prev
 from efbtag.features import FeatureTemplate
-from efbtag.memm import MemmModel, forward_lattice
+from efbtag.memm import forward_lattice
 from efbtag.tagger import DecoderKind, buckets, train_tagger
 
 _GEN = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
@@ -126,7 +126,6 @@ def corpora(tmp_path_factory):
 def test_memm_labels_equal_labels_from_reference_tables(corpora, template):
     train, test = corpora
     tagger, _ = train_tagger(train, DecoderKind.MEMM, template, SgdConfig(epochs=1))
-    model = MemmModel(l0=tagger.l0, l1=tagger.l1, tagset=tagger.tagset)
     sentences = [sent.tokens for sent in test.sentences]
     expected = []
     for tokens in sentences:
@@ -134,7 +133,7 @@ def test_memm_labels_equal_labels_from_reference_tables(corpora, template):
         steps = list(reference_predict_all_prev(tagger.l1, feats[1:]))
         lattice = forward_lattice(predict(tagger.l0, feats[0]), steps)
         expected.append(lattice.argmax(axis=1).tolist())
-        assert decode_memm(model, feats) == expected[-1]
+        assert decode_memm(tagger.l0, tagger.l1, feats) == expected[-1]
     assert tagger.decode(sentences) == expected
 
 

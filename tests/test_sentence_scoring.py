@@ -20,7 +20,7 @@ from efbtag.features import (
     extract,
     vectorize,
 )
-from efbtag.memm import MemmModel, forward_lattice, memm_forward
+from efbtag.memm import forward_lattice, memm_forward
 from efbtag.modelfile import load_model, save_model
 from efbtag.tagger import DecoderKind, train_tagger
 
@@ -138,7 +138,6 @@ def ragged_calls():
     """Each entry point that takes a batch of ids, called on a ragged one."""
     rng = np.random.default_rng(5)
     plain, cond = random_model(rng, 20), random_model(rng, 20, conditions_on_prev=True)
-    tagset = TagSet.from_labels([f"T{i}" for i in range(N_LABELS)])
     examples = [(row, None, 0) for row in RAGGED]
     widths = [np.zeros((1, 2), dtype=np.intp), np.zeros((1, 3), dtype=np.intp)]
     return {
@@ -146,7 +145,7 @@ def ragged_calls():
         "predict_all_prev": lambda: predict_all_prev(cond, RAGGED),
         "train": lambda: train(examples, 20, N_LABELS, SGD),
         "mean_loss": lambda: mean_loss(plain, examples),
-        "memm_forward": lambda: memm_forward(MemmModel(plain, cond, tagset), RAGGED),
+        "memm_forward": lambda: memm_forward(plain, cond, RAGGED),
         "naive_emission_matrix": lambda: hmc.naive_emission_matrix(
             naive_tagger().naive, RAGGED
         ),
@@ -163,18 +162,13 @@ def test_ragged_batch_rejected(entry):
 
 
 class TestMemmForward:
-    def _model(self, rng, n_features=15):
-        tagset = TagSet.from_labels([f"T{i}" for i in range(N_LABELS)])
-        return MemmModel(
-            l0=random_model(rng, n_features),
-            l1=random_model(rng, n_features, conditions_on_prev=True),
-            tagset=tagset,
-        )
+    def _models(self, rng, n_features=15):
+        return random_model(rng, n_features), random_model(rng, n_features, True)
 
     @staticmethod
-    def _per_position(model, obs):
-        first = predict(model.l0, obs[0])
-        return forward_lattice(first, [predict_all_prev(model.l1, fv) for fv in obs[1:]])
+    def _per_position(l0, l1, obs):
+        first = predict(l0, obs[0])
+        return forward_lattice(first, [predict_all_prev(l1, fv) for fv in obs[1:]])
 
     @pytest.mark.parametrize(
         "obs",
@@ -187,8 +181,8 @@ class TestMemmForward:
         ],
     )
     def test_equals_per_position_recursion(self, obs):
-        model = self._model(np.random.default_rng(9))
-        assert np.array_equal(memm_forward(model, obs), self._per_position(model, obs))
+        l0, l1 = self._models(np.random.default_rng(9))
+        assert np.array_equal(memm_forward(l0, l1, obs), self._per_position(l0, l1, obs))
 
 
 def per_token_naive(model, index, fvs, n_labels):

@@ -87,12 +87,14 @@ def test_a_bare_string_is_not_a_sentence():
     assert len(tagger.decode(["hello"])) == 1
 
 
-@pytest.mark.parametrize("bad", ["", 5, None, b"cat"], ids=["empty", "int", "none", "bytes"])
+@pytest.mark.parametrize("bad", ["", 5, None, b"cat", ["x"], {"y": 1}],
+                         ids=["empty", "int", "none", "bytes", "list", "dict"])
 @pytest.mark.parametrize("kind", list(DecoderKind), ids=lambda kind: kind.value)
 def test_a_malformed_token_is_invalid_input_for_every_kind(kind, bad):
     """A token that is not a non-empty string raises InvalidInputError, in one
     sentence or a batch, first or later; hmc-fb decoded it as an unknown word,
-    and the featured kinds ended in a TypeError or an AttributeError."""
+    and the featured kinds ended in a TypeError or an AttributeError.  A list
+    or dict token, which cannot be hashed, ended in a TypeError for every kind."""
     tagger, _ = train_tagger(toy_corpus(), kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
     fresh, _ = train_tagger(toy_corpus(), kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
     for tokens in (["the", bad], [bad, "the"], [["the", "cat"], ["the", bad]], [[bad, "cat"]]):
@@ -108,8 +110,9 @@ def test_compare_pair_shares_l0_and_pipeline():
         corpus, FeatureTemplate.LF1, FAST_SGD
     )
     assert efb_tagger.feature_index is memm_tagger.feature_index
-    assert efb_tagger.l0 is memm_tagger.l0
-    assert memm_tagger.l1 is not None
+    assert efb_tagger.arrays["l0_weights"] is memm_tagger.arrays["l0_weights"]
+    assert efb_tagger.l0.weights is memm_tagger.l0.weights
+    assert efb_tagger.l1 is None and memm_tagger.l1 is not None
 
 
 def test_bare_chain_equals_the_counted_chain_without_emissions(tmp_path):
@@ -126,7 +129,9 @@ def test_bare_chain_equals_the_counted_chain_without_emissions(tmp_path):
         assert tagger.hmc_params.emit is None
         # the file of the tagger whose chain was counted with emissions,
         # which were then dropped, has the same bytes
-        dropped = replace(tagger, hmc_params=replace(counted, emit=None))
+        dropped = replace(tagger, arrays={**tagger.arrays, "pi": counted.pi,
+                                          "trans": counted.trans})
+        assert dropped.hmc_params.pi is counted.pi
         save_model(tmp_path / f"{name}.bin", tagger)
         save_model(tmp_path / f"{name}-dropped.bin", dropped)
         assert (tmp_path / f"{name}.bin").read_bytes() == \
@@ -145,13 +150,46 @@ def test_tagger_checks_its_kind_and_l1_when_built():
     memm, _ = train_tagger(toy_corpus(), DecoderKind.MEMM, sgd=SgdConfig(epochs=1))
     with pytest.raises(InvalidInputError, match="unknown decoder kind"):
         Tagger(kind="memm", tagset=memm.tagset, vocab=memm.vocab,
-               feature_index=memm.feature_index, l0=memm.l0, l1=memm.l1)
-    l1 = memm.l1  # the same weights, read as not conditioned on the previous label
-    unconditioned = discrim.LogisticModel(l1.weights, l1.n_features + l1.n_labels,
-                                          l1.n_labels, conditions_on_prev=False)
-    with pytest.raises(InvalidInputError, match="l1 must condition"):
-        Tagger(kind=DecoderKind.MEMM, tagset=memm.tagset, vocab=memm.vocab,
-               feature_index=memm.feature_index, l0=memm.l0, l1=unconditioned)
+               feature_index=memm.feature_index, arrays=memm.arrays)
+    # the flags hold by construction: l1 alone conditions on the previous label
+    assert not memm.l0.conditions_on_prev and memm.l1.conditions_on_prev
+    # so an l1 of l0's shape, which would read as unconditioned, is refused
+    l0_as_l1 = {**memm.arrays, "l1_weights": memm.arrays["l0_weights"]}
+    with pytest.raises(InvalidInputError, match="holds arrays"):
+        replace(memm, arrays=l0_as_l1)
+
+
+def model_arrays(tagger) -> dict:
+    """Every array the tagger's models decode with, by the name of its part."""
+    found = {}
+    if tagger.hmc_params is not None:
+        found.update(pi=tagger.hmc_params.pi, trans=tagger.hmc_params.trans)
+        if tagger.hmc_params.emit is not None:
+            found["emit"] = tagger.hmc_params.emit
+    if tagger.naive is not None:
+        found.update((f"naive:{fam}", table) for fam, table in tagger.naive.tables.items())
+    for name, model in (("l0_weights", tagger.l0), ("l1_weights", tagger.l1)):
+        if model is not None:
+            found[name] = model.weights
+    return found
+
+
+@pytest.mark.parametrize("kind", list(DecoderKind), ids=lambda kind: kind.value)
+def test_models_share_the_tagger_arrays_and_a_file_holds_them(tmp_path, kind):
+    """Trained or loaded, a tagger's models hold its `arrays` themselves, not
+    copies, and a file loads back to the same arrays, byte for byte."""
+    tagger, _ = train_tagger(toy_corpus(), kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
+    save_model(tmp_path / "m.bin", tagger)
+    loaded = load_model(tmp_path / "m.bin")
+    assert list(loaded.arrays) == list(tagger.arrays)
+    for name, arr in tagger.arrays.items():
+        assert loaded.arrays[name].tobytes() == arr.tobytes(), name
+    for t in (tagger, loaded):
+        found = model_arrays(t)
+        assert list(found) == list(t.arrays)
+        assert all(found[name] is arr for name, arr in t.arrays.items())
+        assert (t.l0 is None or not t.l0.conditions_on_prev) and \
+            (t.l1 is None or t.l1.conditions_on_prev)
 
 
 def test_pipelineless_kind_has_no_pipeline():
