@@ -6,6 +6,7 @@ lattice from which maximum-posterior-mode label sequences are read.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -113,12 +114,30 @@ def check_tokens(tokens: Iterable) -> None:
             raise InvalidInputError("token must be non-empty")
 
 
-def check_sentences(batch: Iterable) -> None:
-    """Require every item to be a sized sequence of tokens that `check_tokens` passes."""
-    for item, sent in enumerate(batch):
-        if not hasattr(sent, "__len__"):
-            raise InvalidInputError(f"batch item {item} is not a sentence")
-        check_tokens(sent)
+def _is_sequence(value) -> bool:
+    # a list or a tuple first: the test for the ABC costs five times as much
+    return type(value) in (list, tuple) or (
+        isinstance(value, Sequence) and not isinstance(value, (str, bytes)))
+
+
+def is_batch(value) -> bool:
+    """Whether `value` is a batch of sentences rather than one sentence.
+
+    A sentence is a `collections.abc.Sequence`, not a `str` or `bytes`, of
+    non-empty `str` tokens (left to `check_tokens`, where a lookup fails),
+    a batch a sequence of sentences; a sequence that is empty or starts with
+    a `str` is a sentence.  Anything else raises.
+    """
+    if not _is_sequence(value):
+        what = "a string" if isinstance(value, (str, bytes)) else f"a {type(value).__name__}"
+        raise InvalidInputError(f"a sentence is a sequence of tokens, not {what}")
+    if not len(value) or isinstance(value[0], str):
+        return False
+    for item, sent in enumerate(value):
+        if not _is_sequence(sent):
+            what = "a string, not" if isinstance(sent, (str, bytes)) else "not"
+            raise InvalidInputError(f"batch item {item} is {what} a sentence")
+    return True
 
 
 @dataclass(frozen=True)
@@ -163,10 +182,9 @@ class PosteriorLattice:
 
     @classmethod
     def _normalised(cls, values: np.ndarray) -> "PosteriorLattice":
-        """A lattice of rows that its caller divided by their sums, having
-        found every entry finite and non-negative and every sum finite and
-        > 0: such rows lie in [0, 1] and sum to 1 within rounding, so only
-        the shape is checked."""
+        """A lattice of distributions by construction, so only its shape is
+        checked: finite non-negative rows divided by their finite sums > 0, or
+        memm's forward rows, which lie in [0, 1] and sum to 1 within rounding."""
         _check_table(values)
         lattice = object.__new__(cls)
         object.__setattr__(lattice, "values", values)

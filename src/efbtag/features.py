@@ -7,15 +7,15 @@ extended with longer affixes, digit and hyphen indicators (LF2).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import LabeledSentence, check_sentences, check_tokens
+from .core import LabeledSentence, check_tokens, is_batch
 from .errors import InvalidInputError
 
 
@@ -159,26 +159,27 @@ class FeatureIndex:
 
 
 def build_index(
-    corpus: Sequence[LabeledSentence] | Iterable[Sequence[str]],
-    template: FeatureTemplate,
+    corpus: Sequence[LabeledSentence | Sequence[str]], template: FeatureTemplate
 ) -> FeatureIndex:
     """Index every (family, value) pair observed in the corpus.
 
-    Accepts labeled sentences or bare token sequences, not strings; only
-    tokens are used.  `index_from_pairs` numbers the pairs family by
-    family, each family's values in the order first met in the corpus.
-    Each corpus key's id row is left in the index's memo, so the corpus is
-    extracted once.
+    Accepts a sequence of labeled sentences or of sentences (`core.is_batch`),
+    skipping empty ones; only tokens are used.  `index_from_pairs` numbers
+    the pairs family by family, each family's values in the order first
+    met in the corpus.  Each corpus key's id row is left in the index's
+    memo, so the corpus is extracted once.
     """
+    if not isinstance(corpus, Sequence):  # a set's order would follow the hash seed
+        raise InvalidInputError(f"a corpus is a sequence, not a {type(corpus).__name__}")
     sents = [sent.tokens if isinstance(sent, LabeledSentence) else sent for sent in corpus]
     if not sents:
         raise InvalidInputError("corpus must be non-empty")
+    if not is_batch(sents):  # its keys would be those of its characters
+        raise InvalidInputError("batch item 0 is a string, not a sentence")
     tokens: list[str] = []  # every token, flat, and where each sentence starts
     starts: list[int] = []
     try:
-        for item, sent in enumerate(sents):
-            if isinstance(sent, str):  # its keys would be those of its characters
-                raise InvalidInputError(f"batch item {item} is a string, not a sentence")
+        for sent in sents:
             if len(sent):
                 starts.append(len(tokens))
                 tokens.extend(sent)
@@ -187,8 +188,8 @@ def build_index(
             firsts[start] = True
         # (token, position == 0) are the only inputs of `extract`: a repeat adds no pair
         keys = dict.fromkeys(zip(tokens, firsts))
-    except TypeError:  # an item with no length, or an unhashable token
-        check_sentences(sents)
+    except TypeError:  # an unhashable token
+        check_tokens(tokens)
         raise
     cols = extract([tok for tok, _ in keys], [0 if first else 1 for _, first in keys], template)
     pairs = [(fam, value) for fam, col in cols.items() for value in dict.fromkeys(col)]
@@ -267,8 +268,7 @@ class FeaturePipeline:
         number among them, so a scorer whose rows do not depend on each
         other scores each key once and gathers every token's scores.
         """
-        if isinstance(tokens, str):
-            raise InvalidInputError("a sentence is a sequence of tokens, not a string")
+        batch = tokens if is_batch(tokens) else [tokens]
         index = self.index
         memo = index.memo
         words = index.value_ids.get("word", {})
@@ -281,16 +281,13 @@ class FeaturePipeline:
         positions: list[int] = []
         kept: list[int] = []  # the missed keys of indexed words, which the memo keeps
         base = memo.n_rows
-        batch = tokens if len(tokens) and not isinstance(tokens[0], str) else [tokens]
         try:
-            for item, sent in enumerate(batch):
-                if isinstance(sent, str):  # its ids would be those of its characters
-                    raise InvalidInputError(f"batch item {item} is a string, not a sentence")
+            for sent in batch:
                 if not len(sent):
                     continue
                 start = len(nums)
-                nums.append(first.get(sent[0]))
-                nums.extend(map(later.get, sent[1:]))
+                nums.extend(map(later.get, sent))  # a Sequence need not slice
+                nums[start] = first.get(sent[0])
                 if None not in nums[start:]:
                     continue
                 for at, tok in enumerate(sent, start):
@@ -304,8 +301,8 @@ class FeaturePipeline:
                             if tok in words:
                                 kept.append(k)
                         nums[at] = base + k
-        except TypeError:  # an item with no length, or an unhashable token
-            check_sentences(batch)
+        except TypeError:  # an unhashable token
+            check_tokens(tok for sent in batch for tok in sent)
             raise
         if missed:
             staged = memo.spare(len(toks))

@@ -82,9 +82,9 @@ def memm_forward(
     """T x N forward lattice for one sentence's (T, F) feature ids, or the
     stacked lattices of stacked sentences of `lengths`.
 
-    Stacked sentences are scored once per distinct row: l0 on the rows of
-    first positions, and l1 in one `predict_all_prev` call on the rows of
-    later ones, from whose (K, N, N) tables each step takes its own.  Given
+    Stacked sentences are scored once per model: l0 on each sentence's
+    first row, and l1 in one `predict_all_prev` call on every row of `obs`,
+    from whose (K, N, N) tables each step takes its own.  Given
     `token_rows`, token t's ids are row token_rows[t] of `obs`; by default
     each token has its own row.
     """
@@ -95,15 +95,11 @@ def memm_forward(
         rows = np.arange(len(obs)) if token_rows is None else check_token_rows(token_rows, len(obs))
         lengths = check_lengths(lengths, len(rows))
         starts = np.cumsum(lengths) - lengths
-        later = np.ones(len(rows), dtype=bool)
-        later[starts] = False
-        at = rows.copy()  # each token's place among its position kind's distinct rows
-        first_rows, at[starts] = np.unique(rows[starts], return_inverse=True)
-        later_rows, at[later] = np.unique(rows[later], return_inverse=True)
-        first = predict(l0, obs.take(first_rows, axis=0)).take(at[starts], axis=0)
-        tables = predict_all_prev(l1, obs.take(later_rows, axis=0))
+        # no row's scores depend on the rows scored with it
+        first = predict(l0, obs.take(rows[starts], axis=0))
+        tables = predict_all_prev(l1, obs)
         steps = (
-            tables.take(at[starts[lengths > t] + t], axis=0)
+            tables.take(rows[starts[lengths > t] + t], axis=0)
             for t in range(1, lengths.max())
         )
         return forward_lattice(first, steps, lengths)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import discrim, efb, hmc, memm
 from .core import (
-    PosteriorLattice, TagSet, Vocabulary, check_sentences, check_tokens, id_array, mpm_from_lattice
+    PosteriorLattice, TagSet, Vocabulary, check_tokens, id_array, is_batch, mpm_from_lattice
 )
 from .dataio import Corpus
 from .errors import InvalidInputError, NumericalDegeneracyError
@@ -20,8 +20,8 @@ from .features import FeatureIndex, FeaturePipeline, FeatureTemplate, build_inde
 
 
 # a batch decodes in buckets of sentences of similar length, each bucket
-# at most this many tokens; a sentence too long to share a bucket is
-# decoded alone
+# at most this many tokens; a sentence too long to share a bucket makes a
+# bucket of one
 BUCKET_TOKENS = 8192
 
 
@@ -73,8 +73,8 @@ def part_shapes(
 class Tagger:
     """A trained decoder plus everything needed to label new sentences.
 
-    A tagger is its `arrays`, by name in `part_shapes` order, which are
-    checked against its kind's `part_shapes` when it is built.  From them it
+    A tagger is its `arrays`, by name in `part_shapes` order, checked to be
+    finite and of its kind's `part_shapes` when it is built.  From them it
     builds the models it decodes with, sharing their arrays: `hmc_params`,
     `naive`, `l0` and `l1`, each None where its kind holds no such part.
     """
@@ -101,6 +101,8 @@ class Tagger:
         if [(name, getattr(a, "shape", None)) for name, a in arrays.items()] != [*shapes.items()]:
             raise InvalidInputError(f"a {kind.value} tagger holds arrays {list(arrays)}; "
                                     f"its kind holds {list(shapes)}")
+        if not all(np.isfinite(a).all() for a in arrays.values()):  # memm's rows rely on it
+            raise InvalidInputError(f"a {kind.value} tagger's arrays must be finite")
         params = naive = l0 = l1 = None
         if "pi" in arrays:
             params = hmc.HmcParams(arrays["pi"], arrays["trans"], arrays.get("emit"))
@@ -126,39 +128,24 @@ class Tagger:
     ) -> list[int] | list[list[int]]:
         """One sentence's labels.
 
-        Given a batch of sentences (a sequence whose first item is not a
-        string), returns one label list per sentence, in input order.  The
-        batch is decoded bucket by bucket (see `buckets`), and gives the
-        labels that decoding each sentence alone gives.
+        Given a batch of sentences (`core.is_batch` tells the two apart),
+        returns one label list per sentence, in input order.  The batch is
+        decoded bucket by bucket (see `buckets`), and gives the labels that
+        decoding each sentence alone gives.
         """
-        if isinstance(tokens, str):
-            raise InvalidInputError("a sentence is a sequence of tokens, not a string")
-        if len(tokens) == 0:
-            raise InvalidInputError("cannot decode an empty sentence")
-        if not isinstance(tokens[0], str):
-            return self._decode_batch(tokens)
-        return self._decode(tokens)
-
-    def _decode_batch(self, batch: Sequence[Sequence[str]]) -> list[list[int]]:
-        for item, sent in enumerate(batch):
-            if isinstance(sent, (str, bytes)):  # it would decode as a sentence of characters
-                raise InvalidInputError(f"batch item {item} is a string, not a sentence")
-        try:
-            lengths = [len(sent) for sent in batch]
-        except TypeError:  # a token such as 5 or None, first in what is then a batch
-            check_sentences(batch)
-            raise
+        if not is_batch(tokens):
+            if len(tokens) == 0:
+                raise InvalidInputError("cannot decode an empty sentence")
+            return self._decode(tokens)
+        lengths = [len(sent) for sent in tokens]
         if 0 in lengths:
             raise InvalidInputError(
                 f"cannot decode an empty sentence (batch item {lengths.index(0)})"
             )
-        labels: list = [None] * len(batch)
+        labels: list = [None] * len(tokens)
         for group in buckets(lengths):
             sizes = [lengths[i] for i in group]
-            if len(group) == 1:  # alone, the per-sentence recursions are faster
-                flat = self._decode(batch[group[0]])
-            else:
-                flat = self._decode([batch[i] for i in group], sizes)
+            flat = self._decode([tokens[i] for i in group], sizes)
             ends = list(accumulate(sizes))
             for i, start, end in zip(group, [0] + ends, ends):
                 labels[i] = flat[start:end]
@@ -195,7 +182,8 @@ class Tagger:
                 conditional = conditional.take(rows, axis=0)
             lattice = efb.posterior_efb(self.hmc_params, conditional, lengths)
         elif kind is DecoderKind.MEMM:
-            lattice = PosteriorLattice(memm.memm_forward(self.l0, self.l1, feats, lengths, rows))
+            alphas = memm.memm_forward(self.l0, self.l1, feats, lengths, rows)
+            lattice = PosteriorLattice._normalised(alphas)  # distributions by construction
         return mpm_from_lattice(lattice)
 
 

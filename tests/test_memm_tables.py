@@ -19,7 +19,7 @@ import pytest
 
 from conftest import decode_memm
 from efbtag import discrim, memm
-from efbtag.core import ROW_SUM_TOL
+from efbtag.core import ROW_SUM_TOL, PosteriorLattice
 from efbtag.dataio import CorpusFormat, read_corpus
 from efbtag.discrim import LogisticModel, SgdConfig, predict, predict_all_prev
 from efbtag.features import FeatureTemplate
@@ -100,6 +100,31 @@ def test_underflowing_normaliser_falls_back_to_the_direct_softmax():
 def test_empty_batch_gives_no_tables():
     model = weight_model(np.random.default_rng(0), 5, 3)
     assert predict_all_prev(model, np.empty((0, 2), dtype=np.intp)).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("n_labels", [1, 2, 17])
+@pytest.mark.parametrize("seed", range(4))
+def test_forward_rows_are_distributions_at_wide_weight_scales(n_labels, seed):
+    """A memm `Tagger` reads its forward rows without `PosteriorLattice`'s
+    check, which they pass: entries in [0, 1] and each row summing to 1
+    within ROW_SUM_TOL, for a sentence of 2,000 tokens alone and stacked
+    with others, each stacked token reading its distinct row."""
+    rng = np.random.default_rng([seed, n_labels, 4])
+    l1 = weight_model(rng, 300, n_labels)
+    scales = 10.0 ** rng.integers(-6, 4, (301, 1))
+    l0 = LogisticModel(rng.standard_normal((301, n_labels)) * scales, 300, n_labels, False)
+    lengths = [2_000, 1, 37, 500]
+    ids = rng.integers(0, 30, (sum(lengths), 3))  # few distinct rows, so rows repeat
+    distinct, token_rows = np.unique(ids, axis=0, return_inverse=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = memm.memm_forward(l0, l1, ids[:2_000])
+        stacked = memm.memm_forward(l0, l1, distinct, lengths, token_rows.ravel())
+    for alphas in (alone, stacked):
+        assert ((alphas >= 0.0) & (alphas <= 1.0 + ROW_SUM_TOL)).all()
+        assert (np.abs(alphas.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all()
+        PosteriorLattice(alphas)
+    assert stacked[:2_000].tobytes() == alone.tobytes()
 
 
 # --- memm decoding on gen.py corpora -----------------------------------------

@@ -159,6 +159,20 @@ def test_tagger_checks_its_kind_and_l1_when_built():
         replace(memm, arrays=l0_as_l1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", list(DecoderKind), ids=lambda kind: kind.value)
+def test_a_tagger_over_non_finite_arrays_is_refused_when_built(kind, value):
+    """A memm tagger reads its forward rows as distributions unchecked, which
+    holds for finite weights: one NaN or inf anywhere is refused when built
+    (a hand-built memm tagger over NaN weights then raised only at decode)."""
+    tagger, _ = train_tagger(toy_corpus(), kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
+    for name, array in tagger.arrays.items():
+        bad = array.copy()
+        bad.flat[-1] = value
+        with pytest.raises(InvalidInputError, match="arrays must be finite"):
+            replace(tagger, arrays={**tagger.arrays, name: bad})
+
+
 def model_arrays(tagger) -> dict:
     """Every array the tagger's models decode with, by the name of its part."""
     found = {}
