@@ -182,9 +182,10 @@ class PosteriorLattice:
 
     @classmethod
     def _normalised(cls, values: np.ndarray) -> "PosteriorLattice":
-        """A lattice of distributions by construction, so only its shape is
-        checked: finite non-negative rows divided by their finite sums > 0, or
-        memm's forward rows, which lie in [0, 1] and sum to 1 within rounding."""
+        """A lattice of rows that its caller divided by their sums, having
+        found every entry finite and non-negative and every sum finite and
+        > 0: such rows lie in [0, 1] and sum to 1 within rounding, so only
+        the shape is checked."""
         _check_table(values)
         lattice = object.__new__(cls)
         object.__setattr__(lattice, "values", values)

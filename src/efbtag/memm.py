@@ -95,9 +95,10 @@ def memm_forward(
         rows = np.arange(len(obs)) if token_rows is None else check_token_rows(token_rows, len(obs))
         lengths = check_lengths(lengths, len(rows))
         starts = np.cumsum(lengths) - lengths
-        # no row's scores depend on the rows scored with it
+        # no row's scores depend on the rows scored with it; a bucket of
+        # one-token sentences takes no step, and scores no rows with l1
         first = predict(l0, obs.take(rows[starts], axis=0))
-        tables = predict_all_prev(l1, obs)
+        tables = predict_all_prev(l1, obs if lengths.max() > 1 else obs[:0])
         steps = (
             tables.take(rows[starts[lengths > t] + t], axis=0)
             for t in range(1, lengths.max())

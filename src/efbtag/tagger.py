@@ -73,8 +73,8 @@ def part_shapes(
 class Tagger:
     """A trained decoder plus everything needed to label new sentences.
 
-    A tagger is its `arrays`, by name in `part_shapes` order, checked to be
-    finite and of its kind's `part_shapes` when it is built.  From them it
+    A tagger is its `arrays`, by name in `part_shapes` order, which are
+    checked against its kind's `part_shapes` when it is built.  From them it
     builds the models it decodes with, sharing their arrays: `hmc_params`,
     `naive`, `l0` and `l1`, each None where its kind holds no such part.
     """
@@ -101,8 +101,6 @@ class Tagger:
         if [(name, getattr(a, "shape", None)) for name, a in arrays.items()] != [*shapes.items()]:
             raise InvalidInputError(f"a {kind.value} tagger holds arrays {list(arrays)}; "
                                     f"its kind holds {list(shapes)}")
-        if not all(np.isfinite(a).all() for a in arrays.values()):  # memm's rows rely on it
-            raise InvalidInputError(f"a {kind.value} tagger's arrays must be finite")
         params = naive = l0 = l1 = None
         if "pi" in arrays:
             params = hmc.HmcParams(arrays["pi"], arrays["trans"], arrays.get("emit"))
@@ -182,8 +180,7 @@ class Tagger:
                 conditional = conditional.take(rows, axis=0)
             lattice = efb.posterior_efb(self.hmc_params, conditional, lengths)
         elif kind is DecoderKind.MEMM:
-            alphas = memm.memm_forward(self.l0, self.l1, feats, lengths, rows)
-            lattice = PosteriorLattice._normalised(alphas)  # distributions by construction
+            lattice = PosteriorLattice(memm.memm_forward(self.l0, self.l1, feats, lengths, rows))
         return mpm_from_lattice(lattice)
 
 

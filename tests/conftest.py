@@ -66,9 +66,7 @@ def decode_efb(params, obs, lengths=None) -> list[int]:
 
 
 def decode_lattice(alphas) -> list[int]:
-    """Labels of a forward lattice after `PosteriorLattice`'s own check: a memm
-    `Tagger` takes the same argmax without the check, its rows being
-    distributions by construction."""
+    """Labels as a memm `Tagger` reads a forward lattice: its check, then its argmax."""
     return mpm_from_lattice(PosteriorLattice(alphas))
 
 

@@ -105,10 +105,10 @@ def test_empty_batch_gives_no_tables():
 @pytest.mark.parametrize("n_labels", [1, 2, 17])
 @pytest.mark.parametrize("seed", range(4))
 def test_forward_rows_are_distributions_at_wide_weight_scales(n_labels, seed):
-    """A memm `Tagger` reads its forward rows without `PosteriorLattice`'s
-    check, which they pass: entries in [0, 1] and each row summing to 1
-    within ROW_SUM_TOL, for a sentence of 2,000 tokens alone and stacked
-    with others, each stacked token reading its distinct row."""
+    """Forward rows pass the check a memm `Tagger` makes of them: entries in
+    [0, 1] and each row summing to 1 within ROW_SUM_TOL, for a sentence of
+    2,000 tokens alone and stacked with others, each stacked token reading
+    its distinct row."""
     rng = np.random.default_rng([seed, n_labels, 4])
     l1 = weight_model(rng, 300, n_labels)
     scales = 10.0 ** rng.integers(-6, 4, (301, 1))
