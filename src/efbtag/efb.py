@@ -31,7 +31,9 @@ import numpy as np
 
 from .core import PosteriorLattice, check_lengths
 from .errors import InvalidInputError
-from .hmc import HmcParams, posterior_from_lattices, scaled_backward, scaled_forward
+from .hmc import (
+    RESCALE_EVERY, HmcParams, posterior_from_lattices, scaled_backward, scaled_forward,
+)
 
 # floor for conditional label probabilities; softmax providers never hit
 # it, but table-backed providers may emit exact zeros
@@ -91,33 +93,35 @@ def conditional_matrix(
 
 
 def entropic_forward(
-    params: HmcParams, obs: Sequence | np.ndarray, lengths=None
+    params: HmcParams, obs: Sequence | np.ndarray, lengths=None, every: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropic forward lattice: the scaled forward recursion on L / pi.
 
     The base case pi * (L[0] / pi) is L[0].  Unscaled value at t is
-    alphas[t] * prod(scales[:t+1]).
+    alphas[t] * prod(scales[:t+1]).  `every` is `scaled_forward`'s.
     """
     return scaled_forward(
         params.pi, params.trans, conditional_matrix(params, obs, lengths) / params.pi,
-        lengths,
+        lengths, every,
     )
 
 
 def entropic_backward(
-    params: HmcParams, obs: Sequence | np.ndarray, lengths=None
+    params: HmcParams, obs: Sequence | np.ndarray, lengths=None, every: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Entropic backward lattice; unscaled value at t is betas[t] * prod(scales[t:])."""
+    """Entropic backward lattice; unscaled value at t is betas[t] * prod(scales[t:]).
+    `every` is `scaled_backward`'s."""
     return scaled_backward(
-        params.trans, conditional_matrix(params, obs, lengths) / params.pi, lengths
+        params.trans, conditional_matrix(params, obs, lengths) / params.pi, lengths, every
     )
 
 
 def posterior_efb(
     params: HmcParams, obs: Sequence | np.ndarray, lengths=None
 ) -> PosteriorLattice:
-    """Posterior marginals from the entropic recursions (scales cancel)."""
-    alphas, _ = entropic_forward(params, obs, lengths)
-    betas, _ = entropic_backward(params, obs, lengths)
+    """Posterior marginals from the entropic recursions (scales cancel), each
+    normalizing a row every RESCALE_EVERY steps."""
+    alphas, _ = entropic_forward(params, obs, lengths, RESCALE_EVERY)
+    betas, _ = entropic_backward(params, obs, lengths, RESCALE_EVERY)
     return posterior_from_lattices(alphas, betas)
 

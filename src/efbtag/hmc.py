@@ -10,7 +10,9 @@ featured decoders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from itertools import chain
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +26,14 @@ from .features import FeatureIndex
 
 PROB_TOL = 1e-12
 DEFAULT_SMOOTHING = 1e-6
+# the posteriors run the recursions with `every` = RESCALE_EVERY: a posterior
+# reads only each row of alpha * beta over its sum, so a row need not be
+# normalized at every step, only often enough that none underflows
+RESCALE_EVERY = 8
+# a block of steps whose closing sum falls to this is run again step by step;
+# a posterior multiplies an alpha row by a beta row, each as small as this, and
+# the product must stay far above float64's least normal number, 2.2e-308
+RESCALE_GUARD = 1e-100
 
 
 def _check_rows(table: np.ndarray, what: str) -> None:
@@ -139,8 +149,52 @@ def _degenerate(direction: str, t: int) -> NumericalDegeneracyError:
     return NumericalDegeneracyError(f"{direction} pass degenerated to zero mass at position {t}")
 
 
+def _check_every(every) -> None:
+    # an int first: the test for the ABC takes ten times as long
+    if not (type(every) is int or isinstance(every, Integral)) or every < 1:
+        raise InvalidInputError(f"rescaling interval must be an integer >= 1, got {every!r}")
+
+
+def _peak_scaled(emissions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each emission row divided by its maximum, and the maxima.  A row whose
+    maximum is under float64's least normal number (an all-zero row) is
+    divided by that number instead, so nothing divides by zero."""
+    tiny = np.finfo(np.float64).tiny
+    # over a long matrix, N column maxima take a third of the time of one
+    # reduction over its short rows; over one sentence the reduction is quicker
+    if len(emissions) > 256:
+        peaks = reduce(np.maximum, emissions.T, np.full(len(emissions), tiny))
+    else:
+        peaks = np.maximum.reduce(emissions, axis=1, initial=tiny)
+    return emissions / peaks[:, None], peaks
+
+
+def _under_guard(sums: np.ndarray, scheduled: bool, direction: str, t) -> bool:
+    """Mark stacked `sums` that fell to the guard.  At every = 1 that is a
+    degeneracy at step t; on a schedule they become NaN, which the division
+    spreads to their rows without a warning and `_redo_every_step` finds."""
+    if not scheduled:
+        raise _degenerate(direction, t)
+    sums[~(sums > RESCALE_GUARD)] = np.nan
+    return True
+
+
+def _redo_every_step(recursion, raw: np.ndarray, lengths, lattice: np.ndarray,
+                     scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`lattice` and `scales`, with the rows of each sentence that holds a NaN
+    scale taken from `recursion` run over those sentences with every = 1."""
+    if lengths is None:
+        return recursion(raw, None, 1)
+    lengths = np.asarray(lengths)
+    ends = np.cumsum(lengths)
+    which = np.unique(np.searchsorted(ends, np.flatnonzero(np.isnan(scales)), side="right"))
+    rows = np.concatenate([np.arange(ends[i] - lengths[i], ends[i]) for i in which])
+    lattice[rows], scales[rows] = recursion(raw.take(rows, axis=0), lengths[which], 1)
+    return lattice, scales
+
+
 def scaled_forward(
-    pi: np.ndarray, trans: np.ndarray, emissions: np.ndarray, lengths=None
+    pi: np.ndarray, trans: np.ndarray, emissions: np.ndarray, lengths=None, every: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward recursion over an explicit T x N emission matrix.
 
@@ -156,7 +210,24 @@ def scaled_forward(
     rows run in two phases: while two or more sentences run, a step is one
     stacked matmul in the per-row (1, N) @ (N, N) form; then the longest
     runs on alone, a row at a time, as one sentence does throughout.
+
+    Given `every` = k > 1, each emission row is first divided by its
+    maximum, and a row is normalized only where t % k == k - 1 or t is
+    its sentence's last position, t counted within the sentence, so
+    stacked sentences still give their own bytes.  A row's scale is its
+    emission maximum, times its sum where it is normalized, so the
+    unscaled value and the product of the scales keep their meaning.
+    With emission rows at most 1 and `trans` row-stochastic, a row's mass
+    is at most the mass of the row before, so the sum that closes a block
+    of steps is the least mass in it: a block that closes above
+    RESCALE_GUARD lost nothing to underflow.  A sentence with a block
+    that does not is run again with every = 1, and its rows spliced in,
+    so it gives the rows, or raises the error, that every = 1 gives.
     """
+    _check_every(every)
+    raw, scheduled = emissions, every > 1
+    if scheduled:
+        emissions, peaks = _peak_scaled(emissions)
     packed, bounds, place = _packed(emissions, lengths)
     # a step alone is four numpy calls on N-vectors, so name lookups, keyword
     # parsing and `np.dot`'s dispatch would be a visible share of it: the
@@ -164,44 +235,68 @@ def scaled_forward(
     # is the array method, which runs the same BLAS call as `np.dot`
     multiply, divide, add = np.multiply, np.divide, np.add.reduce
     alphas = np.empty(packed.shape)
-    scales = np.empty(len(packed))
-    start = bounds[-1]
+    scales = np.ones(len(packed))
+    floor = RESCALE_GUARD if scheduled else 0.0
+    fell = False  # a block closed under the guard
+    closing = every - 1
+    start, shared = bounds[-1], len(bounds) - 1
     prev, tail = None, (alphas, packed)
     if start:  # two or more sentences: stacked steps, then the longest alone
         for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            rows, emit, s = alphas[lo:hi], packed[lo:hi], scales[lo:hi]
+            rows, emit = alphas[lo:hi], packed[lo:hi]
             if prev is None:
                 multiply(pi, emit, rows)
             else:
                 np.matmul(prev[: hi - lo, None, :], trans, rows[:, None, :])
                 multiply(emit, rows, rows)
-            add(rows, 1, None, s)
-            if not (s > 0.0).all():
-                raise _degenerate("forward", t)
-            divide(rows, s[:, None], rows)
+            if t % every == closing:
+                s = scales[lo:hi]
+                add(rows, 1, None, s)
+                if not (s > floor).all():
+                    fell = _under_guard(s, scheduled, "forward", t)
+                divide(rows, s[:, None], rows)
             prev = rows
         prev, tail = prev[0], (alphas[start:], packed[start:])
     alone = []
-    for row, emit in zip(*tail):
+    last = shared + len(tail[0]) - 1
+    for t, row, emit in zip(range(shared, last + 1), *tail):
         if prev is None:
             multiply(pi, emit, row)
         else:
             prev.dot(trans, row)
             multiply(emit, row, row)
-        s = add(row)
-        if not s > 0.0:
-            raise _degenerate("forward", len(bounds) - 1 + len(alone))
+        s = 1.0
+        if t % every == closing or t == last:
+            s = add(row)
+            if not s > floor:
+                if not scheduled:
+                    raise _degenerate("forward", t)
+                s, fell = np.nan, True
+            divide(row, s, row)
         alone.append(s)
-        divide(row, s, row)
         prev = row
     scales[start:] = alone
-    if not start:  # one sentence: its packed rows are in its own order
+    if start:
+        alphas, scales = alphas.take(place, axis=0), scales.take(place)
+    if not scheduled:
         return alphas, scales
-    return alphas.take(place, axis=0), scales.take(place)
+    if shared:  # the last rows of sentences that end while others run on
+        lengths = np.asarray(lengths)
+        ends = (np.cumsum(lengths) - 1)[(lengths <= shared) & (lengths % every != 0)]
+        rows = alphas[ends]
+        s = add(rows, 1)
+        if not (s > floor).all():
+            fell = _under_guard(s, scheduled, "forward", None)
+        alphas[ends] = divide(rows, s[:, None], rows)
+        scales[ends] = s
+    scales *= peaks
+    if fell:
+        return _redo_every_step(partial(scaled_forward, pi, trans), raw, lengths, alphas, scales)
+    return alphas, scales
 
 
 def scaled_backward(
-    trans: np.ndarray, emissions: np.ndarray, lengths=None
+    trans: np.ndarray, emissions: np.ndarray, lengths=None, every: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward recursion with the same row-normalization scheme.
 
@@ -213,46 +308,80 @@ def scaled_backward(
     steps in the per-row (N, N) @ (N, 1) form on the sentences that ran at
     the step after; those that end at a step follow them, and start their
     pass there with a row of ones.
+
+    Given `every` = k > 1, each emission row is first divided by its
+    maximum, and a row is normalized only where t % k == 0, which every
+    sentence's first position is.  Row t's scale is the maximum of the
+    emission row t + 1 that its step reads (1 at a sentence's last
+    position), times its sum where it is normalized.  With emission rows
+    at most 1 and `trans` row-stochastic, no entry of a row exceeds the
+    largest entry of the row after, so the sum that closes a block bounds
+    the largest entry of every row in it to within a factor N: a block
+    that closes above RESCALE_GUARD lost nothing to underflow.  A sentence
+    with a block that does not is run again with every = 1, as in
+    `scaled_forward`.
     """
+    _check_every(every)
+    raw, scheduled = emissions, every > 1
+    if scheduled:
+        emissions, peaks = _peak_scaled(emissions)
     packed, bounds, place = _packed(emissions, lengths)
     matvec, multiply, divide, add = trans.dot, np.multiply, np.divide, np.add.reduce
     betas = np.empty(packed.shape)
-    scales = np.empty(len(packed))
-    start = bounds[-1]
-    alone = []  # last position first
+    scales = np.ones(len(packed))
+    floor = RESCALE_GUARD if scheduled else 0.0
+    fell = False  # a block closed under the guard
+    start, shared = bounds[-1], len(bounds) - 1
     buf = np.empty(packed.shape[1])
     nxt = nxt_emit = None
     tail = slice(None, start - 1 if start else None, -1)  # rows `start:`, last first
-    for row, emit in zip(betas[tail], packed[tail]):
+    alone = []  # last position first
+    last = shared + len(packed) - start - 1
+    for t, row, emit in zip(range(last, shared - 1, -1), betas[tail], packed[tail]):
         if nxt is None:
             row.fill(1.0)
         else:
             multiply(nxt_emit, nxt, buf)
             matvec(buf, row)
-        s = add(row)
-        if not s > 0.0:
-            raise _degenerate("backward", len(bounds) - 2 + len(packed) - start - len(alone))
+        s = 1.0
+        if t % every == 0:
+            s = add(row)
+            if not s > floor:
+                if not scheduled:
+                    raise _degenerate("backward", t)
+                s, fell = np.nan, True
+            divide(row, s, row)
         alone.append(s)
-        divide(row, s, row)
         nxt, nxt_emit = row, emit
     scales[tail] = alone
-    if not start:  # one sentence: its packed rows are in its own order
+    if start:
+        # the rows after the last stacked step: the longest sentence's, if it ran on
+        nxt, nxt_emit = betas[start : start + 1], packed[start : start + 1]
+        buf = np.empty((bounds[1], packed.shape[1]))
+        for t in range(shared - 1, -1, -1):
+            lo, hi, m = bounds[t], bounds[t + 1], len(nxt)
+            rows = betas[lo:hi]
+            multiply(nxt_emit, nxt, buf[:m])
+            np.matmul(trans, buf[:m, :, None], rows[:m, :, None])
+            rows[m:] = 1.0
+            if t % every == 0:
+                s = scales[lo:hi]
+                add(rows, 1, None, s)
+                if not (s > floor).all():
+                    fell = _under_guard(s, scheduled, "backward", t)
+                divide(rows, s[:, None], rows)
+            nxt, nxt_emit = rows, packed[lo:hi]
+        betas, scales = betas.take(place, axis=0), scales.take(place)
+    if not scheduled:
         return betas, scales
-    # the rows after the last stacked step: the longest sentence's, if it ran on
-    nxt, nxt_emit = betas[start : start + 1], packed[start : start + 1]
-    buf = np.empty((bounds[1], packed.shape[1]))
-    for t in range(len(bounds) - 2, -1, -1):
-        lo, hi, m = bounds[t], bounds[t + 1], len(nxt)
-        rows, s = betas[lo:hi], scales[lo:hi]
-        multiply(nxt_emit, nxt, buf[:m])
-        np.matmul(trans, buf[:m, :, None], rows[:m, :, None])
-        rows[m:] = 1.0
-        add(rows, 1, None, s)
-        if not (s > 0.0).all():
-            raise _degenerate("backward", t)
-        divide(rows, s[:, None], rows)
-        nxt, nxt_emit = rows, packed[lo:hi]
-    return betas.take(place, axis=0), scales.take(place)
+    # row t's step read emission row t + 1; a sentence's last row read none
+    follow = np.append(peaks[1:], 1.0)
+    if lengths is not None:
+        follow[np.cumsum(lengths) - 1] = 1.0
+    scales *= follow
+    if fell:
+        return _redo_every_step(partial(scaled_backward, trans), raw, lengths, betas, scales)
+    return betas, scales
 
 
 def _packed(emissions: np.ndarray, lengths) -> tuple[np.ndarray, list[int], np.ndarray | None]:
@@ -337,9 +466,10 @@ def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray) -> PosteriorL
 
 
 def _posterior(params: HmcParams, emissions: np.ndarray, lengths=None) -> PosteriorLattice:
-    """Run the scaled forward and backward recursions over one emission matrix."""
-    alphas, _ = scaled_forward(params.pi, params.trans, emissions, lengths)
-    betas, _ = scaled_backward(params.trans, emissions, lengths)
+    """Run the scaled forward and backward recursions over one emission matrix,
+    each normalizing a row every RESCALE_EVERY steps."""
+    alphas, _ = scaled_forward(params.pi, params.trans, emissions, lengths, RESCALE_EVERY)
+    betas, _ = scaled_backward(params.trans, emissions, lengths, RESCALE_EVERY)
     return posterior_from_lattices(alphas, betas)
 
 

@@ -8,7 +8,8 @@ twice therefore produces byte-identical files.
 A file holds a tagger's `arrays`, which are its kind's
 `tagger.part_shapes`, in that order.  Loading reads them back into that
 dict, and `Tagger` builds its models from it.  Loading rejects a header
-with any other array list, and any non-finite value.
+with any other array list, any non-finite value, and any array value
+that `Tagger` refuses, such as weights whose scores could overflow.
 
 The featured kinds store their index as `feature_index.entries`, its
 (family, value) pairs in id order, and `features.index_from_pairs`
@@ -165,4 +166,7 @@ def _tagger_from(
             if name in arrays:
                 arrays[name][: len(rows)] = arrays[name][rows]
 
-    return Tagger(kind, tagset, vocab, index, arrays)
+    try:
+        return Tagger(kind, tagset, vocab, index, arrays)
+    except InvalidInputError as exc:  # values of the arrays that a tagger refuses
+        raise DataError(f"{path}: {exc}") from None

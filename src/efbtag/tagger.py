@@ -41,6 +41,23 @@ def buckets(lengths: Sequence[int]) -> list[list[int]]:
     return groups
 
 
+# a score sums one weight row per feature family, the bias row and, for l1,
+# the previous label's row, and a softmax subtracts two scores: weights whose
+# rows sum to at most this keep both within half of float64's largest value
+SCORE_LIMIT = np.finfo(np.float64).max / 4
+
+
+def _check_score_range(name: str, model: discrim.LogisticModel, n_families: int) -> None:
+    """Refuse a weight table from which a score could overflow (or is not finite)."""
+    rows = n_families + 1 + model.conditions_on_prev
+    largest = np.maximum(model.weights.max(), -model.weights.min())
+    if not largest <= SCORE_LIMIT / rows:  # NaN fails it too
+        raise InvalidInputError(
+            f"array {name!r} holds a weight of magnitude {largest:g}: a score sums "
+            f"{rows} rows of it, which could overflow float64"
+        )
+
+
 class DecoderKind(Enum):
     HMC_FB = "hmc-fb"
     HMC_EFB = "hmc-efb"
@@ -74,7 +91,8 @@ class Tagger:
     """A trained decoder plus everything needed to label new sentences.
 
     A tagger is its `arrays`, by name in `part_shapes` order, which are
-    checked against its kind's `part_shapes` when it is built.  From them it
+    checked against its kind's `part_shapes` when it is built, and whose
+    weights must keep every score within `SCORE_LIMIT`.  From them it
     builds the models it decodes with, sharing their arrays: `hmc_params`,
     `naive`, `l0` and `l1`, each None where its kind holds no such part.
     """
@@ -111,6 +129,9 @@ class Tagger:
             l0 = discrim.LogisticModel(arrays["l0_weights"], index.size, n, False)
         if "l1_weights" in arrays:  # l1 alone conditions on the previous label
             l1 = discrim.LogisticModel(arrays["l1_weights"], index.size, n, True)
+        for name, model in (("l0_weights", l0), ("l1_weights", l1)):
+            if model is not None:
+                _check_score_range(name, model, len(index.families))
         parts = dict(arrays=arrays, hmc_params=params, naive=naive, l0=l0, l1=l1)
         for name, part in parts.items():
             object.__setattr__(self, name, part)

@@ -21,7 +21,7 @@ from efbtag.discrim import ExampleColumns, SgdConfig, predict, predict_all_prev,
 from efbtag.errors import InvalidInputError, NumericalDegeneracyError
 from efbtag.features import FeatureTemplate, index_from_pairs
 from efbtag.tagger import DecoderKind, train_tagger
-from test_bitwise_kernels import outcome, reference_backward, reference_forward
+from test_bitwise_kernels import outcome
 from test_sentence_scoring import SGD, STEMS, random_corpus
 
 
@@ -166,14 +166,15 @@ def test_non_numeric_provider_row_rejected(worked_params, row):
 
 def parent_posterior(tagger, lmat):
     """The earlier hmc-efb path: each row copied into a matrix, floored, then
-    the fresh-row textbook recursions."""
+    the recursions on the posterior's rescaling schedule (at every = 1 they are
+    the textbook ones, which `test_bitwise_kernels` pins)."""
     rows = np.empty(lmat.shape)
     for t, row in enumerate(lmat):
         rows[t] = row
     pi, trans = tagger.hmc_params.pi, tagger.hmc_params.trans
     ratio = np.maximum(rows, efb.L_FLOOR) / pi
-    alphas, _ = reference_forward(pi, trans, ratio)
-    betas, _ = reference_backward(trans, ratio)
+    alphas, _ = hmc.scaled_forward(pi, trans, ratio, every=hmc.RESCALE_EVERY)
+    betas, _ = hmc.scaled_backward(trans, ratio, every=hmc.RESCALE_EVERY)
     return hmc.posterior_from_lattices(alphas, betas)
 
 

@@ -81,8 +81,8 @@ def test_posterior_fb_equals_the_posterior_of_fancy_index_emissions(n, words, le
     for lens, part in ((None, obs[: lengths[0]]), (lengths, obs)):
         got = hmc.posterior_fb(params, part, lens).values
         e = emissions[: len(part)]
-        alphas, _ = hmc.scaled_forward(pi, trans, e, lens)
-        betas, _ = hmc.scaled_backward(trans, e, lens)
+        alphas, _ = hmc.scaled_forward(pi, trans, e, lens, hmc.RESCALE_EVERY)
+        betas, _ = hmc.scaled_backward(trans, e, lens, hmc.RESCALE_EVERY)
         expected = hmc.posterior_from_lattices(alphas, betas).values
         assert got.tobytes() == expected.tobytes()
 

@@ -1,5 +1,4 @@
 import hashlib
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +8,10 @@ from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.dataio import Corpus
 from efbtag import discrim, hmc
 from efbtag.discrim import SgdConfig, predict
-from efbtag.errors import InvalidInputError
+from efbtag.errors import DataError, InvalidInputError
 from efbtag.features import FeaturePipeline, FeatureTemplate, build_index
 from efbtag.modelfile import MAGIC, load_model, save_model
-from efbtag.tagger import DecoderKind, Tagger, train_compare_pair, train_tagger
+from efbtag.tagger import SCORE_LIMIT, DecoderKind, Tagger, train_compare_pair, train_tagger
 
 
 def toy_corpus() -> Corpus:
@@ -160,20 +159,49 @@ def test_tagger_checks_its_kind_and_l1_when_built():
         replace(memm, arrays=l0_as_l1)
 
 
-def test_a_memm_file_whose_scores_overflow_is_invalid_input(tmp_path):
+def test_a_memm_file_whose_scores_can_overflow_is_refused_at_load(tmp_path):
     """Finite weights can still overflow a feature row's score sum, which
-    makes NaN forward rows; the lattice check refuses them rather than
-    reading labels from them, batched and per sentence."""
+    would make NaN forward rows: a file that holds such weights is a
+    DataError at load, naming the file and the array."""
     tagger, _ = train_tagger(toy_corpus(), DecoderKind.MEMM, FeatureTemplate.LF1,
                              SgdConfig(epochs=1))
-    huge = np.full_like(tagger.arrays["l1_weights"], 1e308)
-    save_model(tmp_path / "m.bin", replace(tagger, arrays={**tagger.arrays, "l1_weights": huge}))
-    loaded = load_model(tmp_path / "m.bin")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notice
-        for tokens in (["the", "cat", "runs"], [["the", "cat", "runs"], ["a", "dog"]]):
-            with pytest.raises(InvalidInputError):
-                loaded.decode(tokens)
+    save_model(tmp_path / "m.bin", tagger)
+    data = (tmp_path / "m.bin").read_bytes()
+    huge = np.full_like(tagger.arrays["l1_weights"], 1e308).tobytes()  # the last array
+    (tmp_path / "m.bin").write_bytes(data[: -len(huge)] + huge)
+    with pytest.raises(DataError, match=r"m\.bin: array 'l1_weights' holds a weight"):
+        load_model(tmp_path / "m.bin")
+
+
+@pytest.mark.parametrize("kind, name", [(DecoderKind.HMC_EFB, "l0_weights"),
+                                        (DecoderKind.MEMM, "l0_weights"),
+                                        (DecoderKind.MEMM, "l1_weights")])
+def test_weights_whose_scores_can_overflow_are_refused_when_built(kind, name):
+    tagger, _ = train_tagger(toy_corpus(), kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
+    for bad in (np.inf, np.nan, -1e308):
+        weights = tagger.arrays[name].copy()
+        weights[1, 2] = bad
+        with pytest.raises(InvalidInputError, match=f"array '{name}' holds a weight"):
+            replace(tagger, arrays={**tagger.arrays, name: weights})
+
+
+@pytest.mark.parametrize("kind", [DecoderKind.HMC_EFB, DecoderKind.MEMM],
+                         ids=lambda kind: kind.value)
+def test_weights_at_the_score_limit_decode_without_overflow(kind):
+    """Every weight the largest that the bound allows, signs alternating: the
+    scores and their softmax differences stay finite, so both forms decode
+    to the same labels and no RuntimeWarning (an error here) is raised."""
+    tagger, _ = train_tagger(toy_corpus(), kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
+    families = len(tagger.feature_index.families)
+    arrays = dict(tagger.arrays)
+    for name in ("l0_weights", "l1_weights"):
+        if name in arrays:
+            rows = families + 1 + (name == "l1_weights")
+            signs = np.where(np.arange(arrays[name].size) % 2, 1.0, -1.0)
+            arrays[name] = (signs * (SCORE_LIMIT / rows)).reshape(arrays[name].shape)
+    limit = replace(tagger, arrays=arrays)
+    sentences = [["the", "cat", "runs"], ["a", "dog"], ["zebra"]]
+    assert limit.decode(sentences) == [limit.decode(s) for s in sentences]
 
 
 def model_arrays(tagger) -> dict:
