@@ -32,7 +32,8 @@ import numpy as np
 from .core import PosteriorLattice, check_lengths
 from .errors import InvalidInputError
 from .hmc import (
-    RESCALE_EVERY, HmcParams, posterior_from_lattices, scaled_backward, scaled_forward,
+    RESCALE_EVERY, HmcParams, every_step_rerun, posterior_from_lattices, scaled_backward,
+    scaled_forward,
 )
 
 # floor for conditional label probabilities; softmax providers never hit
@@ -120,8 +121,11 @@ def posterior_efb(
     params: HmcParams, obs: Sequence | np.ndarray, lengths=None
 ) -> PosteriorLattice:
     """Posterior marginals from the entropic recursions (scales cancel), each
-    normalizing a row every RESCALE_EVERY steps."""
+    normalizing a row every RESCALE_EVERY steps; a sentence whose posterior
+    denominator falls to `hmc.POSTERIOR_GUARD` runs again every step."""
     alphas, _ = entropic_forward(params, obs, lengths, RESCALE_EVERY)
     betas, _ = entropic_backward(params, obs, lengths, RESCALE_EVERY)
-    return posterior_from_lattices(alphas, betas)
+    return posterior_from_lattices(alphas, betas, every_step_rerun(
+        params.pi, params.trans, lambda: conditional_matrix(params, obs, lengths) / params.pi,
+        lengths, alphas, betas))
 

@@ -10,9 +10,9 @@ within TOL (stated before any run) of the exact one, which a 50-digit
 decimal recursion gives, the schedule's is within TOL of it, with the
 same label wherever its top two are further apart than TOL; `unscale`
 keeps its meaning; a batch gives each sentence its own bytes; and a
-sentence with no mass, or whose block falls under the guard, is run again
-step by step, so it raises the every-step error or gives the every-step
-rows.  A row divided by zero would raise a RuntimeWarning, which pytest
+sentence with no mass, or whose block or posterior denominator falls
+under its guard, is run again step by step, so it raises the every-step
+error or gives the every-step rows.  A row divided by zero would raise a RuntimeWarning, which pytest
 turns into a failure here.
 
 Where near-zero emissions meet a chain that almost never moves, the
@@ -235,6 +235,56 @@ def test_a_block_under_the_guard_is_run_again_step_by_step():
         assert scales[13:].tobytes() != others[1].tobytes(), name
     posterior = efb.posterior_efb(chain, lmat, lengths).values
     assert posterior[3:13].tobytes() == every_step(chain, ratio[3:13]).tobytes()
+
+
+def ladder_sentence(steps=9, move=1e-33, drain=10 ** -12.3, r=0.1, k=hmc.RESCALE_EVERY):
+    """A chain that climbs states 0..steps one `move` at a time, plus a last
+    state that it never enters, and a sentence over it whose alpha and beta
+    rows disagree by about `move` ** `steps` in its middle block: its past
+    pulls down the ladder and its future up it, each by `r` a rung a step,
+    so no block of either pass pays the climb at once; the middle block
+    favours the last state, so both passes lose `drain` of their mass a step
+    there, and no block closes under the guard."""
+    n = steps + 2
+    trans = np.zeros((n, n))
+    trans[:-1, :-1] = np.eye(n - 1) * (1 - move) + np.eye(n - 1, k=1) * move
+    trans[-2, -2] = 1.0
+    trans[-1, :-1] = 1.0 / (n - 1)
+    chain = hmc.HmcParams(pi=np.full(n, 1.0 / n), trans=trans)
+    down = np.append(r ** np.arange(steps + 1.0), 1e-30)
+    middle = np.append(np.full(steps + 1, drain), 1.0)
+    rows = np.concatenate([np.tile(down, (10 * k, 1)), np.tile(middle, (k, 1)),
+                           np.tile(down[-2::-1].tolist() + [1e-30], (10 * k, 1))])
+    return chain, rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_posterior_denominator_under_the_guard_is_run_again_step_by_step(kind):
+    """Alpha and beta rows that disagree by about 1e-297, each at a block
+    mass near the guard, overlap under float64's least normal number on the
+    schedule, though every step finds a posterior within TOL of the exact
+    one: that sentence alone is run every step, batched among others, and
+    gives the every-step bytes.  Unguarded, the schedule missed the exact
+    posterior by 2e-7 (hmc-fb) and 0.3 (hmc-naive-features), and hmc-efb
+    raised 'posterior denominator underflowed'."""
+    rng = np.random.default_rng(SEED)
+    chain, ladder = ladder_sentence()
+    lengths = [5, len(ladder), 7]
+    rows = np.concatenate([rng.dirichlet(np.ones(len(chain.pi)), size=5), ladder,
+                           rng.dirichlet(np.ones(len(chain.pi)), size=7)])
+    posterior, obs, emissions = posterior_of(kind, chain, rows, rng)
+    sentence = slice(5, 5 + len(ladder))
+    want = every_step(chain, emissions[sentence])
+    assert np.max(np.abs(want - exact_posterior(chain, emissions[sentence]))) <= TOL
+    alphas, _ = hmc.scaled_forward(chain.pi, chain.trans, emissions[sentence],
+                                   every=hmc.RESCALE_EVERY)
+    betas, _ = hmc.scaled_backward(chain.trans, emissions[sentence], every=hmc.RESCALE_EVERY)
+    assert (alphas * betas).sum(axis=1).min() < np.finfo(np.float64).tiny
+    batched = posterior(obs, lengths)
+    assert batched[sentence].tobytes() == want.tobytes()
+    assert posterior(obs[sentence]).tobytes() == want.tobytes()
+    for part in (slice(0, 5), slice(5 + len(ladder), None)):
+        assert batched[part].tobytes() == posterior(obs[part]).tobytes()
 
 
 def test_the_scales_are_the_row_maxima_times_the_sums():
