@@ -182,10 +182,12 @@ class PosteriorLattice:
 
     @classmethod
     def _normalised(cls, values: np.ndarray) -> "PosteriorLattice":
-        """A lattice of rows that its caller divided by their sums, having
-        found every entry finite and non-negative and every sum finite and
-        > 0: such rows lie in [0, 1] and sum to 1 within rounding, so only
-        the shape is checked."""
+        """A lattice of rows that its caller knows to be distributions: rows
+        it divided by their sums, having found every entry finite and
+        non-negative and every sum finite and > 0, or memm forward rows of
+        weights that keep every score within `tagger.SCORE_LIMIT`.  Such rows
+        lie in [0, 1] and sum to 1 within rounding, so only the shape is
+        checked."""
         _check_table(values)
         lattice = object.__new__(cls)
         object.__setattr__(lattice, "values", values)

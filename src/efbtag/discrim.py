@@ -130,8 +130,10 @@ def _weight_rows(
     """
     if ids.ndim != 2:
         raise InvalidInputError("a batch of feature ids must be two-dimensional")
-    bad = (ids < 0) | (ids >= model.n_features)
-    if bad.any():
+    # two reductions decide; the mask is built only to name the first bad id
+    if ids.size and (np.minimum.reduce(ids, axis=None) < 0
+                     or np.maximum.reduce(ids, axis=None) >= model.n_features):
+        bad = (ids < 0) | (ids >= model.n_features)
         raise InvalidInputError(f"feature id {int(ids[bad][0])} out of range")
     has_prev = model.conditions_on_prev and not all_prev
     if has_prev:

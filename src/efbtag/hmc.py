@@ -42,6 +42,8 @@ RESCALE_GUARD = 1e-100
 # step; above it, since no scheduled alpha or beta entry exceeds 1, a product
 # entry lost to the subnormal range is under 1e-107 of the denominator
 POSTERIOR_GUARD = 1e-200
+# float64's least normal number, the floor of an emission row's maximum
+LEAST_NORMAL = np.finfo(np.float64).tiny
 
 
 def _check_rows(table: np.ndarray, what: str) -> None:
@@ -170,9 +172,17 @@ def _peak_scaled(emissions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # over a column-major copy the reduction's inner loop runs down the long
     # axis, not along rows of N: over an 8,192-row bucket that takes 40 % less
     # time, and over one sentence no more than a microsecond more
-    peaks = np.maximum.reduce(np.asfortranarray(emissions), axis=1,
-                              initial=np.finfo(np.float64).tiny)
+    peaks = np.maximum.reduce(np.asfortranarray(emissions), axis=1, initial=LEAST_NORMAL)
     return emissions / peaks[:, None], peaks
+
+
+def _misshapen(emissions: np.ndarray, trans: np.ndarray, pi=None) -> InvalidInputError:
+    """The error of shapes that a recursion, comparing them alone, found unfit."""
+    prior = "" if pi is None else f", prior {pi.shape}"
+    return InvalidInputError(
+        "a chain of N labels takes (T, N) emissions, (N, N) transitions and an (N,) "
+        f"prior, not emissions {emissions.shape}, transitions {trans.shape}{prior}"
+    )
 
 
 def _under_guard(sums: np.ndarray, scheduled: bool, direction: str, t) -> bool:
@@ -238,6 +248,8 @@ def scaled_forward(
     so it gives the rows, or raises the error, that every = 1 gives.
     """
     _check_every(every)
+    if emissions.shape[1:] != pi.shape or trans.shape != pi.shape * 2:
+        raise _misshapen(emissions, trans, pi)
     raw, scheduled = emissions, every > 1
     if scheduled:
         emissions, peaks = _peak_scaled(emissions)
@@ -335,6 +347,8 @@ def scaled_backward(
     `scaled_forward`.
     """
     _check_every(every)
+    if trans.shape != emissions.shape[1:] * 2:
+        raise _misshapen(emissions, trans)
     raw, scheduled = emissions, every > 1
     if scheduled:
         emissions, peaks = _peak_scaled(emissions)
@@ -387,11 +401,13 @@ def scaled_backward(
         betas, scales = betas.take(place, axis=0), scales.take(place)
     if not scheduled:
         return betas, scales
-    # row t's step read emission row t + 1; a sentence's last row read none
-    follow = np.append(peaks[1:], 1.0)
+    # row t's step read emission row t + 1; a sentence's last row read none.
+    # The maxima are `_peak_scaled`'s own array, so they shift in place
+    peaks[:-1] = peaks[1:]
+    peaks[-1:] = 1.0
     if lengths is not None:
-        follow[np.cumsum(lengths) - 1] = 1.0
-    scales *= follow
+        peaks[np.cumsum(lengths) - 1] = 1.0
+    scales *= peaks
     if fell:
         return _redo_every_step(partial(scaled_backward, trans), raw, lengths, betas, scales)
     return betas, scales
@@ -468,19 +484,27 @@ def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray, rerun=None) -
     sums, divide into rows that the lattice need not check again; any
     others take its full check.
     """
+    if alphas.ndim != 2 or alphas.shape != betas.shape:
+        raise InvalidInputError(
+            f"lattices of shapes {alphas.shape} and {betas.shape}: both must be one T x N table"
+        )
     prod = alphas * betas
     denom = np.add.reduce(prod, axis=1)
-    if rerun is not None and not (denom > POSTERIOR_GUARD).all():
+    # the least denominator decides both guards; it is NaN if any is, which fails both
+    least = np.minimum.reduce(denom) if len(denom) else np.inf
+    if rerun is not None and not least > POSTERIOR_GUARD:
         prod = np.multiply(*rerun(~(denom > POSTERIOR_GUARD)))
         denom = np.add.reduce(prod, axis=1)
-    if not (denom > 0.0).all():
+        least = np.minimum.reduce(denom)
+    if not least > 0.0:
         bad = np.nonzero(~(denom > 0.0))[0]
         raise NumericalDegeneracyError(
             f"posterior denominator underflowed at position {int(bad[0])}"
         )
     # the minimum is NaN if any product is; an infinite product makes its sum infinite
     normalised = (prod.dtype == np.float64 and prod.size > 0
-                  and prod.min() >= 0.0 and denom.max() < np.inf)
+                  and np.minimum.reduce(prod, axis=None) >= 0.0
+                  and np.maximum.reduce(denom) < np.inf)
     values = np.divide(prod, denom[:, None], out=prod)
     return PosteriorLattice._normalised(values) if normalised else PosteriorLattice(values)
 

@@ -49,7 +49,7 @@ def forward_lattice(
     for t, table in enumerate(steps):
         if table.shape != (n, n):
             raise InvalidInputError("conditional table shape mismatch")
-        alphas[t + 1] = table @ alphas[t]
+        np.matmul(table, alphas[t], out=alphas[t + 1])
     return alphas
 
 

@@ -94,7 +94,8 @@ class Tagger:
     checked against its kind's `part_shapes` when it is built, and whose
     weights must keep every score within `SCORE_LIMIT`.  From them it
     builds the models it decodes with, sharing their arrays: `hmc_params`,
-    `naive`, `l0` and `l1`, each None where its kind holds no such part.
+    `naive`, `l0` and `l1`, each None where its kind holds no such part,
+    and, but for hmc-fb, the one `pipeline` over its feature index.
     """
 
     kind: DecoderKind
@@ -106,6 +107,7 @@ class Tagger:
     naive: Optional[hmc.NaiveFeatureEmission] = field(init=False, repr=False, compare=False)
     l0: Optional[discrim.LogisticModel] = field(init=False, repr=False, compare=False)
     l1: Optional[discrim.LogisticModel] = field(init=False, repr=False, compare=False)
+    _pipeline: Optional[FeaturePipeline] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind, index, arrays = self.kind, self.feature_index, MappingProxyType(dict(self.arrays))
@@ -132,15 +134,17 @@ class Tagger:
         for name, model in (("l0_weights", l0), ("l1_weights", l1)):
             if model is not None:
                 _check_score_range(name, model, len(index.families))
-        parts = dict(arrays=arrays, hmc_params=params, naive=naive, l0=l0, l1=l1)
+        pipeline = None if index is None else FeaturePipeline(index)
+        parts = dict(arrays=arrays, hmc_params=params, naive=naive, l0=l0, l1=l1,
+                     _pipeline=pipeline)
         for name, part in parts.items():
             object.__setattr__(self, name, part)
 
     @property
     def pipeline(self) -> FeaturePipeline:
-        if self.feature_index is None:
+        if self._pipeline is None:
             raise InvalidInputError(f"{self.kind.value} model carries no feature index")
-        return FeaturePipeline(self.feature_index)
+        return self._pipeline
 
     def decode(
         self, tokens: Sequence[str] | Sequence[Sequence[str]]
@@ -201,7 +205,10 @@ class Tagger:
                 conditional = conditional.take(rows, axis=0)
             lattice = efb.posterior_efb(self.hmc_params, conditional, lengths)
         elif kind is DecoderKind.MEMM:
-            lattice = PosteriorLattice(memm.memm_forward(self.l0, self.l1, feats, lengths, rows))
+            # finite distributions by construction, as the weights keep every
+            # score within SCORE_LIMIT: only the lattice's shape is checked
+            lattice = PosteriorLattice._normalised(
+                memm.memm_forward(self.l0, self.l1, feats, lengths, rows))
         return mpm_from_lattice(lattice)
 
 

@@ -3,7 +3,8 @@
 Each reference below is the plain form of a kernel that the package
 now runs with in-place or reordered numpy calls: a fresh-row scaled
 recursion, a row-major weight-row sum, the elementwise range check
-of a posterior lattice, and a posterior that takes that check in full.
+of a posterior lattice, a posterior that takes that check in full,
+posterior guards that mask every row, and a fresh-row memm step.
 Every comparison is on the bytes.
 """
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from efbtag import discrim, hmc
+from efbtag import discrim, hmc, memm
 from efbtag.core import (
     ROW_SUM_TOL,
     LabeledSentence,
@@ -278,6 +279,108 @@ def test_posterior_from_lattices_raises_as_the_full_check_does(pair, odd):
         assert str(got.value) == str(err)
     else:
         assert hmc.posterior_from_lattices(alphas, betas).values.tobytes() == expected.tobytes()
+
+
+def reference_guarded_posterior(alphas, betas, rerun=None):
+    """`posterior_from_lattices` with its guards as masks over every row:
+    each guard tests all denominators, and the ranges take `min` and `max`."""
+    prod = alphas * betas
+    denom = np.add.reduce(prod, axis=1)
+    if rerun is not None and not (denom > hmc.POSTERIOR_GUARD).all():
+        prod = np.multiply(*rerun(~(denom > hmc.POSTERIOR_GUARD)))
+        denom = np.add.reduce(prod, axis=1)
+    if not (denom > 0.0).all():
+        bad = np.nonzero(~(denom > 0.0))[0]
+        raise NumericalDegeneracyError(
+            f"posterior denominator underflowed at position {int(bad[0])}"
+        )
+    normalised = (prod.dtype == np.float64 and prod.size > 0
+                  and prod.min() >= 0.0 and denom.max() < np.inf)
+    values = np.divide(prod, denom[:, None], out=prod)
+    return PosteriorLattice._normalised(values) if normalised else PosteriorLattice(values)
+
+
+GUARD_DENOMINATORS = {
+    "NaN": np.nan, "zero": 0.0, "negative": -1e-3, "least subnormal": 5e-324,
+    "subnormal": 1e-310, "least normal": np.finfo(np.float64).tiny,
+    "at the guard": hmc.POSTERIOR_GUARD,
+    "above the guard": np.nextafter(hmc.POSTERIOR_GUARD, np.inf),
+    "under the guard": np.nextafter(hmc.POSTERIOR_GUARD, 0.0), "infinite": np.inf,
+}
+
+
+def guarded_outcome(posterior, alphas, betas, rerun):
+    """The lattice's bytes or the error's class and text, and the masks that
+    `rerun` was handed; the rerun 'mends' the rows it is handed or 'keeps'
+    them as they are."""
+    alphas, betas = alphas.copy(), betas.copy()
+    masks = []
+
+    def recorded(marked):
+        masks.append(marked.tobytes())
+        if rerun == "mends":
+            alphas[marked], betas[marked] = 0.25, 0.5
+        return alphas, betas
+
+    try:
+        lattice = posterior(alphas, betas, None if rerun is None else recorded)
+    except (InvalidInputError, NumericalDegeneracyError) as err:
+        return (type(err), str(err)), masks
+    return lattice.values.tobytes(), masks
+
+
+@pytest.mark.parametrize("rerun", [None, "mends", "keeps"])
+@pytest.mark.parametrize("first", list(GUARD_DENOMINATORS))
+@pytest.mark.parametrize("second", [None, "NaN", "zero", "at the guard"])
+@pytest.mark.parametrize("rows", [(0, 4), (6, 1)], ids=["first", "last"])
+@np.errstate(all="ignore")
+def test_posterior_guards_act_as_their_masks_do(rerun, first, second, rows):
+    """The guards that take the least denominator raise the same error at the
+    same position, hand `rerun` the same mask and give the same bytes as
+    guards that test every row."""
+    rng = np.random.default_rng(7)
+    alphas, betas = rng.random((7, 5)), rng.random((7, 5))
+    for row, name in zip(rows, (first, second)):
+        if name is not None:
+            alphas[row], betas[row] = 0.0, 1.0
+            alphas[row, 2] = GUARD_DENOMINATORS[name]
+    got = guarded_outcome(hmc.posterior_from_lattices, alphas, betas, rerun)
+    assert got == guarded_outcome(reference_guarded_posterior, alphas, betas, rerun)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 45), t_len=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_memm_rows_written_in_place_bit_equal_to_fresh_products(n, t_len, seed):
+    """`forward_lattice` writes each row into the lattice; the bytes are those
+    of `table @ alphas[t]` written to a fresh row."""
+    rng = np.random.default_rng(seed)
+    first = rng.dirichlet(np.ones(n))
+    # column-distributions as `predict_all_prev` gives them, and the
+    # column-major views of transposed row-distributions, which BLAS reads
+    # another way
+    tables = rng.dirichlet(np.ones(n), size=(t_len - 1, n))
+    for steps in (np.ascontiguousarray(tables.transpose(0, 2, 1)), tables.transpose(0, 2, 1)):
+        expected = np.empty((t_len, n))
+        expected[0] = first
+        for t, table in enumerate(steps):
+            expected[t + 1] = table @ expected[t]
+        assert memm.forward_lattice(first, steps).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 300, 10**9, -(10**9)])
+@pytest.mark.parametrize("at", [0, 7, 150])
+def test_an_id_out_of_range_is_named_as_the_mask_names_it(bad, at):
+    """The id range check takes two reductions, and names the first bad id in
+    row order, as a mask over every id does."""
+    rng = np.random.default_rng(at)
+    ids = rng.integers(0, 300, (23, 13))
+    ids.flat[at] = bad
+    ids.flat[-1] = -5  # a second bad id, later in row order
+    mask = (ids < 0) | (ids >= 300)
+    model = weight_model(rng, 300, 3, False)
+    with pytest.raises(InvalidInputError) as err:
+        predict(model, ids)
+    assert str(err.value) == f"feature id {int(ids[mask][0])} out of range"
 
 
 def test_mpm_returns_python_ints_with_lowest_id_ties():

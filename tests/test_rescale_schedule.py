@@ -364,3 +364,38 @@ def test_the_rescaling_interval_is_a_positive_integer(every):
     for recursion in recursions(chain, every).values():
         with pytest.raises(InvalidInputError, match="rescaling interval"):
             recursion(emissions)
+
+
+
+@pytest.mark.parametrize("every", [1, hmc.RESCALE_EVERY])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 1), (5, 2, 2), ()],
+                         ids=["1-D", "3 columns", "1 column", "3-D", "0-D"])
+def test_emissions_that_do_not_fit_the_chain_are_refused(every, direction, shape):
+    """Emissions that are not one (T, N) matrix of the chain's N labels are an
+    InvalidInputError at every interval, not a numpy error."""
+    chain = random_chain(np.random.default_rng(SEED), 2)
+    with pytest.raises(InvalidInputError, match=r"takes \(T, N\) emissions"):
+        recursions(chain, every)[direction](np.full(shape, 0.5))
+
+
+def test_a_prior_or_transitions_of_another_label_count_are_refused():
+    chain = random_chain(np.random.default_rng(SEED), 3)
+    emissions = np.full((4, 3), 0.5)
+    with pytest.raises(InvalidInputError, match=r"prior \(2,\)"):
+        hmc.scaled_forward(chain.pi[:2], chain.trans, emissions)
+    with pytest.raises(InvalidInputError, match=r"transitions \(3, 2\), prior"):
+        hmc.scaled_forward(chain.pi, chain.trans[:, :2], emissions)
+    with pytest.raises(InvalidInputError, match=r"transitions \(3, 2\)$"):
+        hmc.scaled_backward(chain.trans[:, :2], emissions)
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["alone", "with rerun"])
+@pytest.mark.parametrize("shapes", [((4, 3), (4, 2)), ((4, 3), (3, 3)), ((4,), (4,)),
+                                    ((2, 2, 2), (2, 2, 2))],
+                         ids=["widths", "lengths", "1-D", "3-D"])
+def test_lattices_of_other_shapes_are_refused(shapes, rerun):
+    alphas, betas = (np.full(shape, 0.5) for shape in shapes)
+    with pytest.raises(InvalidInputError, match="both must be one T x N table"):
+        hmc.posterior_from_lattices(alphas, betas, (lambda marked: (alphas, betas))
+                                    if rerun else None)

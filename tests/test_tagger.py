@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from efbtag.core import LabeledSentence, TagSet, Vocabulary
+from efbtag.core import LabeledSentence, PosteriorLattice, TagSet, Vocabulary
 from efbtag.dataio import Corpus
-from efbtag import discrim, hmc
+from efbtag import discrim, hmc, memm
 from efbtag.discrim import SgdConfig, predict
 from efbtag.errors import DataError, InvalidInputError
 from efbtag.features import FeaturePipeline, FeatureTemplate, build_index
@@ -192,15 +192,45 @@ def test_weights_at_the_score_limit_decode_without_overflow(kind):
     scores and their softmax differences stay finite, so both forms decode
     to the same labels and no RuntimeWarning (an error here) is raised."""
     tagger, _ = train_tagger(toy_corpus(), kind, FeatureTemplate.LF1, SgdConfig(epochs=1))
+    limit = at_the_score_limit(
+        tagger, lambda shape: np.where(np.arange(np.prod(shape)) % 2, 1.0, -1.0).reshape(shape))
+    sentences = [["the", "cat", "runs"], ["a", "dog"], ["zebra"]]
+    assert limit.decode(sentences) == [limit.decode(s) for s in sentences]
+
+
+def at_the_score_limit(tagger: Tagger, signs) -> Tagger:
+    """`tagger` with every logistic weight the largest that the bound allows,
+    its signs from `signs(shape)`."""
     families = len(tagger.feature_index.families)
     arrays = dict(tagger.arrays)
     for name in ("l0_weights", "l1_weights"):
         if name in arrays:
             rows = families + 1 + (name == "l1_weights")
-            signs = np.where(np.arange(arrays[name].size) % 2, 1.0, -1.0)
-            arrays[name] = (signs * (SCORE_LIMIT / rows)).reshape(arrays[name].shape)
-    limit = replace(tagger, arrays=arrays)
-    sentences = [["the", "cat", "runs"], ["a", "dog"], ["zebra"]]
+            arrays[name] = signs(arrays[name].shape) * (SCORE_LIMIT / rows)
+    return replace(tagger, arrays=arrays)
+
+
+TOY_WORDS = ["the", "cat", "runs", "a", "dog", "sleeps", "zebra", "Quick", "x-ray", "42"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_memm_rows_at_the_score_limit_pass_the_full_lattice_check(seed):
+    """Weights at the bound with random signs, over random sentences: memm's
+    forward rows are distributions that the full `PosteriorLattice` check
+    accepts, alone and stacked, with no RuntimeWarning (an error here), which
+    is why `Tagger` checks only their shape."""
+    rng = np.random.default_rng(seed)
+    tagger, _ = train_tagger(toy_corpus(), DecoderKind.MEMM, FeatureTemplate.LF1,
+                             SgdConfig(epochs=1))
+    limit = at_the_score_limit(tagger, lambda shape: rng.choice([-1.0, 1.0], size=shape))
+    sentences = [[TOY_WORDS[i] for i in rng.integers(len(TOY_WORDS), size=rng.integers(1, 13))]
+                 for _ in range(20)]
+    for sentence in sentences:
+        feats = limit.pipeline.sentence_features(sentence)
+        PosteriorLattice(memm.memm_forward(limit.l0, limit.l1, feats))
+    feats, token_rows = limit.pipeline.sentence_features(sentences, distinct=True)
+    lengths = [len(sentence) for sentence in sentences]
+    PosteriorLattice(memm.memm_forward(limit.l0, limit.l1, feats, lengths, token_rows))
     assert limit.decode(sentences) == [limit.decode(s) for s in sentences]
 
 
