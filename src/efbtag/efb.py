@@ -20,6 +20,12 @@ Every function takes `lengths=None`; given sentence lengths, `obs` holds
 those sentences one after another (stacked conditional rows, or the
 provider's inputs), the recursions run them in lockstep, and the results
 come back stacked in the same order.
+
+`posterior_efb` builds L / pi once, as one `hmc.prepare_rows` record that
+both entropic recursions read.  It still runs them through
+`entropic_forward`/`entropic_backward` and `conditional_matrix`, not
+through `hmc`'s recursions directly, because the benchmark's traced decode
+requires those three calls by name.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ import numpy as np
 from .core import PosteriorLattice, check_lengths
 from .errors import InvalidInputError
 from .hmc import (
-    RESCALE_EVERY, HmcParams, every_step_rerun, posterior_from_lattices, scaled_backward,
-    scaled_forward,
+    RESCALE_EVERY, HmcParams, PreparedRows, every_step_rerun, posterior_from_lattices,
+    prepare_rows, scaled_backward, scaled_forward,
 )
 
 # floor for conditional label probabilities; softmax providers never hit
@@ -99,33 +105,36 @@ def entropic_forward(
     """Entropic forward lattice: the scaled forward recursion on L / pi.
 
     The base case pi * (L[0] / pi) is L[0].  Unscaled value at t is
-    alphas[t] * prod(scales[:t+1]).  `every` is `scaled_forward`'s.
+    alphas[t] * prod(scales[:t+1]).  `every` is `scaled_forward`'s.  `obs`
+    may also be the `hmc.prepare_rows` record of L / pi for these `lengths`
+    and `every`.
     """
-    return scaled_forward(
-        params.pi, params.trans, conditional_matrix(params, obs, lengths) / params.pi,
-        lengths, every,
-    )
+    if not isinstance(obs, PreparedRows):
+        obs = conditional_matrix(params, obs, lengths) / params.pi
+    return scaled_forward(params.pi, params.trans, obs, lengths, every)
 
 
 def entropic_backward(
     params: HmcParams, obs: Sequence | np.ndarray, lengths=None, every: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropic backward lattice; unscaled value at t is betas[t] * prod(scales[t:]).
-    `every` is `scaled_backward`'s."""
-    return scaled_backward(
-        params.trans, conditional_matrix(params, obs, lengths) / params.pi, lengths, every
-    )
+    `every` is `scaled_backward`'s; `obs` may be a record, as in `entropic_forward`."""
+    if not isinstance(obs, PreparedRows):
+        obs = conditional_matrix(params, obs, lengths) / params.pi
+    return scaled_backward(params.trans, obs, lengths, every)
 
 
 def posterior_efb(
     params: HmcParams, obs: Sequence | np.ndarray, lengths=None
 ) -> PosteriorLattice:
-    """Posterior marginals from the entropic recursions (scales cancel), each
-    normalizing a row every RESCALE_EVERY steps; a sentence whose posterior
-    denominator falls to `hmc.POSTERIOR_GUARD` runs again every step."""
-    alphas, _ = entropic_forward(params, obs, lengths, RESCALE_EVERY)
-    betas, _ = entropic_backward(params, obs, lengths, RESCALE_EVERY)
-    return posterior_from_lattices(alphas, betas, every_step_rerun(
-        params.pi, params.trans, lambda: conditional_matrix(params, obs, lengths) / params.pi,
-        lengths, alphas, betas))
+    """Posterior marginals from the entropic recursions (scales cancel) over
+    L / pi, built once for both, each normalizing a row every RESCALE_EVERY
+    steps; a sentence whose posterior denominator falls to
+    `hmc.POSTERIOR_GUARD` runs again every step."""
+    rows = prepare_rows(conditional_matrix(params, obs, lengths) / params.pi, lengths,
+                        RESCALE_EVERY)
+    alphas, _ = entropic_forward(params, rows, rows.lengths, RESCALE_EVERY)
+    betas, _ = entropic_backward(params, rows, rows.lengths, RESCALE_EVERY)
+    return posterior_from_lattices(
+        alphas, betas, every_step_rerun(params.pi, params.trans, rows, alphas, betas))
 

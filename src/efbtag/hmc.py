@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -165,15 +165,78 @@ def _check_every(every) -> None:
         raise InvalidInputError(f"rescaling interval must be an integer >= 1, got {every!r}")
 
 
-def _peak_scaled(emissions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each emission row divided by its maximum, and the maxima.  A row whose
-    maximum is under float64's least normal number (an all-zero row) is
-    divided by that number instead, so nothing divides by zero."""
+class PreparedRows(NamedTuple):
+    """A posterior's (ΣT, N) emission rows as both recursions read them;
+    `prepare_rows` builds it, and `scaled_forward`/`scaled_backward` take it
+    in place of the matrix, for the `lengths` and `every` it was built for."""
+
+    raw: np.ndarray  # the rows as given, in float64, each +inf entry made NaN
+    lengths: Optional[np.ndarray]  # the checked sentence lengths; None for one sentence
+    every: int
+    packed: np.ndarray  # the rows, over their maxima when every > 1, in `_packed` order
+    bounds: list[int]
+    place: Optional[np.ndarray]
+    peaks: Optional[np.ndarray]  # each row's maximum (at least LEAST_NORMAL) when every > 1
+
+
+def _row_maxima(rows: np.ndarray) -> np.ndarray:
+    """Each row's maximum, or float64's least normal number if that is more
+    (an all-zero row), so that no row is divided by zero."""
     # over a column-major copy the reduction's inner loop runs down the long
     # axis, not along rows of N: over an 8,192-row bucket that takes 40 % less
     # time, and over one sentence no more than a microsecond more
-    peaks = np.maximum.reduce(np.asfortranarray(emissions), axis=1, initial=LEAST_NORMAL)
-    return emissions / peaks[:, None], peaks
+    return np.maximum.reduce(np.asfortranarray(rows), axis=1, initial=LEAST_NORMAL)
+
+
+def prepare_rows(emissions, lengths=None, every: int = 1) -> PreparedRows:
+    """The rows that both recursions of one posterior read, built once.
+
+    `emissions` is a (ΣT, N) array-like of sentences of `lengths` stacked
+    (one sentence with no `lengths`).  With `every` > 1 each row is
+    divided by its maximum, as the schedule of `scaled_forward` requires;
+    then the rows are `_packed`.  The record keeps the rows as given too,
+    for the sentences that run again at every = 1.  An entry of +inf
+    becomes NaN there, so that it degenerates where a NaN does, at its own
+    position, rather than at the next after an inf / inf.
+    """
+    _check_every(every)
+    try:
+        raw = np.asarray(emissions)
+        if raw.dtype.kind not in "biuf":  # a complex entry would lose its imaginary part
+            raise TypeError
+        raw = raw.astype(np.float64, copy=False)
+    except (TypeError, ValueError):
+        raise InvalidInputError("emissions must be a real (T, N) matrix") from None
+    if raw.ndim != 2:
+        raise InvalidInputError(f"a chain takes (T, N) emissions, not an array of {raw.shape}")
+    peaks = None
+    if every > 1:  # the maxima carry the check: one is +inf or NaN if any entry is
+        peaks = _row_maxima(raw)
+    if not np.maximum.reduce(raw if peaks is None else peaks, None, initial=0.0) < np.inf:
+        infinite = raw == np.inf
+        if infinite.any():
+            raw = np.where(infinite, np.nan, raw)
+            peaks = None if peaks is None else _row_maxima(raw)
+    if lengths is not None:
+        lengths = check_lengths(lengths, len(raw))
+    packed, bounds, place = _packed(raw if peaks is None else raw / peaks[:, None], lengths)
+    return PreparedRows(raw, lengths, every, packed, bounds, place, peaks)
+
+
+def _prepared(emissions, lengths, every) -> PreparedRows:
+    """`emissions` prepared for `lengths` and `every`, or, if it is a record
+    already, that record, which must have been prepared for them."""
+    if not isinstance(emissions, PreparedRows):
+        return prepare_rows(emissions, lengths, every)
+    _check_every(every)
+    if every != emissions.every or not (
+        lengths is emissions.lengths or np.array_equal(lengths, emissions.lengths)
+    ):
+        raise InvalidInputError(
+            f"rows prepared for lengths {emissions.lengths} and every = {emissions.every} "
+            f"are run with lengths {lengths} and every = {every!r}"
+        )
+    return emissions
 
 
 def _misshapen(emissions: np.ndarray, trans: np.ndarray, pi=None) -> InvalidInputError:
@@ -207,17 +270,17 @@ def _sentence_rows(lengths, marked: np.ndarray) -> tuple[np.ndarray, np.ndarray 
     return rows, lengths[which]
 
 
-def _redo_every_step(recursion, raw: np.ndarray, lengths, lattice: np.ndarray,
+def _redo_every_step(recursion, prepared: PreparedRows, lattice: np.ndarray,
                      scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`lattice` and `scales`, with the rows of each sentence that holds a NaN
-    scale taken from `recursion` run over those sentences with every = 1."""
-    rows, sizes = _sentence_rows(lengths, np.isnan(scales))
-    lattice[rows], scales[rows] = recursion(raw.take(rows, axis=0), sizes, 1)
+    scale taken from `recursion` run over its raw rows with every = 1."""
+    rows, sizes = _sentence_rows(prepared.lengths, np.isnan(scales))
+    lattice[rows], scales[rows] = recursion(prepared.raw.take(rows, axis=0), sizes, 1)
     return lattice, scales
 
 
 def scaled_forward(
-    pi: np.ndarray, trans: np.ndarray, emissions: np.ndarray, lengths=None, every: int = 1
+    pi: np.ndarray, trans: np.ndarray, emissions, lengths=None, every: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward recursion over an explicit T x N emission matrix.
 
@@ -246,14 +309,16 @@ def scaled_forward(
     RESCALE_GUARD lost nothing to underflow.  A sentence with a block
     that does not is run again with every = 1, and its rows spliced in,
     so it gives the rows, or raises the error, that every = 1 gives.
+
+    `emissions` may also be the `prepare_rows` record of those rows, for
+    these `lengths` and `every`, which a posterior builds once for both
+    recursions; a matrix is prepared here.
     """
-    _check_every(every)
-    if emissions.shape[1:] != pi.shape or trans.shape != pi.shape * 2:
-        raise _misshapen(emissions, trans, pi)
-    raw, scheduled = emissions, every > 1
-    if scheduled:
-        emissions, peaks = _peak_scaled(emissions)
-    packed, bounds, place = _packed(emissions, lengths)
+    prepared = _prepared(emissions, lengths, every)
+    if prepared.raw.shape[1:] != pi.shape or trans.shape != pi.shape * 2:
+        raise _misshapen(prepared.raw, trans, pi)
+    packed, bounds, place = prepared.packed, prepared.bounds, prepared.place
+    scheduled = every > 1
     # a step alone is four numpy calls on N-vectors, so name lookups, keyword
     # parsing and `np.dot`'s dispatch would be a visible share of it: the
     # calls are bound once, take their output positionally, and the product
@@ -282,7 +347,6 @@ def scaled_forward(
                 divide(rows, s[:, None], rows)
             prev = rows
         prev, tail = prev[0], (alphas[start:], packed[start:])
-    alone = []
     last = shared + len(tail[0]) - 1
     for t, row, emit in zip(range(shared, last + 1), *tail):
         if prev is None:
@@ -290,7 +354,6 @@ def scaled_forward(
         else:
             prev.dot(trans, row)
             multiply(emit, row, row)
-        s = 1.0
         if t % every == closing or t == last:
             s = add(row)
             if not s > floor:
@@ -298,15 +361,14 @@ def scaled_forward(
                     raise _degenerate("forward", t)
                 s, fell = np.nan, True
             divide(row, s, row)
-        alone.append(s)
+            scales[start + t - shared] = s  # a row not normalized keeps its scale of 1
         prev = row
-    scales[start:] = alone
     if start:
         alphas, scales = alphas.take(place, axis=0), scales.take(place)
     if not scheduled:
         return alphas, scales
     if shared:  # the last rows of sentences that end while others run on
-        lengths = np.asarray(lengths)
+        lengths = prepared.lengths
         ends = (np.cumsum(lengths) - 1)[(lengths <= shared) & (lengths % every != 0)]
         rows = alphas[ends]
         s = add(rows, 1)
@@ -314,14 +376,14 @@ def scaled_forward(
             fell = _under_guard(s, scheduled, "forward", None)
         alphas[ends] = divide(rows, s[:, None], rows)
         scales[ends] = s
-    scales *= peaks
+    scales *= prepared.peaks
     if fell:
-        return _redo_every_step(partial(scaled_forward, pi, trans), raw, lengths, alphas, scales)
+        return _redo_every_step(partial(scaled_forward, pi, trans), prepared, alphas, scales)
     return alphas, scales
 
 
 def scaled_backward(
-    trans: np.ndarray, emissions: np.ndarray, lengths=None, every: int = 1
+    trans: np.ndarray, emissions, lengths=None, every: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward recursion with the same row-normalization scheme.
 
@@ -344,15 +406,13 @@ def scaled_backward(
     the largest entry of every row in it to within a factor N: a block
     that closes above RESCALE_GUARD lost nothing to underflow.  A sentence
     with a block that does not is run again with every = 1, as in
-    `scaled_forward`.
+    `scaled_forward`, which also takes a `prepare_rows` record.
     """
-    _check_every(every)
-    if trans.shape != emissions.shape[1:] * 2:
-        raise _misshapen(emissions, trans)
-    raw, scheduled = emissions, every > 1
-    if scheduled:
-        emissions, peaks = _peak_scaled(emissions)
-    packed, bounds, place = _packed(emissions, lengths)
+    prepared = _prepared(emissions, lengths, every)
+    if trans.shape != prepared.raw.shape[1:] * 2:
+        raise _misshapen(prepared.raw, trans)
+    packed, bounds, place = prepared.packed, prepared.bounds, prepared.place
+    scheduled = every > 1
     matvec, multiply, divide, add = trans.dot, np.multiply, np.divide, np.add.reduce
     betas = np.empty(packed.shape)
     scales = np.ones(len(packed))
@@ -362,7 +422,6 @@ def scaled_backward(
     buf = np.empty(packed.shape[1])
     nxt = nxt_emit = None
     tail = slice(None, start - 1 if start else None, -1)  # rows `start:`, last first
-    alone = []  # last position first
     last = shared + len(packed) - start - 1
     for t, row, emit in zip(range(last, shared - 1, -1), betas[tail], packed[tail]):
         if nxt is None:
@@ -370,7 +429,6 @@ def scaled_backward(
         else:
             multiply(nxt_emit, nxt, buf)
             matvec(buf, row)
-        s = 1.0
         if t % every == 0:
             s = add(row)
             if not s > floor:
@@ -378,9 +436,8 @@ def scaled_backward(
                     raise _degenerate("backward", t)
                 s, fell = np.nan, True
             divide(row, s, row)
-        alone.append(s)
+            scales[start + t - shared] = s
         nxt, nxt_emit = row, emit
-    scales[tail] = alone
     if start:
         # the rows after the last stacked step: the longest sentence's, if it ran on
         nxt, nxt_emit = betas[start : start + 1], packed[start : start + 1]
@@ -401,15 +458,15 @@ def scaled_backward(
         betas, scales = betas.take(place, axis=0), scales.take(place)
     if not scheduled:
         return betas, scales
-    # row t's step read emission row t + 1; a sentence's last row read none.
-    # The maxima are `_peak_scaled`'s own array, so they shift in place
-    peaks[:-1] = peaks[1:]
-    peaks[-1:] = 1.0
-    if lengths is not None:
-        peaks[np.cumsum(lengths) - 1] = 1.0
-    scales *= peaks
+    # row t's step read emission row t + 1; a sentence's last row read none,
+    # and keeps its scale.  The maxima are shared with the forward: not written
+    follow = prepared.peaks[1:]
+    if prepared.lengths is not None:
+        follow = follow.copy()
+        follow[np.cumsum(prepared.lengths)[:-1] - 1] = 1.0
+    scales[:-1] *= follow
     if fell:
-        return _redo_every_step(partial(scaled_backward, trans), raw, lengths, betas, scales)
+        return _redo_every_step(partial(scaled_backward, trans), prepared, betas, scales)
     return betas, scales
 
 
@@ -423,11 +480,10 @@ def _packed(emissions: np.ndarray, lengths) -> tuple[np.ndarray, list[int], np.n
     second-longest ends; the longest one's later rows follow, one a step.
     Also returns each row's place among the packed rows, which gathers
     lattices back in input order.  With no `lengths`, one sentence is its
-    own packing, and `bounds` is [0].
+    own packing, and `bounds` is [0].  `lengths` are checked ones.
     """
     if lengths is None:
         return emissions, [0], None
-    lengths = check_lengths(lengths, len(emissions))
     order = np.argsort(-lengths, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
@@ -445,6 +501,11 @@ def _packed(emissions: np.ndarray, lengths) -> tuple[np.ndarray, list[int], np.n
 
 def unscale(rows: np.ndarray, scales: np.ndarray, backward: bool = False) -> np.ndarray:
     """Reconstruct unscaled forward or backward values from scale factors."""
+    rows, scales = np.asarray(rows), np.asarray(scales)
+    if rows.ndim != 2 or scales.shape != rows.shape[:1]:
+        raise InvalidInputError(
+            f"a T x N lattice takes T scale factors, not {scales.shape} for rows {rows.shape}"
+        )
     if backward:
         factors = np.cumprod(scales[::-1])[::-1]
     else:
@@ -509,29 +570,31 @@ def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray, rerun=None) -
     return PosteriorLattice._normalised(values) if normalised else PosteriorLattice(values)
 
 
-def every_step_rerun(pi: np.ndarray, trans: np.ndarray, emissions, lengths,
+def every_step_rerun(pi: np.ndarray, trans: np.ndarray, prepared: PreparedRows,
                      alphas: np.ndarray, betas: np.ndarray):
     """A `rerun` for `posterior_from_lattices`: given a mask of rows, the
     scheduled `alphas` and `betas` with the rows of each sentence that holds
     a masked row taken from both recursions at every = 1 over the matching
-    rows of `emissions()`, so that sentence gives the every-step posterior."""
+    raw rows of `prepared`, so that sentence gives the every-step posterior."""
     def rerun(marked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows, sizes = _sentence_rows(lengths, marked)
-        raw = emissions().take(rows, axis=0)
-        alphas[rows] = scaled_forward(pi, trans, raw, sizes)[0]
-        betas[rows] = scaled_backward(trans, raw, sizes)[0]
+        rows, sizes = _sentence_rows(prepared.lengths, marked)
+        again = prepare_rows(prepared.raw.take(rows, axis=0), sizes)
+        alphas[rows] = scaled_forward(pi, trans, again, again.lengths)[0]
+        betas[rows] = scaled_backward(trans, again, again.lengths)[0]
         return alphas, betas
     return rerun
 
 
 def _posterior(params: HmcParams, emissions: np.ndarray, lengths=None) -> PosteriorLattice:
     """Run the scaled forward and backward recursions over one emission matrix,
-    each normalizing a row every RESCALE_EVERY steps; a sentence whose
-    posterior denominator falls to POSTERIOR_GUARD runs again every step."""
-    alphas, _ = scaled_forward(params.pi, params.trans, emissions, lengths, RESCALE_EVERY)
-    betas, _ = scaled_backward(params.trans, emissions, lengths, RESCALE_EVERY)
-    return posterior_from_lattices(alphas, betas, every_step_rerun(
-        params.pi, params.trans, lambda: emissions, lengths, alphas, betas))
+    prepared once for both, each normalizing a row every RESCALE_EVERY steps;
+    a sentence whose posterior denominator falls to POSTERIOR_GUARD runs
+    again every step."""
+    rows = prepare_rows(emissions, lengths, RESCALE_EVERY)
+    alphas, _ = scaled_forward(params.pi, params.trans, rows, rows.lengths, RESCALE_EVERY)
+    betas, _ = scaled_backward(params.trans, rows, rows.lengths, RESCALE_EVERY)
+    return posterior_from_lattices(
+        alphas, betas, every_step_rerun(params.pi, params.trans, rows, alphas, betas))
 
 
 def posterior_fb(params: HmcParams, obs: Sequence[int], lengths=None) -> PosteriorLattice:

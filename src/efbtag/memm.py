@@ -43,7 +43,10 @@ def forward_lattice(
     """
     if lengths is not None:
         return _lockstep_lattice(first, steps, lengths)
-    n = first.shape[0]
+    if np.ndim(first) != 1:
+        raise InvalidInputError(f"the first row must be a length-N vector, not of shape "
+                                f"{np.shape(first)}")
+    n = len(first)
     alphas = np.empty((len(steps) + 1, n))
     alphas[0] = first
     for t, table in enumerate(steps):

@@ -315,7 +315,8 @@ def test_a_degenerate_sentence_raises_the_every_step_error_in_each_posterior(
     """Zero-mass emission rows at `zeroed` of sentence `which`: each posterior
     raises the forward pass's every-step error at the first of them, batched
     and alone.  EFB floors an all-zero conditional at `L_FLOOR`, so there it
-    decodes, as at every step; a NaN conditional row degenerates instead."""
+    decodes, as at every step; a NaN or infinite conditional row degenerates
+    instead, with no RuntimeWarning."""
     rng = np.random.default_rng(SEED)
     chain = random_chain(rng, 4)
     rows = rng.dirichlet(np.ones(4), size=sum(lengths))
@@ -323,38 +324,44 @@ def test_a_degenerate_sentence_raises_the_every_step_error_in_each_posterior(
     rows[[start + p for p in zeroed]] = 0.0
     sentence = slice(start, start + lengths[which])
     posterior, obs, emissions = posterior_of(kind, chain, rows, rng)
+    degenerate = [obs]
     if kind == "hmc-efb":
         batched = posterior(obs, lengths)
         assert batched[sentence].tobytes() == posterior(obs[sentence]).tobytes()
         assert np.max(np.abs(batched - every_step(chain, emissions, lengths))) <= TOL
-        obs = obs.copy()
-        obs[[start + p for p in zeroed]] = np.nan
-    with pytest.raises(NumericalDegeneracyError) as alone:
-        posterior(obs[sentence])
-    with pytest.raises(NumericalDegeneracyError) as together:
-        posterior(obs, lengths)
-    assert str(alone.value) == f"forward pass degenerated to zero mass at position {min(zeroed)}"
-    assert str(together.value) == str(alone.value)
+        degenerate = [obs.copy(), obs.copy()]
+        for filled, fill in zip(degenerate, (np.nan, np.inf)):
+            filled[[start + p for p in zeroed]] = fill
+    for obs in degenerate:
+        with pytest.raises(NumericalDegeneracyError) as alone:
+            posterior(obs[sentence])
+        with pytest.raises(NumericalDegeneracyError) as together:
+            posterior(obs, lengths)
+        named = f"forward pass degenerated to zero mass at position {min(zeroed)}"
+        assert str(alone.value) == named
+        assert str(together.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("lengths, which, zeroed", DEGENERATE)
 def test_a_degenerate_sentence_names_its_position_on_the_schedule(lengths, which, zeroed):
     """The recursions on the posteriors' schedule name, batched and alone, the
-    positions that they name at every step."""
+    positions that they name at every step: those of zero-mass rows, and of
+    rows with an infinite entry, which are named as NaN rows are."""
     rng = np.random.default_rng(SEED)
     chain = random_chain(rng, 4)
     emissions = rng.random((sum(lengths), 4))
     start = sum(lengths[:which])
-    emissions[[start + p for p in zeroed]] = 0.0
-    sentence = emissions[start : start + lengths[which]]
-    for name, recursion in recursions(chain, hmc.RESCALE_EVERY).items():
-        with pytest.raises(NumericalDegeneracyError) as alone:
-            recursion(sentence)
-        with pytest.raises(NumericalDegeneracyError) as batched:
-            recursion(emissions, lengths)
-        named = min(zeroed) if name == "forward" else max(zeroed) - 1
-        assert str(alone.value).endswith(f"at position {named}"), name
-        assert str(batched.value) == str(alone.value), name
+    for fill in (0.0, [0.5, np.inf, 0.5, 0.0]):
+        emissions[[start + p for p in zeroed]] = fill
+        sentence = emissions[start : start + lengths[which]]
+        for name, recursion in recursions(chain, hmc.RESCALE_EVERY).items():
+            with pytest.raises(NumericalDegeneracyError) as alone:
+                recursion(sentence)
+            with pytest.raises(NumericalDegeneracyError) as batched:
+                recursion(emissions, lengths)
+            named = min(zeroed) if name == "forward" else max(zeroed) - 1
+            assert str(alone.value).endswith(f"at position {named}"), name
+            assert str(batched.value) == str(alone.value), name
 
 
 @pytest.mark.parametrize("every", [0, -1, 1.5, "8", None])
