@@ -223,6 +223,19 @@ def id_array(values, what: str) -> np.ndarray:
     return arr.astype(np.intp, copy=False)
 
 
+def real_array(values, message: str) -> np.ndarray:
+    """`values` as a float64 array; text, complex or ragged values raise
+    InvalidInputError(`message`) instead of being cast (a complex entry would
+    lose its imaginary part)."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind in "biuf":
+            return arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError):  # numpy refuses to stack rows of unequal length
+        pass
+    raise InvalidInputError(message)
+
+
 def check_lengths(lengths, n_rows: int | None = None) -> np.ndarray:
     """Sentence lengths of `n_rows` stacked rows, as intp.
 

@@ -21,8 +21,9 @@ those sentences one after another (stacked conditional rows, or the
 provider's inputs), the recursions run them in lockstep, and the results
 come back stacked in the same order.
 
-`posterior_efb` builds L / pi once, as one `hmc.prepare_rows` record that
-both entropic recursions read.  It still runs them through
+The entropic recursions rescale at every step.  `posterior_efb` builds
+L / pi once, as one `hmc.prepare_rows` record on the rescaling schedule,
+which both read with its lengths and interval.  It runs them through
 `entropic_forward`/`entropic_backward` and `conditional_matrix`, not
 through `hmc`'s recursions directly, because the benchmark's traced decode
 requires those three calls by name.
@@ -35,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import PosteriorLattice, check_lengths
+from .core import PosteriorLattice, check_lengths, real_array
 from .errors import InvalidInputError
 from .hmc import (
     RESCALE_EVERY, HmcParams, PreparedRows, every_step_rerun, posterior_from_lattices,
@@ -65,8 +66,8 @@ def conditional_matrix(
     `obs` is that matrix, unless `params` is an `EfbParams` with a
     provider: then row t is the provider's output for `obs[t]`, with t
     counted within its sentence when `lengths` is given.  A row
-    that is not a length-N vector raises InvalidInputError instead of
-    being broadcast.
+    that is not a length-N vector, or a text or complex entry, raises
+    InvalidInputError instead of being broadcast or cast.
     """
     n = params.n_labels
     if isinstance(params, EfbParams) and params.l_provider is not None:
@@ -86,10 +87,7 @@ def conditional_matrix(
                 )
             rows.append(row)
         obs = rows
-    try:
-        lmat = np.asarray(obs, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidInputError("conditional matrix must be numeric") from None
+    lmat = real_array(obs, "conditional matrix must be numeric")
     if lmat.ndim != 2 or lmat.shape[0] == 0 or lmat.shape[1] != n:
         raise InvalidInputError(
             f"conditional matrix has shape {lmat.shape}, expected (T >= 1, {n})"
@@ -100,28 +98,28 @@ def conditional_matrix(
 
 
 def entropic_forward(
-    params: HmcParams, obs: Sequence | np.ndarray, lengths=None, every: int = 1
+    params: HmcParams, obs: Sequence | np.ndarray, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropic forward lattice: the scaled forward recursion on L / pi.
 
     The base case pi * (L[0] / pi) is L[0].  Unscaled value at t is
-    alphas[t] * prod(scales[:t+1]).  `every` is `scaled_forward`'s.  `obs`
-    may also be the `hmc.prepare_rows` record of L / pi for these `lengths`
-    and `every`.
+    alphas[t] * prod(scales[:t+1]).  It rescales at every step, unless
+    `obs` is the `hmc.prepare_rows` record of L / pi, which brings its own
+    lengths and rescaling interval, as in `scaled_forward`.
     """
     if not isinstance(obs, PreparedRows):
         obs = conditional_matrix(params, obs, lengths) / params.pi
-    return scaled_forward(params.pi, params.trans, obs, lengths, every)
+    return scaled_forward(params.pi, params.trans, obs, lengths)
 
 
 def entropic_backward(
-    params: HmcParams, obs: Sequence | np.ndarray, lengths=None, every: int = 1
+    params: HmcParams, obs: Sequence | np.ndarray, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropic backward lattice; unscaled value at t is betas[t] * prod(scales[t:]).
-    `every` is `scaled_backward`'s; `obs` may be a record, as in `entropic_forward`."""
+    `obs` may be a record, as in `entropic_forward`."""
     if not isinstance(obs, PreparedRows):
         obs = conditional_matrix(params, obs, lengths) / params.pi
-    return scaled_backward(params.trans, obs, lengths, every)
+    return scaled_backward(params.trans, obs, lengths)
 
 
 def posterior_efb(
@@ -133,8 +131,8 @@ def posterior_efb(
     `hmc.POSTERIOR_GUARD` runs again every step."""
     rows = prepare_rows(conditional_matrix(params, obs, lengths) / params.pi, lengths,
                         RESCALE_EVERY)
-    alphas, _ = entropic_forward(params, rows, rows.lengths, RESCALE_EVERY)
-    betas, _ = entropic_backward(params, rows, rows.lengths, RESCALE_EVERY)
+    alphas, _ = entropic_forward(params, rows)
+    betas, _ = entropic_backward(params, rows)
     return posterior_from_lattices(
         alphas, betas, every_step_rerun(params.pi, params.trans, rows, alphas, betas))
 

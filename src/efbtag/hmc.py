@@ -10,7 +10,6 @@ featured decoders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 from numbers import Integral
 from typing import NamedTuple, Optional, Sequence
@@ -19,14 +18,14 @@ import numpy as np
 
 from .core import (
     LabeledSentence, PosteriorLattice, TagSet, Vocabulary, check_lengths, check_token_rows,
-    id_array,
+    id_array, real_array,
 )
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .features import FeatureIndex
 
 PROB_TOL = 1e-12
 DEFAULT_SMOOTHING = 1e-6
-# the posteriors run the recursions with `every` = RESCALE_EVERY: a posterior
+# the posteriors prepare their rows with `every` = RESCALE_EVERY: a posterior
 # reads only each row of alpha * beta over its sum, so a row need not be
 # normalized at every step, only often enough that none underflows
 RESCALE_EVERY = 8
@@ -159,16 +158,10 @@ def _degenerate(direction: str, t: int) -> NumericalDegeneracyError:
     return NumericalDegeneracyError(f"{direction} pass degenerated to zero mass at position {t}")
 
 
-def _check_every(every) -> None:
-    # an int first: the test for the ABC takes ten times as long
-    if not (type(every) is int or isinstance(every, Integral)) or every < 1:
-        raise InvalidInputError(f"rescaling interval must be an integer >= 1, got {every!r}")
-
-
 class PreparedRows(NamedTuple):
     """A posterior's (ΣT, N) emission rows as both recursions read them;
     `prepare_rows` builds it, and `scaled_forward`/`scaled_backward` take it
-    in place of the matrix, for the `lengths` and `every` it was built for."""
+    in place of the matrix, with the `lengths` and `every` it was built for."""
 
     raw: np.ndarray  # the rows as given, in float64, each +inf entry made NaN
     lengths: Optional[np.ndarray]  # the checked sentence lengths; None for one sentence
@@ -199,14 +192,10 @@ def prepare_rows(emissions, lengths=None, every: int = 1) -> PreparedRows:
     becomes NaN there, so that it degenerates where a NaN does, at its own
     position, rather than at the next after an inf / inf.
     """
-    _check_every(every)
-    try:
-        raw = np.asarray(emissions)
-        if raw.dtype.kind not in "biuf":  # a complex entry would lose its imaginary part
-            raise TypeError
-        raw = raw.astype(np.float64, copy=False)
-    except (TypeError, ValueError):
-        raise InvalidInputError("emissions must be a real (T, N) matrix") from None
+    # an int first: the test for the ABC takes ten times as long
+    if not (type(every) is int or isinstance(every, Integral)) or every < 1:
+        raise InvalidInputError(f"rescaling interval must be an integer >= 1, got {every!r}")
+    raw = real_array(emissions, "emissions must be a real (T, N) matrix")
     if raw.ndim != 2:
         raise InvalidInputError(f"a chain takes (T, N) emissions, not an array of {raw.shape}")
     peaks = None
@@ -223,19 +212,13 @@ def prepare_rows(emissions, lengths=None, every: int = 1) -> PreparedRows:
     return PreparedRows(raw, lengths, every, packed, bounds, place, peaks)
 
 
-def _prepared(emissions, lengths, every) -> PreparedRows:
-    """`emissions` prepared for `lengths` and `every`, or, if it is a record
-    already, that record, which must have been prepared for them."""
+def _prepared(emissions, lengths) -> PreparedRows:
+    """`emissions` prepared for `lengths` at every step, or, if it is a record
+    already, that record, which brings its own lengths."""
     if not isinstance(emissions, PreparedRows):
-        return prepare_rows(emissions, lengths, every)
-    _check_every(every)
-    if every != emissions.every or not (
-        lengths is emissions.lengths or np.array_equal(lengths, emissions.lengths)
-    ):
-        raise InvalidInputError(
-            f"rows prepared for lengths {emissions.lengths} and every = {emissions.every} "
-            f"are run with lengths {lengths} and every = {every!r}"
-        )
+        return prepare_rows(emissions, lengths)
+    if lengths is not None:
+        raise InvalidInputError(f"a prepared record brings its own lengths, not {lengths}")
     return emissions
 
 
@@ -251,36 +234,29 @@ def _misshapen(emissions: np.ndarray, trans: np.ndarray, pi=None) -> InvalidInpu
 def _under_guard(sums: np.ndarray, scheduled: bool, direction: str, t) -> bool:
     """Mark stacked `sums` that fell to the guard.  At every = 1 that is a
     degeneracy at step t; on a schedule they become NaN, which the division
-    spreads to their rows without a warning and `_redo_every_step` finds."""
+    spreads to their rows without a warning, and `_every_step` reruns."""
     if not scheduled:
         raise _degenerate(direction, t)
     sums[~(sums > RESCALE_GUARD)] = np.nan
     return True
 
 
-def _sentence_rows(lengths, marked: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The rows of the stacked sentences that hold a `marked` row, and their
-    lengths; with no `lengths`, every row of the one sentence and None."""
+def _every_step(prepared: PreparedRows, marked: np.ndarray) -> tuple[np.ndarray, PreparedRows]:
+    """The rows of the sentences that hold a `marked` row, and those rows as
+    given, prepared to run at every step."""
+    lengths = prepared.lengths
     if lengths is None:
-        return np.arange(len(marked)), None
-    lengths = np.asarray(lengths)
-    ends = np.cumsum(lengths)
-    which = np.unique(np.searchsorted(ends, np.flatnonzero(marked), side="right"))
-    rows = np.concatenate([np.arange(ends[i] - lengths[i], ends[i]) for i in which])
-    return rows, lengths[which]
-
-
-def _redo_every_step(recursion, prepared: PreparedRows, lattice: np.ndarray,
-                     scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`lattice` and `scales`, with the rows of each sentence that holds a NaN
-    scale taken from `recursion` run over its raw rows with every = 1."""
-    rows, sizes = _sentence_rows(prepared.lengths, np.isnan(scales))
-    lattice[rows], scales[rows] = recursion(prepared.raw.take(rows, axis=0), sizes, 1)
-    return lattice, scales
+        rows = np.arange(len(marked))
+    else:
+        ends = np.cumsum(lengths)
+        which = np.unique(np.searchsorted(ends, np.flatnonzero(marked), side="right"))
+        rows = np.concatenate([np.arange(ends[i] - lengths[i], ends[i]) for i in which])
+        lengths = lengths[which]
+    return rows, prepare_rows(prepared.raw.take(rows, axis=0), lengths)
 
 
 def scaled_forward(
-    pi: np.ndarray, trans: np.ndarray, emissions, lengths=None, every: int = 1
+    pi: np.ndarray, trans: np.ndarray, emissions, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward recursion over an explicit T x N emission matrix.
 
@@ -297,8 +273,11 @@ def scaled_forward(
     stacked matmul in the per-row (1, N) @ (N, N) form; then the longest
     runs on alone, a row at a time, as one sentence does throughout.
 
-    Given `every` = k > 1, each emission row is first divided by its
-    maximum, and a row is normalized only where t % k == k - 1 or t is
+    `emissions` may also be a `prepare_rows` record, which brings its own
+    lengths and rescaling interval (`lengths` is then None); a matrix runs
+    at every step.  A posterior builds one record for both recursions.
+    With interval `every` = k > 1, each emission row is first divided by
+    its maximum, and a row is normalized only where t % k == k - 1 or t is
     its sentence's last position, t counted within the sentence, so
     stacked sentences still give their own bytes.  A row's scale is its
     emission maximum, times its sum where it is normalized, so the
@@ -309,15 +288,11 @@ def scaled_forward(
     RESCALE_GUARD lost nothing to underflow.  A sentence with a block
     that does not is run again with every = 1, and its rows spliced in,
     so it gives the rows, or raises the error, that every = 1 gives.
-
-    `emissions` may also be the `prepare_rows` record of those rows, for
-    these `lengths` and `every`, which a posterior builds once for both
-    recursions; a matrix is prepared here.
     """
-    prepared = _prepared(emissions, lengths, every)
+    prepared = _prepared(emissions, lengths)
     if prepared.raw.shape[1:] != pi.shape or trans.shape != pi.shape * 2:
         raise _misshapen(prepared.raw, trans, pi)
-    packed, bounds, place = prepared.packed, prepared.bounds, prepared.place
+    packed, bounds, place, every = prepared.packed, prepared.bounds, prepared.place, prepared.every
     scheduled = every > 1
     # a step alone is four numpy calls on N-vectors, so name lookups, keyword
     # parsing and `np.dot`'s dispatch would be a visible share of it: the
@@ -378,12 +353,13 @@ def scaled_forward(
         scales[ends] = s
     scales *= prepared.peaks
     if fell:
-        return _redo_every_step(partial(scaled_forward, pi, trans), prepared, alphas, scales)
+        rows, again = _every_step(prepared, np.isnan(scales))
+        alphas[rows], scales[rows] = scaled_forward(pi, trans, again)
     return alphas, scales
 
 
 def scaled_backward(
-    trans: np.ndarray, emissions, lengths=None, every: int = 1
+    trans: np.ndarray, emissions, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward recursion with the same row-normalization scheme.
 
@@ -396,9 +372,10 @@ def scaled_backward(
     the step after; those that end at a step follow them, and start their
     pass there with a row of ones.
 
-    Given `every` = k > 1, each emission row is first divided by its
-    maximum, and a row is normalized only where t % k == 0, which every
-    sentence's first position is.  Row t's scale is the maximum of the
+    `emissions` is a matrix or a record, as there.  With interval k > 1,
+    each emission row is first divided by its maximum, and a row is
+    normalized only where t % k == 0, which every sentence's first
+    position is.  Row t's scale is the maximum of the
     emission row t + 1 that its step reads (1 at a sentence's last
     position), times its sum where it is normalized.  With emission rows
     at most 1 and `trans` row-stochastic, no entry of a row exceeds the
@@ -406,12 +383,12 @@ def scaled_backward(
     the largest entry of every row in it to within a factor N: a block
     that closes above RESCALE_GUARD lost nothing to underflow.  A sentence
     with a block that does not is run again with every = 1, as in
-    `scaled_forward`, which also takes a `prepare_rows` record.
+    `scaled_forward`.
     """
-    prepared = _prepared(emissions, lengths, every)
+    prepared = _prepared(emissions, lengths)
     if trans.shape != prepared.raw.shape[1:] * 2:
         raise _misshapen(prepared.raw, trans)
-    packed, bounds, place = prepared.packed, prepared.bounds, prepared.place
+    packed, bounds, place, every = prepared.packed, prepared.bounds, prepared.place, prepared.every
     scheduled = every > 1
     matvec, multiply, divide, add = trans.dot, np.multiply, np.divide, np.add.reduce
     betas = np.empty(packed.shape)
@@ -466,7 +443,8 @@ def scaled_backward(
         follow[np.cumsum(prepared.lengths)[:-1] - 1] = 1.0
     scales[:-1] *= follow
     if fell:
-        return _redo_every_step(partial(scaled_backward, trans), prepared, betas, scales)
+        rows, again = _every_step(prepared, np.isnan(scales))
+        betas[rows], scales[rows] = scaled_backward(trans, again)
     return betas, scales
 
 
@@ -577,10 +555,9 @@ def every_step_rerun(pi: np.ndarray, trans: np.ndarray, prepared: PreparedRows,
     a masked row taken from both recursions at every = 1 over the matching
     raw rows of `prepared`, so that sentence gives the every-step posterior."""
     def rerun(marked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows, sizes = _sentence_rows(prepared.lengths, marked)
-        again = prepare_rows(prepared.raw.take(rows, axis=0), sizes)
-        alphas[rows] = scaled_forward(pi, trans, again, again.lengths)[0]
-        betas[rows] = scaled_backward(trans, again, again.lengths)[0]
+        rows, again = _every_step(prepared, marked)
+        alphas[rows] = scaled_forward(pi, trans, again)[0]
+        betas[rows] = scaled_backward(trans, again)[0]
         return alphas, betas
     return rerun
 
@@ -591,8 +568,8 @@ def _posterior(params: HmcParams, emissions: np.ndarray, lengths=None) -> Poster
     a sentence whose posterior denominator falls to POSTERIOR_GUARD runs
     again every step."""
     rows = prepare_rows(emissions, lengths, RESCALE_EVERY)
-    alphas, _ = scaled_forward(params.pi, params.trans, rows, rows.lengths, RESCALE_EVERY)
-    betas, _ = scaled_backward(params.trans, rows, rows.lengths, RESCALE_EVERY)
+    alphas, _ = scaled_forward(params.pi, params.trans, rows)
+    betas, _ = scaled_backward(params.trans, rows)
     return posterior_from_lattices(
         alphas, betas, every_step_rerun(params.pi, params.trans, rows, alphas, betas))
 

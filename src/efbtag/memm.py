@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import check_lengths, check_token_rows, id_array
+from .core import check_lengths, check_token_rows, id_array, real_array
 from .discrim import LogisticModel, predict, predict_all_prev
 from .errors import InvalidInputError
 
@@ -39,13 +39,17 @@ def forward_lattice(
 
     Given B sentences' `lengths`, `first` is their (B, N) first rows and
     step t a (L, N, N) stack of tables, one per sentence longer than t, in
-    sentence order; steps may be produced one at a time.
+    sentence order.  In both forms steps may be produced one at a time, and
+    `first` or a step that is not an ndarray is taken as its real array.
     """
+    first = _as_array(first)
     if lengths is not None:
         return _lockstep_lattice(first, steps, lengths)
-    if np.ndim(first) != 1:
+    if first.ndim != 1:
         raise InvalidInputError(f"the first row must be a length-N vector, not of shape "
-                                f"{np.shape(first)}")
+                                f"{first.shape}")
+    if not isinstance(steps, np.ndarray):  # a list or an iterator of tables
+        steps = list(map(_as_array, steps))
     n = len(first)
     alphas = np.empty((len(steps) + 1, n))
     alphas[0] = first
@@ -56,17 +60,23 @@ def forward_lattice(
     return alphas
 
 
+def _as_array(values) -> np.ndarray:
+    """An ndarray as it is, as the decode path passes it; anything else as its real array."""
+    return values if isinstance(values, np.ndarray) else real_array(
+        values, "conditional rows and tables must be real numbers")
+
+
 def _lockstep_lattice(first: np.ndarray, steps, lengths) -> np.ndarray:
     """`forward_lattice` of stacked sentences, one matmul of the live rows a step."""
     lengths = check_lengths(lengths)
-    n = first.shape[-1]
-    if first.shape != (len(lengths), n):
+    if first.ndim != 2 or len(first) != len(lengths):
         raise InvalidInputError(f"{len(lengths)} sentences need {len(lengths)} first rows")
+    n = first.shape[1]
     starts = np.cumsum(lengths) - lengths
     alphas = np.empty((int(lengths.sum()), n))
     alphas[starts] = first
     t = 0
-    for t, tables in enumerate(steps, 1):
+    for t, tables in enumerate(map(_as_array, steps), 1):
         rows = starts[lengths > t] + t
         if tables.shape != (len(rows), n, n):
             raise InvalidInputError("conditional table shape mismatch")

@@ -152,8 +152,8 @@ def test_an_hmc_fb_chain_decodes_as_its_bare_chain(worked_params):
 
 @pytest.mark.parametrize(
     "row",
-    [np.array(["a", "b"]), [0.5, "x"], [0.5, object()]],
-    ids=["strings", "string-among-floats", "object"],
+    [np.array(["a", "b"]), [0.5, "x"], [0.5, object()], np.array([0.5 + 1j, 0.5])],
+    ids=["strings", "string-among-floats", "object", "complex"],
 )
 def test_non_numeric_provider_row_rejected(worked_params, row):
     params = efb.EfbParams(
@@ -172,9 +172,9 @@ def parent_posterior(tagger, lmat):
     for t, row in enumerate(lmat):
         rows[t] = row
     pi, trans = tagger.hmc_params.pi, tagger.hmc_params.trans
-    ratio = np.maximum(rows, efb.L_FLOOR) / pi
-    alphas, _ = hmc.scaled_forward(pi, trans, ratio, every=hmc.RESCALE_EVERY)
-    betas, _ = hmc.scaled_backward(trans, ratio, every=hmc.RESCALE_EVERY)
+    ratio = hmc.prepare_rows(np.maximum(rows, efb.L_FLOOR) / pi, every=hmc.RESCALE_EVERY)
+    alphas, _ = hmc.scaled_forward(pi, trans, ratio)
+    betas, _ = hmc.scaled_backward(trans, ratio)
     return hmc.posterior_from_lattices(alphas, betas)
 
 
@@ -216,9 +216,10 @@ def test_provider_row_of_another_shape_rejected(worked_params, row):
 @pytest.mark.parametrize(
     "obs",
     [0.5, [], np.full(2, 0.5), np.empty((0, 2)), np.full((3, 3), 0.2),
-     np.full((3, 1), 0.5), np.full((2, 2, 1), 0.5), [[0.5, 0.5], [0.5]], [["a", "b"]]],
+     np.full((3, 1), 0.5), np.full((2, 2, 1), 0.5), [[0.5, 0.5], [0.5]], [["a", "b"]],
+     np.full((3, 2), 0.5 + 1j)],
     ids=["scalar", "empty-list", "vector", "no-rows", "three-columns", "one-column",
-         "three-dims", "ragged", "strings"],
+         "three-dims", "ragged", "strings", "complex"],
 )
 def test_matrix_form_rejects_what_is_not_a_t_by_n_matrix(worked_params, obs):
     params = efb.EfbParams(pi=worked_params.pi, trans=worked_params.trans)

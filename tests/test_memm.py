@@ -50,6 +50,41 @@ class TestForwardLattice:
         with pytest.raises(InvalidInputError):
             forward_lattice(np.array([0.5, 0.5]), [np.eye(3)])
 
+    @staticmethod
+    def sentence(stacked):
+        """A 5-token sentence's (first, steps, lengths), alone or as a batch of one."""
+        rng = np.random.default_rng(44)
+        first, steps = rng.dirichlet(np.ones(3)), [step_table(rng, 3) for _ in range(4)]
+        if stacked:
+            return first[None], [table[None] for table in steps], [5]
+        return first, steps, None
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+    @pytest.mark.parametrize("case", ["iterator of steps", "nested-list step", "list first"])
+    def test_array_likes_are_taken_as_their_arrays(self, case, stacked):
+        first, steps, lengths = self.sentence(stacked)
+        want = forward_lattice(first, steps, lengths)
+        if case == "iterator of steps":
+            steps = iter(steps)
+        elif case == "nested-list step":
+            steps[1] = steps[1].tolist()
+        else:
+            first = first.tolist()
+        assert forward_lattice(first, steps, lengths).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+    @pytest.mark.parametrize("case", ["text step", "ragged step", "complex step", "text first"])
+    def test_what_is_not_a_real_array_is_refused(self, case, stacked):
+        first, steps, lengths = self.sentence(stacked)
+        bad = {"text step": "x", "ragged step": [0.5], "complex step": 0.5 + 1j}.get(case)
+        if bad is None:
+            first = np.full(first.shape, "x").tolist()
+        else:
+            steps[1] = steps[1].tolist()
+            (steps[1][0] if stacked else steps[1])[0] = bad
+        with pytest.raises(InvalidInputError, match="must be real numbers"):
+            forward_lattice(first, steps, lengths)
+
 
 class TestDecode:
     def test_worked_example_labels(self):

@@ -4,9 +4,9 @@
 the posteriors' schedule and packs it once; `hmc._posterior` and
 `efb.posterior_efb` hand that record to both recursions.  These tests hold
 the three chain posteriors to the path in which each recursion prepares
-the matrix for itself, byte for byte and error for error, hold a record
-to the lengths and interval it was prepared for, and check that EFB
-builds its conditional matrix once.  Infinite entries degenerate where
+the matrix for itself, byte for byte and error for error, check that a
+record brings its own lengths and interval, and that EFB builds its
+conditional matrix once.  Infinite entries degenerate where
 NaN ones do, at every step and on the schedule, with no RuntimeWarning.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from efbtag import efb, hmc, memm
 from efbtag.errors import InvalidInputError, NumericalDegeneracyError
 from test_batch_decode import DEGENERATE, SEED, random_chain
-from test_rescale_schedule import KINDS, ladder_sentence, outcome, posterior_of
+from test_rescale_schedule import KINDS, ladder_sentence, outcome, posterior_of, recursions
 
 K = hmc.RESCALE_EVERY
 
@@ -24,8 +24,8 @@ K = hmc.RESCALE_EVERY
 def each_prepares_its_own(chain, emissions, lengths=None):
     """The scheduled posterior as each recursion preparing its own rows gives
     it, with the every-step rerun of the sentences that hold a marked row."""
-    alphas, _ = hmc.scaled_forward(chain.pi, chain.trans, emissions, lengths, K)
-    betas, _ = hmc.scaled_backward(chain.trans, emissions, lengths, K)
+    alphas, _ = hmc.scaled_forward(chain.pi, chain.trans, hmc.prepare_rows(emissions, lengths, K))
+    betas, _ = hmc.scaled_backward(chain.trans, hmc.prepare_rows(emissions, lengths, K))
 
     def rerun(marked):
         lens = [len(emissions)] if lengths is None else list(lengths)
@@ -120,20 +120,25 @@ def test_each_posterior_gives_the_bytes_of_recursions_that_prepare_their_own(
 @pytest.mark.parametrize("lengths", [None, [6, 13, 1, 9]], ids=["alone", "batched"])
 @pytest.mark.parametrize("every", [1, 3, K])
 def test_one_record_read_by_both_recursions_in_any_order(every, lengths):
-    """A record gives both recursions the bytes that the matrix gives them,
-    forward first or backward first and twice over, and neither writes into
-    it."""
+    """A record gives both recursions the bytes that a record of their own
+    gives them, forward first or backward first and twice over, and neither
+    writes into it; at every = 1 those are the matrix's bytes."""
     rng = np.random.default_rng(SEED)
     chain = random_chain(rng, 5)
     emissions = rng.random((29, 5))
     if lengths is None:
         emissions = emissions[:13]
-    want = (hmc.scaled_forward(chain.pi, chain.trans, emissions, lengths, every),
-            hmc.scaled_backward(chain.trans, emissions, lengths, every))
+    want = (hmc.scaled_forward(chain.pi, chain.trans, hmc.prepare_rows(emissions, lengths, every)),
+            hmc.scaled_backward(chain.trans, hmc.prepare_rows(emissions, lengths, every)))
+    if every == 1:
+        matrix = (hmc.scaled_forward(chain.pi, chain.trans, emissions, lengths),
+                  hmc.scaled_backward(chain.trans, emissions, lengths))
+        for got, ref in zip(want, matrix):
+            assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
     rows = hmc.prepare_rows(emissions, lengths, every)
     before = [a.copy() for a in rows if isinstance(a, np.ndarray)]
-    calls = (lambda: hmc.scaled_forward(chain.pi, chain.trans, rows, rows.lengths, every),
-             lambda: hmc.scaled_backward(chain.trans, rows, rows.lengths, every))
+    calls = (lambda: hmc.scaled_forward(chain.pi, chain.trans, rows),
+             lambda: hmc.scaled_backward(chain.trans, rows))
     for order in ((0, 1, 0, 1), (1, 0, 1, 0)):
         for i in order:
             got = calls[i]()
@@ -142,36 +147,47 @@ def test_one_record_read_by_both_recursions_in_any_order(every, lengths):
     assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
 
 
-def test_entropic_recursions_read_a_record_of_the_ratio():
-    """`entropic_forward`/`entropic_backward` given the record of L / pi give
-    what they give on the conditional rows."""
+@pytest.mark.parametrize("every", [1, K])
+def test_entropic_recursions_read_a_record_of_the_ratio(every):
+    """`entropic_forward`/`entropic_backward` given a record of L / pi give
+    what `hmc`'s recursions give on it; at every = 1, what they give on the
+    conditional rows."""
     rng = np.random.default_rng(SEED)
     chain = random_chain(rng, 3)
     lmat, lengths = rng.dirichlet(np.ones(3), size=20), [8, 12]
-    rows = hmc.prepare_rows(efb.conditional_matrix(chain, lmat, lengths) / chain.pi, lengths, K)
-    for recursion in (efb.entropic_forward, efb.entropic_backward):
-        want = recursion(chain, lmat, lengths, K)
-        got = recursion(chain, rows, rows.lengths, K)
+    ratio = efb.conditional_matrix(chain, lmat, lengths) / chain.pi
+    plain = (lambda rows: hmc.scaled_forward(chain.pi, chain.trans, rows),
+             lambda rows: hmc.scaled_backward(chain.trans, rows))
+    for recursion, hmc_recursion in zip((efb.entropic_forward, efb.entropic_backward), plain):
+        want = hmc_recursion(hmc.prepare_rows(ratio, lengths, every))
+        got = recursion(chain, hmc.prepare_rows(ratio, lengths, every))
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        if every == 1:
+            got = recursion(chain, lmat, lengths)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("prepared, lengths, every", [
-    (None, None, 1), (None, None, K + 1), (None, [10], K), (None, [4, 6], K),
-    ([4, 6], None, K), ([4, 6], [6, 4], K), ([4, 6], [4, 6], 1), ([4, 6], [4, 6], "8"),
+@pytest.mark.parametrize("prepared, lengths", [
+    (None, [10]), (None, [4, 6]), ([4, 6], [4, 6]), ([4, 6], [6, 4]), ([4, 6], np.array([4, 6])),
 ])
-def test_a_record_for_other_lengths_or_interval_is_refused(prepared, lengths, every):
-    """A record prepared for `prepared` lengths at every = RESCALE_EVERY is
-    refused by each recursion run with other `lengths` or `every`."""
+def test_a_record_refuses_lengths_and_prepare_rows_a_bad_interval(prepared, lengths):
+    """A record brings its own lengths and interval: each recursion refuses
+    it with any `lengths`, even those it was prepared for; and
+    `prepare_rows` refuses an interval that is not an integer >= 1."""
     rng = np.random.default_rng(SEED)
     chain = random_chain(rng, 3)
-    record = hmc.prepare_rows(rng.random((10, 3)), prepared, K)
-    calls = [lambda: hmc.scaled_forward(chain.pi, chain.trans, record, lengths, every),
-             lambda: hmc.scaled_backward(chain.trans, record, lengths, every),
-             lambda: efb.entropic_forward(chain, record, lengths, every),
-             lambda: efb.entropic_backward(chain, record, lengths, every)]
+    emissions = rng.random((10, 3))
+    record = hmc.prepare_rows(emissions, prepared, K)
+    calls = [lambda: hmc.scaled_forward(chain.pi, chain.trans, record, lengths),
+             lambda: hmc.scaled_backward(chain.trans, record, lengths),
+             lambda: efb.entropic_forward(chain, record, lengths),
+             lambda: efb.entropic_backward(chain, record, lengths)]
     for call in calls:
-        with pytest.raises(InvalidInputError, match="prepared for lengths|rescaling interval"):
+        with pytest.raises(InvalidInputError, match="brings its own lengths"):
             call()
+    for every in (0, K + 0.5, "8"):
+        with pytest.raises(InvalidInputError, match="rescaling interval"):
+            hmc.prepare_rows(emissions, prepared, every)
 
 
 @pytest.mark.parametrize("lengths", [None, [7, 1, 12]], ids=["alone", "batched"])
@@ -203,10 +219,7 @@ def test_an_infinite_entry_is_named_where_a_nan_is(lengths, which, zeroed, every
     chain = random_chain(rng, 4)
     emissions = rng.random((sum(lengths), 4))
     start = sum(lengths[:which])
-    recursion = {
-        "forward": lambda e, lens=None: hmc.scaled_forward(chain.pi, chain.trans, e, lens, every),
-        "backward": lambda e, lens=None: hmc.scaled_backward(chain.trans, e, lens, every),
-    }[direction]
+    recursion = recursions(chain, every)[direction]
     named = {}
     for fill in (np.nan, np.inf):
         filled = emissions.copy()
@@ -240,10 +253,13 @@ def test_malformed_arguments_are_refused_not_a_numpy_error(call):
 def test_array_like_emissions_are_prepared_as_their_array():
     chain = random_chain(np.random.default_rng(SEED), 3)
     listed = [[1.0] * 3] * 2
-    for every in (1, K):
-        got = hmc.scaled_forward(chain.pi, chain.trans, listed, every=every)
-        want = hmc.scaled_forward(chain.pi, chain.trans, np.array(listed), every=every)
+    pairs = [(listed, np.array(listed))] + [
+        (hmc.prepare_rows(listed, every=every), hmc.prepare_rows(np.array(listed), every=every))
+        for every in (1, K)]
+    for given, array in pairs:
+        got = hmc.scaled_forward(chain.pi, chain.trans, given)
+        want = hmc.scaled_forward(chain.pi, chain.trans, array)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-        got = hmc.scaled_backward(chain.trans, listed, every=every)
-        want = hmc.scaled_backward(chain.trans, np.array(listed), every=every)
+        got = hmc.scaled_backward(chain.trans, given)
+        want = hmc.scaled_backward(chain.trans, array)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

@@ -1,7 +1,8 @@
 """The posteriors' rescaling schedule against rescaling at every step.
 
 `hmc.posterior_fb`, `posterior_naive_features` and `efb.posterior_efb` run
-the scaled recursions with `every=hmc.RESCALE_EVERY`: each emission row is
+the scaled recursions on rows that `hmc.prepare_rows` prepared with
+`every=hmc.RESCALE_EVERY`: each emission row is
 divided by its maximum, and a row is normalized only every k steps and at
 its sentence's end.  These tests hold the schedule to the every-step
 recursions on random chains and emissions, with exact zeros, `L_FLOOR`
@@ -167,9 +168,12 @@ def test_scheduled_posteriors_are_the_every_step_ones(kind, n, lengths, seed, st
 
 
 def recursions(chain, every):
+    """Each recursion on the rows that `prepare_rows` prepares at interval `every`."""
     return {
-        "forward": lambda e, lens=None: hmc.scaled_forward(chain.pi, chain.trans, e, lens, every),
-        "backward": lambda e, lens=None: hmc.scaled_backward(chain.trans, e, lens, every),
+        "forward": lambda e, lens=None: hmc.scaled_forward(
+            chain.pi, chain.trans, hmc.prepare_rows(e, lens, every)),
+        "backward": lambda e, lens=None: hmc.scaled_backward(
+            chain.trans, hmc.prepare_rows(e, lens, every)),
     }
 
 
@@ -237,6 +241,27 @@ def test_a_block_under_the_guard_is_run_again_step_by_step():
     assert posterior[3:13].tobytes() == every_step(chain, ratio[3:13]).tobytes()
 
 
+@pytest.mark.parametrize("kind, n, length, seed, fallen", [
+    ("hmc-fb", 5, 38, 134, "forward"), ("hmc-efb", 3, 12, 2159, "backward"),
+])
+def test_each_recursion_reruns_only_its_own_fallen_blocks(kind, n, length, seed, fallen):
+    """One sentence, over a chain that moves with odds 1e-20, in which only
+    the `fallen` recursion has a block under RESCALE_GUARD: that recursion
+    alone runs again step by step, and the posterior read from its rerun
+    and the other's scheduled lattice is within TOL of the exact one, while
+    the every-step posterior is not.  Rerunning the whole sentence every
+    step, in place of each recursion's own rerun, would give the latter."""
+    rng, chain, rows = draw(n, [length], seed, sticky=1e-20, near_share=0.7)
+    posterior, obs, emissions = posterior_of(kind, chain, rows, rng)
+    every_one = recursions(chain, 1)
+    for name, recursion in recursions(chain, hmc.RESCALE_EVERY).items():
+        ran_again = recursion(emissions)[1].tobytes() == every_one[name](emissions)[1].tobytes()
+        assert ran_again == (name == fallen), name
+    exact = exact_posterior(chain, emissions)
+    assert np.max(np.abs(posterior(obs) - exact)) <= TOL
+    assert np.max(np.abs(every_step(chain, emissions) - exact)) > TOL
+
+
 def ladder_sentence(steps=9, move=1e-33, drain=10 ** -12.3, r=0.1, k=hmc.RESCALE_EVERY):
     """A chain that climbs states 0..steps one `move` at a time, plus a last
     state that it never enters, and a sentence over it whose alpha and beta
@@ -276,9 +301,9 @@ def test_a_posterior_denominator_under_the_guard_is_run_again_step_by_step(kind)
     sentence = slice(5, 5 + len(ladder))
     want = every_step(chain, emissions[sentence])
     assert np.max(np.abs(want - exact_posterior(chain, emissions[sentence]))) <= TOL
-    alphas, _ = hmc.scaled_forward(chain.pi, chain.trans, emissions[sentence],
-                                   every=hmc.RESCALE_EVERY)
-    betas, _ = hmc.scaled_backward(chain.trans, emissions[sentence], every=hmc.RESCALE_EVERY)
+    scheduled = recursions(chain, hmc.RESCALE_EVERY)
+    alphas, _ = scheduled["forward"](emissions[sentence])
+    betas, _ = scheduled["backward"](emissions[sentence])
     assert (alphas * betas).sum(axis=1).min() < np.finfo(np.float64).tiny
     batched = posterior(obs, lengths)
     assert batched[sentence].tobytes() == want.tobytes()
@@ -295,8 +320,9 @@ def test_the_scales_are_the_row_maxima_times_the_sums():
     chain = random_chain(rng, 4)
     emissions = rng.random((11, 4))
     peaks = emissions.max(axis=1)
-    _, forward = hmc.scaled_forward(chain.pi, chain.trans, emissions, every=4)
-    _, backward = hmc.scaled_backward(chain.trans, emissions, every=4)
+    rows = hmc.prepare_rows(emissions, every=4)
+    _, forward = hmc.scaled_forward(chain.pi, chain.trans, rows)
+    _, backward = hmc.scaled_backward(chain.trans, rows)
     normalized = np.zeros(11, dtype=bool)
     normalized[[3, 7, 10]] = True
     assert (forward[~normalized] == peaks[~normalized]).all()

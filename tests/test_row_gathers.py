@@ -81,8 +81,9 @@ def test_posterior_fb_equals_the_posterior_of_fancy_index_emissions(n, words, le
     for lens, part in ((None, obs[: lengths[0]]), (lengths, obs)):
         got = hmc.posterior_fb(params, part, lens).values
         e = emissions[: len(part)]
-        alphas, _ = hmc.scaled_forward(pi, trans, e, lens, hmc.RESCALE_EVERY)
-        betas, _ = hmc.scaled_backward(trans, e, lens, hmc.RESCALE_EVERY)
+        rows = hmc.prepare_rows(e, lens, hmc.RESCALE_EVERY)
+        alphas, _ = hmc.scaled_forward(pi, trans, rows)
+        betas, _ = hmc.scaled_backward(trans, rows)
         expected = hmc.posterior_from_lattices(alphas, betas).values
         assert got.tobytes() == expected.tobytes()
 
