@@ -2,11 +2,11 @@
 
 `hmc.posterior_fb`, `posterior_naive_features` and `efb.posterior_efb` run
 the scaled recursions on rows that `hmc.prepare_rows` prepared with
-`every=hmc.RESCALE_EVERY`: each emission row is
-divided by its maximum, and a row is normalized only every k steps and at
-its sentence's end.  These tests hold the schedule to the every-step
-recursions on random chains and emissions, with exact zeros, `L_FLOOR`
-and near-zero entries among them: wherever the every-step posterior is
+`every=hmc.RESCALE_EVERY`: each emission row is divided by its maximum,
+and a row is normalized only every k steps and at its sentence's end.
+These tests hold the schedule to the every-step recursions on random
+chains and emissions, with exact zeros, `L_FLOOR` and near-zero entries
+among them: wherever the every-step posterior is
 within TOL (stated before any run) of the exact one, which a 50-digit
 decimal recursion gives, the schedule's is within TOL of it, with the
 same label wherever its top two are further apart than TOL; `unscale`
