@@ -1,10 +1,10 @@
 """Classic generative hidden Markov chain.
 
 Parameter estimation by frequency counting with additive smoothing,
-scaled Forward-Backward recursions, posterior marginals, and the
-feature-independence emission baseline, which counts and gathers its
-per-family tables over the same `FeatureIndex` ids as the other
-featured decoders.
+scaled Forward-Backward as one recursion run forward and on reversed
+rows, posterior marginals, and the feature-independence emission
+baseline, which counts and gathers its per-family tables over the same
+`FeatureIndex` ids as the other featured decoders.
 """
 
 from __future__ import annotations
@@ -29,17 +29,17 @@ DEFAULT_SMOOTHING = 1e-6
 # reads only each row of alpha * beta over its sum, so a row need not be
 # normalized at every step, only often enough that none underflows
 RESCALE_EVERY = 8
-# a block of steps whose closing sum falls to this is run again step by step,
-# so every row in a block keeps at least this mass (or, backward, this largest
-# entry over N), and what it loses to float64's subnormal range, whose values
-# are under 2.2e-308, is under 1e-207 of it
+# a block of steps whose closing sum falls to this is run again step by step;
+# in either direction no row's largest entry falls below its block's closing
+# sum over N, so what a row loses to float64's subnormal range, whose values
+# are under 2.2e-308, is under N * 2.2e-208 of its largest entry
 RESCALE_GUARD = 1e-100
 # that bounds each lattice, not their overlap: on the schedule a posterior's
-# denominator is the every-step one times its alpha and beta rows' block
-# masses, so as small as the every-step one times RESCALE_GUARD squared.  A
-# sentence whose scheduled denominator falls to this is run again step by
-# step; above it, since no scheduled alpha or beta entry exceeds 1, a product
-# entry lost to the subnormal range is under 1e-107 of the denominator
+# denominator is the every-step one times a factor of each row's block, each
+# as small as RESCALE_GUARD over N.  A sentence whose scheduled denominator
+# falls to this is run again step by step; above it, since no scheduled alpha
+# entry exceeds 1 nor beta entry N, a product entry lost to the subnormal range
+# is under N * 2.2e-108 of the denominator
 POSTERIOR_GUARD = 1e-200
 # float64's least normal number, the floor of an emission row's maximum
 LEAST_NORMAL = np.finfo(np.float64).tiny
@@ -154,7 +154,14 @@ def estimate_params(
     return HmcParams(pi=pi, trans=trans, emit=_smoothed_rows(emit_counts, smoothing))
 
 
-def _degenerate(direction: str, t: int) -> NumericalDegeneracyError:
+def _degenerate(direction: str, prepared: PreparedRows, marked: np.ndarray) -> NumericalDegeneracyError:
+    """The error of an every-step pass whose `marked` rows found no mass, at
+    the position that `scaled_forward` or `scaled_backward` names."""
+    rows = np.flatnonzero(marked)
+    if prepared.lengths is not None:  # positions within their sentences
+        starts = np.cumsum(prepared.lengths) - prepared.lengths
+        rows = rows - starts[np.searchsorted(starts, rows, side="right") - 1]
+    t = rows.min() if direction == "forward" else max(rows.max() - 1, 0)
     return NumericalDegeneracyError(f"{direction} pass degenerated to zero mass at position {t}")
 
 
@@ -169,6 +176,8 @@ class PreparedRows(NamedTuple):
     packed: np.ndarray  # the rows, over their maxima when every > 1, in `_packed` order
     bounds: list[int]
     place: Optional[np.ndarray]
+    back: Optional[np.ndarray]
+    reverse: Optional[np.ndarray]
     peaks: Optional[np.ndarray]  # each row's maximum (at least LEAST_NORMAL) when every > 1
 
 
@@ -186,7 +195,7 @@ def prepare_rows(emissions, lengths=None, every: int = 1) -> PreparedRows:
 
     `emissions` is a (ΣT, N) array-like of sentences of `lengths` stacked
     (one sentence with no `lengths`).  With `every` > 1 each row is
-    divided by its maximum, as the schedule of `scaled_forward` requires;
+    divided by its maximum, as the schedule of `_recursion` requires;
     then the rows are `_packed`.  The record keeps the rows as given too,
     for the sentences that run again at every = 1.  An entry of +inf
     becomes NaN there, so that it degenerates where a NaN does, at its own
@@ -208,42 +217,107 @@ def prepare_rows(emissions, lengths=None, every: int = 1) -> PreparedRows:
             peaks = None if peaks is None else _row_maxima(raw)
     if lengths is not None:
         lengths = check_lengths(lengths, len(raw))
-    packed, bounds, place = _packed(raw if peaks is None else raw / peaks[:, None], lengths)
-    return PreparedRows(raw, lengths, every, packed, bounds, place, peaks)
+    packed = _packed(raw if peaks is None else raw / peaks[:, None], lengths)
+    return PreparedRows(raw, lengths, every, *packed, peaks)
 
 
-def _prepared(emissions, lengths) -> PreparedRows:
+def _prepared(emissions, lengths, trans: np.ndarray, pi=None) -> PreparedRows:
     """`emissions` prepared for `lengths` at every step, or, if it is a record
-    already, that record, which brings its own lengths."""
+    already, that record, which brings its own lengths; shapes that do not
+    fit the chain, compared alone, are refused."""
     if not isinstance(emissions, PreparedRows):
-        return prepare_rows(emissions, lengths)
-    if lengths is not None:
+        emissions = prepare_rows(emissions, lengths)
+    elif lengths is not None:
         raise InvalidInputError(f"a prepared record brings its own lengths, not {lengths}")
+    n = emissions.raw.shape[1:]
+    if trans.shape != n * 2 or (pi is not None and pi.shape != n):
+        prior = "" if pi is None else f", prior {pi.shape}"
+        raise InvalidInputError(
+            "a chain of N labels takes (T, N) emissions, (N, N) transitions and an (N,) "
+            f"prior, not emissions {emissions.raw.shape}, transitions {trans.shape}{prior}"
+        )
     return emissions
 
 
-def _misshapen(emissions: np.ndarray, trans: np.ndarray, pi=None) -> InvalidInputError:
-    """The error of shapes that a recursion, comparing them alone, found unfit."""
-    prior = "" if pi is None else f", prior {pi.shape}"
-    return InvalidInputError(
-        "a chain of N labels takes (T, N) emissions, (N, N) transitions and an (N,) "
-        f"prior, not emissions {emissions.shape}, transitions {trans.shape}{prior}"
-    )
+def _recursion(prior, step: np.ndarray, prepared: PreparedRows, reads: np.ndarray,
+               pres: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The one scaled recursion, over `reads` packed as `prepared` packs its
+    rows: pres[t] = rows[t - 1] @ `step` (`prior` at a sentence's first
+    position), then rows[t] = reads[t] * pres[t], in place, in packed order,
+    so both lattices are bitwise that textbook step's; `rows` may be
+    `reads`, which the run then overwrites.  While two or more sentences
+    run, a step is one stacked matmul in the per-row (1, N) @ (N, N) form;
+    then the longest runs on alone, as one sentence does throughout.
+
+    A row is normalized, and its sum is its scale, where t % k == k - 1 or
+    t ends its sentence (t within it, k the interval of `prepared`); other
+    scales are 1.  With `reads` at most 1 and no row of `step` summing to
+    more than 1, mass cannot grow, so no row's or product's largest entry
+    falls below its block's closing sum over N.  A sum at most RESCALE_GUARD
+    (at every step, 0) or NaN becomes NaN, which the division spreads to
+    the rest of the sentence without a warning.  Returns the scales, in
+    packed order, and whether a block fell.
+    """
+    bounds, every = prepared.bounds, prepared.every
+    # a step alone is a few numpy calls on N-vectors, so name lookups, keyword
+    # parsing and `np.dot`'s dispatch would be a visible share of it: the
+    # calls are bound once, take their output positionally, and the product
+    # is the array method, which runs the same BLAS call as `np.dot`
+    multiply, divide, add = np.multiply, np.divide, np.add.reduce
+    scales = np.ones(len(reads))
+    floor = RESCALE_GUARD if every > 1 else 0.0
+    fell = False  # a block closed under the guard
+    closing = every - 1
+    start, shared = bounds[-1], len(bounds) - 1
+    prev, tail = None, (pres, rows, reads)
+    if start:  # two or more sentences: stacked steps, then the longest alone
+        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            pre, row = pres[lo:hi], rows[lo:hi]
+            if prev is None:
+                pre[...] = prior
+            else:
+                np.matmul(prev[: hi - lo, None, :], step, pre[:, None, :])
+            multiply(reads[lo:hi], pre, row)
+            if t % every == closing:
+                s = scales[lo:hi]
+                add(row, 1, None, s)
+                if not (s > floor).all():
+                    s[~(s > floor)], fell = np.nan, True
+                divide(row, s[:, None], row)
+            prev = row
+        prev, tail = prev[0], (pres[start:], rows[start:], reads[start:])
+    last = shared + len(tail[0]) - 1
+    for t, pre, row, read in zip(range(shared, last + 1), *tail):
+        if prev is None:
+            pre[...] = prior
+        else:
+            prev.dot(step, pre)
+        multiply(read, pre, row)
+        if t % every == closing or t == last:
+            s = add(row)
+            if not s > floor:
+                s, fell = np.nan, True
+            divide(row, s, row)
+            scales[start + t - shared] = s  # a row not normalized keeps its scale of 1
+        prev = row
+    if shared and every > 1:  # the last rows of sentences that end while others run on
+        lengths = prepared.lengths
+        ends = prepared.place[(np.cumsum(lengths) - 1)[(lengths <= shared) & (lengths % every != 0)]]
+        ended = rows[ends]
+        s = add(ended, 1)
+        if not (s > floor).all():
+            s[~(s > floor)], fell = np.nan, True
+        rows[ends], scales[ends] = divide(ended, s[:, None], ended), s
+    return scales, fell
 
 
-def _under_guard(sums: np.ndarray, scheduled: bool, direction: str, t) -> bool:
-    """Mark stacked `sums` that fell to the guard.  At every = 1 that is a
-    degeneracy at step t; on a schedule they become NaN, which the division
-    spreads to their rows without a warning, and `_every_step` reruns."""
-    if not scheduled:
-        raise _degenerate(direction, t)
-    sums[~(sums > RESCALE_GUARD)] = np.nan
-    return True
-
-
-def _every_step(prepared: PreparedRows, marked: np.ndarray) -> tuple[np.ndarray, PreparedRows]:
+def _every_step(prepared: PreparedRows, marked: np.ndarray,
+                direction: str = "") -> tuple[np.ndarray, PreparedRows]:
     """The rows of the sentences that hold a `marked` row, and those rows as
-    given, prepared to run at every step."""
+    given, prepared to run at every step; if they ran so, a `direction`
+    pass found them degenerate."""
+    if prepared.every == 1:
+        raise _degenerate(direction, prepared, marked)
     lengths = prepared.lengths
     if lengths is None:
         rows = np.arange(len(marked))
@@ -258,102 +332,28 @@ def _every_step(prepared: PreparedRows, marked: np.ndarray) -> tuple[np.ndarray,
 def scaled_forward(
     pi: np.ndarray, trans: np.ndarray, emissions, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward recursion over an explicit T x N emission matrix.
-
-    Each row is normalized to sum 1; `scales` holds the normalizers, so
-    the unscaled value is alpha[t] * prod(scales[:t+1]) and the product
-    of all scales is the total observation probability.  Rows are
-    written in place into the returned lattice, with the operations of
-    the textbook step `emissions[t] * (alphas[t - 1] @ trans)` in that
-    order, so the lattice is bitwise the one that step gives.
-
-    Given `lengths`, `emissions` holds sentences of those lengths stacked,
-    and the lattices and scales come back stacked alike.  Their `_packed`
-    rows run in two phases: while two or more sentences run, a step is one
-    stacked matmul in the per-row (1, N) @ (N, N) form; then the longest
-    runs on alone, a row at a time, as one sentence does throughout.
-
-    `emissions` may also be a `prepare_rows` record, which brings its own
-    lengths and rescaling interval (`lengths` is then None); a matrix runs
-    at every step.  A posterior builds one record for both recursions.
-    With interval `every` = k > 1, each emission row is first divided by
-    its maximum, and a row is normalized only where t % k == k - 1 or t is
-    its sentence's last position, t counted within the sentence, so
-    stacked sentences still give their own bytes.  A row's scale is its
-    emission maximum, times its sum where it is normalized, so the
-    unscaled value and the product of the scales keep their meaning.
-    With emission rows at most 1 and `trans` row-stochastic, a row's mass
-    is at most the mass of the row before, so the sum that closes a block
-    of steps is the least mass in it: a block that closes above
-    RESCALE_GUARD lost nothing to underflow.  A sentence with a block
-    that does not is run again with every = 1, and its rows spliced in,
-    so it gives the rows, or raises the error, that every = 1 gives.
+    """Forward recursion over an explicit T x N emission matrix: `_recursion`
+    from `pi` over `trans`, each row normalized to sum 1, so the lattice is
+    bitwise that of the step `emissions[t] * (alphas[t - 1] @ trans)`.  The
+    unscaled value is alpha[t] * prod(scales[:t+1]), and the product of all
+    scales is the total observation probability.  Given `lengths`, the
+    sentences of those lengths come stacked, and so do the results; or
+    `emissions` is a `prepare_rows` record, which brings its own lengths
+    and interval k (a matrix runs every step).  For k > 1 a row is first
+    divided by its maximum, which its scale takes, and normalized on the
+    schedule.  A sentence with a block under RESCALE_GUARD runs again at
+    every step, so it gives the rows, or raises the error, of every step:
+    at its first row with no mass.
     """
-    prepared = _prepared(emissions, lengths)
-    if prepared.raw.shape[1:] != pi.shape or trans.shape != pi.shape * 2:
-        raise _misshapen(prepared.raw, trans, pi)
-    packed, bounds, place, every = prepared.packed, prepared.bounds, prepared.place, prepared.every
-    scheduled = every > 1
-    # a step alone is four numpy calls on N-vectors, so name lookups, keyword
-    # parsing and `np.dot`'s dispatch would be a visible share of it: the
-    # calls are bound once, take their output positionally, and the product
-    # is the array method, which runs the same BLAS call as `np.dot`
-    multiply, divide, add = np.multiply, np.divide, np.add.reduce
-    alphas = np.empty(packed.shape)
-    scales = np.ones(len(packed))
-    floor = RESCALE_GUARD if scheduled else 0.0
-    fell = False  # a block closed under the guard
-    closing = every - 1
-    start, shared = bounds[-1], len(bounds) - 1
-    prev, tail = None, (alphas, packed)
-    if start:  # two or more sentences: stacked steps, then the longest alone
-        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            rows, emit = alphas[lo:hi], packed[lo:hi]
-            if prev is None:
-                multiply(pi, emit, rows)
-            else:
-                np.matmul(prev[: hi - lo, None, :], trans, rows[:, None, :])
-                multiply(emit, rows, rows)
-            if t % every == closing:
-                s = scales[lo:hi]
-                add(rows, 1, None, s)
-                if not (s > floor).all():
-                    fell = _under_guard(s, scheduled, "forward", t)
-                divide(rows, s[:, None], rows)
-            prev = rows
-        prev, tail = prev[0], (alphas[start:], packed[start:])
-    last = shared + len(tail[0]) - 1
-    for t, row, emit in zip(range(shared, last + 1), *tail):
-        if prev is None:
-            multiply(pi, emit, row)
-        else:
-            prev.dot(trans, row)
-            multiply(emit, row, row)
-        if t % every == closing or t == last:
-            s = add(row)
-            if not s > floor:
-                if not scheduled:
-                    raise _degenerate("forward", t)
-                s, fell = np.nan, True
-            divide(row, s, row)
-            scales[start + t - shared] = s  # a row not normalized keeps its scale of 1
-        prev = row
-    if start:
-        alphas, scales = alphas.take(place, axis=0), scales.take(place)
-    if not scheduled:
-        return alphas, scales
-    if shared:  # the last rows of sentences that end while others run on
-        lengths = prepared.lengths
-        ends = (np.cumsum(lengths) - 1)[(lengths <= shared) & (lengths % every != 0)]
-        rows = alphas[ends]
-        s = add(rows, 1)
-        if not (s > floor).all():
-            fell = _under_guard(s, scheduled, "forward", None)
-        alphas[ends] = divide(rows, s[:, None], rows)
-        scales[ends] = s
-    scales *= prepared.peaks
+    prepared = _prepared(emissions, lengths, trans, pi)
+    pres, alphas = np.empty(prepared.packed.shape), np.empty(prepared.packed.shape)
+    scales, fell = _recursion(pi, trans, prepared, prepared.packed, pres, alphas)
+    if prepared.place is not None:  # into the products' lattice; "clip" spares a buffer
+        alphas, scales = alphas.take(prepared.place, 0, pres, "clip"), scales.take(prepared.place)
+    if prepared.every > 1:
+        scales *= prepared.peaks
     if fell:
-        rows, again = _every_step(prepared, np.isnan(scales))
+        rows, again = _every_step(prepared, np.isnan(scales), "forward")
         alphas[rows], scales[rows] = scaled_forward(pi, trans, again)
     return alphas, scales
 
@@ -361,94 +361,47 @@ def scaled_forward(
 def scaled_backward(
     trans: np.ndarray, emissions, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backward recursion with the same row-normalization scheme.
+    """Backward recursion: `_recursion` from a prior of ones over each
+    sentence's rows last first, a row of ones read in place of its first.
 
-    Unscaled value: beta[t] * prod(scales[t:]).  Like `scaled_forward`
-    it writes rows in place, with the operations of the textbook step
-    `trans @ (emissions[t + 1] * betas[t + 1])`; the product goes
-    through one scratch vector.  `lengths` stacks sentences as there, and
-    the phases run in reverse: the longest sentence alone, then stacked
-    steps in the per-row (N, N) @ (N, 1) form on the sentences that ran at
-    the step after; those that end at a step follow them, and start their
-    pass there with a row of ones.
-
-    `emissions` is a matrix or a record, as there.  With interval k > 1,
-    each emission row is first divided by its maximum, and a row is
-    normalized only where t % k == 0, which every sentence's first
-    position is.  Row t's scale is the maximum of the
-    emission row t + 1 that its step reads (1 at a sentence's last
-    position), times its sum where it is normalized.  With emission rows
-    at most 1 and `trans` row-stochastic, no entry of a row exceeds the
-    largest entry of the row after, so the sum that closes a block bounds
-    the largest entry of every row in it to within a factor N: a block
-    that closes above RESCALE_GUARD lost nothing to underflow.  A sentence
-    with a block that does not is run again with every = 1, as in
-    `scaled_forward`.
+    beta[t] = gamma[t + 1] @ trans.T with gamma[t] = emissions[t] * beta[t],
+    so the product that the step reading row t forms is beta[t], and those
+    are the returned rows.  Each label's emissions are weighted by the mass
+    that `trans` moves into it, over the largest such, and the step is
+    `trans.T` with that mass divided out, so a row is normalized by what the
+    next step keeps of it.  Unscaled value: beta[t] * prod(scales[t:]),
+    scale t being that of the step that read row t + 1 times the largest
+    mass, and 1 at a sentence's end; the rest is as in `scaled_forward`,
+    but that a step which finds no mass after reading row t zeroes
+    beta[t - 1], and names that position (0 for the step of ones).
     """
-    prepared = _prepared(emissions, lengths)
-    if trans.shape != prepared.raw.shape[1:] * 2:
-        raise _misshapen(prepared.raw, trans)
-    packed, bounds, place, every = prepared.packed, prepared.bounds, prepared.place, prepared.every
-    scheduled = every > 1
-    matvec, multiply, divide, add = trans.dot, np.multiply, np.divide, np.add.reduce
+    prepared = _prepared(emissions, lengths, trans)
+    into = np.add.reduce(trans, 0)
+    most = into.max(initial=LEAST_NORMAL)
+    step = (trans / np.maximum(into, LEAST_NORMAL)).T
+    packed, lengths = prepared.packed, prepared.lengths
     betas = np.empty(packed.shape)
-    scales = np.ones(len(packed))
-    floor = RESCALE_GUARD if scheduled else 0.0
-    fell = False  # a block closed under the guard
-    start, shared = bounds[-1], len(bounds) - 1
-    buf = np.empty(packed.shape[1])
-    nxt = nxt_emit = None
-    tail = slice(None, start - 1 if start else None, -1)  # rows `start:`, last first
-    last = shared + len(packed) - start - 1
-    for t, row, emit in zip(range(last, shared - 1, -1), betas[tail], packed[tail]):
-        if nxt is None:
-            row.fill(1.0)
-        else:
-            multiply(nxt_emit, nxt, buf)
-            matvec(buf, row)
-        if t % every == 0:
-            s = add(row)
-            if not s > floor:
-                if not scheduled:
-                    raise _degenerate("backward", t)
-                s, fell = np.nan, True
-            divide(row, s, row)
-            scales[start + t - shared] = s
-        nxt, nxt_emit = row, emit
-    if start:
-        # the rows after the last stacked step: the longest sentence's, if it ran on
-        nxt, nxt_emit = betas[start : start + 1], packed[start : start + 1]
-        buf = np.empty((bounds[1], packed.shape[1]))
-        for t in range(shared - 1, -1, -1):
-            lo, hi, m = bounds[t], bounds[t + 1], len(nxt)
-            rows = betas[lo:hi]
-            multiply(nxt_emit, nxt, buf[:m])
-            np.matmul(trans, buf[:m, :, None], rows[:m, :, None])
-            rows[m:] = 1.0
-            if t % every == 0:
-                s = scales[lo:hi]
-                add(rows, 1, None, s)
-                if not (s > floor).all():
-                    fell = _under_guard(s, scheduled, "backward", t)
-                divide(rows, s[:, None], rows)
-            nxt, nxt_emit = rows, packed[lo:hi]
-        betas, scales = betas.take(place, axis=0), scales.take(place)
-    if not scheduled:
-        return betas, scales
-    # row t's step read emission row t + 1; a sentence's last row read none,
-    # and keeps its scale.  The maxima are shared with the forward: not written
-    follow = prepared.peaks[1:]
-    if prepared.lengths is not None:
-        follow = follow.copy()
-        follow[np.cumsum(prepared.lengths)[:-1] - 1] = 1.0
-    scales[:-1] *= follow
+    if lengths is None:  # the run's rows are the sentence's, last first, as are its products
+        reads, lasts = packed[::-1] * (into / most), slice(-1, None)
+        reads[lasts] = 1.0
+        scales, fell = _recursion(1.0, step, prepared, reads, betas[::-1], np.empty(packed.shape))
+        scales = scales[::-1]
+    else:  # the run overwrites its reads: a third lattice costs a batch more than that
+        reads, lasts = packed.take(prepared.reverse, axis=0), np.cumsum(lengths) - 1
+        reads *= into / most
+        reads[prepared.place.take(lasts)] = 1.0
+        scales, fell = _recursion(1.0, step, prepared, reads, betas, reads)
+        betas, scales = betas.take(prepared.back, 0, reads, "clip"), scales.take(prepared.back)
+    marked = np.isnan(scales) if fell else None
+    scales[:-1] = scales[1:] * (most if prepared.every == 1 else prepared.peaks[1:] * most)
+    scales[lasts] = 1.0
     if fell:
-        rows, again = _every_step(prepared, np.isnan(scales))
+        rows, again = _every_step(prepared, marked, "backward")
         betas[rows], scales[rows] = scaled_backward(trans, again)
     return betas, scales
 
 
-def _packed(emissions: np.ndarray, lengths) -> tuple[np.ndarray, list[int], np.ndarray | None]:
+def _packed(rows: np.ndarray, lengths):
     """Stacked sentences' rows packed step by step, longest sentence first.
 
     Packed rows `bounds[t]:bounds[t + 1]` are position t of the sentences
@@ -456,25 +409,32 @@ def _packed(emissions: np.ndarray, lengths) -> tuple[np.ndarray, list[int], np.n
     are a prefix of the step before's and no row is padding.  `bounds`
     stops at the steps that two or more sentences run, so where the
     second-longest ends; the longest one's later rows follow, one a step.
-    Also returns each row's place among the packed rows, which gathers
-    lattices back in input order.  With no `lengths`, one sentence is its
-    own packing, and `bounds` is [0].  `lengths` are checked ones.
+    `place` is each row's place among them, which gathers lattices back in
+    input order.  The backward's steps, which read each sentence's rows
+    last first, take the same places by position from its end: `back` is
+    the place of the step that reads each row, and `reverse` the packed
+    row that each place's step reads.  With no `lengths` (checked ones),
+    one sentence is its own packing, `bounds` is [0], and the maps None.
     """
     if lengths is None:
-        return emissions, [0], None
+        return rows, [0], None, None, None
     order = np.argsort(-lengths, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     # sentences longer than t, for each step t: the sort leaves them first
     live = np.searchsorted(-lengths[order], -np.arange(lengths.max()))
     bounds = np.concatenate(([0], np.cumsum(live)))
-    starts = np.cumsum(lengths) - lengths
-    pos = np.arange(len(emissions)) - np.repeat(starts, lengths)
+    ends = np.cumsum(lengths)
+    index = np.arange(len(rows))
+    pos = index - np.repeat(ends - lengths, lengths)
     place = bounds[pos] + np.repeat(rank, lengths)
     source = np.empty_like(place)
-    source[place] = np.arange(len(place))
+    source[place] = index
+    # the step that reads row i is at the place of i's mirror image in its sentence
+    back = place.take(np.repeat(2 * ends - lengths - 1, lengths) - index)
     shared = int((live > 1).sum())
-    return emissions.take(source, axis=0), bounds[: shared + 1].tolist(), place
+    return (rows.take(source, axis=0), bounds[: shared + 1].tolist(), place, back,
+            back.take(source))
 
 
 def unscale(rows: np.ndarray, scales: np.ndarray, backward: bool = False) -> np.ndarray:

@@ -39,8 +39,9 @@ def forward_lattice(
 
     Given B sentences' `lengths`, `first` is their (B, N) first rows and
     step t a (L, N, N) stack of tables, one per sentence longer than t, in
-    sentence order.  In both forms steps may be produced one at a time, and
-    `first` or a step that is not an ndarray is taken as its real array.
+    sentence order.  In both forms steps may be produced one at a time,
+    `first` or a step that is not an ndarray is taken as its real array,
+    and an ndarray of complex, text or object entries is refused.
     """
     first = _as_array(first)
     if lengths is not None:
@@ -48,8 +49,8 @@ def forward_lattice(
     if first.ndim != 1:
         raise InvalidInputError(f"the first row must be a length-N vector, not of shape "
                                 f"{first.shape}")
-    if not isinstance(steps, np.ndarray):  # a list or an iterator of tables
-        steps = list(map(_as_array, steps))
+    # the decode path's one (T - 1, N, N) array of tables is checked once
+    steps = _as_array(steps) if isinstance(steps, np.ndarray) else list(map(_as_array, steps))
     n = len(first)
     alphas = np.empty((len(steps) + 1, n))
     alphas[0] = first
@@ -61,9 +62,11 @@ def forward_lattice(
 
 
 def _as_array(values) -> np.ndarray:
-    """An ndarray as it is, as the decode path passes it; anything else as its real array."""
-    return values if isinstance(values, np.ndarray) else real_array(
-        values, "conditional rows and tables must be real numbers")
+    """A real ndarray as it is, as the decode path passes it, by its dtype
+    alone; anything else as its real array."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        return values
+    return real_array(values, "conditional rows and tables must be real numbers")
 
 
 def _lockstep_lattice(first: np.ndarray, steps, lengths) -> np.ndarray:

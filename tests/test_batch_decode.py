@@ -130,14 +130,14 @@ def test_a_long_sentence_alone_and_among_short_ones(kind):
 
 
 def test_each_backward_pass_starts_at_its_sentence_end():
-    """A sentence's last backward row is all ones scaled by N, as alone,
-    however many steps the longest sentence runs before it."""
+    """A sentence's last backward row is the prior of ones, with scale 1, as
+    alone, however many steps the longest sentence runs before it."""
     rng = np.random.default_rng(SEED)
     chain = random_chain(rng, 5)
     lengths = [4, 1, 30, 7]
     betas, scales = hmc.scaled_backward(chain.trans, rng.random((sum(lengths), 5)), lengths)
     ends = np.cumsum(lengths) - 1
-    assert (betas[ends] == 1.0 / 5).all() and (scales[ends] == 5.0).all()
+    assert (betas[ends] == 1.0).all() and (scales[ends] == 1.0).all()
 
 
 def _recursions(chain):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from efbtag import discrim, hmc, memm
+from efbtag import discrim, efb, hmc, memm
 from efbtag.core import (
     ROW_SUM_TOL,
     LabeledSentence,
@@ -49,20 +49,32 @@ def reference_forward(pi, trans, emissions):
 
 
 def reference_backward(trans, emissions):
+    """The forward's step over the rows last first, from a prior of ones,
+    reading a row of ones in place of the first row: each row is weighted
+    by the mass that `trans` moves into its labels, over the largest, and
+    the step is trans.T with that mass divided out.  beta[t] is the product
+    that the step reading row t forms, and scale t is the sum of the step
+    reading row t + 1 times the largest mass."""
     t_len, n = emissions.shape
     betas = np.empty((t_len, n))
-    scales = np.empty(t_len)
-    row = np.ones(n)
-    for t in range(t_len - 1, -1, -1):
-        if t < t_len - 1:
-            row = trans @ (emissions[t + 1] * betas[t + 1])
-        s = row.sum()
-        if not s > 0.0:
+    scales = np.ones(t_len)
+    into = trans.sum(axis=0)
+    most = max(into.max(), np.finfo(np.float64).tiny)
+    step = trans / np.maximum(into, np.finfo(np.float64).tiny)
+    reads = np.concatenate([emissions[:0:-1] * (into / most), np.ones((min(t_len, 1), n))])
+    row = None
+    for s, read in enumerate(reads):
+        t = t_len - 1 - s
+        betas[t] = np.ones(n) if row is None else step @ row
+        row = read * betas[t]
+        total = row.sum()
+        if not total > 0.0:
             raise NumericalDegeneracyError(
-                f"backward pass degenerated to zero mass at position {t}"
+                f"backward pass degenerated to zero mass at position {max(t - 1, 0)}"
             )
-        scales[t] = s
-        betas[t] = row / s
+        row = row / total
+        if t > 0:
+            scales[t - 1] = total * most
     return betas, scales
 
 
@@ -143,6 +155,39 @@ def test_degeneracy_names_the_same_position(position):
         assert backward == (
             f"backward pass degenerated to zero mass at position {position - 1}"
         )
+
+
+@pytest.mark.parametrize("lengths", [None, [4, 1, 9, 6]], ids=["alone", "batched"])
+@pytest.mark.parametrize("every", [None, 1, 8], ids=["matrix", "record 1", "record 8"])
+@pytest.mark.parametrize("fill", [0.0, np.nan, np.inf, 1e300])
+def test_the_backward_never_reads_a_sentence_first_row(fill, every, lengths):
+    """Whatever each sentence's first emission row holds, `scaled_backward`
+    and `entropic_backward` give the same lattice and scale bytes: the
+    backward pass reads rows 1 .. T - 1 only."""
+    rng = np.random.default_rng(7)
+    pi, trans, emissions = random_chain(rng, 5, 20, -10.0, False, False)
+    params = hmc.HmcParams(pi=pi, trans=trans)
+    if lengths is None:
+        emissions = emissions[:9]
+    filled = emissions.copy()
+    filled[np.cumsum([0] + (lengths or [])[:-1])] = fill
+
+    def prepared(rows):
+        return (rows, lengths) if every is None else (hmc.prepare_rows(rows, lengths, every),)
+
+    def backward(rows):
+        return scaled_backward(trans, *prepared(rows))
+
+    def entropic(rows):
+        if every is None:
+            return efb.entropic_backward(params, rows, lengths)
+        ratio = efb.conditional_matrix(params, rows, lengths) / pi
+        return efb.entropic_backward(params, hmc.prepare_rows(ratio, lengths, every))
+
+    for recursion in (backward, entropic):
+        want = outcome(recursion, emissions)
+        assert isinstance(want, tuple)
+        assert outcome(recursion, filled) == want, recursion.__name__
 
 
 def weight_model(rng, n_features, n_labels, conditions_on_prev):

@@ -85,6 +85,28 @@ class TestForwardLattice:
         with pytest.raises(InvalidInputError, match="must be real numbers"):
             forward_lattice(first, steps, lengths)
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+    @pytest.mark.parametrize("dtype", [complex, object, str])
+    @pytest.mark.parametrize("where", ["first", "step", "every step"])
+    def test_an_ndarray_that_is_not_real_is_refused(self, where, dtype, stacked):
+        """A complex, object or text ndarray is refused by its dtype, not cast
+        (a complex entry would lose its imaginary part) or met by a numpy
+        error; alone, the steps may come as one (T - 1, N, N) array."""
+        first, steps, lengths = self.sentence(stacked)
+        if where == "first":
+            first = first.astype(dtype)
+        elif where == "step":
+            steps[1] = steps[1].astype(dtype)
+        else:
+            steps = np.stack(steps).astype(dtype)
+        with pytest.raises(InvalidInputError, match="must be real numbers"):
+            forward_lattice(first, steps, lengths)
+
+    def test_one_array_of_steps_gives_the_bytes_of_a_list(self):
+        first, steps, _ = self.sentence(False)
+        want = forward_lattice(first, steps)
+        assert forward_lattice(first, np.stack(steps)).tobytes() == want.tobytes()
+
 
 class TestDecode:
     def test_worked_example_labels(self):

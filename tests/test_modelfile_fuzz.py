@@ -211,7 +211,7 @@ def test_naive_pairs_interleaving_families(workdir, models):
     tagged = []
     for data in (models[DecoderKind.HMC_NAIVE], join(header, body)):
         assert check_damaged(workdir, data)[0] == EXIT_OK
-        tagged.append((workdir / "out.txt").read_text())
+        tagged.append((workdir / "out.txt").read_text(encoding="utf-8"))
     assert tagged[0] == tagged[1]
     save_model(workdir / "resaved.bin", load_model(workdir / "damaged.bin"))
     assert (workdir / "resaved.bin").read_bytes() == models[DecoderKind.HMC_NAIVE]

@@ -242,7 +242,7 @@ def test_a_block_under_the_guard_is_run_again_step_by_step():
 
 
 @pytest.mark.parametrize("kind, n, length, seed, fallen", [
-    ("hmc-fb", 5, 38, 134, "forward"), ("hmc-efb", 3, 12, 2159, "backward"),
+    ("hmc-fb", 4, 22, 96, "forward"), ("hmc-efb", 5, 12, 1986, "backward"),
 ])
 def test_each_recursion_reruns_only_its_own_fallen_blocks(kind, n, length, seed, fallen):
     """One sentence, over a chain that moves with odds 1e-20, in which only
@@ -286,12 +286,12 @@ def ladder_sentence(steps=9, move=1e-33, drain=10 ** -12.3, r=0.1, k=hmc.RESCALE
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_posterior_denominator_under_the_guard_is_run_again_step_by_step(kind):
     """Alpha and beta rows that disagree by about 1e-297, each at a block
-    mass near the guard, overlap under float64's least normal number on the
-    schedule, though every step finds a posterior within TOL of the exact
-    one: that sentence alone is run every step, batched among others, and
-    gives the every-step bytes.  Unguarded, the schedule missed the exact
-    posterior by 2e-7 (hmc-fb) and 0.3 (hmc-naive-features), and hmc-efb
-    raised 'posterior denominator underflowed'."""
+    mass near the guard, overlap under POSTERIOR_GUARD on the schedule,
+    though every step finds a posterior within TOL of the exact one: that
+    sentence alone is run every step, batched among others, and gives the
+    every-step bytes.  Unguarded, the schedule's denominators fall under
+    float64's least normal number for hmc-naive-features and hmc-efb, which
+    raises 'posterior denominator underflowed'; hmc-fb's fall to 1.5e-233."""
     rng = np.random.default_rng(SEED)
     chain, ladder = ladder_sentence()
     lengths = [5, len(ladder), 7]
@@ -304,7 +304,7 @@ def test_a_posterior_denominator_under_the_guard_is_run_again_step_by_step(kind)
     scheduled = recursions(chain, hmc.RESCALE_EVERY)
     alphas, _ = scheduled["forward"](emissions[sentence])
     betas, _ = scheduled["backward"](emissions[sentence])
-    assert (alphas * betas).sum(axis=1).min() < np.finfo(np.float64).tiny
+    assert (alphas * betas).sum(axis=1).min() < hmc.POSTERIOR_GUARD
     batched = posterior(obs, lengths)
     assert batched[sentence].tobytes() == want.tobytes()
     assert posterior(obs[sentence]).tobytes() == want.tobytes()
@@ -314,8 +314,10 @@ def test_a_posterior_denominator_under_the_guard_is_run_again_step_by_step(kind)
 
 def test_the_scales_are_the_row_maxima_times_the_sums():
     """Forward scale t is emission row t's maximum, times the row's sum where
-    it is normalized; backward scale t reads emission row t + 1, and 1 at
-    the last position."""
+    it is normalized; backward scale t is that of the reverse run's step
+    11 - 2 - t, which read emission row t + 1: its maximum, times the
+    largest mass that the transitions move into a label, times the row's
+    sum where that step is normalized, and 1 at the last position."""
     rng = np.random.default_rng(SEED)
     chain = random_chain(rng, 4)
     emissions = rng.random((11, 4))
@@ -327,8 +329,9 @@ def test_the_scales_are_the_row_maxima_times_the_sums():
     normalized[[3, 7, 10]] = True
     assert (forward[~normalized] == peaks[~normalized]).all()
     assert (forward[normalized] != peaks[normalized]).all()
-    normalized = np.arange(11) % 4 == 0
-    follow = np.append(peaks[1:], 1.0)
+    normalized = np.zeros(11, dtype=bool)
+    normalized[[6, 2]] = True  # steps 3 and 7 of the reverse run
+    follow = np.append(peaks[1:] * chain.trans.sum(axis=0).max(), 1.0)
     assert (backward[~normalized] == follow[~normalized]).all()
     assert (backward[normalized] != follow[normalized]).all()
 
