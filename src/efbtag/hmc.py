@@ -314,9 +314,9 @@ def _recursion(prior, step: np.ndarray, prepared: PreparedRows, reads: np.ndarra
 def _every_step(prepared: PreparedRows, marked: np.ndarray,
                 direction: str = "") -> tuple[np.ndarray, PreparedRows]:
     """The rows of the sentences that hold a `marked` row, and those rows as
-    given, prepared to run at every step; if they ran so, a `direction`
-    pass found them degenerate."""
-    if prepared.every == 1:
+    given, prepared to run at every step; if a `direction` pass ran them so
+    already, it found them degenerate."""
+    if prepared.every == 1 and direction:
         raise _degenerate(direction, prepared, marked)
     lengths = prepared.lengths
     if lengths is None:

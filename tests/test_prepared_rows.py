@@ -263,3 +263,16 @@ def test_array_like_emissions_are_prepared_as_their_array():
         got = hmc.scaled_backward(chain.trans, given)
         want = hmc.scaled_backward(chain.trans, array)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_the_posterior_rerun_of_an_every_step_record_gives_its_rows_back():
+    """`every_step_rerun` over a record that already runs every step runs
+    the marked sentences again as they ran, and raises nothing."""
+    rng = np.random.default_rng(SEED)
+    chain = random_chain(rng, 3)
+    record = hmc.prepare_rows(rng.random((6, 3)), [2, 4], 1)
+    alphas, _ = hmc.scaled_forward(chain.pi, chain.trans, record)
+    betas, _ = hmc.scaled_backward(chain.trans, record)
+    rerun = hmc.every_step_rerun(chain.pi, chain.trans, record, alphas.copy(), betas.copy())
+    again = rerun(np.arange(6) == 3)
+    assert again[0].tobytes() == alphas.tobytes() and again[1].tobytes() == betas.tobytes()
