@@ -119,7 +119,7 @@ def entropic_backward(
     `obs` may be a record, as in `entropic_forward`."""
     if not isinstance(obs, PreparedRows):
         obs = conditional_matrix(params, obs, lengths) / params.pi
-    return scaled_backward(params.trans, obs, lengths)
+    return scaled_backward(params.reversed_step, obs, lengths)
 
 
 def posterior_efb(

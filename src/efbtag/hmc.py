@@ -62,29 +62,61 @@ def check_chain(pi: np.ndarray, trans: np.ndarray) -> None:
     _check_rows(trans, "transition")
 
 
+class ReversedStep(NamedTuple):
+    """What the backward's step reads of a chain's transitions A, derived
+    from A once by `_reversed_step` and read-only; `scaled_backward` takes it
+    in place of A."""
+
+    step: np.ndarray     # (N, N): A's transpose with A's column sums c divided out
+    weights: np.ndarray  # (N,): c / max c
+    most: np.float64     # max c (at least LEAST_NORMAL)
+
+
+def _reversed_step(trans: np.ndarray) -> ReversedStep:
+    """The `ReversedStep` of a float64 (N, N) transition matrix.  The step is
+    the transposed view of A / c, never a copy: over a view, a row's product
+    is bitwise the column-wise one that the textbook backward forms."""
+    into = np.add.reduce(trans, 0)
+    most = into.max(initial=LEAST_NORMAL)
+    step, weights = (trans / np.maximum(into, LEAST_NORMAL)).T, into / most
+    step.flags.writeable = weights.flags.writeable = False
+    return ReversedStep(step, weights, most)
+
+
 @dataclass(frozen=True)
 class HmcParams:
     """A chain (pi, A), plus a word emission table for hmc-fb only.
 
-    `emit` has one column per trained word plus a trailing unknown-word
-    column, or is None for a bare (pi, A) chain; every row is a distribution.
-    `emit_rows` is `emit.T` copied to C order, (M+1, N), so a word's N
-    emissions are one contiguous row for `posterior_fb` to gather.
+    Array-likes are taken as their float64 arrays; text, complex, object or
+    ragged ones are refused.  `emit` has one column per trained word plus a
+    trailing unknown-word column, or is None for a bare (pi, A) chain;
+    every row is a distribution.  `emit_rows` is `emit.T` copied to C
+    order, (M+1, N), so a word's N emissions are one contiguous row for
+    `posterior_fb` to gather.  `reversed_step` is A's `ReversedStep`,
+    derived once here, which every backward of this chain reads.
     """
 
     pi: np.ndarray     # (N,)
     trans: np.ndarray  # (N, N), trans[i, j] = P(next=j | cur=i)
     emit: Optional[np.ndarray] = None  # (N, M+1), last column is the unknown-word slot
     emit_rows: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    reversed_step: ReversedStep = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_chain(self.pi, self.trans)
+        pi = real_array(self.pi, "a chain's prior must be real numbers")
+        trans = real_array(self.trans, "a chain's transitions must be real numbers")
+        check_chain(pi, trans)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "trans", trans)
+        object.__setattr__(self, "reversed_step", _reversed_step(trans))
         if self.emit is None:
             return
-        if self.emit.ndim != 2 or self.emit.shape[0] != self.n_labels:
+        emit = real_array(self.emit, "an emission table must be real numbers")
+        if emit.ndim != 2 or emit.shape[0] != self.n_labels:
             raise InvalidInputError("emission table shape mismatch")
-        _check_rows(self.emit, "emission")
-        object.__setattr__(self, "emit_rows", np.ascontiguousarray(self.emit.T))
+        _check_rows(emit, "emission")
+        object.__setattr__(self, "emit", emit)
+        object.__setattr__(self, "emit_rows", np.ascontiguousarray(emit.T))
 
     @property
     def n_labels(self) -> int:
@@ -221,37 +253,47 @@ def prepare_rows(emissions, lengths=None, every: int = 1) -> PreparedRows:
     return PreparedRows(raw, lengths, every, *packed, peaks)
 
 
-def _prepared(emissions, lengths, trans: np.ndarray, pi=None) -> PreparedRows:
+def _prepared(emissions, lengths, trans, pi=None):
     """`emissions` prepared for `lengths` at every step, or, if it is a record
-    already, that record, which brings its own lengths; shapes that do not
-    fit the chain, compared alone, are refused."""
+    already, that record, which brings its own lengths; then `trans` and
+    `pi` as float64 arrays, but for the backward, which has no `pi`, a
+    `ReversedStep` as it is.  Shapes that do not fit the chain, compared
+    alone, are refused."""
     if not isinstance(emissions, PreparedRows):
         emissions = prepare_rows(emissions, lengths)
     elif lengths is not None:
         raise InvalidInputError(f"a prepared record brings its own lengths, not {lengths}")
+    if pi is None and isinstance(trans, ReversedStep):
+        shape = trans.step.shape
+    else:
+        trans = real_array(trans, "a chain's transitions must be real numbers")
+        shape = trans.shape
+    if pi is not None:
+        pi = real_array(pi, "a chain's prior must be real numbers")
     n = emissions.raw.shape[1:]
-    if trans.shape != n * 2 or (pi is not None and pi.shape != n):
+    if shape != n * 2 or (pi is not None and pi.shape != n):
         prior = "" if pi is None else f", prior {pi.shape}"
         raise InvalidInputError(
             "a chain of N labels takes (T, N) emissions, (N, N) transitions and an (N,) "
-            f"prior, not emissions {emissions.raw.shape}, transitions {trans.shape}{prior}"
+            f"prior, not emissions {emissions.raw.shape}, transitions {shape}{prior}"
         )
-    return emissions
+    return emissions, trans, pi
 
 
-def _recursion(prior, step: np.ndarray, prepared: PreparedRows, reads: np.ndarray,
+def _recursion(prior, step: np.ndarray, prepared: PreparedRows,
                pres: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The one scaled recursion, over `reads` packed as `prepared` packs its
-    rows: pres[t] = rows[t - 1] @ `step` (`prior` at a sentence's first
-    position), then rows[t] = reads[t] * pres[t], in place, in packed order,
-    so both lattices are bitwise that textbook step's; `rows` may be
-    `reads`, which the run then overwrites.  While two or more sentences
-    run, a step is one stacked matmul in the per-row (1, N) @ (N, N) form;
-    then the longest runs on alone, as one sentence does throughout.
+    """The one scaled recursion, in place over two lattices packed as
+    `prepared` packs its rows: `rows` holds the rows that the steps read on
+    entry and the recursion's rows on exit.  pres[t] = rows[t - 1] @ `step`
+    (`prior` at a sentence's first position), then rows[t] = read_t *
+    pres[t], in packed order, so both lattices are bitwise that textbook
+    step's.  While two or more sentences run, a step is one stacked matmul
+    in the per-row (1, N) @ (N, N) form; then the longest runs on alone, as
+    one sentence does throughout.
 
     A row is normalized, and its sum is its scale, where t % k == k - 1 or
     t ends its sentence (t within it, k the interval of `prepared`); other
-    scales are 1.  With `reads` at most 1 and no row of `step` summing to
+    scales are 1.  With the reads at most 1 and no row of `step` summing to
     more than 1, mass cannot grow, so no row's or product's largest entry
     falls below its block's closing sum over N.  A sum at most RESCALE_GUARD
     (at every step, 0) or NaN becomes NaN, which the division spreads to
@@ -264,12 +306,12 @@ def _recursion(prior, step: np.ndarray, prepared: PreparedRows, reads: np.ndarra
     # calls are bound once, take their output positionally, and the product
     # is the array method, which runs the same BLAS call as `np.dot`
     multiply, divide, add = np.multiply, np.divide, np.add.reduce
-    scales = np.ones(len(reads))
+    scales = np.ones(len(rows))
     floor = RESCALE_GUARD if every > 1 else 0.0
     fell = False  # a block closed under the guard
     closing = every - 1
     start, shared = bounds[-1], len(bounds) - 1
-    prev, tail = None, (pres, rows, reads)
+    prev, tail = None, (pres, rows)
     if start:  # two or more sentences: stacked steps, then the longest alone
         for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             pre, row = pres[lo:hi], rows[lo:hi]
@@ -277,7 +319,7 @@ def _recursion(prior, step: np.ndarray, prepared: PreparedRows, reads: np.ndarra
                 pre[...] = prior
             else:
                 np.matmul(prev[: hi - lo, None, :], step, pre[:, None, :])
-            multiply(reads[lo:hi], pre, row)
+            multiply(row, pre, row)
             if t % every == closing:
                 s = scales[lo:hi]
                 add(row, 1, None, s)
@@ -285,14 +327,14 @@ def _recursion(prior, step: np.ndarray, prepared: PreparedRows, reads: np.ndarra
                     s[~(s > floor)], fell = np.nan, True
                 divide(row, s[:, None], row)
             prev = row
-        prev, tail = prev[0], (pres[start:], rows[start:], reads[start:])
+        prev, tail = prev[0], (pres[start:], rows[start:])
     last = shared + len(tail[0]) - 1
-    for t, pre, row, read in zip(range(shared, last + 1), *tail):
+    for t, pre, row in zip(range(shared, last + 1), *tail):
         if prev is None:
             pre[...] = prior
         else:
             prev.dot(step, pre)
-        multiply(read, pre, row)
+        multiply(row, pre, row)
         if t % every == closing or t == last:
             s = add(row)
             if not s > floor:
@@ -345,9 +387,9 @@ def scaled_forward(
     every step, so it gives the rows, or raises the error, of every step:
     at its first row with no mass.
     """
-    prepared = _prepared(emissions, lengths, trans, pi)
-    pres, alphas = np.empty(prepared.packed.shape), np.empty(prepared.packed.shape)
-    scales, fell = _recursion(pi, trans, prepared, prepared.packed, pres, alphas)
+    prepared, trans, pi = _prepared(emissions, lengths, trans, pi)
+    pres, alphas = np.empty(prepared.packed.shape), prepared.packed.copy()
+    scales, fell = _recursion(pi, trans, prepared, pres, alphas)
     if prepared.place is not None:  # into the products' lattice; "clip" spares a buffer
         alphas, scales = alphas.take(prepared.place, 0, pres, "clip"), scales.take(prepared.place)
     if prepared.every > 1:
@@ -359,7 +401,7 @@ def scaled_forward(
 
 
 def scaled_backward(
-    trans: np.ndarray, emissions, lengths=None
+    trans, emissions, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward recursion: `_recursion` from a prior of ones over each
     sentence's rows last first, a row of ones read in place of its first.
@@ -369,35 +411,37 @@ def scaled_backward(
     are the returned rows.  Each label's emissions are weighted by the mass
     that `trans` moves into it, over the largest such, and the step is
     `trans.T` with that mass divided out, so a row is normalized by what the
-    next step keeps of it.  Unscaled value: beta[t] * prod(scales[t:]),
+    next step keeps of it.  `trans` may be the chain's `ReversedStep`, that
+    step and those weights as `HmcParams` derives them once; from a matrix
+    they are derived for the call.  The run overwrites its own reversed,
+    weighted copy of the rows.  Unscaled value: beta[t] * prod(scales[t:]),
     scale t being that of the step that read row t + 1 times the largest
     mass, and 1 at a sentence's end; the rest is as in `scaled_forward`,
     but that a step which finds no mass after reading row t zeroes
     beta[t - 1], and names that position (0 for the step of ones).
     """
-    prepared = _prepared(emissions, lengths, trans)
-    into = np.add.reduce(trans, 0)
-    most = into.max(initial=LEAST_NORMAL)
-    step = (trans / np.maximum(into, LEAST_NORMAL)).T
+    prepared, trans, _ = _prepared(emissions, lengths, trans)
+    back = trans if isinstance(trans, ReversedStep) else _reversed_step(trans)
     packed, lengths = prepared.packed, prepared.lengths
     betas = np.empty(packed.shape)
     if lengths is None:  # the run's rows are the sentence's, last first, as are its products
-        reads, lasts = packed[::-1] * (into / most), slice(-1, None)
-        reads[lasts] = 1.0
-        scales, fell = _recursion(1.0, step, prepared, reads, betas[::-1], np.empty(packed.shape))
+        rows, lasts = packed[::-1] * back.weights, slice(-1, None)
+        rows[lasts] = 1.0
+        scales, fell = _recursion(1.0, back.step, prepared, betas[::-1], rows)
         scales = scales[::-1]
-    else:  # the run overwrites its reads: a third lattice costs a batch more than that
-        reads, lasts = packed.take(prepared.reverse, axis=0), np.cumsum(lengths) - 1
-        reads *= into / most
-        reads[prepared.place.take(lasts)] = 1.0
-        scales, fell = _recursion(1.0, step, prepared, reads, betas, reads)
-        betas, scales = betas.take(prepared.back, 0, reads, "clip"), scales.take(prepared.back)
+    else:
+        rows, lasts = packed.take(prepared.reverse, axis=0), np.cumsum(lengths) - 1
+        rows *= back.weights
+        rows[prepared.place.take(lasts)] = 1.0
+        scales, fell = _recursion(1.0, back.step, prepared, betas, rows)
+        betas, scales = betas.take(prepared.back, 0, rows, "clip"), scales.take(prepared.back)
     marked = np.isnan(scales) if fell else None
+    most = back.most
     scales[:-1] = scales[1:] * (most if prepared.every == 1 else prepared.peaks[1:] * most)
     scales[lasts] = 1.0
     if fell:
         rows, again = _every_step(prepared, marked, "backward")
-        betas[rows], scales[rows] = scaled_backward(trans, again)
+        betas[rows], scales[rows] = scaled_backward(back, again)
     return betas, scales
 
 
@@ -469,7 +513,7 @@ def forward(params: HmcParams, obs: Sequence[int]) -> tuple[np.ndarray, np.ndarr
 
 def backward(params: HmcParams, obs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Scaled backward lattice and per-step scale factors."""
-    return scaled_backward(params.trans, _emission_matrix(params, obs))
+    return scaled_backward(params.reversed_step, _emission_matrix(params, obs))
 
 
 def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray, rerun=None) -> PosteriorLattice:
@@ -479,10 +523,13 @@ def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray, rerun=None) -
     and rows whose denominator falls to POSTERIOR_GUARD are handed to it as
     a mask; it returns the lattices with their sentences run step by step.
 
-    Float64 products that are all finite and non-negative, with finite row
-    sums, divide into rows that the lattice need not check again; any
-    others take its full check.
+    The lattices are taken as float64 arrays; text, complex, object or
+    ragged ones are refused.  Products that are all finite and
+    non-negative, with finite row sums, divide into rows that the lattice
+    need not check again; any others take its full check.
     """
+    alphas = real_array(alphas, "a forward lattice must be real numbers")
+    betas = real_array(betas, "a backward lattice must be real numbers")
     if alphas.ndim != 2 or alphas.shape != betas.shape:
         raise InvalidInputError(
             f"lattices of shapes {alphas.shape} and {betas.shape}: both must be one T x N table"
@@ -501,8 +548,7 @@ def posterior_from_lattices(alphas: np.ndarray, betas: np.ndarray, rerun=None) -
             f"posterior denominator underflowed at position {int(bad[0])}"
         )
     # the minimum is NaN if any product is; an infinite product makes its sum infinite
-    normalised = (prod.dtype == np.float64 and prod.size > 0
-                  and np.minimum.reduce(prod, axis=None) >= 0.0
+    normalised = (prod.size > 0 and np.minimum.reduce(prod, axis=None) >= 0.0
                   and np.maximum.reduce(denom) < np.inf)
     values = np.divide(prod, denom[:, None], out=prod)
     return PosteriorLattice._normalised(values) if normalised else PosteriorLattice(values)
@@ -529,7 +575,7 @@ def _posterior(params: HmcParams, emissions: np.ndarray, lengths=None) -> Poster
     again every step."""
     rows = prepare_rows(emissions, lengths, RESCALE_EVERY)
     alphas, _ = scaled_forward(params.pi, params.trans, rows)
-    betas, _ = scaled_backward(params.trans, rows)
+    betas, _ = scaled_backward(params.reversed_step, rows)
     return posterior_from_lattices(
         alphas, betas, every_step_rerun(params.pi, params.trans, rows, alphas, betas))
 

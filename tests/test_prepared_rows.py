@@ -19,6 +19,8 @@ from test_batch_decode import DEGENERATE, SEED, random_chain
 from test_rescale_schedule import KINDS, ladder_sentence, outcome, posterior_of, recursions
 
 K = hmc.RESCALE_EVERY
+# a two-label chain and three emission rows, each array of them valid
+HALF_PI, HALF_TRANS, HALF_ROWS = np.full(2, 0.5), np.full((2, 2), 0.5), np.full((3, 2), 0.5)
 
 
 def each_prepares_its_own(chain, emissions, lengths=None):
@@ -243,8 +245,42 @@ def test_an_infinite_entry_is_named_where_a_nan_is(lengths, which, zeroed, every
     lambda: hmc.scaled_backward(np.full((3, 3), 1 / 3), [["a"] * 3] * 2),
     lambda: hmc.scaled_forward(np.full(2, 0.5), np.full((2, 2), 0.5), np.full((3, 2), 0.5 + 1j)),
     lambda: hmc.prepare_rows(np.ones(3)),
+    lambda: hmc.HmcParams(["a", "b"], HALF_TRANS),
+    lambda: hmc.HmcParams(np.full(2, 0.5 + 0j), HALF_TRANS),
+    lambda: hmc.HmcParams(HALF_PI, HALF_TRANS.astype(object)),
+    lambda: hmc.HmcParams(HALF_PI, [[0.5, 0.5], [1.0]]),
+    lambda: hmc.HmcParams(HALF_PI, HALF_TRANS, HALF_TRANS + 0j),
+    lambda: hmc.scaled_forward(["a", "b"], HALF_TRANS, HALF_ROWS),
+    lambda: hmc.scaled_forward(HALF_PI + 0j, HALF_TRANS, HALF_ROWS),
+    lambda: hmc.scaled_forward(HALF_PI, HALF_TRANS + 0j, HALF_ROWS),
+    lambda: hmc.scaled_forward(HALF_PI, HALF_TRANS.astype(object), HALF_ROWS),
+    lambda: hmc.scaled_forward(HALF_PI, [[0.5, 0.5], [1.0]], HALF_ROWS),
+    lambda: hmc.scaled_forward(HALF_PI, hmc.HmcParams(HALF_PI, HALF_TRANS).reversed_step,
+                               HALF_ROWS),
+    lambda: hmc.scaled_backward(HALF_TRANS + 0j, HALF_ROWS),
+    lambda: hmc.scaled_backward(HALF_TRANS.astype(object), HALF_ROWS),
+    lambda: hmc.scaled_backward([["a", "b"]] * 2, HALF_ROWS),
+    lambda: hmc.scaled_backward([[0.5, 0.5], [1.0]], HALF_ROWS),
+    lambda: hmc.every_step_rerun(HALF_PI, HALF_TRANS + 0j, hmc.prepare_rows(HALF_ROWS, every=K),
+                                 HALF_ROWS.copy(), HALF_ROWS.copy())(np.ones(3, bool)),
+    lambda: hmc.every_step_rerun(HALF_PI, HALF_TRANS.astype(object),
+                                 hmc.prepare_rows(HALF_ROWS, every=K),
+                                 HALF_ROWS.copy(), HALF_ROWS.copy())(np.ones(3, bool)),
+    lambda: hmc.posterior_from_lattices([["a", "b"]] * 3, HALF_ROWS),
+    lambda: hmc.posterior_from_lattices(HALF_ROWS, HALF_ROWS + 0j),
+    lambda: hmc.posterior_from_lattices(HALF_ROWS.astype(object), HALF_ROWS),
+    lambda: hmc.posterior_from_lattices(HALF_ROWS, [[0.5, 0.5], [0.5]]),
 ], ids=["unscale rows and scales", "unscale 1-D", "memm first row 0-D",
-        "ragged emissions", "text emissions", "complex emissions", "1-D rows"])
+        "ragged emissions", "text emissions", "complex emissions", "1-D rows",
+        "chain text prior", "chain complex prior", "chain object transitions",
+        "chain ragged transitions", "chain complex emissions",
+        "forward text prior", "forward complex prior", "forward complex transitions",
+        "forward object transitions", "forward ragged transitions", "forward step record",
+        "backward complex transitions", "backward object transitions",
+        "backward text transitions", "backward ragged transitions",
+        "rerun complex transitions", "rerun object transitions",
+        "posterior text alphas", "posterior complex betas", "posterior object alphas",
+        "posterior ragged betas"])
 def test_malformed_arguments_are_refused_not_a_numpy_error(call):
     with pytest.raises(InvalidInputError):
         call()
@@ -263,6 +299,37 @@ def test_array_like_emissions_are_prepared_as_their_array():
         got = hmc.scaled_backward(chain.trans, given)
         want = hmc.scaled_backward(chain.trans, array)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_array_like_chain_arrays_and_lattices_are_taken_as_their_arrays():
+    """Lists for a chain's prior, transitions and emission table, for the
+    recursions' and the rerun's `pi` and `trans`, and for either lattice of
+    a posterior give the bytes of their float64 arrays."""
+    rng = np.random.default_rng(SEED)
+    chain = random_chain(rng, 3)
+    emit = rng.dirichlet(np.ones(4), size=3)
+    listed = hmc.HmcParams(chain.pi.tolist(), chain.trans.tolist(), emit.tolist())
+    arrays = hmc.HmcParams(chain.pi, chain.trans, emit)
+    for name in ("pi", "trans", "emit", "emit_rows"):
+        got, want = getattr(listed, name), getattr(arrays, name)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    for got, want in zip(listed.reversed_step, arrays.reversed_step):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    pi, trans = chain.pi.tolist(), chain.trans.tolist()
+    emissions, marked = rng.random((7, 3)), np.arange(7) == 4
+    for every in (1, K):
+        for lengths in (None, [3, 4]):
+            record = hmc.prepare_rows(emissions, lengths, every)
+            alphas, scales = hmc.scaled_forward(chain.pi, chain.trans, record)
+            betas, back = hmc.scaled_backward(chain.trans, record)
+            got = [*hmc.scaled_forward(pi, trans, record), *hmc.scaled_backward(trans, record),
+                   *hmc.every_step_rerun(pi, trans, record, alphas.copy(), betas.copy())(marked)]
+            want = [alphas, scales, betas, back, *hmc.every_step_rerun(
+                chain.pi, chain.trans, record, alphas.copy(), betas.copy())(marked)]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    want = hmc.posterior_from_lattices(alphas, betas).values.tobytes()
+    for pair in ((alphas.tolist(), betas), (alphas, betas.tolist())):
+        assert hmc.posterior_from_lattices(*pair).values.tobytes() == want
 
 
 def test_the_posterior_rerun_of_an_every_step_record_gives_its_rows_back():
