@@ -212,8 +212,17 @@ def mpm_from_lattice(lattice: PosteriorLattice) -> list[int]:
     return lattice.values.argmax(axis=1).tolist()
 
 
+# an ndarray whose dtype is one of these objects is what `id_array` and
+# `real_array` return as it is; any other (a subclass, another byte order,
+# an equal dtype held in another object) takes their general path
+_INTP, _FLOAT64 = np.dtype(np.intp), np.dtype(np.float64)
+
+
 def id_array(values, what: str) -> np.ndarray:
-    """`values` as an intp array; ragged or non-integer values raise instead of being cut."""
+    """`values` as an intp array; ragged or non-integer values raise instead of being cut.
+    An intp ndarray (not a subclass) is returned as it is."""
+    if type(values) is np.ndarray and values.dtype is _INTP:
+        return values
     try:
         arr = np.asarray(values)
     except ValueError:  # numpy refuses to stack rows of unequal length
@@ -226,7 +235,10 @@ def id_array(values, what: str) -> np.ndarray:
 def real_array(values, message: str) -> np.ndarray:
     """`values` as a float64 array; text, complex or ragged values raise
     InvalidInputError(`message`) instead of being cast (a complex entry would
-    lose its imaginary part)."""
+    lose its imaginary part).  A float64 ndarray (not a subclass) is
+    returned as it is."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT64:
+        return values
     try:
         arr = np.asarray(values)
         if arr.dtype.kind in "biuf":

@@ -118,15 +118,15 @@ def _as_batch(feature_ids) -> tuple[np.ndarray, bool]:
     return (ids if batch else ids[np.newaxis]), batch
 
 
-def _weight_rows(
+def _extra_rows(
     model: LogisticModel, ids: np.ndarray, prev_label=None, all_prev=False
-) -> np.ndarray:
-    """(T, W) weight-row indices of a (T, F) id batch.
-
-    Row t holds input t's feature ids, its previous-label row (one label for
-    all or one per input; none when `all_prev`) and the bias row.  Ids and
-    previous labels are checked as arrays; values that are not integers
-    raise instead of being truncated.
+) -> tuple:
+    """The weight rows that each input of a (T, F) id batch adds after its
+    feature ids' rows: its previous label's (one label for all inputs or
+    one per input; none when `all_prev` or when the model does not
+    condition on it), then the bias row.  The ids and previous labels are
+    checked first, as arrays; values that are not integers raise instead
+    of being truncated.
     """
     if ids.ndim != 2:
         raise InvalidInputError("a batch of feature ids must be two-dimensional")
@@ -135,26 +135,27 @@ def _weight_rows(
                      or np.maximum.reduce(ids, axis=None) >= model.n_features):
         bad = (ids < 0) | (ids >= model.n_features)
         raise InvalidInputError(f"feature id {int(ids[bad][0])} out of range")
-    has_prev = model.conditions_on_prev and not all_prev
-    if has_prev:
+    if model.conditions_on_prev and not all_prev:
         if prev_label is None or None in np.ravel(prev_label):
             raise InvalidInputError("model conditions on the previous label")
         prev = id_array(prev_label, "previous labels")
+        if prev.ndim > 1 or prev.size not in (1, len(ids)):
+            raise InvalidInputError(
+                f"{len(ids)} inputs take one previous label or one each, not {prev.shape}"
+            )
         out = (prev < 0) | (prev >= model.n_labels)
         if out.any():
             raise InvalidInputError(f"previous label {int(prev[out][0])} out of range")
-    elif prev_label is not None and any(p is not None for p in np.ravel(prev_label)):
+        return model.n_features + prev, model.bias_row
+    if prev_label is not None and any(p is not None for p in np.ravel(prev_label)):
         raise InvalidInputError("model does not condition on the previous label")
-    rows = np.empty((len(ids), ids.shape[1] + 1 + has_prev), dtype=np.intp)
-    rows[:, : ids.shape[1]] = ids
-    if has_prev:
-        rows[:, -2] = model.n_features + prev
-    rows[:, -1] = model.bias_row
-    return rows
+    return (model.bias_row,)
 
 
 def _example_rows(model: LogisticModel, dataset: Dataset):
-    """`_weight_rows` of a non-empty dataset in either form, and its intp targets."""
+    """The (M, W) weight-row indices of a non-empty dataset in either form
+    (row m: example m's feature ids, then `_extra_rows`), which SGD's
+    scatter reads, and its intp targets."""
     cols = dataset if isinstance(dataset, ExampleColumns) else ExampleColumns(*zip(*dataset))
     targets = id_array(cols.targets, "labels")
     prevs = cols.prev_labels
@@ -162,17 +163,30 @@ def _example_rows(model: LogisticModel, dataset: Dataset):
         raise InvalidInputError("a dataset needs one id row and label per example")
     if np.any((targets < 0) | (targets >= model.n_labels)):
         raise InvalidInputError("target label out of range")
-    return _weight_rows(model, id_array(cols.ids, "feature ids"), prevs), targets
+    ids = id_array(cols.ids, "feature ids")
+    extra = _extra_rows(model, ids, prevs)
+    rows = np.empty((len(ids), ids.shape[1] + len(extra)), dtype=np.intp)
+    rows[:, : ids.shape[1]] = ids
+    for slot, row in enumerate(extra, ids.shape[1]):
+        rows[:, slot] = row
+    return rows, targets
 
 
-def _row_sums(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Each input's gathered weight rows summed in slot order."""
+def _row_sums(weights: np.ndarray, rows: np.ndarray, *extra) -> np.ndarray:
+    """Each input's gathered weight rows summed in slot order: its (T, W)
+    `rows`, then each of `extra` (one row index for all inputs, or one
+    per input)."""
     # Gathered slot-major, (W, T, N): the reduction over axis 0 adds whole
     # (T, N) slabs one slot after another, so each input's sum is taken in
     # slot order exactly as summing its own (W, N) rows does, while every
     # addition runs over a contiguous slab instead of T short rows.  `take`
-    # copies the rows fancy indexing copies, in about half the time.
-    return np.add.reduce(weights.take(rows.T, axis=0), axis=0)
+    # copies the rows fancy indexing copies, in about half the time.  The
+    # extra rows are added after the slabs, in the same order, so scoring
+    # needs no (T, W) table of row indices.
+    sums = np.add.reduce(weights.take(rows.T, axis=0), axis=0)
+    for row in extra:
+        sums += weights[row]
+    return sums
 
 
 def predict(
@@ -188,8 +202,8 @@ def predict(
     for every row or one per row.
     """
     ids, batch = _as_batch(feature_ids)
-    rows = _weight_rows(model, ids, prev_label)
-    probs = _softmax_rows(_row_sums(model.weights, rows))
+    extra = _extra_rows(model, ids, prev_label)
+    probs = _softmax_rows(_row_sums(model.weights, ids, *extra))
     return probs if batch else probs[0]
 
 
@@ -206,8 +220,8 @@ def predict_all_prev(model: LogisticModel, feature_ids: ArrayLike) -> np.ndarray
     if not model.conditions_on_prev:
         raise InvalidInputError("model does not condition on the previous label")
     ids, batch = _as_batch(feature_ids)
-    rows = _weight_rows(model, ids, all_prev=True)
-    base = _row_sums(model.weights, rows)  # [t, i]: input t's score of label i
+    extra = _extra_rows(model, ids, all_prev=True)
+    base = _row_sums(model.weights, ids, *extra)  # [t, i]: input t's score of label i
     block = model.weights[model.n_features : model.n_features + model.n_labels]
     # softmax over i of base[t, i] + block[j, i] factors into exp(base - its
     # max) times exp(block - its max), normalised over i: N exponentials a

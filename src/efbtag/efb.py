@@ -97,6 +97,14 @@ def conditional_matrix(
     return np.maximum(lmat, L_FLOOR)
 
 
+def _ratio(params: HmcParams, obs, lengths) -> np.ndarray:
+    """L / pi: the floored conditional matrix, which `conditional_matrix`
+    returns as a new array, divided by the prior in place."""
+    ratio = conditional_matrix(params, obs, lengths)
+    ratio /= params.pi
+    return ratio
+
+
 def entropic_forward(
     params: HmcParams, obs: Sequence | np.ndarray, lengths=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +116,7 @@ def entropic_forward(
     lengths and rescaling interval, as in `scaled_forward`.
     """
     if not isinstance(obs, PreparedRows):
-        obs = conditional_matrix(params, obs, lengths) / params.pi
+        obs = _ratio(params, obs, lengths)
     return scaled_forward(params.pi, params.trans, obs, lengths)
 
 
@@ -118,7 +126,7 @@ def entropic_backward(
     """Entropic backward lattice; unscaled value at t is betas[t] * prod(scales[t:]).
     `obs` may be a record, as in `entropic_forward`."""
     if not isinstance(obs, PreparedRows):
-        obs = conditional_matrix(params, obs, lengths) / params.pi
+        obs = _ratio(params, obs, lengths)
     return scaled_backward(params.reversed_step, obs, lengths)
 
 
@@ -129,8 +137,7 @@ def posterior_efb(
     L / pi, built once for both, each normalizing a row every RESCALE_EVERY
     steps; a sentence whose posterior denominator falls to
     `hmc.POSTERIOR_GUARD` runs again every step."""
-    rows = prepare_rows(conditional_matrix(params, obs, lengths) / params.pi, lengths,
-                        RESCALE_EVERY)
+    rows = prepare_rows(_ratio(params, obs, lengths), lengths, RESCALE_EVERY)
     alphas, _ = entropic_forward(params, rows)
     betas, _ = entropic_backward(params, rows)
     return posterior_from_lattices(

@@ -153,6 +153,16 @@ class FeatureIndex:
         n_values = sum(map(len, self.value_ids.values()))
         return {fam: n_values + k for k, fam in enumerate(self.value_ids)}
 
+    @cached_property
+    def _lookups(self) -> dict[str, tuple]:
+        """Each family's (`value_ids[family].get`, unknown id), which
+        `vectorize` reads; like `unknown_ids`, it holds because an index's
+        maps are never written after `index_from_pairs` numbers them.  A
+        deep copy keeps the bound `get` of the maps it was copied from,
+        which hold the same ids."""
+        unknown = self.unknown_ids
+        return {fam: (ids.get, unknown[fam]) for fam, ids in self.value_ids.items()}
+
     @property
     def size(self) -> int:
         return sum(map(len, self.value_ids.values())) + len(self.value_ids)
@@ -239,7 +249,7 @@ def vectorize(
     if isinstance(next(iter(fv.values()), ""), str):
         return tuple(vectorize({fam: [value] for fam, value in fv.items()}, index)[0].tolist())
     try:
-        lookups = [(index.value_ids[fam].get, index.unknown_ids[fam]) for fam in fv]
+        lookups = list(map(index._lookups.__getitem__, fv))
     except KeyError as err:
         raise InvalidInputError(f"feature family {err.args[0]!r} not in index") from None
     flat = [get(value, unknown) for (get, unknown), values in zip(lookups, fv.values())

@@ -9,7 +9,7 @@ baseline, which counts and gathers its per-family tables over the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from numbers import Integral
 from typing import NamedTuple, Optional, Sequence
@@ -118,9 +118,22 @@ class HmcParams:
         object.__setattr__(self, "emit", emit)
         object.__setattr__(self, "emit_rows", np.ascontiguousarray(emit.T))
 
+    def __reduce__(self):
+        # pickled and copied chains are built again from their init fields,
+        # so that a restored one derives its own read-only `reversed_step`
+        # instead of taking the writeable copy that restoring its state makes
+        init = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return _rebuilt, (type(self), init)
+
     @property
     def n_labels(self) -> int:
         return self.pi.shape[0]
+
+
+def _rebuilt(cls: type, init: dict) -> HmcParams:
+    """A chain of class `cls` built from its init fields, which `copy` may
+    have copied deeply first."""
+    return cls(**init)
 
 
 def _check_labels(labels: np.ndarray, n_labels: int) -> None:
@@ -213,13 +226,16 @@ class PreparedRows(NamedTuple):
     peaks: Optional[np.ndarray]  # each row's maximum (at least LEAST_NORMAL) when every > 1
 
 
-def _row_maxima(rows: np.ndarray) -> np.ndarray:
+def _row_maxima(rows: np.ndarray, stacked: bool) -> np.ndarray:
     """Each row's maximum, or float64's least normal number if that is more
     (an all-zero row), so that no row is divided by zero."""
-    # over a column-major copy the reduction's inner loop runs down the long
-    # axis, not along rows of N: over an 8,192-row bucket that takes 40 % less
-    # time, and over one sentence no more than a microsecond more
-    return np.maximum.reduce(np.asfortranarray(rows), axis=1, initial=LEAST_NORMAL)
+    # over a column-major copy of `stacked` sentences the reduction's inner
+    # loop runs down the long axis, not along rows of N: over an 8,192-row
+    # bucket that takes 40 % less time; one sentence's rows are too few for
+    # the copy to pay
+    if stacked:
+        rows = np.asfortranarray(rows)
+    return np.maximum.reduce(rows, axis=1, initial=LEAST_NORMAL)
 
 
 def prepare_rows(emissions, lengths=None, every: int = 1) -> PreparedRows:
@@ -239,14 +255,14 @@ def prepare_rows(emissions, lengths=None, every: int = 1) -> PreparedRows:
     raw = real_array(emissions, "emissions must be a real (T, N) matrix")
     if raw.ndim != 2:
         raise InvalidInputError(f"a chain takes (T, N) emissions, not an array of {raw.shape}")
-    peaks = None
+    peaks, stacked = None, lengths is not None
     if every > 1:  # the maxima carry the check: one is +inf or NaN if any entry is
-        peaks = _row_maxima(raw)
+        peaks = _row_maxima(raw, stacked)
     if not np.maximum.reduce(raw if peaks is None else peaks, None, initial=0.0) < np.inf:
         infinite = raw == np.inf
         if infinite.any():
             raw = np.where(infinite, np.nan, raw)
-            peaks = None if peaks is None else _row_maxima(raw)
+            peaks = None if peaks is None else _row_maxima(raw, stacked)
     if lengths is not None:
         lengths = check_lengths(lengths, len(raw))
     packed = _packed(raw if peaks is None else raw / peaks[:, None], lengths)
@@ -306,7 +322,8 @@ def _recursion(prior, step: np.ndarray, prepared: PreparedRows,
     # calls are bound once, take their output positionally, and the product
     # is the array method, which runs the same BLAS call as `np.dot`
     multiply, divide, add = np.multiply, np.divide, np.add.reduce
-    scales = np.ones(len(rows))
+    scales = np.empty(len(rows))  # filled, not `np.ones`, whose Python wrapper costs more
+    scales.fill(1.0)
     floor = RESCALE_GUARD if every > 1 else 0.0
     fell = False  # a block closed under the guard
     closing = every - 1

@@ -2,7 +2,8 @@
 
 Each reference below is the plain form of a kernel that the package
 now runs with in-place or reordered numpy calls: a fresh-row scaled
-recursion, a row-major weight-row sum, the elementwise range check
+recursion, a row-major weight-row sum with a plain softmax and the
+factored previous-label tables, the elementwise range check
 of a posterior lattice, a posterior that takes that check in full,
 posterior guards that mask every row, and a fresh-row memm step.
 Every comparison is on the bytes.
@@ -196,19 +197,53 @@ def weight_model(rng, n_features, n_labels, conditions_on_prev):
     return LogisticModel(weights, n_features, n_labels, conditions_on_prev)
 
 
+def reference_softmax(scores):
+    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
+def reference_all_prev(base, block):
+    """`predict_all_prev`'s factored tables from the row sums `base`, with a
+    direct softmax for each column whose normaliser is at most FACTOR_FLOOR."""
+    scaled = np.exp(base - base.max(axis=1, keepdims=True))
+    prev = np.exp(block - block.max(axis=1, keepdims=True))
+    norms = np.matmul(scaled[:, None, :], prev.T)[:, 0]
+    low = norms <= discrim.FACTOR_FLOOR
+    tables = scaled[:, :, None] * prev.T * (1.0 / np.where(low, 1.0, norms))[:, None, :]
+    for t, j in zip(*np.nonzero(low)):
+        tables[t, :, j] = reference_softmax((base[t] + block[j])[None])[0]
+    return tables
+
+
 @pytest.mark.parametrize("n_labels", [1, 2, 17])
-def test_predict_bit_equal_to_row_major_sums(monkeypatch, n_labels):
+def test_predict_bit_equal_to_row_major_sums(n_labels):
+    """Each input's score is the sum, in slot order, of an explicit (T, W)
+    table of weight rows: its feature ids, its previous label's row (none
+    for `predict_all_prev`) and the bias row."""
     rng = np.random.default_rng(n_labels)
-    ids = rng.integers(0, 300, (23, 13))
-    plain = weight_model(rng, 300, n_labels, False)
-    prev = weight_model(rng, 300, n_labels, True)
-    prev_labels = rng.integers(0, n_labels, len(ids))
-    got = [predict(plain, ids), predict(prev, ids, prev_labels), predict_all_prev(prev, ids)]
-    monkeypatch.setattr(discrim, "_row_sums", reference_row_sums)
-    expected = [predict(plain, ids), predict(prev, ids, prev_labels),
-                predict_all_prev(prev, ids)]
-    for g, e in zip(got, expected):
-        assert g.tobytes() == e.tobytes()
+    n_features = 300
+    ids = rng.integers(0, n_features, (23, 13))
+    plain = weight_model(rng, n_features, n_labels, False)
+    prev = weight_model(rng, n_features, n_labels, True)
+
+    def rows(*extra):
+        cols = [np.broadcast_to(row, len(ids)) for row in extra]
+        return np.column_stack([ids, *cols])
+
+    one_label = int(rng.integers(n_labels))
+    per_row = rng.integers(0, n_labels, len(ids))
+    cases = [
+        (predict(plain, ids), rows(plain.bias_row), plain),
+        (predict(prev, ids, one_label), rows(n_features + one_label, prev.bias_row), prev),
+        (predict(prev, ids, per_row), rows(n_features + per_row, prev.bias_row), prev),
+    ]
+    for got, table, model in cases:
+        assert table.shape == (len(ids), ids.shape[1] + 1 + model.conditions_on_prev)
+        want = reference_softmax(reference_row_sums(model.weights, table))
+        assert got.tobytes() == want.tobytes()
+    base = reference_row_sums(prev.weights, rows(prev.bias_row))
+    block = prev.weights[n_features : n_features + n_labels]
+    assert predict_all_prev(prev, ids).tobytes() == reference_all_prev(base, block).tobytes()
 
 
 @pytest.mark.parametrize("conditions_on_prev", [False, True])

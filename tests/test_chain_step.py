@@ -9,6 +9,9 @@ writes what it is given: the kernel runs in place over its own lattices,
 and a one-sentence record's packed rows are the caller's matrix itself.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -129,6 +132,44 @@ def test_every_chain_carries_its_own_record():
             with pytest.raises(ValueError):
                 array[...] = 0.0
     assert not np.array_equal(chain.reversed_step.step, other.reversed_step.step)
+
+
+def first_item(item, t):
+    """A conditional-label provider that a pickle can name."""
+    return item
+
+
+RESTORES = {
+    "pickle": lambda params: pickle.loads(pickle.dumps(params)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}
+
+
+@pytest.mark.parametrize("restore", RESTORES.values(), ids=RESTORES)
+@pytest.mark.parametrize("kind", [hmc.HmcParams, efb.EfbParams])
+def test_a_pickled_or_copied_chain_keeps_a_read_only_record(kind, restore):
+    """A chain that is unpickled or copied is built again from its fields,
+    so its record is read-only and its backward gives the original's bytes;
+    an unpickled or deep-copied one shares no array with the original."""
+    rng = np.random.default_rng(SEED)
+    chain = word_chain(rng, 4, 6)
+    extra = {"l_provider": first_item} if kind is efb.EfbParams else {}
+    original = kind(chain.pi, chain.trans, chain.emit, **extra)
+    obs = rng.integers(0, 7, 9)
+    want = hmc.backward(original, obs)
+    restored = restore(original)
+    assert type(restored) is kind and restored is not original
+    assert getattr(restored, "l_provider", None) is getattr(original, "l_provider", None)
+    for array in (restored.reversed_step.step, restored.reversed_step.weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert same(hmc.backward(restored, obs), want)
+    for name in ("pi", "trans", "emit"):
+        got, had = getattr(restored, name), getattr(original, name)
+        assert got.tobytes() == had.tobytes()
+        assert (got is had) == (restore is copy.copy)
 
 
 @pytest.mark.parametrize("lengths", [None, LENGTHS], ids=["alone", "batched"])

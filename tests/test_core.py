@@ -7,7 +7,9 @@ from efbtag.core import (
     PosteriorLattice,
     TagSet,
     Vocabulary,
+    id_array,
     mpm_from_lattice,
+    real_array,
 )
 from efbtag.errors import InvalidInputError
 
@@ -100,3 +102,66 @@ class TestMpm:
         assert mpm_from_lattice(PosteriorLattice(base)) == mpm_from_lattice(
             PosteriorLattice(scaled)
         )
+
+
+class Tagged(np.ndarray):
+    """An ndarray subclass, which the coercions return as a plain ndarray."""
+
+
+# (values, what the coercion gives): "same" for the very object, an array
+# for a new native array of those values, InvalidInputError for a refusal
+SAME = "same"
+ID_CASES = {
+    "intp": (np.arange(6).reshape(2, 3), SAME),
+    "empty intp": (np.empty((0, 2), dtype=np.intp), SAME),
+    "big-endian": (np.arange(3, dtype=">i8"), np.arange(3)),
+    "int32": (np.arange(3, dtype=np.int32), np.arange(3)),
+    "uint8": (np.arange(3, dtype=np.uint8), np.arange(3)),
+    "subclass": (np.arange(3).view(Tagged), np.arange(3)),
+    "list": ([[1, 2], [3, 4]], np.array([[1, 2], [3, 4]])),
+    "empty float": (np.empty(0), np.empty(0, dtype=np.intp)),
+    "float": (np.arange(3.0), InvalidInputError),
+    "bool": (np.ones(3, dtype=bool), InvalidInputError),
+    "complex": (np.ones(3, dtype=complex), InvalidInputError),
+    "object": (np.array([1, 2], dtype=object), InvalidInputError),
+    "text": (np.array(["1", "2"]), InvalidInputError),
+    "ragged": ([[1, 2], [3]], InvalidInputError),
+}
+REAL_CASES = {
+    "float64": (np.linspace(0.0, 1.0, 6).reshape(2, 3), SAME),
+    "empty float64": (np.empty((0, 2)), SAME),
+    "big-endian": (np.arange(3, dtype=">f8"), np.arange(3.0)),
+    "float32": (np.array([0.1, 2.5], dtype=np.float32), np.array([0.1, 2.5], dtype=np.float32)),
+    "subclass": (np.arange(3.0).view(Tagged), np.arange(3.0)),
+    "list": ([[0.5, 1], [2, 3]], np.array([[0.5, 1.0], [2.0, 3.0]])),
+    "intp": (np.arange(3), np.arange(3.0)),
+    "bool": (np.array([True, False]), np.array([1.0, 0.0])),
+    "complex": (np.ones(3, dtype=complex), InvalidInputError),
+    "object": (np.array([1.0, 2.0], dtype=object), InvalidInputError),
+    "text": (np.array(["1", "2"]), InvalidInputError),
+    "ragged": ([[1.0, 2.0], [3.0]], InvalidInputError),
+}
+
+
+def check_coercion(coerce, dtype, values, want):
+    if want is InvalidInputError:
+        with pytest.raises(InvalidInputError):
+            coerce(values)
+        return
+    out = coerce(values)
+    if want is SAME:
+        assert out is values
+        return
+    assert type(out) is np.ndarray and out is not values
+    assert out.dtype == dtype and out.dtype.isnative
+    assert out.tobytes() == np.asarray(want, dtype=dtype).tobytes()
+
+
+@pytest.mark.parametrize("values, want", ID_CASES.values(), ids=ID_CASES)
+def test_id_array_returns_an_intp_array_as_it_is_and_converts_or_refuses_the_rest(values, want):
+    check_coercion(lambda v: id_array(v, "ids"), np.intp, values, want)
+
+
+@pytest.mark.parametrize("values, want", REAL_CASES.values(), ids=REAL_CASES)
+def test_real_array_returns_a_float64_array_as_it_is_and_converts_or_refuses_the_rest(values, want):
+    check_coercion(lambda v: real_array(v, "not real"), np.float64, values, want)

@@ -120,6 +120,11 @@ class TestBatchedPredict:
             predict(cond, ids, -1)
         with pytest.raises(InvalidInputError, match="previous labels must be integers"):
             predict(cond, ids, [1.7, 0])
+        # one label for all inputs or one each, not a column, a row or another count
+        for prev in ([[0], [1]], [[0, 1]], [0, 1, 1]):
+            with pytest.raises(InvalidInputError, match="one previous label or one each"):
+                predict(cond, ids, prev)
+        assert predict(cond, ids, [1]).tobytes() == predict(cond, ids, 1).tobytes()
         with pytest.raises(InvalidInputError):
             predict_all_prev(plain, ids)
 
