@@ -7,7 +7,8 @@ lattice from which maximum-posterior-mode label sequences are read.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -17,8 +18,19 @@ from .errors import InvalidInputError
 ROW_SUM_TOL = 1e-9
 
 
+class Rebuilt:
+    """Base of every frozen record that derives fields (`init=False`) from its
+    init fields: `pickle`, `copy.copy` and `copy.deepcopy` build it again
+    through its constructor from those (which a deep copy copies first), so
+    nothing it derives is restored as a copy.  A read-only mapping goes as a dict."""
+
+    def __reduce__(self):
+        init = (getattr(self, f.name) for f in fields(self) if f.init)
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in init)
+
+
 @dataclass(frozen=True)
-class TagSet:
+class TagSet(Rebuilt):
     """Bidirectional map between label strings and dense ids 0..N-1."""
 
     labels: tuple[str, ...]
@@ -59,7 +71,7 @@ class TagSet:
 
 
 @dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Rebuilt):
     """Dense word ids plus one reserved slot for unknown words.
 
     Word identity is exact surface-form equality; case folding is a

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import LabeledSentence, check_tokens, is_batch
+from .core import LabeledSentence, Rebuilt, check_tokens, is_batch
 from .errors import InvalidInputError
 
 
@@ -126,7 +126,7 @@ class FeatureMemo:
 
 
 @dataclass(frozen=True)
-class FeatureIndex:
+class FeatureIndex(Rebuilt):
     """Frozen map from each family's values to dense ids, family by family.
 
     `index_from_pairs` numbers every family's values, one family after
@@ -137,7 +137,8 @@ class FeatureIndex:
     template: FeatureTemplate
     value_ids: dict[str, dict[str, int]]
     # rows of indexed words: `build_index` fills it with every training key's
-    # row and `FeaturePipeline` with the indexed words it meets
+    # row and `FeaturePipeline` with the indexed words it meets; a loaded or
+    # rebuilt (`core.Rebuilt`) index starts with it empty
     memo: FeatureMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -157,9 +158,7 @@ class FeatureIndex:
     def _lookups(self) -> dict[str, tuple]:
         """Each family's (`value_ids[family].get`, unknown id), which
         `vectorize` reads; like `unknown_ids`, it holds because an index's
-        maps are never written after `index_from_pairs` numbers them.  A
-        deep copy keeps the bound `get` of the maps it was copied from,
-        which hold the same ids."""
+        maps are never written after `index_from_pairs` numbers them."""
         unknown = self.unknown_ids
         return {fam: (ids.get, unknown[fam]) for fam, ids in self.value_ids.items()}
 

@@ -9,7 +9,7 @@ baseline, which counts and gathers its per-family tables over the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Integral
 from typing import NamedTuple, Optional, Sequence
@@ -17,8 +17,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (
-    LabeledSentence, PosteriorLattice, TagSet, Vocabulary, check_lengths, check_token_rows,
-    id_array, real_array,
+    LabeledSentence, PosteriorLattice, Rebuilt, TagSet, Vocabulary, check_lengths,
+    check_token_rows, id_array, real_array,
 )
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .features import FeatureIndex
@@ -84,7 +84,7 @@ def _reversed_step(trans: np.ndarray) -> ReversedStep:
 
 
 @dataclass(frozen=True)
-class HmcParams:
+class HmcParams(Rebuilt):
     """A chain (pi, A), plus a word emission table for hmc-fb only.
 
     Array-likes are taken as their float64 arrays; text, complex, object or
@@ -118,22 +118,9 @@ class HmcParams:
         object.__setattr__(self, "emit", emit)
         object.__setattr__(self, "emit_rows", np.ascontiguousarray(emit.T))
 
-    def __reduce__(self):
-        # pickled and copied chains are built again from their init fields,
-        # so that a restored one derives its own read-only `reversed_step`
-        # instead of taking the writeable copy that restoring its state makes
-        init = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
-        return _rebuilt, (type(self), init)
-
     @property
     def n_labels(self) -> int:
         return self.pi.shape[0]
-
-
-def _rebuilt(cls: type, init: dict) -> HmcParams:
-    """A chain of class `cls` built from its init fields, which `copy` may
-    have copied deeply first."""
-    return cls(**init)
 
 
 def _check_labels(labels: np.ndarray, n_labels: int) -> None:
@@ -500,15 +487,13 @@ def _packed(rows: np.ndarray, lengths):
 
 def unscale(rows: np.ndarray, scales: np.ndarray, backward: bool = False) -> np.ndarray:
     """Reconstruct unscaled forward or backward values from scale factors."""
-    rows, scales = np.asarray(rows), np.asarray(scales)
+    rows = real_array(rows, "a lattice's rows must be real numbers")
+    scales = real_array(scales, "scale factors must be real numbers")
     if rows.ndim != 2 or scales.shape != rows.shape[:1]:
         raise InvalidInputError(
             f"a T x N lattice takes T scale factors, not {scales.shape} for rows {rows.shape}"
         )
-    if backward:
-        factors = np.cumprod(scales[::-1])[::-1]
-    else:
-        factors = np.cumprod(scales)
+    factors = np.cumprod(scales[::-1])[::-1] if backward else np.cumprod(scales)
     return rows * factors[:, None]
 
 
@@ -607,7 +592,7 @@ def posterior_fb(params: HmcParams, obs: Sequence[int], lengths=None) -> Posteri
 
 
 @dataclass(frozen=True)
-class NaiveFeatureEmission:
+class NaiveFeatureEmission(Rebuilt):
     """Per-family conditional tables under the feature-independence assumption.
 
     The emission probability of a feature vector is the product of

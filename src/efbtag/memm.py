@@ -25,6 +25,8 @@ from .core import check_lengths, check_token_rows, id_array, real_array
 from .discrim import LogisticModel, predict, predict_all_prev
 from .errors import InvalidInputError
 
+_REAL = "conditional rows and tables must be real numbers"
+
 
 def forward_lattice(
     first: np.ndarray, steps: Sequence[np.ndarray] | Iterable[np.ndarray], lengths=None
@@ -40,17 +42,18 @@ def forward_lattice(
     Given B sentences' `lengths`, `first` is their (B, N) first rows and
     step t a (L, N, N) stack of tables, one per sentence longer than t, in
     sentence order.  In both forms steps may be produced one at a time,
-    `first` or a step that is not an ndarray is taken as its real array,
-    and an ndarray of complex, text or object entries is refused.
+    `first` and every step are taken as their float64 arrays, and complex,
+    text, object or ragged entries are refused.
     """
-    first = _as_array(first)
+    first = real_array(first, _REAL)
     if lengths is not None:
         return _lockstep_lattice(first, steps, lengths)
     if first.ndim != 1:
         raise InvalidInputError(f"the first row must be a length-N vector, not of shape "
                                 f"{first.shape}")
     # the decode path's one (T - 1, N, N) array of tables is checked once
-    steps = _as_array(steps) if isinstance(steps, np.ndarray) else list(map(_as_array, steps))
+    steps = (real_array(steps, _REAL) if isinstance(steps, np.ndarray)
+             else [real_array(table, _REAL) for table in steps])
     n = len(first)
     alphas = np.empty((len(steps) + 1, n))
     alphas[0] = first
@@ -59,14 +62,6 @@ def forward_lattice(
             raise InvalidInputError("conditional table shape mismatch")
         np.matmul(table, alphas[t], out=alphas[t + 1])
     return alphas
-
-
-def _as_array(values) -> np.ndarray:
-    """A real ndarray as it is, as the decode path passes it, by its dtype
-    alone; anything else as its real array."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
-        return values
-    return real_array(values, "conditional rows and tables must be real numbers")
 
 
 def _lockstep_lattice(first: np.ndarray, steps, lengths) -> np.ndarray:
@@ -79,7 +74,7 @@ def _lockstep_lattice(first: np.ndarray, steps, lengths) -> np.ndarray:
     alphas = np.empty((int(lengths.sum()), n))
     alphas[starts] = first
     t = 0
-    for t, tables in enumerate(map(_as_array, steps), 1):
+    for t, tables in enumerate((real_array(table, _REAL) for table in steps), 1):
         rows = starts[lengths > t] + t
         if tables.shape != (len(rows), n, n):
             raise InvalidInputError("conditional table shape mismatch")

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import discrim, efb, hmc, memm
 from .core import (
-    PosteriorLattice, TagSet, Vocabulary, check_tokens, id_array, is_batch, mpm_from_lattice
+    PosteriorLattice, Rebuilt, TagSet, Vocabulary, check_tokens, id_array, is_batch,
+    mpm_from_lattice,
 )
 from .dataio import Corpus
 from .errors import InvalidInputError, NumericalDegeneracyError
@@ -87,7 +88,7 @@ def part_shapes(
 
 
 @dataclass(frozen=True)
-class Tagger:
+class Tagger(Rebuilt):
     """A trained decoder plus everything needed to label new sentences.
 
     A tagger is its `arrays`, by name in `part_shapes` order, which are
@@ -189,7 +190,11 @@ class Tagger:
             except TypeError:  # an unhashable token
                 check_tokens(words)
                 raise
-            if unknown in obs:  # only a word outside the vocabulary can be malformed
+            # only a word outside the vocabulary can be malformed: a batch finds them at once
+            if lengths is not None:
+                obs = np.array(obs, dtype=np.intp)
+                check_tokens(map(words.__getitem__, np.flatnonzero(obs == unknown).tolist()))
+            elif unknown in obs:
                 check_tokens(w for w, i in zip(words, obs) if i == unknown)
             lattice = hmc.posterior_fb(self.hmc_params, obs, lengths)
         elif lengths is None:  # (T, F) ids, of a batch of one: its first token reads as a token

@@ -102,6 +102,27 @@ class TestForwardLattice:
         with pytest.raises(InvalidInputError, match="must be real numbers"):
             forward_lattice(first, steps, lengths)
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+    @pytest.mark.parametrize("dtype", [int, bool, np.float32])
+    @pytest.mark.parametrize("where", ["first", "step", "every step"])
+    def test_a_real_ndarray_gives_the_bytes_of_its_float64_array(self, where, dtype, stacked):
+        """An int, bool or float32 ndarray is taken as its float64 array."""
+        first, steps, lengths = self.sentence(stacked)
+        scaled = {int: lambda a: (a * 4).astype(int), bool: lambda a: a > 0.3,
+                  np.float32: lambda a: a.astype(np.float32)}[dtype]
+        if where == "first":
+            first = scaled(first)
+            want = forward_lattice(first.astype(np.float64), steps, lengths)
+        elif where == "step":
+            steps[1] = scaled(steps[1])
+            want = forward_lattice(first, [s.astype(np.float64) for s in steps], lengths)
+        else:
+            steps = [scaled(s) for s in steps]
+            want = forward_lattice(first, [s.astype(np.float64) for s in steps], lengths)
+            if not stacked:
+                steps = np.stack(steps)
+        assert forward_lattice(first, steps, lengths).tobytes() == want.tobytes()
+
     def test_one_array_of_steps_gives_the_bytes_of_a_list(self):
         first, steps, _ = self.sentence(False)
         want = forward_lattice(first, steps)

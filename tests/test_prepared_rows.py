@@ -240,6 +240,9 @@ def test_an_infinite_entry_is_named_where_a_nan_is(lengths, which, zeroed, every
 @pytest.mark.parametrize("call", [
     lambda: hmc.unscale(np.ones((2, 3)), np.ones(3)),
     lambda: hmc.unscale(np.ones(3), np.ones(3)),
+    lambda: hmc.unscale([["a", "b"]] * 2, np.ones(2)),
+    lambda: hmc.unscale([[0.5, 0.5], [1.0]], np.ones(2)),
+    lambda: hmc.unscale(np.full((2, 2), 0.5 + 1j), np.ones(2)),
     lambda: memm.forward_lattice(np.array(0.5), []),
     lambda: hmc.scaled_forward(np.full(3, 1 / 3), np.full((3, 3), 1 / 3), [[1.0] * 3, [1.0]]),
     lambda: hmc.scaled_backward(np.full((3, 3), 1 / 3), [["a"] * 3] * 2),
@@ -270,7 +273,8 @@ def test_an_infinite_entry_is_named_where_a_nan_is(lengths, which, zeroed, every
     lambda: hmc.posterior_from_lattices(HALF_ROWS, HALF_ROWS + 0j),
     lambda: hmc.posterior_from_lattices(HALF_ROWS.astype(object), HALF_ROWS),
     lambda: hmc.posterior_from_lattices(HALF_ROWS, [[0.5, 0.5], [0.5]]),
-], ids=["unscale rows and scales", "unscale 1-D", "memm first row 0-D",
+], ids=["unscale rows and scales", "unscale 1-D", "unscale text rows", "unscale ragged rows",
+        "unscale complex rows", "memm first row 0-D",
         "ragged emissions", "text emissions", "complex emissions", "1-D rows",
         "chain text prior", "chain complex prior", "chain object transitions",
         "chain ragged transitions", "chain complex emissions",

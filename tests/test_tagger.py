@@ -104,6 +104,18 @@ def test_a_malformed_token_is_invalid_input_for_every_kind(kind, bad):
     assert tagger.decode(["the", "wombat", "runs"]) == fresh.decode(["the", "wombat", "runs"])
 
 
+def test_hmc_fb_names_the_first_malformed_token_among_unknown_words():
+    """Among many words outside the vocabulary, a batch names the first
+    malformed token, as the one sentence that holds it does alone."""
+    tagger, _ = train_tagger(toy_corpus(), DecoderKind.HMC_FB)
+    unseen = [f"w{i}" for i in range(40)]
+    for bad, text in ((5, "token 5 is not a string"), ("", "token must be non-empty")):
+        sentence = ["the", *unseen, bad, None, "cat"]
+        for tokens in (sentence, [unseen, sentence, [None] * len(sentence)]):
+            with pytest.raises(InvalidInputError, match=f"^{text}$"):
+                tagger.decode(tokens)
+
+
 def test_compare_pair_shares_l0_and_pipeline():
     corpus = toy_corpus()
     efb_tagger, memm_tagger = train_compare_pair(
