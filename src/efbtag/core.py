@@ -18,6 +18,11 @@ from .errors import InvalidInputError
 ROW_SUM_TOL = 1e-9
 
 
+def _built(cls, init: dict):
+    """`cls` built through its constructor from its init fields, by name."""
+    return cls(**init)
+
+
 class Rebuilt:
     """Base of every frozen record that derives fields (`init=False`) from its
     init fields: `pickle`, `copy.copy` and `copy.deepcopy` build it again
@@ -25,8 +30,10 @@ class Rebuilt:
     nothing it derives is restored as a copy.  A read-only mapping goes as a dict."""
 
     def __reduce__(self):
-        init = (getattr(self, f.name) for f in fields(self) if f.init)
-        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in init)
+        init = ((f.name, getattr(self, f.name)) for f in fields(self) if f.init)
+        return _built, (type(self), {
+            name: dict(v) if type(v) is MappingProxyType else v for name, v in init
+        })
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ requires those three calls by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -55,7 +55,7 @@ LProvider = Callable[[object, int], np.ndarray]
 class EfbParams(HmcParams):
     """A chain (pi, A) whose observations a conditional-label provider reads row by row."""
 
-    l_provider: Optional[LProvider] = None
+    l_provider: Optional[LProvider] = field(default=None, kw_only=True)
 
 
 def conditional_matrix(

@@ -190,11 +190,7 @@ class Tagger(Rebuilt):
             except TypeError:  # an unhashable token
                 check_tokens(words)
                 raise
-            # only a word outside the vocabulary can be malformed: a batch finds them at once
-            if lengths is not None:
-                obs = np.array(obs, dtype=np.intp)
-                check_tokens(map(words.__getitem__, np.flatnonzero(obs == unknown).tolist()))
-            elif unknown in obs:
+            if unknown in obs:  # only a word outside the vocabulary can be malformed
                 check_tokens(w for w, i in zip(words, obs) if i == unknown)
             lattice = hmc.posterior_fb(self.hmc_params, obs, lengths)
         elif lengths is None:  # (T, F) ids, of a batch of one: its first token reads as a token
