@@ -8,8 +8,9 @@ feature id space).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -24,11 +25,15 @@ Example = tuple[Sequence[int], Optional[int], int]
 
 @dataclass(frozen=True)
 class ExampleColumns:
-    """M examples as columns: (M, F) ids, (M,) previous labels or None, (M,) targets."""
+    """M examples as columns: (K, F) id rows, (M,) previous labels or None,
+    (M,) targets, and (M,) `rows`, example m's row of `ids`.  With `rows`
+    None, ids holds one row per example (K = M); otherwise K distinct rows
+    may serve many examples each."""
 
     ids: np.ndarray
     prev_labels: Optional[np.ndarray]
     targets: np.ndarray
+    rows: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -50,9 +55,18 @@ class SgdConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not np.isfinite([self.learning_rate, self.decay, self.l2]).all():
+        reals = (self.learning_rate, self.decay, self.l2)
+        # a bool is an Integral, and so a Real, but no count or rate
+        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in reals):
+            raise InvalidInputError("learning rate, decay and l2 must be real numbers")
+        try:
+            finite = all(map(math.isfinite, reals))
+        except OverflowError:  # an int past float64's range
+            finite = False
+        if not finite:
             raise InvalidInputError("learning rate, decay and l2 must be finite")
-        if not all(isinstance(v, Integral) for v in (self.epochs, self.batch_size, self.seed)):
+        counts = (self.epochs, self.batch_size, self.seed)
+        if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in counts):
             raise InvalidInputError("epochs, batch size and seed must be integers")
         if self.learning_rate <= 0:
             raise InvalidInputError("learning rate must be > 0")
@@ -119,14 +133,14 @@ def _as_batch(feature_ids) -> tuple[np.ndarray, bool]:
 
 
 def _extra_rows(
-    model: LogisticModel, ids: np.ndarray, prev_label=None, all_prev=False
+    model: LogisticModel, ids: np.ndarray, prev_label=None, all_prev=False, n=None
 ) -> tuple:
-    """The weight rows that each input of a (T, F) id batch adds after its
-    feature ids' rows: its previous label's (one label for all inputs or
-    one per input; none when `all_prev` or when the model does not
-    condition on it), then the bias row.  The ids and previous labels are
-    checked first, as arrays; values that are not integers raise instead
-    of being truncated.
+    """The weight rows that each of `n` inputs (by default one per row of a
+    (T, F) id batch) adds after its feature ids' rows: its previous label's
+    (one label for all inputs or one per input; none when `all_prev` or
+    when the model does not condition on it), then the bias row.  The ids
+    and previous labels are checked first, as arrays; values that are not
+    integers raise instead of being truncated.
     """
     if ids.ndim != 2:
         raise InvalidInputError("a batch of feature ids must be two-dimensional")
@@ -135,13 +149,14 @@ def _extra_rows(
                      or np.maximum.reduce(ids, axis=None) >= model.n_features):
         bad = (ids < 0) | (ids >= model.n_features)
         raise InvalidInputError(f"feature id {int(ids[bad][0])} out of range")
+    n = len(ids) if n is None else n
     if model.conditions_on_prev and not all_prev:
         if prev_label is None or None in np.ravel(prev_label):
             raise InvalidInputError("model conditions on the previous label")
         prev = id_array(prev_label, "previous labels")
-        if prev.ndim > 1 or prev.size not in (1, len(ids)):
+        if prev.ndim > 1 or prev.size not in (1, n):
             raise InvalidInputError(
-                f"{len(ids)} inputs take one previous label or one each, not {prev.shape}"
+                f"{n} inputs take one previous label or one each, not {prev.shape}"
             )
         out = (prev < 0) | (prev >= model.n_labels)
         if out.any():
@@ -153,23 +168,40 @@ def _extra_rows(
 
 
 def _example_rows(model: LogisticModel, dataset: Dataset):
-    """The (M, W) weight-row indices of a non-empty dataset in either form
-    (row m: example m's feature ids, then `_extra_rows`), which SGD's
-    scatter reads, and its intp targets."""
+    """The weight rows of a non-empty dataset in either form: an (R, W)
+    table of weight-row indices (a row: feature ids, then `_extra_rows`),
+    each example's (M,) row number in it, and the (M,) intp targets.
+    Example m's rows, which SGD's scatter reads, are table[index[m]].
+
+    Columns with `rows` give a table of distinct rows: their id rows, or
+    for a model that conditions on the previous label, one row per
+    distinct (id row, previous label) pair met.
+    """
     cols = dataset if isinstance(dataset, ExampleColumns) else ExampleColumns(*zip(*dataset))
     targets = id_array(cols.targets, "labels")
+    ids = id_array(cols.ids, "feature ids")
+    index = np.arange(len(ids)) if cols.rows is None else id_array(cols.rows, "example rows")
+    if targets.ndim != 1 or index.ndim != 1:
+        raise InvalidInputError("targets and example rows must be vectors")
     prevs = cols.prev_labels
-    if len(cols.ids) != len(targets) or (prevs is not None and len(prevs) != len(targets)):
+    if len(index) != len(targets) or (prevs is not None and len(prevs) != len(targets)):
         raise InvalidInputError("a dataset needs one id row and label per example")
+    if index.size and (index.min() < 0 or index.max() >= len(ids)):
+        raise InvalidInputError(f"example rows must be rows of the {len(ids)} id rows")
     if np.any((targets < 0) | (targets >= model.n_labels)):
         raise InvalidInputError("target label out of range")
-    ids = id_array(cols.ids, "feature ids")
-    extra = _extra_rows(model, ids, prevs)
-    rows = np.empty((len(ids), ids.shape[1] + len(extra)), dtype=np.intp)
-    rows[:, : ids.shape[1]] = ids
+    extra = _extra_rows(model, ids, prevs, n=len(targets))
+    if cols.rows is not None and len(extra) == 2:  # (previous label rows, bias row)
+        n_labels = model.n_labels
+        pairs, index = np.unique(index * n_labels + (extra[0] - model.n_features),
+                                 return_inverse=True)
+        ids = ids.take(pairs // n_labels, axis=0)
+        extra = (model.n_features + pairs % n_labels, extra[1])
+    table = np.empty((len(ids), ids.shape[1] + len(extra)), dtype=np.intp)
+    table[:, : ids.shape[1]] = ids
     for slot, row in enumerate(extra, ids.shape[1]):
-        rows[:, slot] = row
-    return rows, targets
+        table[:, slot] = row
+    return table, index, targets
 
 
 def _row_sums(weights: np.ndarray, rows: np.ndarray, *extra) -> np.ndarray:
@@ -275,7 +307,8 @@ def loss_and_gradient(
     grad = l2 * w
     loss = _l2_term(w, l2)
     if batch:
-        rows, targets = _example_rows(model, batch)
+        table, index, targets = _example_rows(model, batch)
+        rows = table.take(index, axis=0)
         g, target_probs = _residuals(w, rows, targets)
         inv = 1.0 / len(batch)
         loss -= inv * float(np.log(target_probs).sum())
@@ -304,7 +337,7 @@ def train(
     if len(dataset) == 0:
         raise InvalidInputError("dataset must be non-empty")
     model = zero_model(n_features, n_labels, conditions_on_prev)
-    rows, targets = _example_rows(model, dataset)
+    table, index, targets = _example_rows(model, dataset)
     w = model.weights
     flat_w = w.reshape(-1)  # a view: `zero_model` makes a C-ordered table
     # each weight's flat id at its place in the table, so a batch's ids in
@@ -319,7 +352,7 @@ def train(
         decay_factor = 1.0 - rate * config.l2
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            b_rows = rows.take(batch_idx, axis=0)  # (B, width)
+            b_rows = table.take(index.take(batch_idx), axis=0)  # (B, width)
             b_size = len(batch_idx)
             g, _ = _residuals(w, b_rows, targets.take(batch_idx), scale)
             scale *= decay_factor
@@ -339,22 +372,30 @@ def train(
     return model
 
 
-# examples per chunk in `mean_loss`, so its peak memory does not grow with
-# the dataset
+# rows scored, and examples' logs summed, per chunk in `mean_loss`, so its
+# gathers do not grow with the dataset
 LOSS_CHUNK = 1024
 
 
 @np.errstate(all="ignore")  # a non-finite loss is the caller's to reject
 def mean_loss(model: LogisticModel, dataset: Dataset, l2: float = 0.0) -> float:
-    """The loss of `loss_and_gradient` over a dataset in either form of `train`."""
+    """The loss of `loss_and_gradient` over a dataset in either form of `train`.
+
+    Each row of the dataset's weight-row table (see `_example_rows`) is
+    scored once; the examples' log probabilities are summed a chunk of
+    LOSS_CHUNK examples at a time, so either form gives the same bits.
+    """
     w = model.weights
     loss = _l2_term(w, l2)
     if len(dataset) == 0:
         return loss
-    rows, targets = _example_rows(model, dataset)
-    inv = 1.0 / len(dataset)
-    for start in range(0, len(dataset), LOSS_CHUNK):
+    table, index, targets = _example_rows(model, dataset)
+    probs = np.empty((len(table), model.n_labels))
+    for start in range(0, len(table), LOSS_CHUNK):
         chunk = slice(start, start + LOSS_CHUNK)
-        _, target_probs = _residuals(w, rows[chunk], targets[chunk])
-        loss -= inv * float(np.log(target_probs).sum())
+        probs[chunk] = _softmax_rows(_row_sums(w, table[chunk]))
+    target_probs = probs[index, targets]
+    inv = 1.0 / len(targets)
+    for start in range(0, len(targets), LOSS_CHUNK):
+        loss -= inv * float(np.log(target_probs[start : start + LOSS_CHUNK]).sum())
     return loss

@@ -249,23 +249,26 @@ def train_tagger(
             arrays["emit"] = params.emit
     if kind is not DecoderKind.HMC_FB:
         index = build_index(corpus.sentences, template)
-        # every token in corpus order: one (ΣT, F) id array and its labels
-        ids = FeaturePipeline(index).sentence_features([s.tokens for s in corpus.sentences])
+        # the corpus's distinct (K, F) key rows, served by the index's memo, and
+        # each token's row among them, in corpus order, with its label
+        ids, rows = FeaturePipeline(index).sentence_features(
+            [s.tokens for s in corpus.sentences], distinct=True)
         labels = id_array(np.concatenate([s.labels for s in corpus.sentences]), "labels")
     if kind is DecoderKind.HMC_NAIVE:
         # the corpus counted as one sequence: counts ignore sentence bounds
-        tables = hmc.estimate_naive_emission(index, [ids], [labels], n, smoothing).tables
+        token_ids = ids.take(rows, axis=0)
+        tables = hmc.estimate_naive_emission(index, [token_ids], [labels], n, smoothing).tables
         arrays.update((f"naive:{fam}", table) for fam, table in tables.items())
     if kind in (DecoderKind.HMC_EFB, DecoderKind.MEMM):
-        l0_data = discrim.ExampleColumns(ids, None, labels)
+        l0_data = discrim.ExampleColumns(ids, None, labels, rows)
         l0 = discrim.train(l0_data, index.size, n, sgd, conditions_on_prev=False)
         arrays["l0_weights"] = l0.weights
         final_loss = discrim.mean_loss(l0, l0_data, l2=sgd.l2)
     if kind is DecoderKind.MEMM:
         # teacher forcing: every token but a sentence's first, with its gold predecessor
         lengths = [len(sent) for sent in corpus.sentences]
-        rest = np.delete(np.arange(len(ids)), np.cumsum(lengths) - lengths)
-        l1_data = discrim.ExampleColumns(ids[rest], labels[rest - 1], labels[rest])
+        rest = np.delete(np.arange(len(rows)), np.cumsum(lengths) - lengths)
+        l1_data = discrim.ExampleColumns(ids, labels[rest - 1], labels[rest], rows[rest])
         if len(l1_data) == 0:
             raise InvalidInputError(
                 "MEMM training needs at least one sentence of length >= 2"

@@ -380,8 +380,9 @@ def test_negative_seed_rejected():
 
 @pytest.mark.parametrize("field", ["epochs", "batch_size", "seed"])
 def test_non_integer_counts_rejected(field):
-    # each used to build, then fail inside `train` with a bare TypeError
-    for value in (2.5, 2.0, "2"):
+    # each used to build, then fail inside `train` with a bare TypeError;
+    # True, an Integral equal to 1, used to pass as one
+    for value in (2.5, 2.0, "2", True, np.True_):
         with pytest.raises(InvalidInputError, match="must be integers"):
             SgdConfig(**{field: value})
     assert getattr(SgdConfig(**{field: np.int64(2)}), field) == 2
@@ -399,3 +400,80 @@ def test_columns_of_unequal_length_rejected(entry):
                 mean_loss(zero_model(4, 3, True), bad)
             else:
                 loss_and_gradient(zero_model(4, 3, True), bad)
+
+
+def shared_rows_columns(rng, n_examples, n_keys, n_features, n_labels, width, cond):
+    """The same examples as columns whose examples share `n_keys` id rows
+    (the rows form), and as columns of one id row each."""
+    ids = np.array([rng.choice(n_features, size=width, replace=False) for _ in range(n_keys)])
+    rows = rng.integers(0, n_keys, n_examples)
+    prevs = rng.integers(0, n_labels, n_examples) if cond else None
+    targets = rng.integers(0, n_labels, n_examples)
+    return ExampleColumns(ids, prevs, targets, rows), ExampleColumns(ids[rows], prevs, targets)
+
+
+@pytest.mark.parametrize("cond", [False, True], ids=["l0", "l1"])
+def test_rows_form_is_the_per_example_form(cond):
+    rng = np.random.default_rng(89)
+    shared, per_example = shared_rows_columns(rng, LOSS_CHUNK + 300, 40, 12, 5, 3, cond)
+    config = SgdConfig(learning_rate=0.3, decay=0.1, epochs=3, l2=1e-3, batch_size=7)
+    model = train(shared, 12, 5, config, conditions_on_prev=cond)
+    ref = train(per_example, 12, 5, config, conditions_on_prev=cond)
+    assert model.weights.tobytes() == ref.weights.tobytes()
+    assert mean_loss(model, shared, l2=1e-3) == mean_loss(model, per_example, l2=1e-3)
+    loss, grad = loss_and_gradient(model, shared, l2=1e-3)
+    ref_loss, ref_grad = loss_and_gradient(model, per_example, l2=1e-3)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+# (name, targets, rows): columns over 3 one-id rows that break a precondition
+BAD_COLUMNS = [
+    ("column-targets", np.array([[0], [1], [2], [0]]), None),
+    ("column-targets-with-rows", np.array([[0], [1], [2], [0]]), np.array([0, 1, 2, 0])),
+    ("column-rows", np.array([0, 1, 2, 0]), np.array([[0], [1], [2], [0]])),
+    ("fractional-rows", np.array([0, 1, 2, 0]), np.array([0.0, 1.0, 2.0, 0.0])),
+    ("row-past-the-ids", np.array([0, 1, 2, 0]), np.array([0, 1, 2, 3])),
+    ("negative-row", np.array([0, 1, 2, 0]), np.array([0, -1, 2, 0])),
+]
+
+
+@pytest.mark.parametrize("entry", ["train", "mean_loss", "loss_and_gradient"])
+@pytest.mark.parametrize("cond", [False, True], ids=["plain", "prev"])
+@pytest.mark.parametrize(
+    "targets,rows", [b[1:] for b in BAD_COLUMNS], ids=[b[0] for b in BAD_COLUMNS]
+)
+def test_bad_columns_rejected(entry, cond, targets, rows):
+    # (M, 1) targets once broadcast to an (M, M) pick: a wrong loss, silently
+    ids = np.array([[0], [1], [2]]) if rows is not None else np.array([[0], [1], [2], [0]])
+    prevs = np.array([0, 1, 2, 1]) if cond else None
+    with pytest.raises(InvalidInputError):
+        data = ExampleColumns(ids, prevs, targets, rows)
+        if entry == "train":
+            train(data, 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
+        elif entry == "mean_loss":
+            mean_loss(zero_model(4, 3, cond), data)
+        else:
+            loss_and_gradient(zero_model(4, 3, cond), data)
+    # the same examples as integer vectors within the ids are accepted
+    data = ExampleColumns(np.array([[0], [1], [2]]), prevs, np.array([0, 1, 2, 0]),
+                          np.array([0, 1, 2, 0]))
+    train(data, 4, 3, SgdConfig(epochs=1), conditions_on_prev=cond)
+    mean_loss(zero_model(4, 3, cond), data)
+    loss_and_gradient(zero_model(4, 3, cond), data)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("l2", None), ("learning_rate", "0.1"), ("decay", [0.1]), ("learning_rate", 1j),
+     ("l2", True)],
+)
+def test_non_real_rates_rejected(field, value):
+    # each used to raise a bare TypeError or ValueError from numpy, or pass as 1
+    with pytest.raises(InvalidInputError, match="must be real numbers"):
+        SgdConfig(**{field: value})
+    assert getattr(SgdConfig(**{field: np.float64(0.01)}), field) == 0.01
+    # an int past float64's range used to raise OverflowError
+    for value in (float("nan"), float("inf"), 10**400):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            SgdConfig(**{field: value})

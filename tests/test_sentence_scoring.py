@@ -491,9 +491,9 @@ def test_memm_training_extracts_each_sentence_once(monkeypatch):
     calls = []
     original = FeaturePipeline.sentence_features
 
-    def counting(self, tokens):
+    def counting(self, tokens, *args, **kwargs):
         calls.append(tokens)
-        return original(self, tokens)
+        return original(self, tokens, *args, **kwargs)
 
     monkeypatch.setattr(FeaturePipeline, "sentence_features", counting)
     train_tagger(corpus, DecoderKind.MEMM, FeatureTemplate.LF1, SGD)

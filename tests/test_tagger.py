@@ -375,3 +375,21 @@ def test_naive_load_gives_the_trained_rows(tmp_path, template):
     # a naive column is its index id: the load builds no map of its own
     assert loaded.naive.families == tagger.feature_index.families
     assert loaded.naive.stacked_rows.tobytes() == tagger.naive.stacked_rows.tobytes()
+
+
+@pytest.mark.parametrize("template", [FeatureTemplate.LF1, FeatureTemplate.LF2], ids=lambda t: t.value)
+@pytest.mark.parametrize("kind", [DecoderKind.HMC_EFB, DecoderKind.MEMM], ids=lambda k: k.value)
+def test_sgd_gets_one_id_row_per_distinct_training_key(monkeypatch, kind, template):
+    datasets = []
+    original = discrim.train
+
+    def recording(dataset, *args, **kwargs):
+        datasets.append(dataset)
+        return original(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(discrim, "train", recording)
+    tagger, summary = train_tagger(toy_corpus(), kind, template, SgdConfig(epochs=1))
+    n_keys = tagger.feature_index.memo.n_rows
+    assert n_keys < summary.n_tokens  # the toy corpus repeats its keys
+    assert [len(data.ids) for data in datasets] == [n_keys] * (1 + (kind is DecoderKind.MEMM))
+    assert len(datasets[0]) == summary.n_tokens  # still one example per token
