@@ -7,6 +7,7 @@ extended with longer affixes, digit and hyphen indicators (LF2).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -56,16 +57,31 @@ def extract(
     """String-valued feature columns of tokens in sentence context.
 
     Given a list of tokens and a list of their positions in their
-    sentences, returns one column of values per family, in family order,
-    row k for token k.  Given one token and its position, returns its
-    vector, family -> value: a batch of one.  Affixes of tokens shorter than n are the whole token, so every
+    sentences, one position per token, returns one column of values per
+    family, in family order, row k for token k.  Given one token and its
+    integer position, returns its vector, family -> value: a batch of one.
+    Affixes of tokens shorter than n are the whole token, so every
     family is present for every token.  Case is preserved in the word
     and affix families; capitalization lives only in first-letter-up.
     """
     one = isinstance(tokens, str)
     if one:
-        tokens, positions = [tokens], [positions]
+        try:
+            tokens, positions = [tokens], [operator.index(positions)]
+        except TypeError:
+            raise InvalidInputError(
+                f"one token's position is an integer, not {positions!r}") from None
+    elif not isinstance(tokens, Sequence):  # an iterator would be read up by the check
+        raise InvalidInputError(f"tokens are a sequence, not a {type(tokens).__name__}")
     check_tokens(tokens)
+    try:
+        n_positions = len(positions)
+    except TypeError:
+        raise InvalidInputError(
+            f"tokens take a sequence of positions, not {positions!r}") from None
+    if n_positions != len(tokens):
+        raise InvalidInputError(
+            f"{len(tokens)} tokens take as many positions, not {n_positions}")
     if not isinstance(template, FeatureTemplate):
         raise InvalidInputError(f"unknown feature template: {template!r}")
     cols = {"word": list(tokens)}
@@ -91,7 +107,8 @@ def extract(
 
 
 class FeatureMemo:
-    """Vectorized rows of indexed words in one growing (K, F) intp table.
+    """Vectorized rows of indexed words, and of a loaded tagger's vocabulary
+    words, in one growing (K, F) intp table.
 
     A key is (token, position == 0), the only inputs of `extract`; `rows`
     maps it to a row number of `table`, through one dict per position kind.
@@ -117,12 +134,18 @@ class FeatureMemo:
             self.table = grown
         return self.table[self.n_rows : end]
 
-    def extend(self, keys: Sequence[tuple[str, bool]], rows: ArrayLike) -> None:
-        """Store each new key's row."""
-        self.spare(len(keys))[:] = rows
-        for num, (token, first) in enumerate(keys, self.n_rows):
-            self.rows[first][token] = num
-        self.n_rows += len(keys)
+    def extend(self, tokens: Sequence[str], first: bool | Sequence[bool],
+               rows: ArrayLike) -> None:
+        """Store the row of each new key (tokens[k], first[k]); keys of one
+        position kind, `first` a bool, go in with one dict update."""
+        nums = range(self.n_rows, self.n_rows + len(tokens))
+        self.spare(len(tokens))[:] = rows
+        if isinstance(first, bool):
+            self.rows[first].update(zip(tokens, nums))
+        else:
+            for token, is_first, num in zip(tokens, first, nums):
+                self.rows[is_first][token] = num
+        self.n_rows += len(tokens)
 
 
 @dataclass(frozen=True)
@@ -138,7 +161,8 @@ class FeatureIndex(Rebuilt):
     value_ids: dict[str, dict[str, int]]
     # rows of indexed words: `build_index` fills it with every training key's
     # row and `FeaturePipeline` with the indexed words it meets; a loaded or
-    # rebuilt (`core.Rebuilt`) index starts with it empty
+    # rebuilt (`core.Rebuilt`) index starts with it empty, and its tagger
+    # puts its `word_rows` in it
     memo: FeatureMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -200,11 +224,26 @@ def build_index(
     except TypeError:  # an unhashable token
         check_tokens(tokens)
         raise
-    cols = extract([tok for tok, _ in keys], [0 if first else 1 for _, first in keys], template)
+    toks, firsts = [tok for tok, _ in keys], [first for _, first in keys]
+    cols = extract(toks, [0 if first else 1 for first in firsts], template)
     pairs = [(fam, value) for fam, col in cols.items() for value in dict.fromkeys(col)]
     index = index_from_pairs(template, tuple(cols), pairs)
-    index.memo.extend(list(keys), vectorize(cols, index))
+    index.memo.extend(toks, firsts, vectorize(cols, index))
     return index
+
+
+def word_rows(index: FeatureIndex, words: Sequence[str]) -> np.ndarray:
+    """(V, F) intp ids of each of `words` at a position other than its
+    sentence's first, in order: the rows the index's memo holds, and one
+    `extract` call for the rest."""
+    nums = list(map(index.memo.rows[0].get, words))
+    # the table always has a row 0: a missed word takes it until replaced
+    rows = index.memo.table.take([num or 0 for num in nums], axis=0)
+    missed = [k for k, num in enumerate(nums) if num is None]
+    if missed:
+        cols = extract([words[k] for k in missed], [1] * len(missed), index.template)
+        rows[missed] = vectorize(cols, index)
+    return rows
 
 
 def index_from_pairs(
@@ -243,14 +282,20 @@ def vectorize(
 
     Given `extract`'s value columns for K tokens, returns their (K, F)
     intp ids, through the index's per-family `value_ids`; an unseen value
-    takes its family's unknown id.  One vector is a batch of one.
+    takes its family's unknown id.  One vector is a batch of one.  There
+    must be at least one family, and every column must have K values.
     """
-    if isinstance(next(iter(fv.values()), ""), str):
+    if not fv:
+        raise InvalidInputError("a feature vector holds at least one family")
+    if isinstance(next(iter(fv.values())), str):
         return tuple(vectorize({fam: [value] for fam, value in fv.items()}, index)[0].tolist())
     try:
         lookups = list(map(index._lookups.__getitem__, fv))
     except KeyError as err:
         raise InvalidInputError(f"feature family {err.args[0]!r} not in index") from None
+    if len(set(map(len, fv.values()))) > 1:
+        raise InvalidInputError("feature columns of unequal lengths: " + ", ".join(
+            f"{fam!r} {len(values)}" for fam, values in fv.items()))
     flat = [get(value, unknown) for (get, unknown), values in zip(lookups, fv.values())
             for value in values]  # family by family
     return np.fromiter(flat, np.intp, len(flat)).reshape(len(fv), -1).T
@@ -320,7 +365,6 @@ class FeaturePipeline:
             nums, token_rows = np.unique(np.asarray(nums, dtype=np.intp), return_inverse=True)
         ids = memo.table.take(nums, axis=0)
         if kept:  # rows of words outside the index stay spare, to be overwritten
-            keys = list(missed)
-            memo.extend([keys[k] for k in kept],
-                        staged if len(kept) == len(keys) else staged[kept])
+            memo.extend([toks[k] for k in kept], [positions[k] == 0 for k in kept],
+                        staged if len(kept) == len(toks) else staged[kept])
         return (ids, token_rows) if distinct else ids

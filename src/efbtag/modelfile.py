@@ -17,6 +17,12 @@ rebuilds it.  Older efb and memm files list theirs key by key, and their
 weight rows in that order: loading moves the rows to the ids.  Keys a
 kind does not use are null: `template` and `feature_index` for hmc-fb,
 and `naive` (where older naive files kept their values) for every kind.
+
+A featured kind's first array is `word_rows`, the feature ids of each
+vocabulary word at a position other than its sentence's first, which a
+loaded tagger puts in its index's memo instead of extracting those words
+again.  A file without it, as every file written before it was stored,
+loads too: its rows are extracted once, at load.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from .core import TagSet, Vocabulary
 from .errors import DataError, InvalidInputError
-from .features import TEMPLATE_FAMILIES, FeatureTemplate, index_from_pairs
+from .features import TEMPLATE_FAMILIES, FeatureTemplate, index_from_pairs, word_rows
 from .tagger import DecoderKind, Tagger, part_shapes
 
 MAGIC = b"EFBTAG-MODEL\n"
@@ -138,7 +144,11 @@ def _tagger_from(
             index = index_from_pairs(template, TEMPLATE_FAMILIES[template], entries)
     shapes = part_shapes(kind, len(tagset), vocab.size_with_unknown, index)
     listed = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
-    if header["arrays"] != listed:
+    # a featured file from before `word_rows` was stored lists every other array
+    older = index is not None and header["arrays"] == listed[1:]
+    if older:
+        del shapes["word_rows"]
+    elif header["arrays"] != listed:
         raise DataError(
             f"{path}: header arrays do not match its kind, labels, words "
             f"and feature index"
@@ -165,6 +175,8 @@ def _tagger_from(
         for name in ("l0_weights", "l1_weights"):
             if name in arrays:
                 arrays[name][: len(rows)] = arrays[name][rows]
+    if older:
+        arrays = {"word_rows": word_rows(index, vocab.words).astype(_DTYPE), **arrays}
 
     try:
         return Tagger(kind, tagset, vocab, index, arrays)

@@ -13,11 +13,13 @@ import numpy as np
 from . import discrim, efb, hmc, memm
 from .core import (
     PosteriorLattice, Rebuilt, TagSet, Vocabulary, check_tokens, id_array, is_batch,
-    mpm_from_lattice,
+    mpm_from_lattice, real_array,
 )
 from .dataio import Corpus
 from .errors import InvalidInputError, NumericalDegeneracyError
-from .features import FeatureIndex, FeaturePipeline, FeatureTemplate, build_index
+from .features import (
+    FeatureIndex, FeaturePipeline, FeatureTemplate, build_index, vectorize, word_rows,
+)
 
 
 # a batch decodes in buckets of sentences of similar length, each bucket
@@ -59,6 +61,33 @@ def _check_score_range(name: str, model: discrim.LogisticModel, n_families: int)
         )
 
 
+def _word_ids(rows: np.ndarray, vocab: Vocabulary, index: FeatureIndex) -> np.ndarray:
+    """A tagger's `word_rows` as intp ids, refused unless each column holds
+    ids of its own family or that family's unknown id, and the word column
+    each vocabulary word's own id."""
+    rows = real_array(rows, "array 'word_rows' must be real numbers")
+    sizes = np.array([len(ids) for ids in index.value_ids.values()])
+    ends = np.cumsum(sizes)
+    unknown = np.array(list(index.unknown_ids.values()))
+    # NaN, an infinity or a fraction fails every test
+    valid = ((rows >= ends - sizes) & (rows < ends) & (rows == np.floor(rows))) | (rows == unknown)
+    if not valid.all():
+        word, col = np.argwhere(~valid)[0]
+        raise InvalidInputError(
+            f"array 'word_rows' holds {rows[word, col]:g} for word {vocab.words[word]!r}: "
+            f"not an id of family {index.families[col]!r}")
+    ids = rows.astype(np.intp)
+    col = index.families.index("word")
+    own = vectorize({"word": vocab.words}, index)[:, 0]
+    wrong = np.flatnonzero(ids[:, col] != own)
+    if len(wrong):
+        word = wrong[0]
+        raise InvalidInputError(
+            f"array 'word_rows' gives word {vocab.words[word]!r} the id {ids[word, col]}, "
+            f"not its own {own[word]}")
+    return ids
+
+
 class DecoderKind(Enum):
     HMC_FB = "hmc-fb"
     HMC_EFB = "hmc-efb"
@@ -70,8 +99,12 @@ def part_shapes(
     kind: DecoderKind, n_labels: int, n_words: int, index: Optional[FeatureIndex]
 ) -> dict[str, tuple[int, ...]]:
     """The arrays a kind's tagger holds, in order, and their shapes, given its
-    label count, its word count with the unknown word and its feature index."""
+    label count, its word count with the unknown word and its feature index.
+    A featured kind's first array is `word_rows`: the feature ids of each
+    vocabulary word at a position other than its sentence's first."""
     shapes: dict[str, tuple[int, ...]] = {}
+    if index is not None:
+        shapes["word_rows"] = (n_words - 1, len(index.families))
     if kind is not DecoderKind.MEMM:
         shapes["pi"] = (n_labels,)
         shapes["trans"] = (n_labels, n_labels)
@@ -96,7 +129,9 @@ class Tagger(Rebuilt):
     weights must keep every score within `SCORE_LIMIT`.  From them it
     builds the models it decodes with, sharing their arrays: `hmc_params`,
     `naive`, `l0` and `l1`, each None where its kind holds no such part,
-    and, but for hmc-fb, the one `pipeline` over its feature index.
+    and, but for hmc-fb, the one `pipeline` over its feature index.  An
+    empty memo on that index, as a loaded or rebuilt index has, takes its
+    `word_rows`, so that no training word is extracted again.
     """
 
     kind: DecoderKind
@@ -119,10 +154,12 @@ class Tagger(Rebuilt):
             raise InvalidInputError(f"a {kind.value} tagger {has} feature index")
         n = len(self.tagset)
         shapes = part_shapes(kind, n, self.vocab.size_with_unknown, index)
-        if [(name, getattr(a, "shape", None)) for name, a in arrays.items()] != [*shapes.items()]:
-            raise InvalidInputError(f"a {kind.value} tagger holds arrays {list(arrays)}; "
-                                    f"its kind holds {list(shapes)}")
+        got = [(name, getattr(a, "shape", None)) for name, a in arrays.items()]
+        if got != [*shapes.items()]:
+            raise InvalidInputError(f"a {kind.value} tagger holds arrays {dict(got)}; "
+                                    f"its kind holds {shapes}")
         params = naive = l0 = l1 = None
+        ids = None if index is None else _word_ids(arrays["word_rows"], self.vocab, index)
         if "pi" in arrays:
             params = hmc.HmcParams(arrays["pi"], arrays["trans"], arrays.get("emit"))
         if kind is DecoderKind.HMC_NAIVE:
@@ -135,6 +172,8 @@ class Tagger(Rebuilt):
         for name, model in (("l0_weights", l0), ("l1_weights", l1)):
             if model is not None:
                 _check_score_range(name, model, len(index.families))
+        if index is not None and not index.memo.n_rows:  # a loaded or rebuilt index
+            index.memo.extend(self.vocab.words, False, ids)
         pipeline = None if index is None else FeaturePipeline(index)
         parts = dict(arrays=arrays, hmc_params=params, naive=naive, l0=l0, l1=l1,
                      _pipeline=pipeline)
@@ -249,6 +288,9 @@ def train_tagger(
             arrays["emit"] = params.emit
     if kind is not DecoderKind.HMC_FB:
         index = build_index(corpus.sentences, template)
+        # first in `part_shapes` order; the memo holds all but the words met
+        # only first in their sentences
+        arrays = {"word_rows": word_rows(index, vocab.words).astype(np.float64), **arrays}
         # the corpus's distinct (K, F) key rows, served by the index's memo, and
         # each token's row among them, in corpus order, with its label
         ids, rows = FeaturePipeline(index).sentence_features(
@@ -305,7 +347,8 @@ def train_compare_pair(
     # counted first, so an unusable smoothing fails before any SGD runs
     chain = hmc.estimate_params(corpus.sentences, corpus.tagset, None, smoothing)
     memm_tagger, _ = train_tagger(corpus, DecoderKind.MEMM, template, sgd, smoothing)
-    arrays = {"pi": chain.pi, "trans": chain.trans, "l0_weights": memm_tagger.arrays["l0_weights"]}
+    arrays = {"word_rows": memm_tagger.arrays["word_rows"], "pi": chain.pi,
+              "trans": chain.trans, "l0_weights": memm_tagger.arrays["l0_weights"]}
     efb_tagger = Tagger(
         DecoderKind.HMC_EFB, corpus.tagset, corpus.vocab, memm_tagger.feature_index, arrays
     )

@@ -44,6 +44,13 @@ def memo_rows(memo) -> dict[tuple[str, bool], tuple[int, ...]]:
             for first, rows in enumerate(memo.rows) for tok, num in rows.items()}
 
 
+def word_row_memo(tagger) -> dict[tuple[str, bool], tuple[int, ...]]:
+    """What a loaded tagger's memo holds: each vocabulary word's `word_rows`
+    row, under its (word, not first in sentence) key."""
+    return {(word, False): tuple(map(int, row))
+            for word, row in zip(tagger.vocab.words, tagger.arrays["word_rows"].tolist())}
+
+
 def naive_column(index, family: str, value: str) -> int:
     """A naive table's column for a family's value: the value's place among the
     family's index values, in id order, or the trailing unknown column."""

@@ -162,6 +162,20 @@ class TestBatchExtract:
             with pytest.raises(InvalidInputError, match="^unknown feature template: "):
                 extract(*args, template)
 
+    @pytest.mark.parametrize("template", list(FeatureTemplate))
+    @pytest.mark.parametrize(
+        "tokens, positions, message",
+        [(["a", "b"], [0], "2 tokens take as many positions, not 1"),
+         (["a"], [0, 1], "1 tokens take as many positions, not 2"),
+         (["a", "b"], 0, "tokens take a sequence of positions, not 0"),
+         ("a", [0], r"one token's position is an integer, not \[0\]"),
+         (iter(["a"]), [0], "tokens are a sequence, not a list_iterator")],
+        ids=["fewer-positions", "more-positions", "int-for-a-batch", "list-for-one",
+             "iterator"])
+    def test_positions_must_match_the_tokens(self, template, tokens, positions, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            extract(tokens, positions, template)
+
     def test_empty_batch_has_every_family(self):
         cols = extract([], [], FeatureTemplate.LF2)
         assert cols == {fam: [] for fam in TEMPLATE_FAMILIES[FeatureTemplate.LF2]}
@@ -260,6 +274,21 @@ class TestVectorize:
         index = build_index(toy_corpus(), FeatureTemplate.NF)
         with pytest.raises(InvalidInputError):
             vectorize({"suffix-2": "is"}, index)
+
+    def test_a_vector_without_families_is_refused(self):
+        index = build_index(toy_corpus(), FeatureTemplate.LF1)
+        with pytest.raises(InvalidInputError, match="at least one family"):
+            vectorize({}, index)
+
+    @pytest.mark.parametrize("cols", [
+        {"word": ["Batman", "is"], "suffix-3": ["man", "is", "man", "is"]},  # 6 ids: (3, 2)
+        {"word": ["Batman", "is"], "suffix-3": ["man"]},
+        {"word": ["Batman"], "suffix-3": []},
+    ], ids=["total-divides", "one-short", "one-empty"])
+    def test_columns_of_unequal_lengths_are_refused(self, cols):
+        index = build_index(toy_corpus(), FeatureTemplate.LF1)
+        with pytest.raises(InvalidInputError, match="unequal lengths: 'word' "):
+            vectorize(cols, index)
 
     @given(tokens_st, st.integers(0, 5))
     def test_vectorize_total_after_freezing(self, token, pos):

@@ -22,6 +22,7 @@ from efbtag import core, tagger as tagger_module
 from efbtag.features import FeatureTemplate
 from efbtag.modelfile import load_model, save_model
 from efbtag.tagger import DecoderKind, Tagger, train_tagger
+from conftest import memo_rows, word_row_memo
 from test_sentence_scoring import SGD, random_corpus
 
 RESTORES = {
@@ -120,14 +121,15 @@ def test_a_copied_index_looks_up_its_own_maps(taggers, kind, restore):
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_a_pickled_tagger_is_the_loaded_one(taggers, decoded, case, tmp_path):
     """Unpickled, a tagger holds what `load_model` reads back from its file,
-    and its index's memo starts empty, as a loaded one does."""
+    and its index's memo starts with exactly its vocabulary's rows, as a
+    loaded one does."""
     original = taggers[case]
     original.decode(("the", "wombat"))
     save_model(tmp_path / "model.bin", original)
     loaded, restored = load_model(tmp_path / "model.bin"), RESTORES["pickle"](original)
     for tagger in (loaded, restored):
         if tagger.feature_index is not None:
-            assert tagger.feature_index.memo.n_rows == 0
+            assert memo_rows(tagger.feature_index.memo) == word_row_memo(tagger)
     assert (restored.kind, restored.tagset, restored.vocab) == (loaded.kind, loaded.tagset,
                                                                 loaded.vocab)
     if loaded.feature_index is not None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import decode_efb, memo_rows, naive_column
+from conftest import decode_efb, memo_rows, naive_column, word_row_memo
 from efbtag import efb, features, hmc
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.dataio import Corpus, split_known_unknown
@@ -363,7 +363,7 @@ class TestBatchFeatures:
         test = random_corpus(np.random.default_rng(25), 30, STEMS + ("zebra", "Quux"))
         sentences = [sent.tokens for sent in test.sentences]
         per, batch = (load_model(tmp_path / "m.bin").pipeline for _ in range(2))
-        assert not batch.index.memo.n_rows
+        assert memo_rows(batch.index.memo) == word_row_memo(tagger)
         got = batch.sentence_features(sentences)
         self.assert_same_bytes(got, stacked_per_sentence(per, sentences))
         assert got.tolist() == extracted_rows(batch.index, sentences)
@@ -457,9 +457,11 @@ class TestNaiveDecodingUsesTheMemo:
 def test_training_extracts_each_key_once(monkeypatch, kind):
     corpus = random_corpus(np.random.default_rng(23))
     keys = TestNaiveDecodingUsesTheMemo._count_extracts(monkeypatch)
-    train_tagger(corpus, kind, FeatureTemplate.LF2, SGD)
+    tagger, _ = train_tagger(corpus, kind, FeatureTemplate.LF2, SGD)
     distinct = {(tok, pos == 0) for s in corpus.sentences for pos, tok in enumerate(s.tokens)}
-    assert len(keys) == len(set(keys)) and set(keys) == distinct
+    # and the later key of each word met only first, for its `word_rows` row
+    later = {(word, False) for word in tagger.vocab.words}
+    assert len(keys) == len(set(keys)) and set(keys) == distinct | later
 
 
 def test_naive_word_table_is_the_hmc_fb_emission_table():

@@ -273,8 +273,9 @@ def test_models_share_the_tagger_arrays_and_a_file_holds_them(tmp_path, kind):
         assert loaded.arrays[name].tobytes() == arr.tobytes(), name
     for t in (tagger, loaded):
         found = model_arrays(t)
-        assert list(found) == list(t.arrays)
-        assert all(found[name] is arr for name, arr in t.arrays.items())
+        # `word_rows` is no model's part: the index's memo holds it as ids
+        assert list(found) == [name for name in t.arrays if name != "word_rows"]
+        assert all(found[name] is t.arrays[name] for name in found)
         assert (t.l0 is None or not t.l0.conditions_on_prev) and \
             (t.l1 is None or t.l1.conditions_on_prev)
 
@@ -290,9 +291,9 @@ def test_pipelineless_kind_has_no_pipeline():
 # header holds no float bytes, so the digests do not depend on the machine
 HEADER_SHA256 = {
     DecoderKind.HMC_FB: "7af763cdfc91520c193182c48199e6c42f47d2bce5bd12f72cb13ab1d3d185d6",
-    DecoderKind.HMC_EFB: "2dd8b7608b833b3203846617f6b2db5f02e96c4d5b17921acfcf27fa1b4aa01c",
-    DecoderKind.MEMM: "6dec73703a898f500944b54fdc5c58558928d20d3cc48bd94055174e8bc8208f",
-    DecoderKind.HMC_NAIVE: "dde5b62b8abdf3c8e80da02109f0670e2d4fac7e717492178dcd91931c54b498",
+    DecoderKind.HMC_EFB: "7b21fa09955e87e34fdd77677a46146805c16b676f0d22590d6c3db46336ce3b",
+    DecoderKind.MEMM: "46ab41079888475c18f8d66d942a49330ddadd9cc695e990c55b3aaf3e967a00",
+    DecoderKind.HMC_NAIVE: "450e015ca9b7d0e3dcf7d3367836a0e79d07f3850245a3b8d265bc53bca74927",
 }
 
 
