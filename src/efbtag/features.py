@@ -134,18 +134,19 @@ class FeatureMemo:
             self.table = grown
         return self.table[self.n_rows : end]
 
-    def extend(self, tokens: Sequence[str], first: bool | Sequence[bool],
-               rows: ArrayLike) -> None:
-        """Store the row of each new key (tokens[k], first[k]); keys of one
-        position kind, `first` a bool, go in with one dict update."""
-        nums = range(self.n_rows, self.n_rows + len(tokens))
-        self.spare(len(tokens))[:] = rows
-        if isinstance(first, bool):
-            self.rows[first].update(zip(tokens, nums))
-        else:
-            for token, is_first, num in zip(tokens, first, nums):
-                self.rows[is_first][token] = num
-        self.n_rows += len(tokens)
+    def extend(self, keys: Sequence[tuple[str, bool]], rows: ArrayLike) -> None:
+        """Store each new key's row."""
+        self.spare(len(keys))[:] = rows
+        for num, (token, first) in enumerate(keys, self.n_rows):
+            self.rows[first][token] = num
+        self.n_rows += len(keys)
+
+    def start(self, words: Sequence[str], rows: np.ndarray) -> None:
+        """Fill an empty memo with rows[k], a fresh (V, F) intp array it
+        keeps as its table, as the row of the key (words[k], not first)."""
+        if len(words):  # the table keeps at least one row
+            self.table, self.n_rows = rows, len(words)
+            self.rows[0].update(zip(words, range(len(words))))
 
 
 @dataclass(frozen=True)
@@ -224,11 +225,10 @@ def build_index(
     except TypeError:  # an unhashable token
         check_tokens(tokens)
         raise
-    toks, firsts = [tok for tok, _ in keys], [first for _, first in keys]
-    cols = extract(toks, [0 if first else 1 for first in firsts], template)
+    cols = extract([tok for tok, _ in keys], [0 if first else 1 for _, first in keys], template)
     pairs = [(fam, value) for fam, col in cols.items() for value in dict.fromkeys(col)]
     index = index_from_pairs(template, tuple(cols), pairs)
-    index.memo.extend(toks, firsts, vectorize(cols, index))
+    index.memo.extend(list(keys), vectorize(cols, index))
     return index
 
 
@@ -365,6 +365,7 @@ class FeaturePipeline:
             nums, token_rows = np.unique(np.asarray(nums, dtype=np.intp), return_inverse=True)
         ids = memo.table.take(nums, axis=0)
         if kept:  # rows of words outside the index stay spare, to be overwritten
-            memo.extend([toks[k] for k in kept], [positions[k] == 0 for k in kept],
-                        staged if len(kept) == len(toks) else staged[kept])
+            keys = list(missed)
+            memo.extend([keys[k] for k in kept],
+                        staged if len(kept) == len(keys) else staged[kept])
         return (ids, token_rows) if distinct else ids

@@ -21,8 +21,10 @@ and `naive` (where older naive files kept their values) for every kind.
 A featured kind's first array is `word_rows`, the feature ids of each
 vocabulary word at a position other than its sentence's first, which a
 loaded tagger puts in its index's memo instead of extracting those words
-again.  A file without it, as every file written before it was stored,
-loads too: its rows are extracted once, at load.
+again; the tagger extracts only a sample of them to check the rest
+against the current feature definitions.  A file without it, as every
+file written before it was stored, loads too: its rows are extracted
+once, at load.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from .core import (
 from .dataio import Corpus
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .features import (
-    FeatureIndex, FeaturePipeline, FeatureTemplate, build_index, vectorize, word_rows,
+    FeatureIndex, FeaturePipeline, FeatureTemplate, build_index, extract, vectorize, word_rows,
 )
 
 
@@ -26,6 +26,10 @@ from .features import (
 # at most this many tokens; a sentence too long to share a bucket makes a
 # bucket of one
 BUCKET_TOKENS = 8192
+
+# a tagger extracts again about this many of its `word_rows`, evenly spread,
+# to refuse rows that follow other feature definitions than `extract`'s
+CHECKED_WORD_ROWS = 64
 
 
 def buckets(lengths: Sequence[int]) -> list[list[int]]:
@@ -63,8 +67,9 @@ def _check_score_range(name: str, model: discrim.LogisticModel, n_families: int)
 
 def _word_ids(rows: np.ndarray, vocab: Vocabulary, index: FeatureIndex) -> np.ndarray:
     """A tagger's `word_rows` as intp ids, refused unless each column holds
-    ids of its own family or that family's unknown id, and the word column
-    each vocabulary word's own id."""
+    ids of its own family or that family's unknown id, the word column each
+    vocabulary word's own id, and each of `CHECKED_WORD_ROWS` sampled rows
+    its word's extraction; the other rows are trusted, not extracted."""
     rows = real_array(rows, "array 'word_rows' must be real numbers")
     sizes = np.array([len(ids) for ids in index.value_ids.values()])
     ends = np.cumsum(sizes)
@@ -85,6 +90,15 @@ def _word_ids(rows: np.ndarray, vocab: Vocabulary, index: FeatureIndex) -> np.nd
         raise InvalidInputError(
             f"array 'word_rows' gives word {vocab.words[word]!r} the id {ids[word, col]}, "
             f"not its own {own[word]}")
+    step = max(1, -(-len(ids) // CHECKED_WORD_ROWS))
+    words = vocab.words[::step]
+    fresh = vectorize(extract(words, [1] * len(words), index.template), index)
+    wrong = np.flatnonzero((ids[::step] != fresh).any(axis=1))
+    if len(wrong):
+        word = wrong[0]
+        raise InvalidInputError(
+            f"array 'word_rows' gives word {words[word]!r} the ids {ids[word * step].tolist()}, "
+            f"not its extracted {fresh[word].tolist()}")
     return ids
 
 
@@ -131,7 +145,7 @@ class Tagger(Rebuilt):
     `naive`, `l0` and `l1`, each None where its kind holds no such part,
     and, but for hmc-fb, the one `pipeline` over its feature index.  An
     empty memo on that index, as a loaded or rebuilt index has, takes its
-    `word_rows`, so that no training word is extracted again.
+    `word_rows`, so that decoding extracts no training word again.
     """
 
     kind: DecoderKind
@@ -173,7 +187,7 @@ class Tagger(Rebuilt):
             if model is not None:
                 _check_score_range(name, model, len(index.families))
         if index is not None and not index.memo.n_rows:  # a loaded or rebuilt index
-            index.memo.extend(self.vocab.words, False, ids)
+            index.memo.start(self.vocab.words, ids)
         pipeline = None if index is None else FeaturePipeline(index)
         parts = dict(arrays=arrays, hmc_params=params, naive=naive, l0=l0, l1=l1,
                      _pipeline=pipeline)

@@ -142,8 +142,12 @@ def test_each_header_key_deleted(workdir, models, kind):
 
 
 def test_naive_file_with_the_old_emission_table(workdir, models):
-    """The layout written before bare chains: `emit` listed and stored after `trans`."""
+    """The layout written before bare chains: `emit` listed and stored after
+    `trans`, and no `word_rows`, which later files list and store first."""
     header, body = split(models[DecoderKind.HMC_NAIVE])
+    rows = header["arrays"].pop(0)
+    assert rows["name"] == "word_rows"
+    body = body[int(np.prod(rows["shape"])) * 8 :]
     n, m1 = len(header["labels"]), len(header["words"]) + 1
     emit = np.full((n, m1), 1.0 / m1).astype("<f8").tobytes()
     at = (n + n * n) * 8  # after pi and trans

@@ -22,7 +22,7 @@ from efbtag.features import (
 )
 from efbtag.memm import forward_lattice, memm_forward
 from efbtag.modelfile import load_model, save_model
-from efbtag.tagger import DecoderKind, train_tagger
+from efbtag.tagger import CHECKED_WORD_ROWS, DecoderKind, train_tagger
 
 N_LABELS = 5
 STEMS = ("walk", "Run", "blue", "cat", "x", "data-set", "42nd", "ab")
@@ -459,8 +459,13 @@ def test_training_extracts_each_key_once(monkeypatch, kind):
     keys = TestNaiveDecodingUsesTheMemo._count_extracts(monkeypatch)
     tagger, _ = train_tagger(corpus, kind, FeatureTemplate.LF2, SGD)
     distinct = {(tok, pos == 0) for s in corpus.sentences for pos, tok in enumerate(s.tokens)}
-    # and the later key of each word met only first, for its `word_rows` row
+    # and the later key of each word met only first, for its `word_rows` row;
+    # last, `Tagger` extracts again the sample of those rows it checks
     later = {(word, False) for word in tagger.vocab.words}
+    step = -(-len(tagger.vocab.words) // CHECKED_WORD_ROWS)
+    checked = [(word, False) for word in tagger.vocab.words[::step]]
+    keys, sample = keys[: -len(checked)], keys[-len(checked) :]
+    assert sample == checked
     assert len(keys) == len(set(keys)) and set(keys) == distinct | later
 
 

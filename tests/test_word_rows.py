@@ -1,7 +1,7 @@
 """A featured tagger's `word_rows`: the feature ids of each vocabulary word
 at a position other than its sentence's first, held as its first array and
 stored in its model file.  A loaded or rebuilt tagger's empty memo starts
-with them, so it extracts no training word again."""
+with them, so it extracts no training word again but a checked sample."""
 
 import copy
 import pickle
@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import memo_rows, word_row_memo
-from efbtag import features
+from efbtag import features, tagger as tagger_module
 from efbtag.core import LabeledSentence, TagSet, Vocabulary
 from efbtag.dataio import Corpus
 from efbtag.discrim import SgdConfig
 from efbtag.errors import DataError, InvalidInputError
 from efbtag.features import FeatureTemplate, extract, vectorize
 from efbtag.modelfile import load_model, save_model
-from efbtag.tagger import DecoderKind, train_compare_pair, train_tagger
+from efbtag.tagger import CHECKED_WORD_ROWS, DecoderKind, train_compare_pair, train_tagger
 from test_modelfile_fuzz import join, split
 from test_sentence_scoring import SGD, STEMS, random_corpus
 from test_tagger import SHORT_ENDS, corpus_of
@@ -107,7 +107,8 @@ def rows_bytes(header: dict) -> int:
 def test_a_file_without_word_rows_loads_as_the_file_with_them(kind, template, tmp_path,
                                                               monkeypatch):
     """A file written before `word_rows` was stored extracts them once at
-    load, then decodes, and saves, as the current file does."""
+    load, then decodes, and saves, as the current file does.  Either load
+    extracts the sampled rows its tagger checks: every word of this corpus."""
     tagger, _ = train_tagger(corpus_of(SHORT_ENDS), kind, template, FAST)
     save_model(tmp_path / "current.bin", tagger)
     header, body = split((tmp_path / "current.bin").read_bytes())
@@ -117,12 +118,18 @@ def test_a_file_without_word_rows_loads_as_the_file_with_them(kind, template, tm
 
     calls = []
     original = features.extract
-    monkeypatch.setattr(features, "extract",
-                        lambda *args: calls.append(args[0]) or original(*args))
+
+    def counting(tokens, positions, template):
+        calls.append(list(tokens))
+        return original(tokens, positions, template)
+
+    for module in (features, tagger_module):
+        monkeypatch.setattr(module, "extract", counting)
     older = load_model(tmp_path / "older.bin")
-    assert calls == [list(tagger.vocab.words)]
+    words = list(tagger.vocab.words)
+    assert calls == [words, words]
     current = load_model(tmp_path / "current.bin")
-    assert len(calls) == 1  # the current file extracts nothing
+    assert calls == [words, words, words]  # the current file extracts only the sample
     monkeypatch.undo()
 
     assert list(older.arrays) == list(current.arrays)
@@ -149,6 +156,9 @@ def damage(name: str, rows: np.ndarray, tagger) -> np.ndarray:
         rows[cat, 1] = rows[cat, 0]
     elif name == "wrong-word":  # another word's id
         rows[cat, 0] = rows[cat - 1, 0]
+    elif name == "other-value":  # another word's suffix-3 id: in range, but not cat's
+        assert rows[cat - 1, 1] != rows[cat, 1]
+        rows[cat, 1] = rows[cat - 1, 1]
     return rows
 
 
@@ -158,6 +168,8 @@ REFUSALS = {
     "negative": r"array 'word_rows' holds -1 for word 'cat': not an id of family 'suffix-3'",
     "other-family": r"array 'word_rows' holds \d+ for word 'cat': not an id of family 'suffix-3'",
     "wrong-word": r"array 'word_rows' gives word 'cat' the id \d+, not its own \d+",
+    "other-value": r"array 'word_rows' gives word 'cat' the ids \[[\d, ]+\], "
+                   r"not its extracted \[[\d, ]+\]",
 }
 
 
@@ -194,3 +206,35 @@ def test_a_truncated_word_rows_block_is_refused(kind, tmp_path):
     (tmp_path / "m.bin").write_bytes(data[:cut])
     with pytest.raises(DataError, match=r"m\.bin: truncated array 'word_rows'$"):
         load_model(tmp_path / "m.bin")
+
+
+@pytest.mark.parametrize("kind", FEATURED, ids=lambda k: k.value)
+def test_rows_of_other_feature_definitions_are_refused(kind, tmp_path, monkeypatch):
+    """A file whose rows an earlier `extract` wrote, here one whose suffixes
+    were a letter shorter, fails the check of the sampled rows at load;
+    a large vocabulary extracts only the sample, evenly spread."""
+    corpus = corpus_of([(f"the cat{k} runs", "DT NN VB") for k in range(3 * CHECKED_WORD_ROWS)])
+    tagger, _ = train_tagger(corpus, kind, FeatureTemplate.LF1, FAST)
+    words = tagger.vocab.words
+    assert len(words) > 2 * CHECKED_WORD_ROWS
+    save_model(tmp_path / "m.bin", tagger)
+
+    original = features.extract
+    def shorter(tokens, positions, template):
+        cols = original(tokens, positions, template)
+        return {fam: [value[1:] for value in col] if fam.startswith("suffix") else col
+                for fam, col in cols.items()}
+    for module in (features, tagger_module):
+        monkeypatch.setattr(module, "extract", shorter)
+    older, _ = train_tagger(corpus, kind, FeatureTemplate.LF1, FAST)
+    monkeypatch.undo()
+    save_model(tmp_path / "older.bin", older)
+    with pytest.raises(DataError, match=r"older\.bin: array 'word_rows' gives word .* the ids "):
+        load_model(tmp_path / "older.bin")
+
+    calls = []
+    monkeypatch.setattr(tagger_module, "extract",
+                        lambda *args: calls.append(list(args[0])) or original(*args))
+    load_model(tmp_path / "m.bin")
+    step = -(-len(words) // CHECKED_WORD_ROWS)
+    assert calls == [list(words[::step])] and len(calls[0]) <= CHECKED_WORD_ROWS
